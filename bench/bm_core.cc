@@ -6,6 +6,7 @@
 
 #include "core/delta_estimator.h"
 #include "core/expected_cost.h"
+#include "core/palo.h"
 #include "core/pib.h"
 #include "core/transformations.h"
 #include "core/upsilon.h"
@@ -134,19 +135,44 @@ void BM_PibObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_PibObserve)->Arg(3)->Arg(5);
 
+// PALO's per-context update: Delta~ and Delta^ for every neighbour. A
+// tight epsilon keeps the stopping rule from certifying, so every
+// iteration does the full update.
+void BM_PaloObserve(benchmark::State& state) {
+  RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
+  Palo palo(&tree.graph, Strategy::DepthFirst(tree.graph),
+            PaloOptions{.delta = 0.5, .epsilon = 1e-6});
+  IndependentOracle oracle(tree.probs);
+  QueryProcessor qp(&tree.graph);
+  Rng rng(9);
+  for (auto _ : state) {
+    palo.Observe(qp.Execute(palo.strategy(), oracle.Next(rng)));
+  }
+  if (palo.Finished()) state.SkipWithError("PALO stopped early");
+  state.counters["moves"] = static_cast<double>(palo.moves_made());
+}
+BENCHMARK(BM_PaloObserve)->Arg(3)->Arg(5);
+
+// Delta~ for a whole neighbourhood from one trace: the per-trace
+// completion J, then every neighbour (items = neighbours).
 void BM_DeltaUnderEstimate(benchmark::State& state) {
   RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
-  Strategy theta = Strategy::DepthFirst(tree.graph);
-  std::vector<SiblingSwap> swaps = AllSiblingSwaps(tree.graph);
-  Strategy alt = ApplySwap(tree.graph, theta, swaps[0]);
+  SwapNeighborhood hood(tree.graph, Strategy::DepthFirst(tree.graph),
+                        AllSiblingSwaps(tree.graph));
   DeltaEstimator estimator(&tree.graph);
   QueryProcessor qp(&tree.graph);
   IndependentOracle oracle(tree.probs);
   Rng rng(10);
-  Trace trace = qp.Execute(theta, oracle.Next(rng));
+  Trace trace = qp.Execute(hood.strategy(), oracle.Next(rng));
+  std::vector<double> deltas;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.UnderEstimate(trace, alt));
+    estimator.UnderEstimates(trace, hood, &deltas);
+    benchmark::DoNotOptimize(deltas.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(hood.size()));
+  state.counters["neighbors"] = static_cast<double>(hood.size());
 }
 BENCHMARK(BM_DeltaUnderEstimate)->Arg(3)->Arg(5)->Arg(7);
 

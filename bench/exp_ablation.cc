@@ -56,21 +56,21 @@ class AblatedPib {
              Variant variant)
       : graph_(graph),
         estimator_(graph),
-        current_(std::move(initial)),
+        hood_(*graph, std::move(initial), AllSiblingSwaps(*graph)),
+        delta_sums_(hood_.size(), 0.0),
         delta_(delta),
-        variant_(variant) {
-    Rebuild();
-  }
+        variant_(variant) {}
 
   bool Observe(const Trace& trace) {
     ++samples_;
     trials_ += variant_ == Variant::kNoBonferroni
                    ? 1
-                   : static_cast<int64_t>(neighbors_.size());
-    for (Neighbor& n : neighbors_) {
-      n.delta_sum += estimator_.UnderEstimate(trace, n.strategy);
-    }
-    for (const Neighbor& n : neighbors_) {
+                   : static_cast<int64_t>(hood_.size());
+    estimator_.UnderEstimates(trace, hood_, &deltas_);
+    for (size_t j = 0; j < hood_.size(); ++j) delta_sums_[j] += deltas_[j];
+    for (size_t j = 0; j < hood_.size(); ++j) {
+      const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
+      const double delta_sum = delta_sums_[j];
       double threshold = 0.0;
       switch (variant_) {
         case Variant::kFull:
@@ -86,46 +86,30 @@ class AblatedPib {
           break;
       }
       bool fire = variant_ == Variant::kGreedyMean
-                      ? (samples_ >= 10 && n.delta_sum > 0.0)
-                      : (n.delta_sum > 0.0 && n.delta_sum >= threshold);
+                      ? (samples_ >= 10 && delta_sum > 0.0)
+                      : (delta_sum > 0.0 && delta_sum >= threshold);
       if (fire) {
-        current_ = n.strategy;
         ++moves_;
-        Rebuild();
+        hood_ = SwapNeighborhood(*graph_, n.strategy, AllSiblingSwaps(*graph_));
+        delta_sums_.assign(hood_.size(), 0.0);
+        samples_ = 0;
         return true;
       }
     }
     return false;
   }
 
-  const Strategy& strategy() const { return current_; }
+  const Strategy& strategy() const { return hood_.strategy(); }
   int moves() const { return moves_; }
 
  private:
-  struct Neighbor {
-    Strategy strategy;
-    double range = 0.0;
-    double delta_sum = 0.0;
-  };
-
-  void Rebuild() {
-    neighbors_.clear();
-    for (const SiblingSwap& swap : AllSiblingSwaps(*graph_)) {
-      Neighbor n;
-      n.strategy = ApplySwap(*graph_, current_, swap);
-      if (n.strategy == current_) continue;
-      n.range = SwapRange(*graph_, current_, swap);
-      neighbors_.push_back(std::move(n));
-    }
-    samples_ = 0;
-  }
-
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
-  Strategy current_;
+  SwapNeighborhood hood_;
+  std::vector<double> delta_sums_;
+  std::vector<double> deltas_;
   double delta_;
   Variant variant_;
-  std::vector<Neighbor> neighbors_;
   int64_t samples_ = 0;
   int64_t trials_ = 0;
   int moves_ = 0;

@@ -10,12 +10,14 @@ Palo::Palo(const InferenceGraph* graph, Strategy initial, Options options,
            obs::Observer* observer)
     : graph_(graph),
       estimator_(graph),
-      current_(std::move(initial)),
-      options_(options) {
+      options_(options),
+      hood_(*graph, std::move(initial), AllSiblingSwaps(*graph)),
+      under_sums_(hood_.size(), 0.0),
+      over_sums_(hood_.size(), 0.0),
+      finished_(hood_.size() == 0) {  // nothing to improve
   STRATLEARN_CHECK(options_.delta > 0.0 && options_.delta < 1.0);
   STRATLEARN_CHECK(options_.epsilon > 0.0);
   STRATLEARN_CHECK(options_.test_every >= 1);
-  RebuildNeighborhood();
   set_observer(observer);
 }
 
@@ -29,36 +31,22 @@ void Palo::set_observer(obs::Observer* observer) {
   handles_.stops = &r->GetCounter("palo.stops");
 }
 
-void Palo::RebuildNeighborhood() {
-  neighbors_.clear();
-  for (const SiblingSwap& swap : AllSiblingSwaps(*graph_)) {
-    Neighbor n;
-    n.swap = swap;
-    n.strategy = ApplySwap(*graph_, current_, swap);
-    if (n.strategy == current_) continue;
-    n.range = SwapRange(*graph_, current_, swap);
-    neighbors_.push_back(std::move(n));
-  }
-  samples_ = 0;
-  if (neighbors_.empty()) finished_ = true;  // nothing to improve
-}
-
 bool Palo::CheckStop(double* worst_certificate, size_t* worst_neighbor,
                      double* delta_i) {
   *worst_certificate = 0.0;
-  *worst_neighbor = neighbors_.size();
+  *worst_neighbor = hood_.size();
   // delta/2 budget for stopping, spread over the sequential schedule and
   // the |T| simultaneous neighbours.
   *delta_i =
       SequentialDelta(std::max<int64_t>(1, trials_), options_.delta / 2.0) /
-      static_cast<double>(std::max<size_t>(1, neighbors_.size()));
+      static_cast<double>(std::max<size_t>(1, hood_.size()));
   if (*delta_i <= 0.0 || *delta_i >= 1.0) *delta_i = options_.delta / 2.0;
   if (samples_ == 0) return false;
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    const Neighbor& n = neighbors_[j];
-    double mean_over = n.over_sum / static_cast<double>(samples_);
-    double dev = HoeffdingDeviation(samples_, *delta_i, n.range);
-    if (*worst_neighbor == neighbors_.size() ||
+  for (size_t j = 0; j < hood_.size(); ++j) {
+    double mean_over = over_sums_[j] / static_cast<double>(samples_);
+    double dev =
+        HoeffdingDeviation(samples_, *delta_i, hood_.neighbors()[j].range);
+    if (*worst_neighbor == hood_.size() ||
         mean_over + dev > *worst_certificate) {
       *worst_certificate = mean_over + dev;
       *worst_neighbor = j;
@@ -70,18 +58,14 @@ bool Palo::CheckStop(double* worst_certificate, size_t* worst_neighbor,
 
 Palo::Checkpoint Palo::GetCheckpoint() const {
   Checkpoint checkpoint;
-  checkpoint.strategy = current_;
+  checkpoint.strategy = strategy();
   checkpoint.contexts = contexts_;
   checkpoint.trials = trials_;
   checkpoint.samples = samples_;
   checkpoint.moves = moves_;
   checkpoint.finished = finished_;
-  checkpoint.neighbor_under_sums.reserve(neighbors_.size());
-  checkpoint.neighbor_over_sums.reserve(neighbors_.size());
-  for (const Neighbor& n : neighbors_) {
-    checkpoint.neighbor_under_sums.push_back(n.under_sum);
-    checkpoint.neighbor_over_sums.push_back(n.over_sum);
-  }
+  checkpoint.neighbor_under_sums = under_sums_;
+  checkpoint.neighbor_over_sums = over_sums_;
   return checkpoint;
 }
 
@@ -99,28 +83,21 @@ Status Palo::RestoreCheckpoint(const Checkpoint& checkpoint) {
       checkpoint.neighbor_over_sums.size()) {
     return Status::InvalidArgument("estimate ledgers differ in length");
   }
-  Strategy prior = std::move(current_);
-  bool prior_finished = finished_;
-  current_ = checkpoint.strategy;
-  finished_ = false;
-  RebuildNeighborhood();
-  if (neighbors_.size() != checkpoint.neighbor_under_sums.size()) {
-    current_ = std::move(prior);
-    finished_ = prior_finished;
-    RebuildNeighborhood();
+  // Built aside, so a rejected checkpoint leaves this learner untouched.
+  SwapNeighborhood hood(*graph_, checkpoint.strategy, AllSiblingSwaps(*graph_));
+  if (hood.size() != checkpoint.neighbor_under_sums.size()) {
     return Status::InvalidArgument(
         "checkpoint carries a different neighbourhood size than the "
         "strategy induces");
   }
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    neighbors_[j].under_sum = checkpoint.neighbor_under_sums[j];
-    neighbors_[j].over_sum = checkpoint.neighbor_over_sums[j];
-  }
+  hood_ = std::move(hood);
+  under_sums_ = checkpoint.neighbor_under_sums;
+  over_sums_ = checkpoint.neighbor_over_sums;
   contexts_ = checkpoint.contexts;
   trials_ = checkpoint.trials;
   samples_ = checkpoint.samples;
   moves_ = checkpoint.moves;
-  finished_ = finished_ || checkpoint.finished;
+  finished_ = hood_.size() == 0 || checkpoint.finished;
   return Status::OK();
 }
 
@@ -128,21 +105,23 @@ bool Palo::Observe(const Trace& trace) {
   if (finished_) return false;
   ++contexts_;
   ++samples_;
-  trials_ += static_cast<int64_t>(neighbors_.size());
-  for (Neighbor& n : neighbors_) {
-    n.under_sum += estimator_.UnderEstimate(trace, n.strategy);
-    n.over_sum += estimator_.OverEstimate(trace, n.strategy);
-  }
+  trials_ += static_cast<int64_t>(hood_.size());
+  std::vector<double> deltas;
+  estimator_.UnderEstimates(trace, hood_, &deltas);
+  for (size_t j = 0; j < deltas.size(); ++j) under_sums_[j] += deltas[j];
+  estimator_.OverEstimates(trace, hood_, &deltas);
+  for (size_t j = 0; j < deltas.size(); ++j) over_sums_[j] += deltas[j];
   if (handles_.contexts != nullptr) handles_.contexts->Increment();
   if (contexts_ % options_.test_every != 0) return false;
 
   // Climb exactly like PIB, at confidence delta/2.
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    const Neighbor& n = neighbors_[j];
+  for (size_t j = 0; j < hood_.size(); ++j) {
+    const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
+    const double under_sum = under_sums_[j];
     double threshold = SequentialSumThreshold(samples_, std::max<int64_t>(
                                                   1, trials_),
                                               options_.delta / 2.0, n.range);
-    if (n.under_sum > 0.0 && n.under_sum >= threshold) {
+    if (under_sum > 0.0 && under_sum >= threshold) {
       ++moves_;
       if (handles_.moves != nullptr) handles_.moves->Increment();
       if (observer_ != nullptr) {
@@ -156,9 +135,9 @@ bool Palo::Observe(const Trace& trace) {
           event.at_context = contexts_;
           event.samples_used = samples_;
           event.swap = n.swap.ToString(*graph_);
-          event.delta_sum = n.under_sum;
+          event.delta_sum = under_sum;
           event.threshold = threshold;
-          event.margin = n.under_sum - threshold;
+          event.margin = under_sum - threshold;
           event.delta_spent = delta_step;
           sink->OnClimbMove(event);
         }
@@ -174,10 +153,10 @@ bool Palo::Observe(const Trace& trace) {
             e.samples = samples_;
             e.trials = trials_;
             e.subject = static_cast<int64_t>(j);
-            e.mean = n.under_sum / static_cast<double>(samples_);
-            e.delta_sum = n.under_sum;
+            e.mean = under_sum / static_cast<double>(samples_);
+            e.delta_sum = under_sum;
             e.threshold = threshold;
-            e.margin = n.under_sum - threshold;
+            e.margin = under_sum - threshold;
             e.range = n.range;
             e.epsilon_n =
                 n.range > 0.0
@@ -195,13 +174,17 @@ bool Palo::Observe(const Trace& trace) {
           }
         }
       }
-      current_ = n.strategy;
-      RebuildNeighborhood();
+      // Climb: a fresh epoch over the new strategy's neighbourhood.
+      hood_ = SwapNeighborhood(*graph_, n.strategy, AllSiblingSwaps(*graph_));
+      under_sums_.assign(hood_.size(), 0.0);
+      over_sums_.assign(hood_.size(), 0.0);
+      samples_ = 0;
+      if (hood_.size() == 0) finished_ = true;  // nothing to improve
       return true;
     }
   }
   double worst_certificate = 0.0;
-  size_t worst_neighbor = neighbors_.size();
+  size_t worst_neighbor = hood_.size();
   double stop_delta_i = 0.0;
   if (CheckStop(&worst_certificate, &worst_neighbor, &stop_delta_i)) {
     finished_ = true;
@@ -211,10 +194,10 @@ bool Palo::Observe(const Trace& trace) {
         sink->OnPaloStop({observer_->NowUs(), contexts_, moves_,
                           options_.epsilon, worst_certificate});
       }
-      if (observer_->audit_enabled() && worst_neighbor < neighbors_.size()) {
+      if (observer_->audit_enabled() && worst_neighbor < hood_.size()) {
         audit_delta_spent_ += stop_delta_i;
         if (obs::TraceSink* sink = observer_->sink()) {
-          const Neighbor& worst = neighbors_[worst_neighbor];
+          const double worst_range = hood_.neighbors()[worst_neighbor].range;
           obs::DecisionCertificateEvent e;
           e.t_us = observer_->NowUs();
           e.learner = "palo";
@@ -224,24 +207,24 @@ bool Palo::Observe(const Trace& trace) {
           e.samples = samples_;
           e.trials = trials_;
           e.subject = static_cast<int64_t>(worst_neighbor);
-          e.mean = worst.over_sum / static_cast<double>(samples_);
+          e.mean = over_sums_[worst_neighbor] / static_cast<double>(samples_);
           // For the stop test the statistic must stay *below* the
           // threshold (epsilon), so the margin is negative on success.
           e.delta_sum = worst_certificate;
           e.threshold = options_.epsilon;
           e.margin = worst_certificate - options_.epsilon;
-          e.range = worst.range;
+          e.range = worst_range;
           e.epsilon_n =
-              worst.range > 0.0
-                  ? HoeffdingDeviation(samples_, stop_delta_i, worst.range)
+              worst_range > 0.0
+                  ? HoeffdingDeviation(samples_, stop_delta_i, worst_range)
                   : 0.0;
           e.delta_step = stop_delta_i;
           e.delta_budget = options_.delta;
           e.delta_spent_total = audit_delta_spent_;
           e.bound_samples =
-              worst.range > 0.0
+              worst_range > 0.0
                   ? SampleSizeForDeviation(options_.epsilon, stop_delta_i,
-                                           worst.range)
+                                           worst_range)
                   : 0;
           e.epsilon = options_.epsilon;
           sink->OnDecisionCertificate(e);

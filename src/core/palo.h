@@ -51,7 +51,7 @@ class Palo {
   /// further moves will be made and Observe becomes a no-op.
   bool Finished() const { return finished_; }
 
-  const Strategy& strategy() const { return current_; }
+  const Strategy& strategy() const { return hood_.strategy(); }
   int64_t contexts_processed() const { return contexts_; }
   int64_t moves_made() const { return moves_; }
 
@@ -69,19 +69,11 @@ class Palo {
     std::vector<double> neighbor_over_sums;
   };
   Checkpoint GetCheckpoint() const;
-  /// On error the learner keeps its prior state.
+  /// On error the learner keeps its prior state (the candidate
+  /// neighbourhood is built aside and committed only on success).
   Status RestoreCheckpoint(const Checkpoint& checkpoint);
 
  private:
-  struct Neighbor {
-    SiblingSwap swap;
-    Strategy strategy;
-    double range = 0.0;
-    double under_sum = 0.0;
-    double over_sum = 0.0;
-  };
-
-  void RebuildNeighborhood();
   /// Sets `*worst_certificate` to the max over neighbours of
   /// (mean over-estimate + Hoeffding deviation) it saw before deciding,
   /// `*worst_neighbor` to that neighbour's index (or the size of the
@@ -92,10 +84,13 @@ class Palo {
 
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
-  Strategy current_;
   Options options_;
 
-  std::vector<Neighbor> neighbors_;
+  /// The current strategy with its planned neighbourhood, and per
+  /// neighbour the running Delta~ (climbing) and Delta^ (stopping) sums.
+  SwapNeighborhood hood_;
+  std::vector<double> under_sums_;
+  std::vector<double> over_sums_;
   int64_t contexts_ = 0;
   int64_t trials_ = 0;
   int64_t samples_ = 0;

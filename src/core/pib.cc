@@ -18,12 +18,12 @@ Pib::Pib(const InferenceGraph* graph, Strategy initial,
          obs::Observer* observer)
     : graph_(graph),
       estimator_(graph),
-      current_(std::move(initial)),
       transformations_(std::move(transformations)),
-      options_(options) {
+      options_(options),
+      hood_(*graph, std::move(initial), transformations_),
+      delta_sums_(hood_.size(), 0.0) {
   STRATLEARN_CHECK(options_.delta > 0.0 && options_.delta < 1.0);
   STRATLEARN_CHECK(options_.test_every >= 1);
-  RebuildNeighborhood();
   set_observer(observer);
 }
 
@@ -38,30 +38,16 @@ void Pib::set_observer(obs::Observer* observer) {
   handles_.moves = &r->GetCounter("pib.moves");
 }
 
-void Pib::RebuildNeighborhood() {
-  neighbors_.clear();
-  neighbors_.reserve(transformations_.size());
-  for (const SiblingSwap& swap : transformations_) {
-    Neighbor n;
-    n.swap = swap;
-    n.strategy = ApplySwap(*graph_, current_, swap);
-    if (n.strategy == current_) continue;  // no-op swap (e.g. dead ends)
-    n.range = SwapRange(*graph_, current_, swap);
-    neighbors_.push_back(std::move(n));
-  }
-  samples_ = 0;
-}
-
 double Pib::ThresholdFor(size_t neighbor) const {
-  STRATLEARN_CHECK(neighbor < neighbors_.size());
+  STRATLEARN_CHECK(neighbor < hood_.size());
   if (samples_ == 0 || trials_ == 0) return 0.0;
   return SequentialSumThreshold(samples_, trials_, options_.delta,
-                                neighbors_[neighbor].range);
+                                hood_.neighbors()[neighbor].range);
 }
 
 double Pib::DeltaSumFor(size_t neighbor) const {
-  STRATLEARN_CHECK(neighbor < neighbors_.size());
-  return neighbors_[neighbor].delta_sum;
+  STRATLEARN_CHECK(neighbor < hood_.size());
+  return delta_sums_[neighbor];
 }
 
 PibSnapshot Pib::Snapshot() const {
@@ -72,14 +58,14 @@ PibSnapshot Pib::Snapshot() const {
   snap.delta = options_.delta;
   snap.current_test_delta =
       trials_ > 0 ? SequentialDelta(trials_, options_.delta) : 0.0;
-  snap.neighbors.reserve(neighbors_.size());
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    const Neighbor& n = neighbors_[j];
+  snap.neighbors.reserve(hood_.size());
+  for (size_t j = 0; j < hood_.size(); ++j) {
+    const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
     PibSnapshot::Neighbor view;
     view.swap = n.swap.ToString(*graph_);
-    view.delta_sum = n.delta_sum;
+    view.delta_sum = delta_sums_[j];
     view.threshold = ThresholdFor(j);
-    view.margin = n.delta_sum - view.threshold;
+    view.margin = view.delta_sum - view.threshold;
     view.range = n.range;
     snap.neighbors.push_back(std::move(view));
   }
@@ -100,14 +86,11 @@ PibSnapshot Pib::Snapshot() const {
 
 Pib::Checkpoint Pib::GetCheckpoint() const {
   Checkpoint checkpoint;
-  checkpoint.strategy = current_;
+  checkpoint.strategy = strategy();
   checkpoint.contexts = contexts_;
   checkpoint.trials = trials_;
   checkpoint.samples = samples_;
-  checkpoint.neighbor_delta_sums.reserve(neighbors_.size());
-  for (const Neighbor& n : neighbors_) {
-    checkpoint.neighbor_delta_sums.push_back(n.delta_sum);
-  }
+  checkpoint.neighbor_delta_sums = delta_sums_;
   checkpoint.moves = moves_;
   checkpoint.audit_delta_spent = audit_delta_spent_;
   checkpoint.audit_rounds = audit_rounds_;
@@ -126,22 +109,17 @@ Status Pib::RestoreCheckpoint(const Checkpoint& checkpoint) {
     return Status::InvalidArgument(
         "checkpointed strategy does not cover the graph's arcs");
   }
-  // Rebuild the neighbourhood of the checkpointed strategy *first*: its
-  // size tells us whether the Delta~ sums line up, and the rebuild zeroes
-  // samples_, which we then restore.
-  Strategy prior = std::move(current_);
-  current_ = checkpoint.strategy;
-  RebuildNeighborhood();
-  if (neighbors_.size() != checkpoint.neighbor_delta_sums.size()) {
-    current_ = std::move(prior);
-    RebuildNeighborhood();
+  // The checkpointed strategy's neighbourhood size tells us whether the
+  // Delta~ sums line up; it is built aside so a rejected checkpoint
+  // leaves this learner untouched.
+  SwapNeighborhood hood(*graph_, checkpoint.strategy, transformations_);
+  if (hood.size() != checkpoint.neighbor_delta_sums.size()) {
     return Status::InvalidArgument(
         "checkpoint carries a different neighbourhood size than the "
         "strategy induces");
   }
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    neighbors_[j].delta_sum = checkpoint.neighbor_delta_sums[j];
-  }
+  hood_ = std::move(hood);
+  delta_sums_ = checkpoint.neighbor_delta_sums;
   contexts_ = checkpoint.contexts;
   trials_ = checkpoint.trials;
   samples_ = checkpoint.samples;
@@ -156,7 +134,7 @@ void Pib::Rebaseline(double trials_factor) {
   // Every sum is dropped, not just the epoch's samples: a pre-drift sum
   // left standing would cross the (now smaller) rewound threshold on
   // stale evidence.
-  for (Neighbor& n : neighbors_) n.delta_sum = 0.0;
+  delta_sums_.assign(delta_sums_.size(), 0.0);
   samples_ = 0;
   trials_ = std::max<int64_t>(
       1, static_cast<int64_t>(static_cast<double>(trials_) * trials_factor));
@@ -170,9 +148,10 @@ int64_t Pib::RestartScoped(ArcId arc) {
     return false;
   };
   int64_t reset = 0;
-  for (Neighbor& n : neighbors_) {
-    if (!touches(n.swap.arc_a) && !touches(n.swap.arc_b)) continue;
-    n.delta_sum = 0.0;
+  for (size_t j = 0; j < hood_.size(); ++j) {
+    const SiblingSwap& swap = hood_.neighbors()[j].swap;
+    if (!touches(swap.arc_a) && !touches(swap.arc_b)) continue;
+    delta_sums_[j] = 0.0;
     ++reset;
   }
   return reset;
@@ -181,7 +160,8 @@ int64_t Pib::RestartScoped(ArcId arc) {
 obs::DecisionCertificateEvent Pib::MakeAuditCertificate(size_t neighbor,
                                                         const char* verdict,
                                                         double threshold) {
-  const Neighbor& n = neighbors_[neighbor];
+  const double range = hood_.neighbors()[neighbor].range;
+  const double delta_sum = delta_sums_[neighbor];
   double delta_step =
       SequentialDelta(std::max<int64_t>(1, trials_), options_.delta);
   audit_delta_spent_ += delta_step;
@@ -194,20 +174,20 @@ obs::DecisionCertificateEvent Pib::MakeAuditCertificate(size_t neighbor,
   e.samples = samples_;
   e.trials = trials_;
   e.subject = static_cast<int64_t>(neighbor);
-  e.mean = samples_ > 0 ? n.delta_sum / static_cast<double>(samples_) : 0.0;
-  e.delta_sum = n.delta_sum;
+  e.mean = samples_ > 0 ? delta_sum / static_cast<double>(samples_) : 0.0;
+  e.delta_sum = delta_sum;
   e.threshold = threshold;
-  e.margin = n.delta_sum - threshold;
-  e.range = n.range;
-  e.epsilon_n = samples_ > 0 && n.range > 0.0
-                    ? HoeffdingDeviation(samples_, delta_step, n.range)
+  e.margin = delta_sum - threshold;
+  e.range = range;
+  e.epsilon_n = samples_ > 0 && range > 0.0
+                    ? HoeffdingDeviation(samples_, delta_step, range)
                     : 0.0;
   e.delta_step = delta_step;
   e.delta_budget = options_.delta;
   e.delta_spent_total = audit_delta_spent_;
   e.bound_samples =
-      e.mean > 0.0 && n.range > 0.0
-          ? SampleSizeForDeviation(e.mean, delta_step, n.range)
+      e.mean > 0.0 && range > 0.0
+          ? SampleSizeForDeviation(e.mean, delta_step, range)
           : 0;
   return e;
 }
@@ -215,55 +195,50 @@ obs::DecisionCertificateEvent Pib::MakeAuditCertificate(size_t neighbor,
 bool Pib::Observe(const Trace& trace) {
   ++contexts_;
   ++samples_;
-  trials_ += static_cast<int64_t>(neighbors_.size());
-  for (Neighbor& n : neighbors_) {
-    n.delta_sum += estimator_.UnderEstimate(trace, n.strategy);
-  }
+  trials_ += static_cast<int64_t>(hood_.size());
+  std::vector<double> deltas;
+  estimator_.UnderEstimates(trace, hood_, &deltas);
+  for (size_t j = 0; j < deltas.size(); ++j) delta_sums_[j] += deltas[j];
   if (handles_.contexts != nullptr) {
     handles_.contexts->Increment();
-    handles_.trials->Increment(static_cast<int64_t>(neighbors_.size()));
+    handles_.trials->Increment(static_cast<int64_t>(hood_.size()));
   }
   if (contexts_ % options_.test_every != 0) return false;
 
   // One test round: the first neighbour (in T order) whose sum crosses
   // its Equation-6 threshold wins; the largest-margin neighbour is
   // reported either way so traces show how close the round came.
-  size_t fired = neighbors_.size();
-  size_t best = neighbors_.size();
+  const size_t k = hood_.size();
+  size_t fired = k;
+  size_t best = k;
   double best_margin = 0.0;
   double fired_threshold = 0.0;
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    const Neighbor& n = neighbors_[j];
+  for (size_t j = 0; j < k; ++j) {
     double threshold = ThresholdFor(j);
-    double margin = n.delta_sum - threshold;
-    if (best == neighbors_.size() || margin > best_margin) {
+    double margin = delta_sums_[j] - threshold;
+    if (best == k || margin > best_margin) {
       best = j;
       best_margin = margin;
     }
-    if (fired == neighbors_.size() && n.delta_sum > 0.0 &&
-        n.delta_sum >= threshold) {
+    if (fired == k && delta_sums_[j] > 0.0 && delta_sums_[j] >= threshold) {
       fired = j;
       fired_threshold = threshold;
     }
   }
-  if (handles_.tests != nullptr && !neighbors_.empty()) {
-    handles_.tests->Increment();
-  }
-  if (observer_ != nullptr && !neighbors_.empty()) {
+  if (handles_.tests != nullptr && k > 0) handles_.tests->Increment();
+  if (observer_ != nullptr && k > 0) {
     if (obs::TraceSink* sink = observer_->sink()) {
       sink->OnSequentialTest({observer_->NowUs(), "pib", contexts_, samples_,
                               trials_, static_cast<int64_t>(best),
-                              neighbors_[best].delta_sum,
-                              ThresholdFor(best),
-                              fired != neighbors_.size()});
+                              delta_sums_[best], ThresholdFor(best),
+                              fired != k});
     }
   }
-  if (fired == neighbors_.size()) {
+  if (fired == k) {
     // Certify the reject: the best neighbour did not cross its
     // threshold this round. Rejects are the high-volume certificate,
     // so they honour the observer's audit_every subsampling cadence.
-    if (observer_ != nullptr && observer_->audit_enabled() &&
-        !neighbors_.empty()) {
+    if (observer_ != nullptr && observer_->audit_enabled() && k > 0) {
       ++audit_rounds_;
       if ((audit_rounds_ - 1) % observer_->audit_every() == 0) {
         if (obs::TraceSink* sink = observer_->sink()) {
@@ -275,12 +250,12 @@ bool Pib::Observe(const Trace& trace) {
     return false;
   }
 
-  const Neighbor& n = neighbors_[fired];
+  const SwapNeighborhood::Neighbor& n = hood_.neighbors()[fired];
   Move move;
   move.at_context = contexts_;
   move.samples_used = samples_;
   move.swap = n.swap;
-  move.delta_sum = n.delta_sum;
+  move.delta_sum = delta_sums_[fired];
   move.threshold = fired_threshold;
   move.delta_spent = SequentialDelta(trials_, options_.delta);
   moves_.push_back(move);
@@ -294,9 +269,9 @@ bool Pib::Observe(const Trace& trace) {
       event.at_context = contexts_;
       event.samples_used = samples_;
       event.swap = n.swap.ToString(*graph_);
-      event.delta_sum = n.delta_sum;
+      event.delta_sum = move.delta_sum;
       event.threshold = fired_threshold;
-      event.margin = n.delta_sum - fired_threshold;
+      event.margin = move.delta_sum - fired_threshold;
       event.delta_spent = move.delta_spent;
       sink->OnClimbMove(event);
     }
@@ -308,8 +283,10 @@ bool Pib::Observe(const Trace& trace) {
       }
     }
   }
-  current_ = n.strategy;
-  RebuildNeighborhood();
+  // Climb: a fresh epoch over the new strategy's neighbourhood.
+  hood_ = SwapNeighborhood(*graph_, n.strategy, transformations_);
+  delta_sums_.assign(hood_.size(), 0.0);
+  samples_ = 0;
   return true;
 }
 

@@ -96,7 +96,7 @@ class Pib {
   /// then run `strategy()` — the new strategy — on subsequent queries).
   bool Observe(const Trace& trace);
 
-  const Strategy& strategy() const { return current_; }
+  const Strategy& strategy() const { return hood_.strategy(); }
   int64_t contexts_processed() const { return contexts_; }
   /// Figure 3's i: cumulative neighbour trials.
   int64_t trial_count() const { return trials_; }
@@ -108,7 +108,7 @@ class Pib {
   /// introspection and the ablation benches).
   double ThresholdFor(size_t neighbor) const;
   double DeltaSumFor(size_t neighbor) const;
-  size_t num_neighbors() const { return neighbors_.size(); }
+  size_t num_neighbors() const { return hood_.size(); }
 
   /// Captures the learner's full estimate state (neighbour Delta~ sums,
   /// thresholds, margins, climb history, delta budget) without exposing
@@ -116,10 +116,9 @@ class Pib {
   PibSnapshot Snapshot() const;
 
   /// Resumable learner state: everything Observe reads or writes.
-  /// `neighbor_delta_sums` is indexed by the neighbourhood that
-  /// RebuildNeighborhood derives from `strategy` (deterministic given the
-  /// graph and transformation set), so sums survive serialization without
-  /// naming their swaps.
+  /// `neighbor_delta_sums` is indexed by the SwapNeighborhood derived
+  /// from `strategy` (deterministic given the graph and transformation
+  /// set), so sums survive serialization without naming their swaps.
   struct Checkpoint {
     Strategy strategy;
     int64_t contexts = 0;
@@ -137,7 +136,8 @@ class Pib {
   /// Rebuilds the neighbourhood of the checkpointed strategy and
   /// reinstates its Delta~ sums and counters. Rejects checkpoints whose
   /// shape or invariants do not fit this learner's graph/transformation
-  /// set; on error the learner keeps its prior state.
+  /// set; on error the learner keeps its prior state (the candidate
+  /// neighbourhood is built aside and committed only on success).
   Status RestoreCheckpoint(const Checkpoint& checkpoint);
 
   /// Recovery action: re-open the sequential test after detected drift
@@ -160,14 +160,6 @@ class Pib {
   int64_t RestartScoped(ArcId arc);
 
  private:
-  struct Neighbor {
-    SiblingSwap swap;
-    Strategy strategy;
-    double range = 0.0;
-    double delta_sum = 0.0;
-  };
-
-  void RebuildNeighborhood();
   /// Builds the decision certificate for one test round's verdict on
   /// `neighbor` and charges its delta_i to the audit ledger. Only
   /// called when the observer has audit enabled.
@@ -177,11 +169,13 @@ class Pib {
 
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
-  Strategy current_;
   std::vector<SiblingSwap> transformations_;
   Options options_;
 
-  std::vector<Neighbor> neighbors_;
+  /// The current strategy Theta_j with its planned neighbourhood, and one
+  /// running Delta~ sum per neighbour.
+  SwapNeighborhood hood_;
+  std::vector<double> delta_sums_;
   int64_t contexts_ = 0;
   int64_t trials_ = 0;
   int64_t samples_ = 0;

@@ -7,12 +7,10 @@ namespace stratlearn {
 
 Pib1::Pib1(const InferenceGraph* graph, Strategy current, SiblingSwap swap,
            Options options, obs::Observer* observer)
-    : graph_(graph),
-      estimator_(graph),
-      current_(std::move(current)),
-      alternative_(ApplySwap(*graph, current_, swap)),
+    : estimator_(graph),
+      hood_(*graph, std::move(current), {swap}),
       options_(options),
-      range_(SwapRange(*graph, current_, swap)) {
+      range_(SwapRange(*graph, hood_.strategy(), swap)) {
   STRATLEARN_CHECK(options_.delta > 0.0 && options_.delta < 1.0);
   set_observer(observer);
 }
@@ -28,7 +26,10 @@ void Pib1::set_observer(obs::Observer* observer) {
 }
 
 void Pib1::Observe(const Trace& trace) {
-  delta_sum_ += estimator_.UnderEstimate(trace, alternative_);
+  // A no-op swap has no neighbour: its Delta is identically zero.
+  std::vector<double> deltas;
+  estimator_.UnderEstimates(trace, hood_, &deltas);
+  if (!deltas.empty()) delta_sum_ += deltas[0];
   ++samples_;
   if (observer_ == nullptr) return;
   if (handles_.samples != nullptr) {

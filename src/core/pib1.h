@@ -41,8 +41,11 @@ class Pib1 {
   /// Lambda * sqrt(m/2 * ln(1/delta)).
   bool ShouldSwitch() const;
 
-  const Strategy& current() const { return current_; }
-  const Strategy& alternative() const { return alternative_; }
+  const Strategy& current() const { return hood_.strategy(); }
+  /// The swapped strategy; `current()` itself when the swap is a no-op.
+  const Strategy& alternative() const {
+    return hood_.size() > 0 ? hood_.neighbors()[0].strategy : current();
+  }
 
   double delta_sum() const { return delta_sum_; }
   int64_t samples() const { return samples_; }
@@ -52,10 +55,10 @@ class Pib1 {
   double range() const { return range_; }
 
  private:
-  const InferenceGraph* graph_;
   DeltaEstimator estimator_;
-  Strategy current_;
-  Strategy alternative_;
+  /// The current strategy and its one-swap neighbourhood (empty when the
+  /// swap is a no-op).
+  SwapNeighborhood hood_;
   Options options_;
   double range_;
   double delta_sum_ = 0.0;

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "core/palo.h"
+#include "core/pib.h"
 #include "core/transformations.h"
 #include "graph/examples.h"
+#include "robust/checkpoint.h"
+#include "robust/fault_injector.h"
 #include "workload/random_tree.h"
+#include "workload/synthetic_oracle.h"
 
 namespace stratlearn {
 namespace {
@@ -134,6 +142,305 @@ TEST(DeltaEstimatorTest, UnderEstimateIsExactWhenEverythingObserved) {
     EXPECT_DOUBLE_EQ(estimator.UnderEstimate(trace, alt),
                      estimator.ExactDelta(theta, alt, none));
   }
+}
+
+// ---- Incremental Delta~ / Delta^ against the replay oracle ----------------
+
+/// A random tree mixing every shape the region identity must survive:
+/// early leaves, guarded internal experiments, dead-end subtrees and
+/// outcome-dependent costs. Every cost is an integer when `integer`. At
+/// most 10 experiments, so every context can be enumerated.
+InferenceGraph MakeMixedTree(Rng& rng, bool integer) {
+  for (;;) {
+    InferenceGraph g;
+    g.AddRoot("root");
+    auto cost = [&] {
+      return integer ? static_cast<double>(rng.NextInt(1, 3))
+                     : rng.NextUniform(0.5, 2.0);
+    };
+    auto extra = [&] {
+      return integer ? static_cast<double>(rng.NextInt(0, 2))
+                     : rng.NextUniform(0.0, 1.5);
+    };
+    int next = 0;
+    std::function<void(NodeId, int)> grow = [&](NodeId parent, int depth) {
+      int64_t children = rng.NextInt(2, 3);
+      for (int64_t c = 0; c < children; ++c) {
+        std::string label = "a" + std::to_string(next++);
+        double roll = rng.NextDouble();
+        InferenceGraph::AddResult added;
+        if (depth == 0 || roll < 0.3) {
+          added = g.AddRetrieval(parent, cost(), label);
+        } else if (roll < 0.45) {  // dead end: no success below
+          added = g.AddChild(parent, label, ArcKind::kReduction, cost(),
+                             label, rng.NextBernoulli(0.5));
+        } else {
+          added = g.AddChild(parent, label, ArcKind::kReduction, cost(),
+                             label, rng.NextBernoulli(0.3));
+          grow(added.node, depth - 1);
+        }
+        if (rng.NextBernoulli(0.4)) {
+          g.SetOutcomeCosts(added.arc, extra(), extra());
+        }
+      }
+    };
+    grow(g.root(), 2);
+    if (g.num_experiments() <= 10 && g.SuccessArcs().size() >= 2) return g;
+  }
+}
+
+/// A lazy, hierarchically contiguous strategy: the leaves in a random
+/// depth-first order.
+Strategy RandomContiguous(const InferenceGraph& g, Rng& rng) {
+  std::vector<ArcId> leaves;
+  std::function<void(NodeId)> visit = [&](NodeId n) {
+    std::vector<ArcId> out = g.node(n).out_arcs;
+    rng.Shuffle(out);
+    for (ArcId a : out) {
+      if (g.node(g.arc(a).to).is_success) {
+        leaves.push_back(a);
+      } else {
+        visit(g.arc(a).to);
+      }
+    }
+  };
+  visit(g.root());
+  return Strategy::FromLeafOrder(g, leaves);
+}
+
+// Every neighbour's Delta~ and Delta^ from the incremental path equal the
+// per-neighbour replay on every context: exactly with integer costs, to
+// 1e-9 with fractional ones; and Delta~ <= Delta <= Delta^ still holds.
+class IncrementalDeltaProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(IncrementalDeltaProperty, MatchesReplayOnEveryContext) {
+  const bool integer = GetParam() % 2 == 0;
+  Rng rng(5000 + GetParam());
+  InferenceGraph g = MakeMixedTree(rng, integer);
+  DeltaEstimator estimator(&g);
+  QueryProcessor qp(&g);
+  SwapNeighborhood hood(g, RandomContiguous(g, rng), AllSiblingSwaps(g));
+  ASSERT_TRUE(hood.incremental());
+  ASSERT_GT(hood.size(), 0u);
+
+  const size_t n = g.num_experiments();
+  std::vector<double> under, over;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    Context ctx = Context::FromMask(n, mask);
+    Trace trace = qp.Execute(hood.strategy(), ctx);
+    estimator.UnderEstimates(trace, hood, &under);
+    estimator.OverEstimates(trace, hood, &over);
+    ASSERT_EQ(under.size(), hood.size());
+    ASSERT_EQ(over.size(), hood.size());
+    for (size_t j = 0; j < hood.size(); ++j) {
+      const Strategy& alt = hood.neighbors()[j].strategy;
+      double under_ref = estimator.UnderEstimate(trace, alt);
+      double over_ref = estimator.OverEstimate(trace, alt);
+      if (integer) {
+        EXPECT_EQ(under[j], under_ref) << "mask=" << mask << " j=" << j;
+        EXPECT_EQ(over[j], over_ref) << "mask=" << mask << " j=" << j;
+      } else {
+        EXPECT_NEAR(under[j], under_ref, 1e-9) << "mask=" << mask;
+        EXPECT_NEAR(over[j], over_ref, 1e-9) << "mask=" << mask;
+      }
+      double exact = estimator.ExactDelta(hood.strategy(), alt, ctx);
+      EXPECT_LE(under[j], exact + 1e-9) << "mask=" << mask << " j=" << j;
+      EXPECT_GE(over[j], exact - 1e-9) << "mask=" << mask << " j=" << j;
+    }
+  }
+}
+
+// The identity behind the fast path holds for every completion, not just
+// the estimators' own: random outcomes on every experiment, including
+// successes below a parent the run never reaches.
+TEST_P(IncrementalDeltaProperty, RegionIdentityHoldsForAnyCompletion) {
+  const bool integer = GetParam() % 2 == 0;
+  Rng rng(7000 + GetParam());
+  InferenceGraph g = MakeMixedTree(rng, integer);
+  DeltaEstimator estimator(&g);
+  SwapNeighborhood hood(g, RandomContiguous(g, rng), AllSiblingSwaps(g));
+  ASSERT_TRUE(hood.incremental());
+  std::vector<double> costs;
+  for (int trial = 0; trial < 200; ++trial) {
+    Completion k;
+    for (ArcId a = 0; a < g.num_arcs(); ++a) {
+      const Arc& arc = g.arc(a);
+      bool unblocked = arc.experiment < 0 || rng.NextBernoulli(0.5);
+      k.unblocked.push_back(unblocked ? 1 : 0);
+      k.cost.push_back(arc.cost +
+                       (unblocked ? arc.success_cost : arc.failure_cost));
+    }
+    hood.Costs(k, &costs);
+    ASSERT_EQ(costs.size(), hood.size());
+    for (size_t j = 0; j < hood.size(); ++j) {
+      double replay = estimator.Cost(hood.neighbors()[j].strategy, k);
+      if (integer) {
+        EXPECT_EQ(costs[j], replay) << "trial=" << trial << " j=" << j;
+      } else {
+        EXPECT_NEAR(costs[j], replay, 1e-9) << "trial=" << trial;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MixedTrees, IncrementalDeltaProperty,
+                         ::testing::Range(0, 40));
+
+TEST(SwapNeighborhoodTest, StrategyShapePicksThePath) {
+  FigureTwoGraph g = MakeFigureTwo();
+  std::vector<SiblingSwap> swaps = AllSiblingSwaps(g.graph);
+  EXPECT_TRUE(
+      SwapNeighborhood(g.graph, Strategy::DepthFirst(g.graph), swaps)
+          .incremental());
+  EXPECT_TRUE(SwapNeighborhood(g.graph,
+                               Strategy::FromLeafOrder(
+                                   g.graph, {g.d_c, g.d_d, g.d_b, g.d_a}),
+                               swaps)
+                  .incremental());
+  // Interleaved: D_a splits S's leaves (and T's) apart.
+  SwapNeighborhood interleaved(
+      g.graph, Strategy::FromLeafOrder(g.graph, {g.d_b, g.d_c, g.d_a, g.d_d}),
+      swaps);
+  EXPECT_FALSE(interleaved.incremental());
+  EXPECT_GT(interleaved.size(), 0u);
+
+  // A dead-end subtree under A: depth-first visits it mid-strategy, so
+  // the strategy is not lazy; its canonical form is.
+  InferenceGraph dead = g.graph;
+  dead.AddChild(dead.arc(g.r_ga).to, "E", ArcKind::kReduction, 1.0, "R_ae",
+                /*is_experiment=*/true);
+  std::vector<SiblingSwap> dead_swaps = AllSiblingSwaps(dead);
+  Strategy depth_first = Strategy::DepthFirst(dead);
+  ASSERT_NE(depth_first, depth_first.Canonicalized(dead));
+  EXPECT_FALSE(SwapNeighborhood(dead, depth_first, dead_swaps).incremental());
+  EXPECT_TRUE(SwapNeighborhood(dead, depth_first.Canonicalized(dead),
+                               dead_swaps)
+                  .incremental());
+
+  // The fallback still gives the replay's estimates.
+  DeltaEstimator estimator(&dead);
+  QueryProcessor qp(&dead);
+  SwapNeighborhood fallback(dead, depth_first, dead_swaps);
+  std::vector<double> under, over;
+  const size_t n = dead.num_experiments();
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    Trace trace = qp.Execute(depth_first, Context::FromMask(n, mask));
+    estimator.UnderEstimates(trace, fallback, &under);
+    estimator.OverEstimates(trace, fallback, &over);
+    for (size_t j = 0; j < fallback.size(); ++j) {
+      const Strategy& alt = fallback.neighbors()[j].strategy;
+      EXPECT_EQ(under[j], estimator.UnderEstimate(trace, alt));
+      EXPECT_EQ(over[j], estimator.OverEstimate(trace, alt));
+    }
+  }
+}
+
+// Injected faults inflate trace.cost above c(Theta, J) and the cost budget
+// truncates traces; PIB's sums must still be the replay's, bit for bit.
+TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
+  FigureTwoGraph g = MakeFigureTwo();
+  robust::FaultPlan plan;
+  plan.seed = 3;
+  plan.rules.push_back({robust::FaultKind::kTransient, 0.3, -1, 1.0});
+  plan.rules.push_back({robust::FaultKind::kCostSpike, 0.2, -1, 2.5});
+  plan.resilience.cost_budget = 6.0;
+  plan.resilience.breaker_threshold = 2;
+  plan.resilience.breaker_cooldown = 4;
+  robust::FaultInjector injector(plan);
+  QueryProcessor qp(&g.graph);
+  qp.set_fault_injector(&injector);
+  IndependentOracle oracle({0.3, 0.4, 0.2, 0.6});
+  Pib pib(&g.graph, Strategy::DepthFirst(g.graph), PibOptions{.delta = 0.3});
+  DeltaEstimator estimator(&g.graph);
+  std::vector<double> reference(pib.num_neighbors(), 0.0);
+  int truncated = 0, inflated = 0;
+  Rng rng(11);
+  for (int i = 0; i < 3000; ++i) {
+    SwapNeighborhood hood(g.graph, pib.strategy(), AllSiblingSwaps(g.graph));
+    ASSERT_TRUE(hood.incremental());
+    Trace trace = qp.Execute(pib.strategy(), oracle.Next(rng));
+    truncated += trace.resolved ? 0 : 1;
+    inflated += trace.cost != estimator.Cost(pib.strategy(),
+                                             estimator.Pessimistic(trace));
+    for (size_t j = 0; j < hood.size(); ++j) {
+      reference[j] +=
+          estimator.UnderEstimate(trace, hood.neighbors()[j].strategy);
+    }
+    if (pib.Observe(trace)) {
+      reference.assign(pib.num_neighbors(), 0.0);
+      continue;
+    }
+    for (size_t j = 0; j < pib.num_neighbors(); ++j) {
+      ASSERT_EQ(pib.DeltaSumFor(j), reference[j]) << "context " << i;
+    }
+  }
+  EXPECT_GT(truncated, 0);
+  EXPECT_GT(inflated, 0);
+}
+
+// A learner checkpointed mid-epoch and restored into a fresh instance
+// continues exactly as the uninterrupted run: same sums, same moves.
+TEST(IncrementalDeltaTest, CheckpointMidEpochResumesExactly) {
+  Rng tree_rng(21);
+  RandomTree tree = MakeRandomTree(tree_rng);
+  // Only the last retrieval is likely to succeed, so both learners climb
+  // away from depth-first.
+  std::vector<double> probs(tree.probs.size(), 0.03);
+  probs.back() = 0.9;
+  IndependentOracle oracle(probs);
+  QueryProcessor qp(&tree.graph);
+  const Strategy initial = Strategy::DepthFirst(tree.graph);
+  const int total = 1500, cut = 700;
+
+  auto pib_bytes = [](const Pib& pib) {
+    robust::CheckpointData data;
+    data.learner = "pib";
+    data.pib = pib.GetCheckpoint();
+    return robust::SerializeCheckpoint(data);
+  };
+  Pib pib_a(&tree.graph, initial, PibOptions{.delta = 0.3});
+  Pib pib_b(&tree.graph, initial, PibOptions{.delta = 0.3});
+  Rng rng_a(5), rng_b(5);
+  for (int i = 0; i < total; ++i) {
+    pib_a.Observe(qp.Execute(pib_a.strategy(), oracle.Next(rng_a)));
+  }
+  for (int i = 0; i < cut; ++i) {
+    pib_b.Observe(qp.Execute(pib_b.strategy(), oracle.Next(rng_b)));
+  }
+  ASSERT_GT(pib_b.samples_in_epoch(), 0);
+  Pib pib_c(&tree.graph, initial, PibOptions{.delta = 0.3});
+  ASSERT_TRUE(pib_c.RestoreCheckpoint(pib_b.GetCheckpoint()).ok());
+  for (int i = cut; i < total; ++i) {
+    pib_c.Observe(qp.Execute(pib_c.strategy(), oracle.Next(rng_b)));
+  }
+  EXPECT_GT(pib_a.moves().size(), 0u);
+  EXPECT_EQ(pib_bytes(pib_c), pib_bytes(pib_a));
+
+  auto palo_bytes = [](const Palo& palo) {
+    robust::CheckpointData data;
+    data.learner = "palo";
+    data.palo = palo.GetCheckpoint();
+    return robust::SerializeCheckpoint(data);
+  };
+  const PaloOptions options{.delta = 0.3, .epsilon = 0.05};
+  Palo palo_a(&tree.graph, initial, options);
+  Palo palo_b(&tree.graph, initial, options);
+  rng_a = Rng(6);
+  rng_b = Rng(6);
+  for (int i = 0; i < total; ++i) {
+    palo_a.Observe(qp.Execute(palo_a.strategy(), oracle.Next(rng_a)));
+  }
+  for (int i = 0; i < cut; ++i) {
+    palo_b.Observe(qp.Execute(palo_b.strategy(), oracle.Next(rng_b)));
+  }
+  ASSERT_FALSE(palo_b.Finished());
+  Palo palo_c(&tree.graph, initial, options);
+  ASSERT_TRUE(palo_c.RestoreCheckpoint(palo_b.GetCheckpoint()).ok());
+  for (int i = cut; i < total; ++i) {
+    palo_c.Observe(qp.Execute(palo_c.strategy(), oracle.Next(rng_b)));
+  }
+  EXPECT_GT(palo_a.moves_made(), 0);
+  EXPECT_EQ(palo_bytes(palo_c), palo_bytes(palo_a));
 }
 
 }  // namespace

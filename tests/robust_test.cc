@@ -425,16 +425,52 @@ TEST(KillResumeTest, PaloCheckpointRoundTrips) {
 }
 
 TEST(KillResumeTest, RestoreRejectsWrongShape) {
+  // A rejected restore must leave the learner exactly as it was: the
+  // recovery controller's rollback carries on with it.
   FigureTwoGraph g = MakeFigureTwo();
+  IndependentOracle oracle({0.9, 0.2, 0.8, 0.3});
   Pib pib(&g.graph, Strategy::DepthFirst(g.graph),
           PibOptions{.delta = 0.05});
+  Palo palo(&g.graph, Strategy::DepthFirst(g.graph),
+            PaloOptions{.delta = 0.05, .epsilon = 0.25});
+  QueryProcessor qp(&g.graph);
+  Rng rng(7);
+  for (int i = 0; i < 50; ++i) {
+    Context context = oracle.Next(rng);
+    pib.Observe(qp.Execute(pib.strategy(), context));
+    palo.Observe(qp.Execute(palo.strategy(), context));
+  }
+  ASSERT_GT(pib.samples_in_epoch(), 0);
+  auto pib_bytes = [&] {
+    CheckpointData data;
+    data.learner = "pib";
+    data.pib = pib.GetCheckpoint();
+    return robust::SerializeCheckpoint(data);
+  };
+  auto palo_bytes = [&] {
+    CheckpointData data;
+    data.learner = "palo";
+    data.palo = palo.GetCheckpoint();
+    return robust::SerializeCheckpoint(data);
+  };
+  const std::string pib_before = pib_bytes();
+  const std::string palo_before = palo_bytes();
+
   Pib::Checkpoint bad = pib.GetCheckpoint();
   bad.neighbor_delta_sums.push_back(1.0);  // one ledger too many
   EXPECT_FALSE(pib.RestoreCheckpoint(bad).ok());
+  EXPECT_EQ(pib_bytes(), pib_before);
 
   bad = pib.GetCheckpoint();
   bad.samples = bad.contexts + 1;  // |S| can never exceed contexts
   EXPECT_FALSE(pib.RestoreCheckpoint(bad).ok());
+  EXPECT_EQ(pib_bytes(), pib_before);
+
+  Palo::Checkpoint bad_palo = palo.GetCheckpoint();
+  bad_palo.neighbor_under_sums.push_back(1.0);
+  bad_palo.neighbor_over_sums.push_back(1.0);
+  EXPECT_FALSE(palo.RestoreCheckpoint(bad_palo).ok());
+  EXPECT_EQ(palo_bytes(), palo_before);
 }
 
 // ---- Half-open probes ----------------------------------------------------
