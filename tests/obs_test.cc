@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -549,6 +550,90 @@ TEST(SinkDropTest, ChromeSinkCountsEventsDroppedAfterClose) {
   sink.OnQueryEnd({2, 30, 5, 2.5, 4, 1, true});
   EXPECT_EQ(sink.events_dropped(), 2);
   EXPECT_EQ(dropped->value(), 2);
+}
+
+std::string ReadTestdata(const std::string& name) {
+  std::ifstream in(std::string(STRATLEARN_TESTDATA) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// One instance of every event type with every field off its default:
+/// 0.1+0.2 and 1/3 need all 17 digits, ids are negative where the type
+/// allows it, and strings carry quotes, backslashes and newlines.
+struct SampleEvents {
+  obs::QueryStartEvent query_start{-3, 11};
+  obs::QueryEndEvent query_end{-3, 12, 7, 0.1 + 0.2, 4, 2, true};
+  obs::ArcAttemptEvent arc_attempt{-3, 13, 4000000000u, -2, true, 1.0 / 3.0};
+  obs::ClimbMoveEvent climb_move{
+      14, "pi\"b", 2, 77, 51, "a\\b,\nc", 70.5, -1.0 / 3.0, 0.1 + 0.2,
+      7.65844e-06};
+  obs::SequentialTestEvent sequential_test{
+      15, "pib1", 76, 51, 9, -4, 2.0 / 3.0, 1e-300, true};
+  obs::QuotaProgressEvent quota_progress{16, -5, -6, true, 17,
+                                         1000000000000000};
+  obs::RetryEvent retry{17, -7, 8, -9, "time\"out", 3, 0.1 + 0.2, true};
+  obs::BreakerEvent breaker{18, -10, 11, -12, "half\\open", 13, -14};
+  obs::DegradedEvent degraded{19, -15, 1.0 / 3.0, 1e300, 16};
+  obs::DriftEvent drift{
+      20, "p_hat", "de\ntected", -17, "qp.\"q\"", 0.1 + 0.2, -1.0 / 3.0,
+      2.5, 18, 19, 20};
+  obs::AlertEvent alert{
+      21, "rule\\1", "firing", "critical", "m\n", -0.0, 1.0 / 3.0, 22, 23};
+  obs::RecoveryEvent recovery{
+      22, "r\"1", "alert:any", "rebaseline", "applied", -24, 25, 26,
+      0.1 + 0.2, 1.0 / 3.0, -27.5};
+  obs::PaloStopEvent palo_stop{23, 28, 29, 1.0 / 3.0, 0.1 + 0.2};
+  obs::DecisionCertificateEvent decision_certificate{
+      24, "pa\"lo", "cl\\imb", "com\nmit", 30, 31, 32, -33, 0.1 + 0.2,
+      1.0 / 3.0, -2.0 / 3.0, 1e-10, 4.0, 0.125, 1e-7, 0.05, 0.025, 34, 0.5};
+};
+
+TEST(TraceFormatGoldenTest, JsonlPinsEveryEventType) {
+  SampleEvents s;
+  std::ostringstream out;
+  {
+    obs::JsonlSink sink(&out);
+    sink.OnQueryStart(s.query_start);
+    sink.OnQueryEnd(s.query_end);
+    sink.OnArcAttempt(s.arc_attempt);
+    sink.OnClimbMove(s.climb_move);
+    sink.OnSequentialTest(s.sequential_test);
+    sink.OnQuotaProgress(s.quota_progress);
+    sink.OnRetry(s.retry);
+    sink.OnBreaker(s.breaker);
+    sink.OnDegraded(s.degraded);
+    sink.OnDrift(s.drift);
+    sink.OnAlert(s.alert);
+    sink.OnRecovery(s.recovery);
+    sink.OnPaloStop(s.palo_stop);
+    sink.OnDecisionCertificate(s.decision_certificate);
+  }
+  EXPECT_EQ(out.str(), ReadTestdata("trace/all_events.jsonl"));
+}
+
+TEST(TraceFormatGoldenTest, ChromePinsEveryEventType) {
+  SampleEvents s;
+  std::ostringstream out;
+  {
+    obs::ChromeTraceSink sink(&out);
+    sink.OnQueryStart(s.query_start);
+    sink.OnQueryEnd(s.query_end);
+    sink.OnArcAttempt(s.arc_attempt);
+    sink.OnClimbMove(s.climb_move);
+    sink.OnSequentialTest(s.sequential_test);
+    sink.OnQuotaProgress(s.quota_progress);
+    sink.OnRetry(s.retry);
+    sink.OnBreaker(s.breaker);
+    sink.OnDegraded(s.degraded);
+    sink.OnDrift(s.drift);
+    sink.OnAlert(s.alert);
+    sink.OnRecovery(s.recovery);
+    sink.OnPaloStop(s.palo_stop);
+    sink.OnDecisionCertificate(s.decision_certificate);
+  }
+  EXPECT_EQ(out.str(), ReadTestdata("trace/all_events.chrome.json"));
 }
 
 /// Collects replayed learner-decision events so round-trip tests can
