@@ -139,7 +139,7 @@ bool Palo::Observe(const Trace& trace) {
           event.threshold = threshold;
           event.margin = under_sum - threshold;
           event.delta_spent = delta_step;
-          sink->OnClimbMove(event);
+          sink->On(event);
         }
         if (observer_->audit_enabled()) {
           audit_delta_spent_ += delta_step;
@@ -170,7 +170,7 @@ bool Palo::Observe(const Trace& trace) {
                     ? SampleSizeForDeviation(e.mean, delta_step, n.range)
                     : 0;
             e.epsilon = options_.epsilon;
-            sink->OnDecisionCertificate(e);
+            sink->On(e);
           }
         }
       }
@@ -191,8 +191,8 @@ bool Palo::Observe(const Trace& trace) {
     if (handles_.stops != nullptr) handles_.stops->Increment();
     if (observer_ != nullptr) {
       if (obs::TraceSink* sink = observer_->sink()) {
-        sink->OnPaloStop({observer_->NowUs(), contexts_, moves_,
-                          options_.epsilon, worst_certificate});
+        sink->On(obs::PaloStopEvent{observer_->NowUs(), contexts_, moves_,
+                                    options_.epsilon, worst_certificate});
       }
       if (observer_->audit_enabled() && worst_neighbor < hood_.size()) {
         audit_delta_spent_ += stop_delta_i;
@@ -227,7 +227,7 @@ bool Palo::Observe(const Trace& trace) {
                                            worst_range)
                   : 0;
           e.epsilon = options_.epsilon;
-          sink->OnDecisionCertificate(e);
+          sink->On(e);
         }
       }
     }

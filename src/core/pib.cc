@@ -228,10 +228,10 @@ bool Pib::Observe(const Trace& trace) {
   if (handles_.tests != nullptr && k > 0) handles_.tests->Increment();
   if (observer_ != nullptr && k > 0) {
     if (obs::TraceSink* sink = observer_->sink()) {
-      sink->OnSequentialTest({observer_->NowUs(), "pib", contexts_, samples_,
-                              trials_, static_cast<int64_t>(best),
-                              delta_sums_[best], ThresholdFor(best),
-                              fired != k});
+      sink->On(obs::SequentialTestEvent{
+          observer_->NowUs(), "pib", contexts_, samples_, trials_,
+          static_cast<int64_t>(best), delta_sums_[best], ThresholdFor(best),
+          fired != k});
     }
   }
   if (fired == k) {
@@ -242,8 +242,7 @@ bool Pib::Observe(const Trace& trace) {
       ++audit_rounds_;
       if ((audit_rounds_ - 1) % observer_->audit_every() == 0) {
         if (obs::TraceSink* sink = observer_->sink()) {
-          sink->OnDecisionCertificate(
-              MakeAuditCertificate(best, "reject", ThresholdFor(best)));
+          sink->On(MakeAuditCertificate(best, "reject", ThresholdFor(best)));
         }
       }
     }
@@ -273,13 +272,12 @@ bool Pib::Observe(const Trace& trace) {
       event.threshold = fired_threshold;
       event.margin = move.delta_sum - fired_threshold;
       event.delta_spent = move.delta_spent;
-      sink->OnClimbMove(event);
+      sink->On(event);
     }
     if (observer_->audit_enabled()) {
       ++audit_rounds_;
       if (obs::TraceSink* sink = observer_->sink()) {
-        sink->OnDecisionCertificate(
-            MakeAuditCertificate(fired, "commit", fired_threshold));
+        sink->On(MakeAuditCertificate(fired, "commit", fired_threshold));
       }
     }
   }

@@ -38,9 +38,9 @@ void Pib1::Observe(const Trace& trace) {
     handles_.threshold->Set(Threshold());
   }
   if (obs::TraceSink* sink = observer_->sink()) {
-    sink->OnSequentialTest({observer_->NowUs(), "pib1", samples_, samples_,
-                            /*trial_count=*/1, /*best_neighbor=*/0,
-                            delta_sum_, Threshold(), ShouldSwitch()});
+    sink->On(obs::SequentialTestEvent{
+        observer_->NowUs(), "pib1", samples_, samples_, /*trial_count=*/1,
+        /*best_neighbor=*/0, delta_sum_, Threshold(), ShouldSwitch()});
     // The one-shot filter's single decision: certify the first
     // observation on which Equation 2 declares the alternative better.
     // The whole delta budget is spent on this one test.
@@ -70,7 +70,7 @@ void Pib1::Observe(const Trace& trace) {
           e.mean > 0.0 && range_ > 0.0
               ? SampleSizeForDeviation(e.mean, options_.delta, range_)
               : 0;
-      sink->OnDecisionCertificate(e);
+      sink->On(e);
     }
   }
 }

@@ -117,9 +117,10 @@ AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
       handles_.quota_remaining->Set(static_cast<double>(remaining_total));
     }
     if (obs::TraceSink* sink = observer_->sink()) {
-      sink->OnQuotaProgress({observer_->NowUs(), contexts_processed_,
-                             result.aimed_experiment, result.reached,
-                             remaining_max, remaining_total});
+      sink->On(obs::QuotaProgressEvent{observer_->NowUs(), contexts_processed_,
+                                        result.aimed_experiment,
+                                        result.reached, remaining_max,
+                                        remaining_total});
       // One certificate per experiment whose quota this context
       // completed (remaining crossed from positive to <= 0), carrying
       // the per-experiment tail delta/(2n) the Equation 7/8 quota
@@ -157,7 +158,7 @@ AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
           cert.delta_spent_total = audit_delta_spent_;
           cert.bound_samples = initial_quotas_[e];
           cert.epsilon = audit_epsilon_;
-          sink->OnDecisionCertificate(cert);
+          sink->On(cert);
         }
       }
     }

@@ -44,7 +44,7 @@ Trace QueryProcessor::ExecuteObserved(const Strategy& strategy,
       queries_executed_.fetch_add(1, std::memory_order_relaxed);
   int64_t t0 = observer_->NowUs();
   obs::TraceSink* sink = observer_->sink();
-  if (sink != nullptr) sink->OnQueryStart({query_index, t0});
+  if (sink != nullptr) sink->On(obs::QueryStartEvent{query_index, t0});
 
   Trace trace =
       injector_ != nullptr
@@ -68,12 +68,12 @@ Trace QueryProcessor::ExecuteObserved(const Strategy& strategy,
   if (sink != nullptr) {
     for (const ArcAttempt& a : trace.attempts) {
       const Arc& arc = graph_->arc(a.arc);
-      sink->OnArcAttempt({query_index, t1, a.arc, arc.experiment,
-                          a.unblocked, a.cost});
+      sink->On(obs::ArcAttemptEvent{query_index, t1, a.arc, arc.experiment,
+                                    a.unblocked, a.cost});
     }
-    sink->OnQueryEnd({query_index, t0, t1 - t0, trace.cost,
-                      static_cast<int64_t>(trace.attempts.size()),
-                      trace.successes, trace.success});
+    sink->On(obs::QueryEndEvent{query_index, t0, t1 - t0, trace.cost,
+                                static_cast<int64_t>(trace.attempts.size()),
+                                trace.successes, trace.success});
   }
   return trace;
 }
@@ -133,9 +133,9 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
       trace.resolved = false;
       if (handles_.degraded != nullptr) handles_.degraded->Increment();
       if (sink != nullptr) {
-        sink->OnDegraded({observer_->NowUs(), query_index, trace.cost,
-                          res.cost_budget,
-                          static_cast<int64_t>(trace.attempts.size())});
+        sink->On(obs::DegradedEvent{
+            observer_->NowUs(), query_index, trace.cost, res.cost_budget,
+            static_cast<int64_t>(trace.attempts.size())});
       }
       break;
     }
@@ -179,9 +179,10 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
       // backed-off cooldown.
       robust::FaultInjectorState::BreakerEntry ledger =
           injector_->BreakerLedger(a);
-      sink->OnBreaker({observer_->NowUs(), query_index, a, arc.experiment,
-                       "half_open", ledger.consecutive_failures,
-                       ledger.open_until});
+      sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                                 arc.experiment, "half_open",
+                                 ledger.consecutive_failures,
+                                 ledger.open_until});
     }
 
     bool true_unblocked =
@@ -211,9 +212,10 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
         if (injector_->RecordRecovery(a) && sink != nullptr) {
           robust::FaultInjectorState::BreakerEntry ledger =
               injector_->BreakerLedger(a);
-          sink->OnBreaker({observer_->NowUs(), query_index, a,
-                           arc.experiment, "closed",
-                           ledger.consecutive_failures, ledger.open_until});
+          sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                                     arc.experiment, "closed",
+                                     ledger.consecutive_failures,
+                                     ledger.open_until});
         }
         break;
       }
@@ -231,9 +233,10 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
         attempt_cost += backoff;
         if (handles_.retries != nullptr) handles_.retries->Increment();
         if (sink != nullptr) {
-          sink->OnRetry({observer_->NowUs(), query_index, a, arc.experiment,
-                         robust::FaultKindName(fault), tries + 1, backoff,
-                         false});
+          sink->On(obs::RetryEvent{observer_->NowUs(), query_index, a,
+                                   arc.experiment,
+                                   robust::FaultKindName(fault), tries + 1,
+                                   backoff, false});
         }
         ++tries;
         continue;
@@ -245,8 +248,9 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
       infra_failure = true;
       if (handles_.gave_up != nullptr) handles_.gave_up->Increment();
       if (sink != nullptr) {
-        sink->OnRetry({observer_->NowUs(), query_index, a, arc.experiment,
-                       robust::FaultKindName(fault), tries, 0.0, true});
+        sink->On(obs::RetryEvent{observer_->NowUs(), query_index, a,
+                                 arc.experiment, robust::FaultKindName(fault),
+                                 tries, 0.0, true});
       }
       if (injector_->RecordInfraFailure(a, rq)) {
         if (handles_.breaker_opens != nullptr) {
@@ -255,9 +259,10 @@ Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
         if (sink != nullptr) {
           robust::FaultInjectorState::BreakerEntry ledger =
               injector_->BreakerLedger(a);
-          sink->OnBreaker({observer_->NowUs(), query_index, a,
-                           arc.experiment, "open",
-                           ledger.consecutive_failures, ledger.open_until});
+          sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                                     arc.experiment, "open",
+                                     ledger.consecutive_failures,
+                                     ledger.open_until});
         }
       }
       break;

@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <variant>
 
+#include "obs/event_json.h"
 #include "obs/json_writer.h"
 
 namespace stratlearn::obs {
@@ -127,21 +129,23 @@ void AuditLog::WriteHeader() {
   WriteLine(w.str());
 }
 
-void AuditLog::OnArcAttempt(const ArcAttemptEvent& e) {
-  ArcTally& tally = epoch_arcs_[e.arc];
-  tally.experiment = e.experiment;
-  ++tally.attempts;
-  if (e.unblocked) ++tally.successes;
-  tally.cost += e.cost;
-}
-
-void AuditLog::OnQueryEnd(const QueryEndEvent& e) {
-  ++queries_;
-  ++window_queries_;
-  total_cost_ += e.cost;
-  window_cost_ += e.cost;
-  if (options_.window > 0 && window_queries_ >= options_.window) {
-    WriteRegret();
+void AuditLog::On(const Event& event) {
+  if (const auto* e = std::get_if<ArcAttemptEvent>(&event)) {
+    ArcTally& tally = epoch_arcs_[e->arc];
+    tally.experiment = e->experiment;
+    ++tally.attempts;
+    if (e->unblocked) ++tally.successes;
+    tally.cost += e->cost;
+  } else if (const auto* e = std::get_if<QueryEndEvent>(&event)) {
+    ++queries_;
+    ++window_queries_;
+    total_cost_ += e->cost;
+    window_cost_ += e->cost;
+    if (options_.window > 0 && window_queries_ >= options_.window) {
+      WriteRegret();
+    }
+  } else if (const auto* e = std::get_if<DecisionCertificateEvent>(&event)) {
+    WriteCertificate(*e);
   }
 }
 
@@ -175,7 +179,7 @@ void AuditLog::WriteRegret() {
   window_cost_ = 0.0;
 }
 
-void AuditLog::OnDecisionCertificate(const DecisionCertificateEvent& e) {
+void AuditLog::WriteCertificate(const DecisionCertificateEvent& e) {
   Ledger& ledger = ledgers_[e.learner];
   ledger.spent = e.delta_spent_total;
   ledger.budget = e.delta_budget;
@@ -183,25 +187,7 @@ void AuditLog::OnDecisionCertificate(const DecisionCertificateEvent& e) {
   w.BeginObject();
   w.Key("record").Value("certificate");
   w.Key("seq").Value(certificates_);
-  w.Key("t_us").Value(e.t_us);
-  w.Key("learner").Value(e.learner);
-  w.Key("decision").Value(e.decision);
-  w.Key("verdict").Value(e.verdict);
-  w.Key("at_context").Value(e.at_context);
-  w.Key("samples").Value(e.samples);
-  w.Key("trials").Value(e.trials);
-  w.Key("subject").Value(e.subject);
-  w.Key("mean").Value(e.mean);
-  w.Key("delta_sum").Value(e.delta_sum);
-  w.Key("threshold").Value(e.threshold);
-  w.Key("margin").Value(e.margin);
-  w.Key("range").Value(e.range);
-  w.Key("epsilon_n").Value(e.epsilon_n);
-  w.Key("delta_step").Value(e.delta_step);
-  w.Key("delta_budget").Value(e.delta_budget);
-  w.Key("delta_spent_total").Value(e.delta_spent_total);
-  w.Key("bound_samples").Value(e.bound_samples);
-  w.Key("epsilon").Value(e.epsilon);
+  WriteEventFields(w, e);
   w.Key("arcs").BeginArray();
   for (const auto& [arc, tally] : epoch_arcs_) {
     w.BeginObject();

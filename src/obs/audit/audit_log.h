@@ -110,9 +110,9 @@ class AuditLog final : public TraceSink {
   bool failed() const { return failed_; }
   int64_t certificates_written() const { return certificates_; }
 
-  void OnArcAttempt(const ArcAttemptEvent& e) override;
-  void OnQueryEnd(const QueryEndEvent& e) override;
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override;
+  /// Consumes arc attempts (epoch tallies), query ends (regret) and
+  /// decision certificates (one record each); ignores everything else.
+  void On(const Event& event) override;
   void Flush() override;
   /// Writes the trailing partial regret window (if any queries landed
   /// after the last full window) and the summary record, then seals the
@@ -139,6 +139,7 @@ class AuditLog final : public TraceSink {
   void WriteLine(const std::string& json);
   void WriteHeader();
   void WriteRegret();
+  void WriteCertificate(const DecisionCertificateEvent& e);
 
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_ = nullptr;

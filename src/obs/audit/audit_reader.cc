@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "obs/event_json.h"
 #include "obs/json_reader.h"
 #include "util/string_util.h"
 
@@ -14,63 +15,22 @@ Status LineError(int64_t line, const char* what) {
       StrFormat("audit line %lld: %s", static_cast<long long>(line), what));
 }
 
-double Num(const JsonValue& object, const std::string& key, double fallback) {
-  const JsonValue* v = object.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return fallback;
-  return v->number;
-}
-
-int64_t Int(const JsonValue& object, const std::string& key,
-            int64_t fallback) {
-  const JsonValue* v = object.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return fallback;
-  return static_cast<int64_t>(v->number);
-}
-
-bool Bool(const JsonValue& object, const std::string& key, bool fallback) {
-  const JsonValue* v = object.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return fallback;
-  return v->boolean;
-}
-
-std::string Str(const JsonValue& object, const std::string& key) {
-  const JsonValue* v = object.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) return "";
-  return v->string;
-}
-
 void ParseHeader(const JsonValue& o, AuditHeader* header) {
-  header->window = Int(o, "window", 0);
-  header->delta_budget = Num(o, "delta_budget", 0.0);
-  header->have_baselines = Bool(o, "have_baselines", false);
-  header->incumbent_expected_cost = Num(o, "incumbent_expected_cost", 0.0);
-  header->oracle_expected_cost = Num(o, "oracle_expected_cost", 0.0);
+  ReadJsonInt(o, "window", &header->window);
+  ReadJsonDouble(o, "delta_budget", &header->delta_budget);
+  ReadJsonBool(o, "have_baselines", &header->have_baselines);
+  ReadJsonDouble(o, "incumbent_expected_cost",
+                 &header->incumbent_expected_cost);
+  ReadJsonDouble(o, "oracle_expected_cost", &header->oracle_expected_cost);
 }
 
 Status ParseCertificate(const JsonValue& o, int64_t line,
                         AuditCertificate* cert) {
   cert->line = line;
-  cert->seq = Int(o, "seq", -1);
+  cert->seq = -1;
+  ReadJsonInt(o, "seq", &cert->seq);
   DecisionCertificateEvent& e = cert->event;
-  e.t_us = Int(o, "t_us", 0);
-  e.learner = Str(o, "learner");
-  e.decision = Str(o, "decision");
-  e.verdict = Str(o, "verdict");
-  e.at_context = Int(o, "at_context", 0);
-  e.samples = Int(o, "samples", 0);
-  e.trials = Int(o, "trials", 0);
-  e.subject = Int(o, "subject", -1);
-  e.mean = Num(o, "mean", 0.0);
-  e.delta_sum = Num(o, "delta_sum", 0.0);
-  e.threshold = Num(o, "threshold", 0.0);
-  e.margin = Num(o, "margin", 0.0);
-  e.range = Num(o, "range", 0.0);
-  e.epsilon_n = Num(o, "epsilon_n", 0.0);
-  e.delta_step = Num(o, "delta_step", 0.0);
-  e.delta_budget = Num(o, "delta_budget", 0.0);
-  e.delta_spent_total = Num(o, "delta_spent_total", 0.0);
-  e.bound_samples = Int(o, "bound_samples", 0);
-  e.epsilon = Num(o, "epsilon", 0.0);
+  ReadEventFields(o, &e);
   if (e.learner.empty() || e.decision.empty() || e.verdict.empty()) {
     return LineError(line, "certificate is missing learner/decision/verdict");
   }
@@ -84,11 +44,12 @@ Status ParseCertificate(const JsonValue& o, int64_t line,
       return LineError(line, "certificate arc tally is not an object");
     }
     AuditArcTally tally;
-    tally.arc = Int(a, "arc", -1);
-    tally.experiment = Int(a, "experiment", -1);
-    tally.attempts = Int(a, "attempts", 0);
-    tally.successes = Int(a, "successes", 0);
-    tally.cost = Num(a, "cost", 0.0);
+    tally.arc = -1;
+    ReadJsonInt(a, "arc", &tally.arc);
+    ReadJsonInt(a, "experiment", &tally.experiment);
+    ReadJsonInt(a, "attempts", &tally.attempts);
+    ReadJsonInt(a, "successes", &tally.successes);
+    ReadJsonDouble(a, "cost", &tally.cost);
     cert->arcs.push_back(tally);
   }
   return Status::OK();
@@ -96,31 +57,31 @@ Status ParseCertificate(const JsonValue& o, int64_t line,
 
 void ParseRegret(const JsonValue& o, int64_t line, AuditRegret* regret) {
   regret->line = line;
-  regret->window_index = Int(o, "window_index", 0);
-  regret->queries = Int(o, "queries", 0);
-  regret->queries_total = Int(o, "queries_total", 0);
-  regret->window_cost = Num(o, "window_cost", 0.0);
-  regret->total_cost = Num(o, "total_cost", 0.0);
+  ReadJsonInt(o, "window_index", &regret->window_index);
+  ReadJsonInt(o, "queries", &regret->queries);
+  ReadJsonInt(o, "queries_total", &regret->queries_total);
+  ReadJsonDouble(o, "window_cost", &regret->window_cost);
+  ReadJsonDouble(o, "total_cost", &regret->total_cost);
   regret->have_baselines = o.Get("regret_vs_incumbent") != nullptr;
-  regret->incumbent_total = Num(o, "incumbent_total", 0.0);
-  regret->oracle_total = Num(o, "oracle_total", 0.0);
-  regret->regret_vs_incumbent = Num(o, "regret_vs_incumbent", 0.0);
-  regret->regret_vs_oracle = Num(o, "regret_vs_oracle", 0.0);
+  ReadJsonDouble(o, "incumbent_total", &regret->incumbent_total);
+  ReadJsonDouble(o, "oracle_total", &regret->oracle_total);
+  ReadJsonDouble(o, "regret_vs_incumbent", &regret->regret_vs_incumbent);
+  ReadJsonDouble(o, "regret_vs_oracle", &regret->regret_vs_oracle);
 }
 
 void ParseSummary(const JsonValue& o, int64_t line, AuditSummary* summary) {
   summary->present = true;
   summary->line = line;
-  summary->queries = Int(o, "queries", 0);
-  summary->certificates = Int(o, "certificates", 0);
-  summary->commits = Int(o, "commits", 0);
-  summary->rejects = Int(o, "rejects", 0);
-  summary->stops = Int(o, "stops", 0);
-  summary->quotas_met = Int(o, "quotas_met", 0);
-  summary->total_cost = Num(o, "total_cost", 0.0);
-  summary->delta_spent_total = Num(o, "delta_spent_total", 0.0);
-  summary->delta_budget = Num(o, "delta_budget", 0.0);
-  summary->budget_ok = Bool(o, "budget_ok", false);
+  ReadJsonInt(o, "queries", &summary->queries);
+  ReadJsonInt(o, "certificates", &summary->certificates);
+  ReadJsonInt(o, "commits", &summary->commits);
+  ReadJsonInt(o, "rejects", &summary->rejects);
+  ReadJsonInt(o, "stops", &summary->stops);
+  ReadJsonInt(o, "quotas_met", &summary->quotas_met);
+  ReadJsonDouble(o, "total_cost", &summary->total_cost);
+  ReadJsonDouble(o, "delta_spent_total", &summary->delta_spent_total);
+  ReadJsonDouble(o, "delta_budget", &summary->delta_budget);
+  ReadJsonBool(o, "budget_ok", &summary->budget_ok);
 }
 
 }  // namespace
@@ -150,7 +111,7 @@ Result<AuditFile> ReadAuditLog(std::istream& in) {
     if (value.kind != JsonValue::Kind::kObject) {
       return LineError(line_number, "record is not a JSON object");
     }
-    std::string record = Str(value, "record");
+    std::string record = ReadJsonString(value, "record");
     if (record == "header") {
       if (saw_header) return LineError(line_number, "duplicate header");
       saw_header = true;

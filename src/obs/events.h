@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 namespace stratlearn::obs {
 
@@ -10,11 +11,28 @@ namespace stratlearn::obs {
 /// steady-clock time since the owning Observer was constructed; arc and
 /// experiment ids are plain integers so this header stays independent of
 /// the graph layer.
+///
+/// Each event type names its JSONL `"type"` in `kType` and lists its
+/// fields once, in serialized order: `Fields(e, f)` calls `f(key,
+/// member)` for every member of `e` (const or not). That list is the
+/// one schema for the JSONL writer and reader, the Chrome trace args and
+/// the audit certificate record (obs/event_json.h). It sets the output
+/// order, not the member order, so several types write `t_us` first
+/// although their first member is `query_index`. Emitters
+/// aggregate-initialise events by position: append new members, never
+/// reorder them.
 
 /// A query execution is starting (opens a span; closed by QueryEnd).
 struct QueryStartEvent {
   int64_t query_index = 0;
   int64_t t_us = 0;
+
+  static constexpr const char* kType = "query_start";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+  }
 };
 
 /// A query execution finished. `t_us` is the span's *start*; pairing it
@@ -27,6 +45,18 @@ struct QueryEndEvent {
   int64_t attempts = 0;
   int64_t successes = 0;
   bool success = false;
+
+  static constexpr const char* kType = "query_end";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+    f("duration_us", e.duration_us);
+    f("cost", e.cost);
+    f("attempts", e.attempts);
+    f("successes", e.successes);
+    f("success", e.success);
+  }
 };
 
 /// One arc traversal attempt inside a query. `cost` is the full price of
@@ -40,6 +70,17 @@ struct ArcAttemptEvent {
   int experiment = -1;  // -1: deterministic arc
   bool unblocked = false;
   double cost = 0.0;
+
+  static constexpr const char* kType = "arc_attempt";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+    f("arc", e.arc);
+    f("experiment", e.experiment);
+    f("unblocked", e.unblocked);
+    f("cost", e.cost);
+  }
 };
 
 /// A hill-climber (PIB/PALO) adopted a neighbour strategy.
@@ -54,6 +95,21 @@ struct ClimbMoveEvent {
   double threshold = 0.0;   // the Equation-6 threshold it crossed
   double margin = 0.0;      // delta_sum - threshold
   double delta_spent = 0.0; // delta_i consumed from the lifetime budget
+
+  static constexpr const char* kType = "climb_move";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("learner", e.learner);
+    f("move_index", e.move_index);
+    f("at_context", e.at_context);
+    f("samples_used", e.samples_used);
+    f("swap", e.swap);
+    f("delta_sum", e.delta_sum);
+    f("threshold", e.threshold);
+    f("margin", e.margin);
+    f("delta_spent", e.delta_spent);
+  }
 };
 
 /// Outcome of one sequential-test round (the best neighbour's numbers,
@@ -68,6 +124,20 @@ struct SequentialTestEvent {
   double best_delta_sum = 0.0;
   double best_threshold = 0.0;
   bool fired = false;
+
+  static constexpr const char* kType = "sequential_test";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("learner", e.learner);
+    f("at_context", e.at_context);
+    f("samples", e.samples);
+    f("trial_count", e.trial_count);
+    f("best_neighbor", e.best_neighbor);
+    f("best_delta_sum", e.best_delta_sum);
+    f("best_threshold", e.best_threshold);
+    f("fired", e.fired);
+  }
 };
 
 /// Per-context progress of QP^A toward its Equation 7/8 sample quotas.
@@ -78,6 +148,17 @@ struct QuotaProgressEvent {
   bool reached = false;
   int64_t remaining_max = 0;    // largest single remaining quota
   int64_t remaining_total = 0;  // sum of positive remaining quotas
+
+  static constexpr const char* kType = "quota_progress";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("context", e.context);
+    f("aimed_experiment", e.aimed_experiment);
+    f("reached", e.reached);
+    f("remaining_max", e.remaining_max);
+    f("remaining_total", e.remaining_total);
+  }
 };
 
 /// The resilient executor retried a faulted retrieval attempt (or gave
@@ -95,6 +176,19 @@ struct RetryEvent {
   /// Retries exhausted: the attempt is recorded as blocked with the
   /// arc's pessimistic failure cost charged, keeping Delta~ conservative.
   bool gave_up = false;
+
+  static constexpr const char* kType = "retry";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+    f("arc", e.arc);
+    f("experiment", e.experiment);
+    f("fault", e.fault);
+    f("attempt", e.attempt);
+    f("backoff_cost", e.backoff_cost);
+    f("gave_up", e.gave_up);
+  }
 };
 
 /// A per-arc circuit breaker changed state. "open": the arc's retrieval
@@ -112,6 +206,18 @@ struct BreakerEvent {
   std::string state;  // "open" | "half_open" | "closed"
   int64_t consecutive_failures = 0;
   int64_t cooldown_until = 0;  // resilient-query index when it re-arms
+
+  static constexpr const char* kType = "breaker";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+    f("arc", e.arc);
+    f("experiment", e.experiment);
+    f("state", e.state);
+    f("consecutive_failures", e.consecutive_failures);
+    f("cooldown_until", e.cooldown_until);
+  }
 };
 
 /// A query exceeded its cost/deadline budget and was abandoned as
@@ -124,6 +230,16 @@ struct DegradedEvent {
   double cost = 0.0;    // cost accrued when the budget tripped
   double budget = 0.0;  // the configured per-query budget
   int64_t attempts = 0; // arc attempts completed before degrading
+
+  static constexpr const char* kType = "degraded";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("query_index", e.query_index);
+    f("cost", e.cost);
+    f("budget", e.budget);
+    f("attempts", e.attempts);
+  }
 };
 
 /// A statistical drift detector changed state for one monitored
@@ -144,6 +260,22 @@ struct DriftEvent {
   int64_t window = 0;      // index of the window that fired the test
   int64_t window_start_us = 0;
   int64_t window_end_us = 0;
+
+  static constexpr const char* kType = "drift";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("detector", e.detector);
+    f("state", e.state);
+    f("arc", e.arc);
+    f("counter", e.counter);
+    f("statistic", e.statistic);
+    f("reference", e.reference);
+    f("threshold", e.threshold);
+    f("window", e.window);
+    f("window_start_us", e.window_start_us);
+    f("window_end_us", e.window_end_us);
+  }
 };
 
 /// An alert rule crossed its firing/resolved transition. Emitted only
@@ -159,6 +291,20 @@ struct AlertEvent {
   double threshold = 0.0;
   int64_t window = 0;       // index of the transition window
   int64_t for_windows = 0;  // consecutive breaches required to fire
+
+  static constexpr const char* kType = "alert";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("rule", e.rule);
+    f("state", e.state);
+    f("severity", e.severity);
+    f("metric", e.metric);
+    f("value", e.value);
+    f("threshold", e.threshold);
+    f("window", e.window);
+    f("for_windows", e.for_windows);
+  }
 };
 
 /// The recovery controller decided (and, in a live run, executed) one
@@ -182,6 +328,22 @@ struct RecoveryEvent {
   double statistic = 0.0;
   double reference = 0.0;
   double threshold = 0.0;
+
+  static constexpr const char* kType = "recovery";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("rule", e.rule);
+    f("trigger", e.trigger);
+    f("action", e.action);
+    f("outcome", e.outcome);
+    f("arc", e.arc);
+    f("window", e.window);
+    f("matched", e.matched);
+    f("statistic", e.statistic);
+    f("reference", e.reference);
+    f("threshold", e.threshold);
+  }
 };
 
 /// PALO certified an epsilon-local optimum and stopped.
@@ -193,6 +355,16 @@ struct PaloStopEvent {
   /// max over neighbours of (mean over-estimate + Hoeffding deviation);
   /// the stop fired because this dropped below epsilon.
   double worst_certificate = 0.0;
+
+  static constexpr const char* kType = "palo_stop";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("at_context", e.at_context);
+    f("moves", e.moves);
+    f("epsilon", e.epsilon);
+    f("worst_certificate", e.worst_certificate);
+  }
 };
 
 /// A machine-checkable PAC certificate for one statistically
@@ -225,7 +397,39 @@ struct DecisionCertificateEvent {
   /// (0 when no closed-form bound applies).
   int64_t bound_samples = 0;
   double epsilon = 0.0;  // PALO/PAO epsilon; 0 for PIB/PIB1
+
+  static constexpr const char* kType = "decision_certificate";
+  template <typename Self, typename F>
+  static void Fields(Self& e, F&& f) {
+    f("t_us", e.t_us);
+    f("learner", e.learner);
+    f("decision", e.decision);
+    f("verdict", e.verdict);
+    f("at_context", e.at_context);
+    f("samples", e.samples);
+    f("trials", e.trials);
+    f("subject", e.subject);
+    f("mean", e.mean);
+    f("delta_sum", e.delta_sum);
+    f("threshold", e.threshold);
+    f("margin", e.margin);
+    f("range", e.range);
+    f("epsilon_n", e.epsilon_n);
+    f("delta_step", e.delta_step);
+    f("delta_budget", e.delta_budget);
+    f("delta_spent_total", e.delta_spent_total);
+    f("bound_samples", e.bound_samples);
+    f("epsilon", e.epsilon);
+  }
 };
+
+/// Every event a TraceSink receives.
+using Event =
+    std::variant<QueryStartEvent, QueryEndEvent, ArcAttemptEvent,
+                 ClimbMoveEvent, SequentialTestEvent, QuotaProgressEvent,
+                 RetryEvent, BreakerEvent, DegradedEvent, DriftEvent,
+                 AlertEvent, RecoveryEvent, PaloStopEvent,
+                 DecisionCertificateEvent>;
 
 }  // namespace stratlearn::obs
 

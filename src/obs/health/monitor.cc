@@ -26,13 +26,13 @@ void HealthMonitor::OnWindow(const TimeSeriesWindow& window) {
   last_window_ = window.index;
   std::vector<DriftEvent> drift_events = drift_.Observe(window);
   for (const DriftEvent& e : drift_events) {
-    if (events_ != nullptr) events_->OnDrift(e);
+    if (events_ != nullptr) events_->On(e);
     drift_log_.push_back(e);
   }
   std::vector<AlertEvent> alert_events =
       alerts_.Evaluate(window, drift_.ActiveCount());
   for (const AlertEvent& e : alert_events) {
-    if (events_ != nullptr) events_->OnAlert(e);
+    if (events_ != nullptr) events_->On(e);
     alert_log_.push_back(e);
   }
   if (recovery_) {

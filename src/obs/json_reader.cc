@@ -195,7 +195,18 @@ bool ReadJsonInt(const JsonValue& object, const std::string& key,
                  int64_t* out) {
   double d = 0.0;
   if (!ReadJsonDouble(object, key, &d)) return false;
+  // [-2^63, 2^63) holds exactly the doubles that truncate into int64_t;
+  // NaN fails both comparisons.
+  if (!(d >= -0x1p63 && d < 0x1p63)) return false;
   *out = static_cast<int64_t>(d);
+  return true;
+}
+
+bool ReadJsonBool(const JsonValue& object, const std::string& key,
+                  bool* out) {
+  const JsonValue* v = object.Get(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return false;
+  *out = v->boolean;
   return true;
 }
 

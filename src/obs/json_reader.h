@@ -36,11 +36,16 @@ struct JsonValue {
 bool ParseJson(const std::string& text, JsonValue* out);
 
 /// Typed field accessors over an object value; false / "" when the key
-/// is absent or has the wrong kind.
+/// is absent or has the wrong kind, leaving `*out` untouched.
+/// ReadJsonInt truncates toward zero and also refuses a number that is
+/// not finite or lies outside int64_t (ParseJson reads 1e999 as +inf):
+/// converting such a double is undefined behaviour.
 bool ReadJsonDouble(const JsonValue& object, const std::string& key,
                     double* out);
 bool ReadJsonInt(const JsonValue& object, const std::string& key,
                  int64_t* out);
+bool ReadJsonBool(const JsonValue& object, const std::string& key,
+                  bool* out);
 std::string ReadJsonString(const JsonValue& object, const std::string& key);
 
 }  // namespace stratlearn::obs

@@ -1,7 +1,9 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
+#include <variant>
 
+#include "obs/event_json.h"
 #include "obs/json_writer.h"
 #include "stats/chernoff.h"
 #include "util/string_util.h"
@@ -11,61 +13,42 @@ namespace stratlearn::obs {
 StrategyProfiler::StrategyProfiler(ProfilerOptions options)
     : options_(options) {}
 
-void StrategyProfiler::OnQueryStart(const QueryStartEvent&) {}
-
-void StrategyProfiler::OnQueryEnd(const QueryEndEvent& e) {
-  ++queries_;
-  total_query_cost_ += e.cost;
-  if (e.success) ++queries_succeeded_;
-}
-
-void StrategyProfiler::OnArcAttempt(const ArcAttemptEvent& e) {
-  ArcProfile& p = arcs_[e.arc];
-  ++p.attempts;
-  if (e.unblocked) ++p.unblocked;
-  p.cum_cost += e.cost;
-}
-
-void StrategyProfiler::OnClimbMove(const ClimbMoveEvent& e) {
-  ClimbRecord r;
-  r.learner = e.learner;
-  r.move_index = e.move_index;
-  r.at_context = e.at_context;
-  r.samples_used = e.samples_used;
-  r.swap = e.swap;
-  r.delta_sum = e.delta_sum;
-  r.threshold = e.threshold;
-  r.margin = e.margin;
-  r.delta_spent = e.delta_spent;
-  climbs_.push_back(std::move(r));
-}
-
-void StrategyProfiler::OnSequentialTest(const SequentialTestEvent& e) {
-  TestRound round;
-  round.learner = e.learner;
-  round.at_context = e.at_context;
-  round.best_neighbor = e.best_neighbor;
-  round.margin = e.best_delta_sum - e.best_threshold;
-  round.fired = e.fired;
-  if (e.fired) ++tests_fired_;
-  if (e.best_neighbor >= 0) {
-    NeighborMargins& m = neighbor_margins_[e.best_neighbor];
-    ++m.rounds_best;
-    m.last_margin = round.margin;
-    m.max_margin = m.rounds_best == 1 ? round.margin
-                                      : std::max(m.max_margin, round.margin);
+void StrategyProfiler::On(const Event& event) {
+  if (const auto* e = std::get_if<QueryEndEvent>(&event)) {
+    ++queries_;
+    total_query_cost_ += e->cost;
+    if (e->success) ++queries_succeeded_;
+  } else if (const auto* e = std::get_if<ArcAttemptEvent>(&event)) {
+    ArcProfile& p = arcs_[e->arc];
+    ++p.attempts;
+    if (e->unblocked) ++p.unblocked;
+    p.cum_cost += e->cost;
+  } else if (const auto* e = std::get_if<ClimbMoveEvent>(&event)) {
+    climbs_.push_back(*e);
+  } else if (const auto* e = std::get_if<SequentialTestEvent>(&event)) {
+    TestRound round;
+    round.learner = e->learner;
+    round.at_context = e->at_context;
+    round.best_neighbor = e->best_neighbor;
+    round.margin = e->best_delta_sum - e->best_threshold;
+    round.fired = e->fired;
+    if (e->fired) ++tests_fired_;
+    if (e->best_neighbor >= 0) {
+      NeighborMargins& m = neighbor_margins_[e->best_neighbor];
+      ++m.rounds_best;
+      m.last_margin = round.margin;
+      m.max_margin = m.rounds_best == 1
+                         ? round.margin
+                         : std::max(m.max_margin, round.margin);
+    }
+    test_rounds_.push_back(std::move(round));
+  } else if (const auto* e = std::get_if<QuotaProgressEvent>(&event)) {
+    ++quota_events_;
+    if (e->reached) ++quota_reached_;
+    last_quota_remaining_total_ = e->remaining_total;
+  } else if (const auto* e = std::get_if<PaloStopEvent>(&event)) {
+    palo_stops_.push_back(*e);
   }
-  test_rounds_.push_back(std::move(round));
-}
-
-void StrategyProfiler::OnQuotaProgress(const QuotaProgressEvent& e) {
-  ++quota_events_;
-  if (e.reached) ++quota_reached_;
-  last_quota_remaining_total_ = e.remaining_total;
-}
-
-void StrategyProfiler::OnPaloStop(const PaloStopEvent& e) {
-  palo_stops_.push_back(e);
 }
 
 double StrategyProfiler::TotalArcCost() const {
@@ -89,7 +72,7 @@ double StrategyProfiler::HalfWidth(int64_t attempts) const {
 
 double StrategyProfiler::DeltaSpent() const {
   double spent = 0.0;
-  for (const ClimbRecord& c : climbs_) spent += c.delta_spent;
+  for (const ClimbMoveEvent& c : climbs_) spent += c.delta_spent;
   return spent;
 }
 
@@ -125,7 +108,7 @@ std::string StrategyProfiler::ReportText() const {
 
   out += StrFormat("climb history: %zu moves, delta budget spent %s\n",
                    climbs_.size(), FormatDouble(DeltaSpent()).c_str());
-  for (const ClimbRecord& c : climbs_) {
+  for (const ClimbMoveEvent& c : climbs_) {
     out += StrFormat(
         "  #%lld %s @ctx %lld |S|=%lld %s: sum %s >= thr %s "
         "(margin %s, delta_i %s)\n",
@@ -202,17 +185,9 @@ std::string StrategyProfiler::ReportJson() const {
   w.EndArray();
 
   w.Key("climbs").BeginArray();
-  for (const ClimbRecord& c : climbs_) {
+  for (const ClimbMoveEvent& c : climbs_) {
     w.BeginObject();
-    w.Key("learner").Value(c.learner);
-    w.Key("move_index").Value(c.move_index);
-    w.Key("at_context").Value(c.at_context);
-    w.Key("samples_used").Value(c.samples_used);
-    w.Key("swap").Value(c.swap);
-    w.Key("delta_sum").Value(c.delta_sum);
-    w.Key("threshold").Value(c.threshold);
-    w.Key("margin").Value(c.margin);
-    w.Key("delta_spent").Value(c.delta_spent);
+    WriteEventFields(w, c, /*skip=*/"t_us");
     w.EndObject();
   }
   w.EndArray();
@@ -242,10 +217,7 @@ std::string StrategyProfiler::ReportJson() const {
   w.Key("palo_stops").BeginArray();
   for (const PaloStopEvent& s : palo_stops_) {
     w.BeginObject();
-    w.Key("at_context").Value(s.at_context);
-    w.Key("moves").Value(s.moves);
-    w.Key("epsilon").Value(s.epsilon);
-    w.Key("worst_certificate").Value(s.worst_certificate);
+    WriteEventFields(w, s, /*skip=*/"t_us");
     w.EndObject();
   }
   w.EndArray();

@@ -29,20 +29,6 @@ struct ArcProfile {
   }
 };
 
-/// One hill-climbing move, as seen on the event stream (timestamps
-/// dropped so reports stay deterministic across runs).
-struct ClimbRecord {
-  std::string learner;
-  int64_t move_index = 0;
-  int64_t at_context = 0;
-  int64_t samples_used = 0;
-  std::string swap;
-  double delta_sum = 0.0;
-  double threshold = 0.0;
-  double margin = 0.0;
-  double delta_spent = 0.0;
-};
-
 /// Where each test round's best neighbour stood relative to its
 /// Equation-6 threshold — the Delta~ margin trajectory of the run.
 struct TestRound {
@@ -81,18 +67,12 @@ struct ProfilerOptions {
 /// It is itself a TraceSink, so it can ride the same Observer as a file
 /// sink via TeeSink (online profiling), or be fed from a recorded JSONL
 /// trace via TraceReader (offline, tools/trace_report) — both paths
-/// produce identical reports because nothing time-based is aggregated.
+/// produce identical reports because no report carries a timestamp.
 class StrategyProfiler final : public TraceSink {
  public:
   explicit StrategyProfiler(ProfilerOptions options = {});
 
-  void OnQueryStart(const QueryStartEvent& e) override;
-  void OnQueryEnd(const QueryEndEvent& e) override;
-  void OnArcAttempt(const ArcAttemptEvent& e) override;
-  void OnClimbMove(const ClimbMoveEvent& e) override;
-  void OnSequentialTest(const SequentialTestEvent& e) override;
-  void OnQuotaProgress(const QuotaProgressEvent& e) override;
-  void OnPaloStop(const PaloStopEvent& e) override;
+  void On(const Event& event) override;
 
   // ---- Aggregated state ------------------------------------------------
 
@@ -112,7 +92,9 @@ class StrategyProfiler final : public TraceSink {
   /// observations at the profiler's delta.
   double HalfWidth(int64_t attempts) const;
 
-  const std::vector<ClimbRecord>& climbs() const { return climbs_; }
+  /// Hill-climbing moves in order. Reports leave out their timestamps
+  /// so they stay deterministic across runs.
+  const std::vector<ClimbMoveEvent>& climbs() const { return climbs_; }
   /// Total delta_i confidence budget consumed by fired moves.
   double DeltaSpent() const;
   const std::vector<TestRound>& test_rounds() const { return test_rounds_; }
@@ -145,7 +127,7 @@ class StrategyProfiler final : public TraceSink {
   int64_t queries_ = 0;
   int64_t queries_succeeded_ = 0;
   double total_query_cost_ = 0.0;
-  std::vector<ClimbRecord> climbs_;
+  std::vector<ClimbMoveEvent> climbs_;
   std::vector<TestRound> test_rounds_;
   std::map<int64_t, NeighborMargins> neighbor_margins_;
   int64_t tests_fired_ = 0;

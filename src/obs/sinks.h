@@ -6,30 +6,32 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 
 namespace stratlearn::obs {
 
-/// Writes one JSON object per line (JSONL). Every event type is
-/// serialized with a "type" discriminator plus the event's fields, so a
-/// stream can be filtered with grep/jq. The stream is borrowed unless
-/// the path constructor is used.
+/// The stream handling the file trace formats share. The stream is
+/// borrowed unless the path constructor is used. A format frames its
+/// records with a header (written when the stream opens), a separator
+/// (between records), a terminator (after each record) and a footer.
+/// The footer is written exactly once, by Close() or the destructor
+/// (RAII), so a trace is well-formed even when the owner exits early;
+/// Flush() alone never finalises it.
 ///
 /// I/O failure mid-run (disk full, closed pipe) surfaces exactly one
-/// stderr warning and disables the sink; the run itself continues. See
-/// `failed()`.
-class JsonlSink final : public TraceSink {
+/// stderr warning and disables the sink; the run itself continues, and
+/// a failed stream never gets its footer. See `failed()`.
+class StreamSink : public TraceSink {
  public:
-  /// Borrow an open stream (e.g. a std::ostringstream in tests).
-  explicit JsonlSink(std::ostream* out);
-  /// Own a file stream; `ok()` reports whether it opened.
-  explicit JsonlSink(const std::string& path);
-  ~JsonlSink() override;
+  StreamSink(const StreamSink&) = delete;
+  StreamSink& operator=(const StreamSink&) = delete;
+  ~StreamSink() override;
 
   bool ok() const { return out_ != nullptr && out_->good(); }
-  /// True once a mid-run write failed and the sink disabled itself.
+  /// True once a write failed and the sink disabled itself.
   bool failed() const { return failed_; }
   /// Events delivered after Close() (or after a write failure disabled
   /// the sink) are dropped, not written. The first drop prints a
@@ -39,28 +41,31 @@ class JsonlSink final : public TraceSink {
   /// "obs.trace_events_dropped") bumped once per dropped event.
   void set_drop_counter(Counter* counter) { drop_counter_ = counter; }
 
-  void OnQueryStart(const QueryStartEvent& e) override;
-  void OnQueryEnd(const QueryEndEvent& e) override;
-  void OnArcAttempt(const ArcAttemptEvent& e) override;
-  void OnClimbMove(const ClimbMoveEvent& e) override;
-  void OnSequentialTest(const SequentialTestEvent& e) override;
-  void OnQuotaProgress(const QuotaProgressEvent& e) override;
-  void OnPaloStop(const PaloStopEvent& e) override;
-  void OnRetry(const RetryEvent& e) override;
-  void OnBreaker(const BreakerEvent& e) override;
-  void OnDegraded(const DegradedEvent& e) override;
-  void OnDrift(const DriftEvent& e) override;
-  void OnAlert(const AlertEvent& e) override;
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override;
-  void OnRecovery(const RecoveryEvent& e) override;
   void Flush() override;
   void Close() override;
 
+ protected:
+  struct Format {
+    const char* name;  // names the format in warnings
+    const char* header;
+    const char* separator;
+    const char* terminator;
+    const char* footer;
+  };
+  StreamSink(std::ostream* out, Format format);
+  StreamSink(const std::string& path, Format format);
+
+  /// Writes one rendered record, or counts it as dropped once the sink
+  /// is closed or failed.
+  void Write(std::string_view record);
+
  private:
-  void WriteLine(const std::string& json);
+  void CheckStream();
 
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_ = nullptr;
+  Format format_;
+  bool wrote_any_ = false;
   bool closed_ = false;
   bool failed_ = false;
   bool warned_dropped_ = false;
@@ -68,60 +73,34 @@ class JsonlSink final : public TraceSink {
   Counter* drop_counter_ = nullptr;
 };
 
+/// Writes one JSON object per line (JSONL): a "type" discriminator (the
+/// event's kType) and then the event's fields, so a stream can be
+/// filtered with grep/jq. Doubles carry 17 significant digits, so
+/// TraceReader replays a stream exactly.
+class JsonlSink final : public StreamSink {
+ public:
+  /// Borrow an open stream (e.g. a std::ostringstream in tests).
+  explicit JsonlSink(std::ostream* out);
+  /// Own a file stream; `ok()` reports whether it opened.
+  explicit JsonlSink(const std::string& path);
+
+  void On(const Event& event) override;
+};
+
 /// Emits a chrome://tracing / Perfetto-loadable JSON array. Queries
-/// become complete spans ("ph":"X"), climb moves / sequential tests /
-/// PALO stops / retries / breaker transitions / degradations become
-/// instant events ("ph":"i"), and quota progress becomes a counter
-/// track ("ph":"C"). ArcAttempt events are intentionally dropped: at
-/// one span per query they already dominate file size, and the per-arc
-/// detail belongs in JSONL. The closing "]" is written exactly once, by
-/// Close() or the destructor (RAII), so a trace is loadable even when
-/// the owner exits early; Flush() alone never finalises the array.
-///
-/// Mid-run I/O failure disables the sink after one stderr warning, like
-/// JsonlSink; a failed sink never writes the closing "]" (the stream is
-/// already broken).
-class ChromeTraceSink final : public TraceSink {
+/// become complete spans ("ph":"X"), quota progress becomes a counter
+/// track ("ph":"C"), and the learner, robustness, health and audit
+/// events become instant events ("ph":"i") named by their kType. Query
+/// starts and arc attempts are intentionally not written (and not
+/// counted as dropped): at one span per query they already dominate
+/// file size, and the per-arc detail belongs in JSONL. Doubles carry 12
+/// significant digits, so only JSONL replays exactly.
+class ChromeTraceSink final : public StreamSink {
  public:
   explicit ChromeTraceSink(std::ostream* out);
   explicit ChromeTraceSink(const std::string& path);
-  ~ChromeTraceSink() override;
 
-  bool ok() const { return out_ != nullptr && out_->good(); }
-  bool failed() const { return failed_; }
-  /// See JsonlSink::events_dropped(): events delivered after Close()
-  /// (or a write failure) with a one-shot warning and a running count.
-  /// ArcAttempt events are excluded — dropping those is this format's
-  /// documented design, not event loss.
-  int64_t events_dropped() const { return events_dropped_; }
-  void set_drop_counter(Counter* counter) { drop_counter_ = counter; }
-
-  void OnQueryEnd(const QueryEndEvent& e) override;
-  void OnClimbMove(const ClimbMoveEvent& e) override;
-  void OnSequentialTest(const SequentialTestEvent& e) override;
-  void OnQuotaProgress(const QuotaProgressEvent& e) override;
-  void OnPaloStop(const PaloStopEvent& e) override;
-  void OnRetry(const RetryEvent& e) override;
-  void OnBreaker(const BreakerEvent& e) override;
-  void OnDegraded(const DegradedEvent& e) override;
-  void OnDrift(const DriftEvent& e) override;
-  void OnAlert(const AlertEvent& e) override;
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override;
-  void OnRecovery(const RecoveryEvent& e) override;
-  void Flush() override;
-  void Close() override;
-
- private:
-  void WriteRecord(const std::string& json);
-
-  std::unique_ptr<std::ofstream> owned_;
-  std::ostream* out_ = nullptr;
-  bool wrote_any_ = false;
-  bool closed_ = false;
-  bool failed_ = false;
-  bool warned_dropped_ = false;
-  int64_t events_dropped_ = 0;
-  Counter* drop_counter_ = nullptr;
+  void On(const Event& event) override;
 };
 
 }  // namespace stratlearn::obs

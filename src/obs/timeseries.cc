@@ -1,6 +1,7 @@
 #include "obs/timeseries.h"
 
 #include <utility>
+#include <variant>
 
 #include "obs/json_writer.h"
 #include "util/check.h"
@@ -16,40 +17,35 @@ TimeSeriesCollector::TimeSeriesCollector(const MetricsRegistry* registry,
                        "time-series capacity must be positive");
 }
 
-void TimeSeriesCollector::OnArcAttempt(const ArcAttemptEvent& e) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ArcCumulative& cum = arcs_[e.arc];
-  ++cum.attempts;
-  if (e.unblocked) ++cum.unblocked;
-  cum.cost += e.cost;
-}
-
-void TimeSeriesCollector::OnDecisionCertificate(
-    const DecisionCertificateEvent&) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++certificates_;
-}
-
-void TimeSeriesCollector::OnDrift(const DriftEvent& e) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-    if (it->index == e.window) {
-      it->drift.push_back(e);
-      return;
+void TimeSeriesCollector::On(const Event& event) {
+  if (const auto* e = std::get_if<ArcAttemptEvent>(&event)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ArcCumulative& cum = arcs_[e->arc];
+    ++cum.attempts;
+    if (e->unblocked) ++cum.unblocked;
+    cum.cost += e->cost;
+  } else if (std::holds_alternative<DecisionCertificateEvent>(event)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++certificates_;
+  } else if (const auto* e = std::get_if<DriftEvent>(&event)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (TimeSeriesWindow* w = RetainedWindowLocked(e->window)) {
+      w->drift.push_back(*e);
     }
-    if (it->index < e.window) break;
+  } else if (const auto* e = std::get_if<AlertEvent>(&event)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (TimeSeriesWindow* w = RetainedWindowLocked(e->window)) {
+      w->alerts.push_back(*e);
+    }
   }
 }
 
-void TimeSeriesCollector::OnAlert(const AlertEvent& e) {
-  std::lock_guard<std::mutex> lock(mutex_);
+TimeSeriesWindow* TimeSeriesCollector::RetainedWindowLocked(int64_t index) {
   for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-    if (it->index == e.window) {
-      it->alerts.push_back(e);
-      return;
-    }
-    if (it->index < e.window) break;
+    if (it->index == index) return &*it;
+    if (it->index < index) break;
   }
+  return nullptr;
 }
 
 void TimeSeriesCollector::SetWindowCallback(

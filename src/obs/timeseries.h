@@ -69,7 +69,7 @@ struct TimeSeriesWindow {
   /// Arcs with at least one attempt in the window, ascending by arc id.
   std::vector<ArcWindowStats> arcs;
   /// Drift-detector and alert-rule transitions attributed to this
-  /// window (fed back via OnDrift/OnAlert after the window closed), so
+  /// window (fed back through On after the window closed), so
   /// the serialized series itself records every health decision.
   std::vector<DriftEvent> drift;
   std::vector<AlertEvent> alerts;
@@ -90,8 +90,7 @@ struct TimeSeriesWindow {
 /// windows, deriving per-interval counter deltas/rates, histogram
 /// activity, and windowed per-arc p̂ / mean-cost series. The collector
 /// is also a TraceSink: tee it next to a file sink and it accumulates
-/// ArcAttempt events into the per-arc series (all other events pass it
-/// by untouched).
+/// ArcAttempt events into the per-arc series (see On).
 ///
 /// Thread-safe throughout (one internal mutex): worker threads may emit
 /// ArcAttempt events while another thread drives AdvanceTo. The clock
@@ -106,24 +105,20 @@ class TimeSeriesCollector final : public TraceSink {
   TimeSeriesCollector(const MetricsRegistry* registry,
                       TimeSeriesOptions options);
 
-  void OnArcAttempt(const ArcAttemptEvent& e) override;
-
-  /// Certificates are counted into the currently open window, so the
-  /// series shows the learner's decision cadence next to the per-arc
-  /// data that justified those decisions.
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override;
-
-  /// Drift/alert transitions are routed back into the collector (it
-  /// sits on the same tee as the other sinks) and attached to the
-  /// retained window matching the event's window index, so the series
-  /// file carries the health decisions alongside the data that caused
-  /// them. Events for already-evicted windows are dropped.
-  void OnDrift(const DriftEvent& e) override;
-  void OnAlert(const AlertEvent& e) override;
+  /// Arc attempts accumulate into the per-arc series. Certificates are
+  /// counted into the currently open window, so the series shows the
+  /// learner's decision cadence next to the per-arc data that justified
+  /// those decisions. Drift/alert transitions are routed back into the
+  /// collector (it sits on the same tee as the other sinks) and
+  /// attached to the retained window matching the event's window index,
+  /// so the series file carries the health decisions alongside the data
+  /// that caused them; events for already-evicted windows are dropped.
+  /// Every other event passes by without taking the lock.
+  void On(const Event& event) override;
 
   /// Invoked once per closed window (a copy, oldest first), *outside*
   /// the collector's lock — the callback may re-enter the collector
-  /// (e.g. a health monitor emitting OnDrift back through a tee that
+  /// (e.g. a health monitor emitting drift events back through a tee that
   /// includes this collector). Called from whichever thread drives
   /// AdvanceTo/Finalize.
   void SetWindowCallback(std::function<void(const TimeSeriesWindow&)> cb);
@@ -174,6 +169,10 @@ class TimeSeriesCollector final : public TraceSink {
     int64_t unblocked = 0;
     double cost = 0.0;
   };
+
+  /// The retained window with this index, or null (evicted or not yet
+  /// closed). Caller holds mutex_.
+  TimeSeriesWindow* RetainedWindowLocked(int64_t index);
 
   /// Closes the window [window_start_, end_us). Caller holds mutex_.
   /// When a window callback is set, appends a copy of the closed window

@@ -3,41 +3,11 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/event_json.h"
 #include "obs/json_reader.h"
 #include "util/string_util.h"
 
 namespace stratlearn::obs {
-
-namespace {
-
-/// Field accessors over one parsed event object. The JSONL schema is
-/// flat scalars, so a key holding the wrong kind (or a nested
-/// container) simply yields the fallback — same tolerance the reader
-/// has always had for absent keys.
-double Num(const JsonValue& object, const std::string& key,
-           double fallback = 0.0) {
-  const JsonValue* v = object.Get(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
-
-int64_t Int(const JsonValue& object, const std::string& key,
-            int64_t fallback = 0) {
-  return static_cast<int64_t>(Num(object, key, static_cast<double>(fallback)));
-}
-
-bool Bool(const JsonValue& object, const std::string& key) {
-  const JsonValue* v = object.Get(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kBool && v->boolean;
-}
-
-std::string Str(const JsonValue& object, const std::string& key) {
-  const JsonValue* v = object.Get(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : std::string();
-}
-
-}  // namespace
 
 Status TraceReader::ReplayLine(std::string_view line) {
   ++line_number_;
@@ -55,175 +25,18 @@ Status TraceReader::ReplayLine(std::string_view line) {
         StrFormat("line %lld: event is not a JSON object",
                   static_cast<long long>(line_number_)));
   }
-  const JsonValue& fields = value;
-  std::string type = Str(fields, "type");
+  std::string type = ReadJsonString(value, "type");
   if (type.empty()) {
     return Status::InvalidArgument(StrFormat(
         "line %lld: event has no \"type\"",
         static_cast<long long>(line_number_)));
   }
-
-  if (type == "query_start") {
-    QueryStartEvent e;
-    e.query_index = Int(fields, "query_index");
-    e.t_us = Int(fields, "t_us");
-    sink_->OnQueryStart(e);
-  } else if (type == "query_end") {
-    QueryEndEvent e;
-    e.query_index = Int(fields, "query_index");
-    e.t_us = Int(fields, "t_us");
-    e.duration_us = Int(fields, "duration_us");
-    e.cost = Num(fields, "cost");
-    e.attempts = Int(fields, "attempts");
-    e.successes = Int(fields, "successes");
-    e.success = Bool(fields, "success");
-    sink_->OnQueryEnd(e);
-  } else if (type == "arc_attempt") {
-    ArcAttemptEvent e;
-    e.query_index = Int(fields, "query_index");
-    e.t_us = Int(fields, "t_us");
-    e.arc = static_cast<uint32_t>(Int(fields, "arc"));
-    e.experiment = static_cast<int>(Int(fields, "experiment", -1));
-    e.unblocked = Bool(fields, "unblocked");
-    e.cost = Num(fields, "cost");
-    sink_->OnArcAttempt(e);
-  } else if (type == "climb_move") {
-    ClimbMoveEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.learner = Str(fields, "learner");
-    e.move_index = Int(fields, "move_index");
-    e.at_context = Int(fields, "at_context");
-    e.samples_used = Int(fields, "samples_used");
-    e.swap = Str(fields, "swap");
-    e.delta_sum = Num(fields, "delta_sum");
-    e.threshold = Num(fields, "threshold");
-    e.margin = Num(fields, "margin");
-    e.delta_spent = Num(fields, "delta_spent");
-    sink_->OnClimbMove(e);
-  } else if (type == "sequential_test") {
-    SequentialTestEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.learner = Str(fields, "learner");
-    e.at_context = Int(fields, "at_context");
-    e.samples = Int(fields, "samples");
-    e.trial_count = Int(fields, "trial_count");
-    e.best_neighbor = Int(fields, "best_neighbor", -1);
-    e.best_delta_sum = Num(fields, "best_delta_sum");
-    e.best_threshold = Num(fields, "best_threshold");
-    e.fired = Bool(fields, "fired");
-    sink_->OnSequentialTest(e);
-  } else if (type == "quota_progress") {
-    QuotaProgressEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.context = Int(fields, "context");
-    e.aimed_experiment = static_cast<int>(Int(fields, "aimed_experiment", -1));
-    e.reached = Bool(fields, "reached");
-    e.remaining_max = Int(fields, "remaining_max");
-    e.remaining_total = Int(fields, "remaining_total");
-    sink_->OnQuotaProgress(e);
-  } else if (type == "retry") {
-    RetryEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.query_index = Int(fields, "query_index");
-    e.arc = static_cast<uint32_t>(Int(fields, "arc"));
-    e.experiment = static_cast<int>(Int(fields, "experiment", -1));
-    e.fault = Str(fields, "fault");
-    e.attempt = Int(fields, "attempt");
-    e.backoff_cost = Num(fields, "backoff_cost");
-    e.gave_up = Bool(fields, "gave_up");
-    sink_->OnRetry(e);
-  } else if (type == "breaker") {
-    BreakerEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.query_index = Int(fields, "query_index");
-    e.arc = static_cast<uint32_t>(Int(fields, "arc"));
-    e.experiment = static_cast<int>(Int(fields, "experiment", -1));
-    e.state = Str(fields, "state");
-    e.consecutive_failures = Int(fields, "consecutive_failures");
-    e.cooldown_until = Int(fields, "cooldown_until");
-    sink_->OnBreaker(e);
-  } else if (type == "degraded") {
-    DegradedEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.query_index = Int(fields, "query_index");
-    e.cost = Num(fields, "cost");
-    e.budget = Num(fields, "budget");
-    e.attempts = Int(fields, "attempts");
-    sink_->OnDegraded(e);
-  } else if (type == "drift") {
-    DriftEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.detector = Str(fields, "detector");
-    e.state = Str(fields, "state");
-    e.arc = Int(fields, "arc", -1);
-    e.counter = Str(fields, "counter");
-    e.statistic = Num(fields, "statistic");
-    e.reference = Num(fields, "reference");
-    e.threshold = Num(fields, "threshold");
-    e.window = Int(fields, "window");
-    e.window_start_us = Int(fields, "window_start_us");
-    e.window_end_us = Int(fields, "window_end_us");
-    sink_->OnDrift(e);
-  } else if (type == "alert") {
-    AlertEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.rule = Str(fields, "rule");
-    e.state = Str(fields, "state");
-    e.severity = Str(fields, "severity");
-    e.metric = Str(fields, "metric");
-    e.value = Num(fields, "value");
-    e.threshold = Num(fields, "threshold");
-    e.window = Int(fields, "window");
-    e.for_windows = Int(fields, "for_windows");
-    sink_->OnAlert(e);
-  } else if (type == "recovery") {
-    RecoveryEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.rule = Str(fields, "rule");
-    e.trigger = Str(fields, "trigger");
-    e.action = Str(fields, "action");
-    e.outcome = Str(fields, "outcome");
-    e.arc = Int(fields, "arc", -1);
-    e.window = Int(fields, "window");
-    e.matched = Int(fields, "matched");
-    e.statistic = Num(fields, "statistic");
-    e.reference = Num(fields, "reference");
-    e.threshold = Num(fields, "threshold");
-    sink_->OnRecovery(e);
-  } else if (type == "palo_stop") {
-    PaloStopEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.at_context = Int(fields, "at_context");
-    e.moves = Int(fields, "moves");
-    e.epsilon = Num(fields, "epsilon");
-    e.worst_certificate = Num(fields, "worst_certificate");
-    sink_->OnPaloStop(e);
-  } else if (type == "decision_certificate") {
-    DecisionCertificateEvent e;
-    e.t_us = Int(fields, "t_us");
-    e.learner = Str(fields, "learner");
-    e.decision = Str(fields, "decision");
-    e.verdict = Str(fields, "verdict");
-    e.at_context = Int(fields, "at_context");
-    e.samples = Int(fields, "samples");
-    e.trials = Int(fields, "trials");
-    e.subject = Int(fields, "subject", -1);
-    e.mean = Num(fields, "mean");
-    e.delta_sum = Num(fields, "delta_sum");
-    e.threshold = Num(fields, "threshold");
-    e.margin = Num(fields, "margin");
-    e.range = Num(fields, "range");
-    e.epsilon_n = Num(fields, "epsilon_n");
-    e.delta_step = Num(fields, "delta_step");
-    e.delta_budget = Num(fields, "delta_budget");
-    e.delta_spent_total = Num(fields, "delta_spent_total");
-    e.bound_samples = Int(fields, "bound_samples");
-    e.epsilon = Num(fields, "epsilon");
-    sink_->OnDecisionCertificate(e);
-  } else {
+  Event event;
+  if (!ReadEvent(type, value, &event)) {
     ++skipped_;
     return Status::OK();
   }
+  sink_->On(event);
   ++events_;
   return Status::OK();
 }

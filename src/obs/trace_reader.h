@@ -17,8 +17,10 @@ namespace stratlearn::obs {
 ///
 /// Each line must be one JSON object (parsed with the shared
 /// obs::ParseJson, the same reader bench_compare and stats_report
-/// use); fields the schema knows are flat scalars, and anything else
-/// is ignored. Events whose "type" is unknown are counted and skipped,
+/// use). Its "type" picks the event and the type's field list
+/// (events.h) reads it: a field that is absent, of the wrong kind or an
+/// out-of-range integer keeps the member's default, and unknown keys
+/// are ignored. Events whose "type" is unknown are counted and skipped,
 /// so traces written by newer builds still replay. Malformed lines are
 /// hard errors (InvalidArgument naming the line number).
 class TraceReader {

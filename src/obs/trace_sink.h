@@ -2,34 +2,23 @@
 #define STRATLEARN_OBS_TRACE_SINK_H_
 
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obs/events.h"
 
 namespace stratlearn::obs {
 
-/// Receiver interface for structured runtime events. Every handler
-/// defaults to a no-op so sinks implement only what they care about.
-/// Emitters must guard emission behind a single nullable-pointer branch
-/// (see Observer), so an absent sink costs one predictable branch.
+/// Receiver interface for structured runtime events: every event type
+/// arrives through the one On(), and a sink picks out the alternatives
+/// it cares about. Emitters must guard emission behind a single
+/// nullable-pointer branch (see Observer), so an absent sink costs one
+/// predictable branch.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  virtual void OnQueryStart(const QueryStartEvent&) {}
-  virtual void OnQueryEnd(const QueryEndEvent&) {}
-  virtual void OnArcAttempt(const ArcAttemptEvent&) {}
-  virtual void OnClimbMove(const ClimbMoveEvent&) {}
-  virtual void OnSequentialTest(const SequentialTestEvent&) {}
-  virtual void OnQuotaProgress(const QuotaProgressEvent&) {}
-  virtual void OnPaloStop(const PaloStopEvent&) {}
-  virtual void OnRetry(const RetryEvent&) {}
-  virtual void OnBreaker(const BreakerEvent&) {}
-  virtual void OnDegraded(const DegradedEvent&) {}
-  virtual void OnDrift(const DriftEvent&) {}
-  virtual void OnAlert(const AlertEvent&) {}
-  virtual void OnDecisionCertificate(const DecisionCertificateEvent&) {}
-  virtual void OnRecovery(const RecoveryEvent&) {}
+  virtual void On(const Event& event) = 0;
 
   /// Push buffered output to the underlying medium. May be called any
   /// number of times mid-run; must not finalise the output.
@@ -43,95 +32,28 @@ class TraceSink {
 };
 
 /// Explicit do-nothing sink, for call sites that want a non-null sink.
-class NullSink final : public TraceSink {};
+class NullSink final : public TraceSink {
+ public:
+  void On(const Event&) override {}
+};
 
 /// Fans every event out to a list of borrowed sinks, in order. Lets one
 /// Observer feed a file sink and an in-process aggregator (e.g. the
 /// StrategyProfiler) at the same time. Null entries are skipped.
 class TeeSink final : public TraceSink {
  public:
-  explicit TeeSink(std::vector<TraceSink*> sinks)
-      : sinks_(std::move(sinks)) {}
+  explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {
+    std::erase(sinks_, nullptr);
+  }
 
-  void OnQueryStart(const QueryStartEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnQueryStart(e);
-    }
-  }
-  void OnQueryEnd(const QueryEndEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnQueryEnd(e);
-    }
-  }
-  void OnArcAttempt(const ArcAttemptEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnArcAttempt(e);
-    }
-  }
-  void OnClimbMove(const ClimbMoveEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnClimbMove(e);
-    }
-  }
-  void OnSequentialTest(const SequentialTestEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnSequentialTest(e);
-    }
-  }
-  void OnQuotaProgress(const QuotaProgressEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnQuotaProgress(e);
-    }
-  }
-  void OnPaloStop(const PaloStopEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnPaloStop(e);
-    }
-  }
-  void OnRetry(const RetryEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnRetry(e);
-    }
-  }
-  void OnBreaker(const BreakerEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnBreaker(e);
-    }
-  }
-  void OnDegraded(const DegradedEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnDegraded(e);
-    }
-  }
-  void OnDrift(const DriftEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnDrift(e);
-    }
-  }
-  void OnAlert(const AlertEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnAlert(e);
-    }
-  }
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnDecisionCertificate(e);
-    }
-  }
-  void OnRecovery(const RecoveryEvent& e) override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->OnRecovery(e);
-    }
+  void On(const Event& event) override {
+    for (TraceSink* s : sinks_) s->On(event);
   }
   void Flush() override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->Flush();
-    }
+    for (TraceSink* s : sinks_) s->Flush();
   }
   void Close() override {
-    for (TraceSink* s : sinks_) {
-      if (s != nullptr) s->Close();
-    }
+    for (TraceSink* s : sinks_) s->Close();
   }
 
  private:
@@ -151,61 +73,9 @@ class LockingSink final : public TraceSink {
  public:
   explicit LockingSink(TraceSink* inner) : inner_(inner) {}
 
-  void OnQueryStart(const QueryStartEvent& e) override {
+  void On(const Event& event) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnQueryStart(e);
-  }
-  void OnQueryEnd(const QueryEndEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnQueryEnd(e);
-  }
-  void OnArcAttempt(const ArcAttemptEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnArcAttempt(e);
-  }
-  void OnClimbMove(const ClimbMoveEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnClimbMove(e);
-  }
-  void OnSequentialTest(const SequentialTestEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnSequentialTest(e);
-  }
-  void OnQuotaProgress(const QuotaProgressEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnQuotaProgress(e);
-  }
-  void OnPaloStop(const PaloStopEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnPaloStop(e);
-  }
-  void OnRetry(const RetryEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnRetry(e);
-  }
-  void OnBreaker(const BreakerEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnBreaker(e);
-  }
-  void OnDegraded(const DegradedEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnDegraded(e);
-  }
-  void OnDrift(const DriftEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnDrift(e);
-  }
-  void OnAlert(const AlertEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnAlert(e);
-  }
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnDecisionCertificate(e);
-  }
-  void OnRecovery(const RecoveryEvent& e) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inner_->OnRecovery(e);
+    inner_->On(event);
   }
   void Flush() override {
     std::lock_guard<std::mutex> lock(mutex_);

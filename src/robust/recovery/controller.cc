@@ -148,7 +148,7 @@ void RecoveryController::Fire(
   event.statistic = match.statistic;
   event.reference = match.reference;
   event.threshold = match.threshold;
-  sink->OnRecovery(event);
+  sink->On(event);
   if (observer_->audit_enabled()) {
     // The certificate's test is count-based (the detectors' internal
     // breach statistics are not all recoverable from their events):
@@ -171,7 +171,7 @@ void RecoveryController::Fire(
     cert.delta_sum = static_cast<double>(match.count);
     cert.threshold = 1.0;
     cert.margin = static_cast<double>(match.count) - 1.0;
-    sink->OnDecisionCertificate(cert);
+    sink->On(cert);
   }
 }
 
@@ -201,10 +201,9 @@ std::string RecoveryController::Execute(const RecoveryRule& rule,
                   static_cast<size_t>(arc) < graph_->num_arcs()
               ? graph_->arc(static_cast<ArcId>(arc)).experiment
               : -1;
-      observer_->sink()->OnBreaker({observer_->NowUs(), query,
-                                    static_cast<uint32_t>(arc), experiment,
-                                    "open", ledger.consecutive_failures,
-                                    ledger.open_until});
+      observer_->sink()->On(obs::BreakerEvent{
+          observer_->NowUs(), query, static_cast<uint32_t>(arc), experiment,
+          "open", ledger.consecutive_failures, ledger.open_until});
     }
     return "applied";
   }

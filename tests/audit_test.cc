@@ -77,22 +77,22 @@ TEST(AuditLogTest, HeaderCertificateSummaryRoundTrip) {
   arc.experiment = 1;
   arc.unblocked = true;
   arc.cost = 1.5;
-  log.OnArcAttempt(arc);
+  log.On(arc);
   arc.unblocked = false;
-  log.OnArcAttempt(arc);
+  log.On(arc);
 
   // Gnarly doubles must survive the JSONL round-trip bit for bit.
   DecisionCertificateEvent cert = MakeCert(0.1 + 0.02, 1.0 / 7.0);
   cert.mean = 0.1 + 0.2;            // 0.30000000000000004
   cert.threshold = 2.0 / 3.0;
   cert.margin = cert.delta_sum - cert.threshold;
-  log.OnDecisionCertificate(cert);
+  log.On(cert);
 
   obs::QueryEndEvent end;
   end.cost = 2.25;
-  log.OnQueryEnd(end);
+  log.On(end);
   end.cost = 1.75;
-  log.OnQueryEnd(end);  // closes the 2-query window
+  log.On(end);  // closes the 2-query window
   log.Close();
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(log.certificates_written(), 1);
@@ -156,6 +156,40 @@ TEST(AuditReaderTest, RejectsStructuralDamage) {
       Parse("stratlearn-audit v1\n{\"record\":\"header\"}\n");
   ASSERT_TRUE(truncated.ok());
   EXPECT_FALSE(truncated.value().summary.present);
+}
+
+TEST(AuditReaderTest, OutOfRangeIntegersKeepTheirDefaults) {
+  // 1e999 parses as +inf. Converting it, or -1e30, to int64_t is
+  // undefined behaviour, so such a field reads like a missing one.
+  Result<AuditFile> parsed = Parse(
+      "stratlearn-audit v1\n"
+      "{\"record\":\"header\",\"window\":1e999}\n"
+      "{\"record\":\"certificate\",\"seq\":0,\"t_us\":1e999,"
+      "\"learner\":\"pib\",\"decision\":\"climb\",\"verdict\":\"reject\","
+      "\"samples\":-1e30,\"subject\":1e999,\"bound_samples\":7,"
+      "\"arcs\":[{\"arc\":-1e30,\"attempts\":1e999,\"successes\":2}]}\n"
+      "{\"record\":\"regret\",\"queries\":1e999,\"queries_total\":-1e30,"
+      "\"window_cost\":1.5}\n"
+      "{\"record\":\"summary\",\"queries\":-1e30,\"commits\":3}\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const AuditFile& file = parsed.value();
+  EXPECT_EQ(file.header.window, 0);
+  ASSERT_EQ(file.certificates.size(), 1u);
+  const DecisionCertificateEvent& e = file.certificates[0].event;
+  EXPECT_EQ(e.t_us, 0);
+  EXPECT_EQ(e.samples, 0);
+  EXPECT_EQ(e.subject, -1);
+  EXPECT_EQ(e.bound_samples, 7);
+  ASSERT_EQ(file.certificates[0].arcs.size(), 1u);
+  EXPECT_EQ(file.certificates[0].arcs[0].arc, -1);
+  EXPECT_EQ(file.certificates[0].arcs[0].attempts, 0);
+  EXPECT_EQ(file.certificates[0].arcs[0].successes, 2);
+  ASSERT_EQ(file.regrets.size(), 1u);
+  EXPECT_EQ(file.regrets[0].queries, 0);
+  EXPECT_EQ(file.regrets[0].queries_total, 0);
+  EXPECT_EQ(file.regrets[0].window_cost, 1.5);
+  EXPECT_EQ(file.summary.queries, 0);
+  EXPECT_EQ(file.summary.commits, 3);
 }
 
 // A full PIB run with certificates on: the ledger must be the running
@@ -361,7 +395,7 @@ TEST(AuditLedgerTest, Pib1SingleCertificate) {
 TEST(VerifyAuditTest, CleanStreamHasNoFindings) {
   std::ostringstream out;
   AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
-  log.OnDecisionCertificate(MakeCert(0.05, 0.05));
+  log.On(MakeCert(0.05, 0.05));
   log.Close();
   verify::DiagnosticSink sink;
   verify::VerifyAuditText(out.str(), &sink);
@@ -373,7 +407,7 @@ TEST(VerifyAuditTest, OverspentLedgerIsAnError) {
   std::ostringstream out;
   AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
   DecisionCertificateEvent e = MakeCert(0.25, 0.25);  // > budget 0.2
-  log.OnDecisionCertificate(e);
+  log.On(e);
   log.Close();
   verify::DiagnosticSink sink;
   verify::VerifyAuditText(out.str(), &sink);
@@ -390,7 +424,7 @@ TEST(VerifyAuditTest, NonConservativeVerdictIsAnError) {
   AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
   DecisionCertificateEvent e = MakeCert(0.05, 0.05);
   e.verdict = "commit";  // margin is -8: claims a crossing it never made
-  log.OnDecisionCertificate(e);
+  log.On(e);
   log.Close();
   verify::DiagnosticSink sink;
   verify::VerifyAuditText(out.str(), &sink);
@@ -404,7 +438,7 @@ TEST(VerifyAuditTest, NonConservativeVerdictIsAnError) {
 TEST(VerifyAuditTest, MissingSummaryIsAWarning) {
   std::ostringstream out;
   AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
-  log.OnDecisionCertificate(MakeCert(0.05, 0.05));
+  log.On(MakeCert(0.05, 0.05));
   log.Flush();  // no Close: simulates a crash mid-run
   verify::DiagnosticSink sink;
   verify::VerifyAuditText(out.str(), &sink);

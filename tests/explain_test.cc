@@ -70,7 +70,7 @@ TEST(ExplainTreeTest, ProfiledTreeAnnotatesEstimatesAndHotArcs) {
     e.experiment = 0;
     e.unblocked = i < 75;
     e.cost = 9.0;
-    profiler.OnArcAttempt(e);
+    profiler.On(e);
   }
   for (int i = 0; i < 100; ++i) {
     obs::ArcAttemptEvent e;
@@ -78,7 +78,7 @@ TEST(ExplainTreeTest, ProfiledTreeAnnotatesEstimatesAndHotArcs) {
     e.experiment = 1;
     e.unblocked = true;
     e.cost = 1.0;
-    profiler.OnArcAttempt(e);
+    profiler.On(e);
   }
   std::string tree =
       ExplainStrategyTree(g, Strategy::DepthFirst(g), &profiler);

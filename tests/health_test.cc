@@ -378,7 +378,7 @@ TEST(SeriesIoTest, OfflineReplayReproducesOnlineReport) {
       e.arc = 0;
       e.unblocked = rng.NextBernoulli(i < 8 ? 0.8 : 0.2);
       e.cost = 1.0;
-      collector.OnArcAttempt(e);
+      collector.On(e);
     }
     collector.AdvanceTo((i + 1) * 100);
   }
@@ -407,7 +407,7 @@ TEST(SeriesIoTest, LoadedWindowsMatchCollectorState) {
   e.arc = 3;
   e.unblocked = true;
   e.cost = 2.5;
-  collector.OnArcAttempt(e);
+  collector.On(e);
   collector.AdvanceTo(100);
 
   std::istringstream in(collector.SerializeJsonl());
@@ -477,9 +477,9 @@ TEST(TraceReplayTest, DriftAndAlertEventsRoundTripByteIdentical) {
   std::ostringstream first;
   {
     obs::JsonlSink sink(&first);
-    sink.OnDrift(d);
-    sink.OnAlert(a);
-    sink.OnDrift(r);
+    sink.On(d);
+    sink.On(a);
+    sink.On(r);
     sink.Flush();
   }
   // Replay the written trace through the reader into a second sink: the

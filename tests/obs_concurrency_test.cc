@@ -170,7 +170,7 @@ TEST(LockingSinkTest, SerialisesConcurrentEmitters) {
       e.arc = static_cast<uint32_t>(t);
       e.unblocked = i % 2 == 0;
       e.cost = 1.0;
-      sink.OnArcAttempt(e);
+      sink.On(e);
     }
   });
   sink.Flush();
@@ -194,7 +194,7 @@ TEST(TimeSeriesConcurrencyTest, ArcTotalsExactAcrossWindows) {
       e.arc = static_cast<uint32_t>(t % 3);
       e.unblocked = true;
       e.cost = 2.0;
-      collector.OnArcAttempt(e);
+      collector.On(e);
       registry.GetCounter("ts.events").Increment();
       if (i % 100 == 0) {
         // Threads advance a shared monotone clock while others emit.

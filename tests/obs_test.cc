@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -399,16 +400,16 @@ TEST(ChromeTraceSinkTest, EmitsLoadableJsonArray) {
     end.cost = 3.5;
     end.attempts = 4;
     end.success = true;
-    sink.OnQueryEnd(end);
+    sink.On(end);
     obs::ClimbMoveEvent move;
     move.learner = "pib";
     move.swap = "swap <a,b>";
     move.t_us = 20;
-    sink.OnClimbMove(move);
+    sink.On(move);
     obs::QuotaProgressEvent quota;
     quota.t_us = 30;
     quota.remaining_total = 12;
-    sink.OnQuotaProgress(quota);
+    sink.On(quota);
     sink.Flush();
   }
   std::string text = out.str();
@@ -479,7 +480,7 @@ TEST(SinkFailureTest, JsonlSinkDisablesItselfOnWriteFailure) {
   // The first event overflows the 16-byte budget; the sink must latch
   // failed() and swallow everything after without crashing.
   for (int i = 0; i < 50; ++i) {
-    sink.OnQueryEnd({i, 0, 10, 2.5, 4, 1, true});
+    sink.On(obs::QueryEndEvent{i, 0, 10, 2.5, 4, 1, true});
     sink.Flush();
   }
   EXPECT_TRUE(sink.failed());
@@ -492,7 +493,7 @@ TEST(SinkFailureTest, ChromeSinkNeverFinalisesAFailedStream) {
   {
     obs::ChromeTraceSink sink(&out);
     for (int i = 0; i < 20; ++i) {
-      sink.OnQueryEnd({i, 0, 10, 2.5, 4, 1, true});
+      sink.On(obs::QueryEndEvent{i, 0, 10, 2.5, 4, 1, true});
     }
     EXPECT_TRUE(sink.failed());
   }  // destructor: a failed sink must not write the closing "]"
@@ -501,10 +502,10 @@ TEST(SinkFailureTest, ChromeSinkNeverFinalisesAFailedStream) {
 TEST(SinkFailureTest, RobustnessEventsSerializeAsJsonl) {
   std::ostringstream out;
   obs::JsonlSink sink(&out);
-  sink.OnRetry({100, 7, 3, 0, "transient", 1, 0.25, false});
-  sink.OnRetry({110, 7, 3, 0, "timeout", 3, 0.0, true});
-  sink.OnBreaker({120, 7, 3, 0, "open", 8, 40});
-  sink.OnDegraded({130, 9, 12.5, 10.0, 6});
+  sink.On(obs::RetryEvent{100, 7, 3, 0, "transient", 1, 0.25, false});
+  sink.On(obs::RetryEvent{110, 7, 3, 0, "timeout", 3, 0.0, true});
+  sink.On(obs::BreakerEvent{120, 7, 3, 0, "open", 8, 40});
+  sink.On(obs::DegradedEvent{130, 9, 12.5, 10.0, 6});
   sink.Flush();
   std::string text = out.str();
   for (const std::string& line : Split(text, '\n')) {
@@ -524,15 +525,16 @@ TEST(SinkDropTest, JsonlSinkCountsEventsDroppedAfterClose) {
   obs::Counter* dropped = &registry.GetCounter("obs.trace_events_dropped");
   obs::JsonlSink sink(&out);
   sink.set_drop_counter(dropped);
-  sink.OnQueryEnd({0, 10, 5, 2.5, 4, 1, true});
+  sink.On(obs::QueryEndEvent{0, 10, 5, 2.5, 4, 1, true});
   sink.Close();
   const std::string closed_text = out.str();
   ASSERT_EQ(sink.events_dropped(), 0);
   // Everything after Close() is dropped, counted, and leaves the
   // finalised output untouched.
-  sink.OnQueryEnd({1, 20, 5, 2.5, 4, 1, true});
-  sink.OnClimbMove({30, "pib", 0, 1, 8, "swap", 1.0, 0.5, 0.5, 0.01});
-  sink.OnArcAttempt({1, 40, 3, 0, true, 1.5});
+  sink.On(obs::QueryEndEvent{1, 20, 5, 2.5, 4, 1, true});
+  sink.On(
+      obs::ClimbMoveEvent{30, "pib", 0, 1, 8, "swap", 1.0, 0.5, 0.5, 0.01});
+  sink.On(obs::ArcAttemptEvent{1, 40, 3, 0, true, 1.5});
   EXPECT_EQ(sink.events_dropped(), 3);
   EXPECT_EQ(dropped->value(), 3);
   EXPECT_EQ(out.str(), closed_text);
@@ -544,10 +546,10 @@ TEST(SinkDropTest, ChromeSinkCountsEventsDroppedAfterClose) {
   obs::Counter* dropped = &registry.GetCounter("obs.trace_events_dropped");
   obs::ChromeTraceSink sink(&out);
   sink.set_drop_counter(dropped);
-  sink.OnQueryEnd({0, 10, 5, 2.5, 4, 1, true});
+  sink.On(obs::QueryEndEvent{0, 10, 5, 2.5, 4, 1, true});
   sink.Close();
-  sink.OnQueryEnd({1, 20, 5, 2.5, 4, 1, true});
-  sink.OnQueryEnd({2, 30, 5, 2.5, 4, 1, true});
+  sink.On(obs::QueryEndEvent{1, 20, 5, 2.5, 4, 1, true});
+  sink.On(obs::QueryEndEvent{2, 30, 5, 2.5, 4, 1, true});
   EXPECT_EQ(sink.events_dropped(), 2);
   EXPECT_EQ(dropped->value(), 2);
 }
@@ -559,224 +561,130 @@ std::string ReadTestdata(const std::string& name) {
   return text.str();
 }
 
-/// One instance of every event type with every field off its default:
-/// 0.1+0.2 and 1/3 need all 17 digits, ids are negative where the type
-/// allows it, and strings carry quotes, backslashes and newlines.
-struct SampleEvents {
-  obs::QueryStartEvent query_start{-3, 11};
-  obs::QueryEndEvent query_end{-3, 12, 7, 0.1 + 0.2, 4, 2, true};
-  obs::ArcAttemptEvent arc_attempt{-3, 13, 4000000000u, -2, true, 1.0 / 3.0};
-  obs::ClimbMoveEvent climb_move{
-      14, "pi\"b", 2, 77, 51, "a\\b,\nc", 70.5, -1.0 / 3.0, 0.1 + 0.2,
-      7.65844e-06};
-  obs::SequentialTestEvent sequential_test{
-      15, "pib1", 76, 51, 9, -4, 2.0 / 3.0, 1e-300, true};
-  obs::QuotaProgressEvent quota_progress{16, -5, -6, true, 17,
-                                         1000000000000000};
-  obs::RetryEvent retry{17, -7, 8, -9, "time\"out", 3, 0.1 + 0.2, true};
-  obs::BreakerEvent breaker{18, -10, 11, -12, "half\\open", 13, -14};
-  obs::DegradedEvent degraded{19, -15, 1.0 / 3.0, 1e300, 16};
-  obs::DriftEvent drift{
-      20, "p_hat", "de\ntected", -17, "qp.\"q\"", 0.1 + 0.2, -1.0 / 3.0,
-      2.5, 18, 19, 20};
-  obs::AlertEvent alert{
-      21, "rule\\1", "firing", "critical", "m\n", -0.0, 1.0 / 3.0, 22, 23};
-  obs::RecoveryEvent recovery{
-      22, "r\"1", "alert:any", "rebaseline", "applied", -24, 25, 26,
-      0.1 + 0.2, 1.0 / 3.0, -27.5};
-  obs::PaloStopEvent palo_stop{23, 28, 29, 1.0 / 3.0, 0.1 + 0.2};
-  obs::DecisionCertificateEvent decision_certificate{
-      24, "pa\"lo", "cl\\imb", "com\nmit", 30, 31, 32, -33, 0.1 + 0.2,
-      1.0 / 3.0, -2.0 / 3.0, 1e-10, 4.0, 0.125, 1e-7, 0.05, 0.025, 34, 0.5};
-};
+/// One instance of every event type, in variant order, with every field
+/// off its default: 0.1+0.2 and 1/3 need all 17 digits, ids are negative
+/// where the type allows it, and strings carry quotes, backslashes and
+/// newlines.
+std::vector<obs::Event> SampleEvents() {
+  return {
+      obs::QueryStartEvent{-3, 11},
+      obs::QueryEndEvent{-3, 12, 7, 0.1 + 0.2, 4, 2, true},
+      obs::ArcAttemptEvent{-3, 13, 4000000000u, -2, true, 1.0 / 3.0},
+      obs::ClimbMoveEvent{14, "pi\"b", 2, 77, 51, "a\\b,\nc", 70.5,
+                          -1.0 / 3.0, 0.1 + 0.2, 7.65844e-06},
+      obs::SequentialTestEvent{15, "pib1", 76, 51, 9, -4, 2.0 / 3.0, 1e-300,
+                               true},
+      obs::QuotaProgressEvent{16, -5, -6, true, 17, 1000000000000000},
+      obs::RetryEvent{17, -7, 8, -9, "time\"out", 3, 0.1 + 0.2, true},
+      obs::BreakerEvent{18, -10, 11, -12, "half\\open", 13, -14},
+      obs::DegradedEvent{19, -15, 1.0 / 3.0, 1e300, 16},
+      obs::DriftEvent{20, "p_hat", "de\ntected", -17, "qp.\"q\"", 0.1 + 0.2,
+                      -1.0 / 3.0, 2.5, 18, 19, 20},
+      obs::AlertEvent{21, "rule\\1", "firing", "critical", "m\n", -0.0,
+                      1.0 / 3.0, 22, 23},
+      obs::RecoveryEvent{22, "r\"1", "alert:any", "rebaseline", "applied",
+                         -24, 25, 26, 0.1 + 0.2, 1.0 / 3.0, -27.5},
+      obs::PaloStopEvent{23, 28, 29, 1.0 / 3.0, 0.1 + 0.2},
+      obs::DecisionCertificateEvent{
+          24, "pa\"lo", "cl\\imb", "com\nmit", 30, 31, 32, -33, 0.1 + 0.2,
+          1.0 / 3.0, -2.0 / 3.0, 1e-10, 4.0, 0.125, 1e-7, 0.05, 0.025, 34,
+          0.5},
+  };
+}
+
+TEST(TraceFormatGoldenTest, SamplesCoverEveryEventType) {
+  std::vector<obs::Event> samples = SampleEvents();
+  ASSERT_EQ(samples.size(), std::variant_size_v<obs::Event>);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].index(), i);
+  }
+}
 
 TEST(TraceFormatGoldenTest, JsonlPinsEveryEventType) {
-  SampleEvents s;
   std::ostringstream out;
   {
     obs::JsonlSink sink(&out);
-    sink.OnQueryStart(s.query_start);
-    sink.OnQueryEnd(s.query_end);
-    sink.OnArcAttempt(s.arc_attempt);
-    sink.OnClimbMove(s.climb_move);
-    sink.OnSequentialTest(s.sequential_test);
-    sink.OnQuotaProgress(s.quota_progress);
-    sink.OnRetry(s.retry);
-    sink.OnBreaker(s.breaker);
-    sink.OnDegraded(s.degraded);
-    sink.OnDrift(s.drift);
-    sink.OnAlert(s.alert);
-    sink.OnRecovery(s.recovery);
-    sink.OnPaloStop(s.palo_stop);
-    sink.OnDecisionCertificate(s.decision_certificate);
+    for (const obs::Event& e : SampleEvents()) sink.On(e);
   }
   EXPECT_EQ(out.str(), ReadTestdata("trace/all_events.jsonl"));
 }
 
 TEST(TraceFormatGoldenTest, ChromePinsEveryEventType) {
-  SampleEvents s;
   std::ostringstream out;
   {
     obs::ChromeTraceSink sink(&out);
-    sink.OnQueryStart(s.query_start);
-    sink.OnQueryEnd(s.query_end);
-    sink.OnArcAttempt(s.arc_attempt);
-    sink.OnClimbMove(s.climb_move);
-    sink.OnSequentialTest(s.sequential_test);
-    sink.OnQuotaProgress(s.quota_progress);
-    sink.OnRetry(s.retry);
-    sink.OnBreaker(s.breaker);
-    sink.OnDegraded(s.degraded);
-    sink.OnDrift(s.drift);
-    sink.OnAlert(s.alert);
-    sink.OnRecovery(s.recovery);
-    sink.OnPaloStop(s.palo_stop);
-    sink.OnDecisionCertificate(s.decision_certificate);
+    for (const obs::Event& e : SampleEvents()) sink.On(e);
   }
   EXPECT_EQ(out.str(), ReadTestdata("trace/all_events.chrome.json"));
 }
 
-/// Collects replayed learner-decision events so round-trip tests can
-/// compare them field-for-field against what was emitted.
-struct CollectingSink final : public obs::TraceSink {
-  std::vector<obs::ClimbMoveEvent> moves;
-  std::vector<obs::SequentialTestEvent> tests;
-  std::vector<obs::DecisionCertificateEvent> certificates;
-  void OnClimbMove(const obs::ClimbMoveEvent& e) override {
-    moves.push_back(e);
-  }
-  void OnSequentialTest(const obs::SequentialTestEvent& e) override {
-    tests.push_back(e);
-  }
-  void OnDecisionCertificate(const obs::DecisionCertificateEvent& e) override {
-    certificates.push_back(e);
-  }
-};
-
-TEST(TraceReaderRoundTripTest, ClimbMoveDeltaSpentExactPrecision) {
-  // delta_spent feeds the audit ledger, so the JSONL round trip must be
-  // bit-exact; deliberately awkward doubles catch any lossy formatting.
-  obs::ClimbMoveEvent e;
-  e.t_us = 123456789;
-  e.learner = "palo";
-  e.move_index = 3;
-  e.at_context = 4097;
-  e.samples_used = 811;
-  e.swap = "swap children 2<->5 under node 9";
-  e.delta_sum = 0.1 + 0.2;
-  e.threshold = 1.0 / 3.0;
-  e.margin = (0.1 + 0.2) - 1.0 / 3.0;
-  e.delta_spent = 0.05 * 6.0 / (M_PI * M_PI * 7.0 * 7.0);
-
+/// Writes `e` as one JSONL line.
+std::string JsonlLine(const obs::Event& e) {
   std::ostringstream out;
   obs::JsonlSink sink(&out);
-  sink.OnClimbMove(e);
+  sink.On(e);
   sink.Flush();
-
-  CollectingSink collected;
-  obs::TraceReader reader(&collected);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(reader.ReplayStream(in).ok());
-  ASSERT_EQ(collected.moves.size(), 1u);
-  const obs::ClimbMoveEvent& r = collected.moves[0];
-  EXPECT_EQ(r.t_us, e.t_us);
-  EXPECT_EQ(r.learner, e.learner);
-  EXPECT_EQ(r.move_index, e.move_index);
-  EXPECT_EQ(r.at_context, e.at_context);
-  EXPECT_EQ(r.samples_used, e.samples_used);
-  EXPECT_EQ(r.swap, e.swap);
-  EXPECT_EQ(r.delta_sum, e.delta_sum);
-  EXPECT_EQ(r.threshold, e.threshold);
-  EXPECT_EQ(r.margin, e.margin);
-  EXPECT_EQ(r.delta_spent, e.delta_spent);
+  return out.str();
 }
 
-TEST(TraceReaderRoundTripTest, SequentialTestEventExactPrecision) {
-  obs::SequentialTestEvent e;
-  e.t_us = 987654321;
-  e.learner = "pib";
-  e.at_context = 511;
-  e.samples = 129;
-  e.trial_count = 17;
-  e.best_neighbor = 6;
-  e.best_delta_sum = 2.0 / 3.0;
-  e.best_threshold = std::sqrt(2.0) * 100.0;
-  e.fired = true;
-
-  std::ostringstream out;
-  obs::JsonlSink sink(&out);
-  sink.OnSequentialTest(e);
-  sink.Flush();
-
-  CollectingSink collected;
-  obs::TraceReader reader(&collected);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(reader.ReplayStream(in).ok());
-  ASSERT_EQ(collected.tests.size(), 1u);
-  const obs::SequentialTestEvent& r = collected.tests[0];
-  EXPECT_EQ(r.t_us, e.t_us);
-  EXPECT_EQ(r.learner, e.learner);
-  EXPECT_EQ(r.at_context, e.at_context);
-  EXPECT_EQ(r.samples, e.samples);
-  EXPECT_EQ(r.trial_count, e.trial_count);
-  EXPECT_EQ(r.best_neighbor, e.best_neighbor);
-  EXPECT_EQ(r.best_delta_sum, e.best_delta_sum);
-  EXPECT_EQ(r.best_threshold, e.best_threshold);
-  EXPECT_EQ(r.fired, e.fired);
+TEST(TraceReaderRoundTripTest, EveryEventTypeIsByteExact) {
+  // The audit ledger and audit_verify replay decisions from the JSONL
+  // stream, so writing, reading and writing again must not move a bit.
+  std::vector<obs::Event> inputs = SampleEvents();
+  // Awkward doubles from real learner arithmetic.
+  inputs.push_back(obs::ClimbMoveEvent{
+      123456789, "palo", 3, 4097, 811, "swap children 2<->5 under node 9",
+      0.1 + 0.2, 1.0 / 3.0, (0.1 + 0.2) - 1.0 / 3.0,
+      0.05 * 6.0 / (M_PI * M_PI * 7.0 * 7.0)});
+  inputs.push_back(obs::SequentialTestEvent{987654321, "pib", 511, 129, 17,
+                                            6, 2.0 / 3.0,
+                                            std::sqrt(2.0) * 100.0, true});
+  inputs.push_back(obs::DecisionCertificateEvent{
+      42, "pib", "climb", "commit", 300, 96, 12, 4, 1.0 / 7.0, 96.0 / 7.0,
+      0.1 + 0.2, 96.0 / 7.0 - (0.1 + 0.2), 4.0, std::sqrt(3.0) / 10.0,
+      0.05 * 6.0 / (M_PI * M_PI * 144.0), 0.05, 0.05 / 3.0, 2048, 0.0});
+  for (const obs::Event& e : inputs) {
+    std::string line = JsonlLine(e);
+    std::ostringstream rewritten;
+    obs::JsonlSink rewriter(&rewritten);
+    obs::TraceReader reader(&rewriter);
+    ASSERT_TRUE(reader.ReplayLine(line).ok()) << line;
+    EXPECT_EQ(reader.events(), 1) << line;
+    rewriter.Flush();
+    EXPECT_EQ(rewritten.str(), line);
+  }
 }
 
-TEST(TraceReaderRoundTripTest, DecisionCertificateExactPrecision) {
-  obs::DecisionCertificateEvent e;
-  e.t_us = 42;
-  e.learner = "pib";
-  e.decision = "climb";
-  e.verdict = "commit";
-  e.at_context = 300;
-  e.samples = 96;
-  e.trials = 12;
-  e.subject = 4;
-  e.mean = 1.0 / 7.0;
-  e.delta_sum = 96.0 / 7.0;
-  e.threshold = 0.1 + 0.2;
-  e.margin = 96.0 / 7.0 - (0.1 + 0.2);
-  e.range = 4.0;
-  e.epsilon_n = std::sqrt(3.0) / 10.0;
-  e.delta_step = 0.05 * 6.0 / (M_PI * M_PI * 144.0);
-  e.delta_budget = 0.05;
-  e.delta_spent_total = 0.05 / 3.0;
-  e.bound_samples = 2048;
-  e.epsilon = 0.0;
-
+TEST(TraceReaderTest, OutOfRangeIntegersKeepTheirDefaults) {
+  // 1e999 parses as +inf. Converting it, or -1e30, to int64_t is
+  // undefined behaviour, and -1 or 3e9 do not fit a uint32_t arc or an
+  // int experiment, so each such field reads like a missing one.
   std::ostringstream out;
-  obs::JsonlSink sink(&out);
-  sink.OnDecisionCertificate(e);
-  sink.Flush();
-
-  CollectingSink collected;
-  obs::TraceReader reader(&collected);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(reader.ReplayStream(in).ok());
-  ASSERT_EQ(collected.certificates.size(), 1u);
-  const obs::DecisionCertificateEvent& r = collected.certificates[0];
-  EXPECT_EQ(r.t_us, e.t_us);
-  EXPECT_EQ(r.learner, e.learner);
-  EXPECT_EQ(r.decision, e.decision);
-  EXPECT_EQ(r.verdict, e.verdict);
-  EXPECT_EQ(r.at_context, e.at_context);
-  EXPECT_EQ(r.samples, e.samples);
-  EXPECT_EQ(r.trials, e.trials);
-  EXPECT_EQ(r.subject, e.subject);
-  EXPECT_EQ(r.mean, e.mean);
-  EXPECT_EQ(r.delta_sum, e.delta_sum);
-  EXPECT_EQ(r.threshold, e.threshold);
-  EXPECT_EQ(r.margin, e.margin);
-  EXPECT_EQ(r.range, e.range);
-  EXPECT_EQ(r.epsilon_n, e.epsilon_n);
-  EXPECT_EQ(r.delta_step, e.delta_step);
-  EXPECT_EQ(r.delta_budget, e.delta_budget);
-  EXPECT_EQ(r.delta_spent_total, e.delta_spent_total);
-  EXPECT_EQ(r.bound_samples, e.bound_samples);
-  EXPECT_EQ(r.epsilon, e.epsilon);
+  obs::JsonlSink rewriter(&out);
+  obs::TraceReader reader(&rewriter);
+  for (const char* line : {
+           R"({"type":"query_end","t_us":1e999,"query_index":-1e30,)"
+           R"("duration_us":5,"cost":2.5})",
+           R"({"type":"sequential_test","best_neighbor":1e999,)"
+           R"("at_context":-1e30,"samples":4})",
+           R"({"type":"arc_attempt","arc":-1,"experiment":3e9,"cost":1e999})",
+       }) {
+    ASSERT_TRUE(reader.ReplayLine(line).ok()) << line;
+  }
+  rewriter.Flush();
+  EXPECT_EQ(out.str(),
+            R"({"type":"query_end","t_us":0,"query_index":0,)"
+            R"("duration_us":5,"cost":2.5,"attempts":0,"successes":0,)"
+            R"("success":false})"
+            "\n"
+            R"({"type":"sequential_test","t_us":0,"learner":"",)"
+            R"("at_context":0,"samples":4,"trial_count":0,)"
+            R"("best_neighbor":-1,"best_delta_sum":0,"best_threshold":0,)"
+            R"("fired":false})"
+            "\n"
+            R"({"type":"arc_attempt","t_us":0,"query_index":0,"arc":0,)"
+            R"("experiment":-1,"unblocked":false,"cost":null})"
+            "\n");
 }
 
 }  // namespace

@@ -52,26 +52,26 @@ ArcAttemptEvent Attempt(uint32_t arc, bool unblocked, double cost,
 void Feed(StrategyProfiler* p, uint32_t arc, int n, int unblocked,
           double cost) {
   for (int i = 0; i < n; ++i) {
-    p->OnQueryStart(QueryStartEvent{});
-    p->OnArcAttempt(Attempt(arc, i < unblocked, cost));
+    p->On(QueryStartEvent{});
+    p->On(Attempt(arc, i < unblocked, cost));
     QueryEndEvent end;
     end.cost = cost;
     end.success = i < unblocked;
-    p->OnQueryEnd(end);
+    p->On(end);
   }
 }
 
 TEST(StrategyProfilerTest, ArcAttribution) {
   StrategyProfiler p;
-  p.OnQueryStart(QueryStartEvent{});
-  p.OnArcAttempt(Attempt(0, true, 1.0, /*experiment=*/-1));
-  p.OnArcAttempt(Attempt(1, false, 2.0));
-  p.OnArcAttempt(Attempt(1, true, 2.0));
+  p.On(QueryStartEvent{});
+  p.On(Attempt(0, true, 1.0, /*experiment=*/-1));
+  p.On(Attempt(1, false, 2.0));
+  p.On(Attempt(1, true, 2.0));
   QueryEndEvent end;
   end.cost = 5.0;
   end.attempts = 3;
   end.success = true;
-  p.OnQueryEnd(end);
+  p.On(end);
 
   EXPECT_EQ(p.queries(), 1);
   EXPECT_EQ(p.queries_succeeded(), 1);
@@ -209,9 +209,9 @@ TEST(TeeSinkTest, ForwardsToAllAndSkipsNull) {
   StrategyProfiler a;
   StrategyProfiler b;
   TeeSink tee(std::vector<obs::TraceSink*>{&a, nullptr, &b});
-  tee.OnQueryStart(QueryStartEvent{});
-  tee.OnArcAttempt(Attempt(7, true, 3.0));
-  tee.OnQueryEnd(QueryEndEvent{});
+  tee.On(QueryStartEvent{});
+  tee.On(Attempt(7, true, 3.0));
+  tee.On(QueryEndEvent{});
   tee.Close();
   for (StrategyProfiler* p : {&a, &b}) {
     EXPECT_EQ(p->queries(), 1);
@@ -227,7 +227,7 @@ TEST(SinkRaiiTest, ChromeTraceValidWithoutExplicitClose) {
     obs::ChromeTraceSink sink(&out);
     QueryEndEvent end;
     end.query_index = 1;
-    sink.OnQueryEnd(end);
+    sink.On(end);
   }
   EXPECT_TRUE(IsValidJson(out.str())) << out.str();
 }
@@ -235,20 +235,20 @@ TEST(SinkRaiiTest, ChromeTraceValidWithoutExplicitClose) {
 TEST(SinkRaiiTest, EventsAfterCloseAreDropped) {
   std::ostringstream out;
   obs::ChromeTraceSink sink(&out);
-  sink.OnQueryEnd(QueryEndEvent{});
+  sink.On(QueryEndEvent{});
   sink.Close();
   std::string closed = out.str();
   EXPECT_TRUE(IsValidJson(closed));
-  sink.OnQueryEnd(QueryEndEvent{});
+  sink.On(QueryEndEvent{});
   sink.Close();  // idempotent
   EXPECT_EQ(out.str(), closed);
 
   std::ostringstream jout;
   obs::JsonlSink jsink(&jout);
-  jsink.OnQueryStart(QueryStartEvent{});
+  jsink.On(QueryStartEvent{});
   jsink.Close();
   std::string jclosed = jout.str();
-  jsink.OnQueryStart(QueryStartEvent{});
+  jsink.On(QueryStartEvent{});
   EXPECT_EQ(jout.str(), jclosed);
 }
 

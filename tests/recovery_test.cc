@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/pib.h"
@@ -60,12 +61,13 @@ RecoveryRule Rule(const char* trigger, const char* action,
 /// Captures recovery and certificate events for assertion.
 class RecordingSink final : public obs::TraceSink {
  public:
-  void OnRecovery(const obs::RecoveryEvent& e) override {
-    recovery.push_back(e);
-  }
-  void OnDecisionCertificate(
-      const obs::DecisionCertificateEvent& e) override {
-    certs.push_back(e);
+  void On(const obs::Event& event) override {
+    if (const auto* e = std::get_if<obs::RecoveryEvent>(&event)) {
+      recovery.push_back(*e);
+    } else if (const auto* e =
+                   std::get_if<obs::DecisionCertificateEvent>(&event)) {
+      certs.push_back(*e);
+    }
   }
   std::vector<obs::RecoveryEvent> recovery;
   std::vector<obs::DecisionCertificateEvent> certs;

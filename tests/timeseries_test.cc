@@ -102,11 +102,11 @@ TEST(TimeSeriesTest, HistogramDeltasTrackWindowActivity) {
 TEST(TimeSeriesTest, PerArcWindowedEstimates) {
   // The drift-detection substrate: p-hat over *this window's* attempts.
   TimeSeriesCollector collector(nullptr, {.interval_us = 100});
-  for (int i = 0; i < 8; ++i) collector.OnArcAttempt(Attempt(0, i < 2, 1.0));
-  collector.OnArcAttempt(Attempt(3, true, 2.5));
+  for (int i = 0; i < 8; ++i) collector.On(Attempt(0, i < 2, 1.0));
+  collector.On(Attempt(3, true, 2.5));
   collector.AdvanceTo(100);
   // Window 2: arc 0 shifts to mostly-unblocked; arc 3 goes quiet.
-  for (int i = 0; i < 4; ++i) collector.OnArcAttempt(Attempt(0, true, 2.0));
+  for (int i = 0; i < 4; ++i) collector.On(Attempt(0, true, 2.0));
   collector.AdvanceTo(200);
 
   std::vector<TimeSeriesWindow> windows = collector.Windows();
@@ -171,7 +171,7 @@ TEST(TimeSeriesTest, SerializeJsonlIsValidAndDeterministic) {
     for (int w = 0; w < 3; ++w) {
       c.Increment(10 + w);
       h.Record(w + 0.5);
-      collector.OnArcAttempt(Attempt(1, w % 2 == 0, 1.5));
+      collector.On(Attempt(1, w % 2 == 0, 1.5));
       collector.AdvanceTo((w + 1) * 100);
     }
     return collector.SerializeJsonl();
@@ -195,7 +195,7 @@ TEST(TimeSeriesTest, SerializeJsonlIsValidAndDeterministic) {
 
 TEST(TimeSeriesTest, NullRegistryYieldsArcSeriesOnly) {
   TimeSeriesCollector collector(nullptr, {.interval_us = 50});
-  collector.OnArcAttempt(Attempt(2, true, 1.0));
+  collector.On(Attempt(2, true, 1.0));
   collector.AdvanceTo(50);
   std::vector<TimeSeriesWindow> windows = collector.Windows();
   ASSERT_EQ(windows.size(), 1u);
@@ -215,7 +215,7 @@ TEST(TimeSeriesTest, LongRunEvictionKeepsSeriesConsistent) {
   const int64_t kWindows = 1000;
   for (int64_t w = 0; w < kWindows; ++w) {
     c.Increment(w + 1);  // distinct delta per window
-    collector.OnArcAttempt(Attempt(0, w % 2 == 0, 1.0));
+    collector.On(Attempt(0, w % 2 == 0, 1.0));
     collector.AdvanceTo((w + 1) * 10);
   }
   EXPECT_EQ(collector.windows_closed(), kWindows);
@@ -275,10 +275,10 @@ TEST(TimeSeriesTest, ZeroArcActivityWindowsOmitArcSeries) {
   // 0), which is what keeps the drift detector from treating a silent
   // arc as a failing one.
   TimeSeriesCollector collector(nullptr, {.interval_us = 100});
-  collector.OnArcAttempt(Attempt(1, true, 1.0));
+  collector.On(Attempt(1, true, 1.0));
   collector.AdvanceTo(100);  // window 0: active
   collector.AdvanceTo(200);  // window 1: silent
-  collector.OnArcAttempt(Attempt(1, false, 2.0));
+  collector.On(Attempt(1, false, 2.0));
   collector.AdvanceTo(300);  // window 2: active again
   std::vector<TimeSeriesWindow> windows = collector.Windows();
   ASSERT_EQ(windows.size(), 3u);

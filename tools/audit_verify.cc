@@ -49,6 +49,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <sstream>
@@ -87,38 +88,33 @@ class ReplaySink final : public obs::TraceSink {
  public:
   explicit ReplaySink(int64_t window) : window_(window) {}
 
-  void OnArcAttempt(const obs::ArcAttemptEvent& e) override {
-    obs::AuditArcTally& tally = epoch_[e.arc];
-    tally.arc = static_cast<int64_t>(e.arc);
-    tally.experiment = e.experiment;
-    ++tally.attempts;
-    if (e.unblocked) ++tally.successes;
-    tally.cost += e.cost;
-  }
-
-  void OnQueryEnd(const obs::QueryEndEvent& e) override {
-    ++queries_;
-    ++window_queries_;
-    total_cost_ += e.cost;
-    window_cost_ += e.cost;
-    if (window_ > 0 && window_queries_ >= window_) CloseWindow();
-  }
-
-  void OnDrift(const obs::DriftEvent& e) override {
-    drift_[e.window].push_back(e);
-  }
-
-  void OnAlert(const obs::AlertEvent& e) override {
-    alerts_[e.window].push_back(e);
-  }
-
-  void OnDecisionCertificate(const DecisionCertificateEvent& e) override {
-    certificates_.push_back(e);
-    std::vector<obs::AuditArcTally> arcs;
-    arcs.reserve(epoch_.size());
-    for (const auto& [arc, tally] : epoch_) arcs.push_back(tally);
-    epoch_arcs_.push_back(std::move(arcs));
-    epoch_.clear();
+  void On(const obs::Event& event) override {
+    if (const auto* e = std::get_if<obs::ArcAttemptEvent>(&event)) {
+      obs::AuditArcTally& tally = epoch_[e->arc];
+      tally.arc = static_cast<int64_t>(e->arc);
+      tally.experiment = e->experiment;
+      ++tally.attempts;
+      if (e->unblocked) ++tally.successes;
+      tally.cost += e->cost;
+    } else if (const auto* e = std::get_if<obs::QueryEndEvent>(&event)) {
+      ++queries_;
+      ++window_queries_;
+      total_cost_ += e->cost;
+      window_cost_ += e->cost;
+      if (window_ > 0 && window_queries_ >= window_) CloseWindow();
+    } else if (const auto* e = std::get_if<obs::DriftEvent>(&event)) {
+      drift_[e->window].push_back(*e);
+    } else if (const auto* e = std::get_if<obs::AlertEvent>(&event)) {
+      alerts_[e->window].push_back(*e);
+    } else if (const auto* e =
+                   std::get_if<DecisionCertificateEvent>(&event)) {
+      certificates_.push_back(*e);
+      std::vector<obs::AuditArcTally> arcs;
+      arcs.reserve(epoch_.size());
+      for (const auto& [arc, tally] : epoch_) arcs.push_back(tally);
+      epoch_arcs_.push_back(std::move(arcs));
+      epoch_.clear();
+    }
   }
 
   void Finish() {

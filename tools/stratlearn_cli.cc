@@ -348,33 +348,19 @@ struct CliObserver {
       return;
     }
     if (!options.trace_out.empty()) {
-      trace_is_jsonl = options.trace_out.size() >= 6 &&
-                       options.trace_out.rfind(".jsonl") ==
-                           options.trace_out.size() - 6;
-      if (trace_is_jsonl) {
+      if (options.trace_out.ends_with(".jsonl")) {
         file_sink = std::make_unique<obs::JsonlSink>(options.trace_out);
-        if (!static_cast<obs::JsonlSink*>(file_sink.get())->ok()) {
-          status = CannotOpen("--trace-out", options.trace_out);
-          return;
-        }
       } else {
         file_sink = std::make_unique<obs::ChromeTraceSink>(options.trace_out);
-        if (!static_cast<obs::ChromeTraceSink*>(file_sink.get())->ok()) {
-          status = CannotOpen("--trace-out", options.trace_out);
-          return;
-        }
+      }
+      if (!file_sink->ok()) {
+        status = CannotOpen("--trace-out", options.trace_out);
+        return;
       }
       // Surface post-Close / post-failure event loss in the metrics
       // snapshot instead of only on stderr.
-      obs::Counter& dropped =
-          registry.GetCounter("obs.trace_events_dropped");
-      if (trace_is_jsonl) {
-        static_cast<obs::JsonlSink*>(file_sink.get())
-            ->set_drop_counter(&dropped);
-      } else {
-        static_cast<obs::ChromeTraceSink*>(file_sink.get())
-            ->set_drop_counter(&dropped);
-      }
+      file_sink->set_drop_counter(
+          &registry.GetCounter("obs.trace_events_dropped"));
     }
     if (!options.metrics_out.empty()) {
       metrics_stream.open(options.metrics_out);
@@ -608,7 +594,7 @@ struct CliObserver {
   Status Finish(const CliOptions& options, bool print_summary = true) {
     if (file_sink != nullptr) {
       file_sink->Close();
-      if (TraceSinkFailed()) {
+      if (file_sink->failed()) {
         std::fprintf(stderr,
                      "warning: trace output to '%s' is incomplete (write "
                      "failure mid-run)\n",
@@ -717,16 +703,6 @@ struct CliObserver {
     return Status::OK();
   }
 
-  /// Whether the file trace sink disabled itself after a write failure.
-  bool TraceSinkFailed() const {
-    if (file_sink == nullptr) return false;
-    if (trace_is_jsonl) {
-      return static_cast<const obs::JsonlSink*>(file_sink.get())->failed();
-    }
-    return static_cast<const obs::ChromeTraceSink*>(file_sink.get())
-        ->failed();
-  }
-
   static Status CannotOpen(const char* flag, const std::string& path) {
     return Status::Internal(StrFormat("cannot open '%s' for %s output",
                                       path.c_str(), flag));
@@ -734,9 +710,8 @@ struct CliObserver {
 
   Status status;
   obs::MetricsRegistry registry;
-  bool trace_is_jsonl = false;
   bool fake_clock = false;
-  std::unique_ptr<obs::TraceSink> file_sink;
+  std::unique_ptr<obs::StreamSink> file_sink;
   std::unique_ptr<obs::AuditLog> audit_log;
   std::unique_ptr<obs::StrategyProfiler> profiler;
   std::unique_ptr<obs::TimeSeriesCollector> timeseries;
