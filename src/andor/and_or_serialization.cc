@@ -1,6 +1,5 @@
 #include "andor/and_or_serialization.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "util/string_util.h"
@@ -22,15 +21,6 @@ char KindChar(AndOrKind kind) {
       return 'L';
   }
   return '?';
-}
-
-bool ParseUint(std::string_view token, uint32_t* out) {
-  std::string buffer(token);
-  char* end = nullptr;
-  unsigned long value = std::strtoul(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size()) return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
 }
 
 }  // namespace
@@ -80,7 +70,11 @@ Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text) {
       return Status::InvalidArgument(
           StrFormat("unknown node kind on line %zu", i + 1));
     }
-    double cost = std::atof(fields[2].c_str());
+    double cost = 0.0;
+    if (!ParseDouble(fields[2], &cost)) {
+      return Status::InvalidArgument(
+          StrFormat("bad cost on line %zu", i + 1));
+    }
     // Label: everything after the third field.
     std::string label;
     for (size_t f = 3; f < fields.size(); ++f) {
@@ -97,7 +91,7 @@ Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text) {
       graph.AddRoot(kind, label, kind == AndOrKind::kLeaf ? cost : 1.0);
     } else {
       uint32_t parent = 0;
-      if (!ParseUint(fields[1], &parent) || parent >= node_count) {
+      if (!ParseInteger(fields[1], &parent) || parent >= node_count) {
         return Status::InvalidArgument(
             StrFormat("bad parent on line %zu", i + 1));
       }
@@ -152,7 +146,7 @@ Result<AndOrStrategy> DeserializeAndOrStrategy(const AndOrGraph& graph,
     if (Trim(token).empty()) continue;
     std::vector<std::string> parts = Split(token, ':');
     uint32_t node = 0;
-    if (parts.size() != 2 || !ParseUint(parts[0], &node) ||
+    if (parts.size() != 2 || !ParseInteger(parts[0], &node) ||
         node >= graph.num_nodes()) {
       return Status::InvalidArgument("bad strategy token '" + token + "'");
     }
@@ -164,7 +158,7 @@ Result<AndOrStrategy> DeserializeAndOrStrategy(const AndOrGraph& graph,
     // Apply the order via selection swaps so validity is preserved.
     for (size_t i = 0; i < ids.size(); ++i) {
       uint32_t child = 0;
-      if (!ParseUint(ids[i], &child)) {
+      if (!ParseInteger(ids[i], &child)) {
         return Status::InvalidArgument("bad child id '" + ids[i] + "'");
       }
       const std::vector<AndOrNodeId>& now = strategy.OrderAt(node);

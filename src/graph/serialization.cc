@@ -1,6 +1,5 @@
 #include "graph/serialization.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "util/string_util.h"
@@ -10,41 +9,6 @@ namespace stratlearn {
 namespace {
 
 constexpr std::string_view kHeader = "stratlearn-graph v1";
-
-/// Splits off the first `n` space-separated tokens of `line`; the
-/// remainder (after one space) is the trailing free-form field.
-bool TakeTokens(std::string_view line, size_t n,
-                std::vector<std::string_view>* tokens,
-                std::string_view* rest) {
-  tokens->clear();
-  size_t pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (start == pos) return false;
-    tokens->push_back(line.substr(start, pos - start));
-  }
-  if (pos < line.size() && line[pos] == ' ') ++pos;
-  *rest = line.substr(pos);
-  return true;
-}
-
-bool ParseDouble(std::string_view token, double* out) {
-  std::string buffer(token);
-  char* end = nullptr;
-  *out = std::strtod(buffer.c_str(), &end);
-  return end == buffer.c_str() + buffer.size();
-}
-
-bool ParseUint(std::string_view token, uint32_t* out) {
-  std::string buffer(token);
-  char* end = nullptr;
-  unsigned long value = std::strtoul(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size()) return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
 
 }  // namespace
 
@@ -108,8 +72,8 @@ Result<InferenceGraph> DeserializeGraph(std::string_view text) {
             StrFormat("malformed arc record on line %zu", i + 1));
       }
       ArcRecord record;
-      if (!ParseUint(tokens[0], &record.from) ||
-          !ParseUint(tokens[1], &record.to) ||
+      if (!ParseInteger(tokens[0], &record.from) ||
+          !ParseInteger(tokens[1], &record.to) ||
           !ParseDouble(tokens[3], &record.cost) ||
           !ParseDouble(tokens[4], &record.success_cost) ||
           !ParseDouble(tokens[5], &record.failure_cost)) {

@@ -1,7 +1,11 @@
 #include "robust/checkpoint.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "util/file_util.h"
 #include "util/string_util.h"
@@ -10,483 +14,549 @@ namespace stratlearn::robust {
 
 namespace {
 
-// Checkpoints may be fed arbitrary bytes (bit-flips, truncation that
-// happens to keep the CRC — or hand-edited files), so every token is
-// parsed with an explicit end-of-token check instead of atoll-style
-// best effort.
-bool ParseI64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = value;
-  return true;
+/// What one field admits. Every number is parsed whole-token; arc and
+/// node ids are also checked against the graph when there is one.
+enum class Kind {
+  kWord64,   // any uint64: the seed and RNG state words
+  kInteger,  // any int64
+  kCount,    // int64 >= 0
+  kOffset,   // int64 >= -1, where -1 means "none"
+  kFlag,     // 0 or 1
+  kReal,     // any double, written with 17 significant digits
+  kAmount,   // double >= 0
+  kArc,      // arc id
+  kNode,     // node id
+  kLearner,  // pib, palo or pao
+  kWord,     // one token
+  kJson,     // the rest of the line: one JSON object
+};
+
+/// Which part of a checkpoint a record belongs to. The writer emits a
+/// section only when the data has it (HasSection); reading any record
+/// of an optional section (one with a PresenceFlag) marks it present.
+enum class Section {
+  kCore,
+  kInjector,
+  kPib,
+  kPalo,
+  kPao,
+  kHealth,
+  kRing,
+  kSeries,
+  kAudit,
+  kCount
+};
+
+/// Whether a record must appear whenever its section does.
+enum class Need { kOptional, kRequired };
+
+constexpr std::string_view kStrategyKey = "stratlearn-strategy v1";
+
+/// The checkpoint schema: every record once, in file order, with its
+/// key, section, need and typed fields. `r.One` declares a record that
+/// appears at most once, `r.Rows` one line per element of a vector. The
+/// fields callback calls `f(name, kind, member)` per field,
+/// `f.Optional()` before a tail that older files lack, and
+/// `f.Check(ok, what)` for a bound across fields. The writer, the
+/// loader and verify's V-K002 pass all walk this one list.
+template <typename D, typename R>
+void Records(D& d, R& r) {
+  using K = Kind;
+  using S = Section;
+  r.One("learner", S::kCore, Need::kRequired,
+        [&](auto& f) { f("learner", K::kLearner, d.learner); });
+  r.One("seed", S::kCore, Need::kOptional,
+        [&](auto& f) { f("seed", K::kWord64, d.seed); });
+  r.One("queries_done", S::kCore, Need::kOptional,
+        [&](auto& f) { f("queries", K::kCount, d.queries_done); });
+  r.One("rng", S::kCore, Need::kRequired, [&](auto& f) {
+    for (auto& word : d.rng_state) f("state", K::kWord64, word);
+  });
+
+  r.One("injector_rng", S::kInjector, Need::kRequired, [&](auto& f) {
+    for (auto& word : d.injector.rng_state) f("state", K::kWord64, word);
+  });
+  r.One("injector_queries", S::kInjector, Need::kRequired,
+        [&](auto& f) { f("queries", K::kCount, d.injector.query_count); });
+  r.Rows("breaker", S::kInjector, d.injector.breakers, [](auto& b, auto& f) {
+    f("arc", K::kArc, b.arc);
+    f("failures", K::kCount, b.consecutive_failures);
+    f("open_until", K::kInteger, b.open_until);
+    f.Optional();  // rows written before half-open probes end here
+    f("open_rounds", K::kCount, b.open_rounds);
+    f("forced", K::kFlag, b.forced);
+  });
+
+  r.One(kStrategyKey, S::kPib, Need::kRequired,
+        [&](auto& f) { f("arc", K::kArc, d.pib.strategy); });
+  r.One("pib.contexts", S::kPib, Need::kRequired,
+        [&](auto& f) { f("contexts", K::kCount, d.pib.contexts); });
+  r.One("pib.trials", S::kPib, Need::kRequired,
+        [&](auto& f) { f("trials", K::kCount, d.pib.trials); });
+  r.One("pib.samples", S::kPib, Need::kRequired,
+        [&](auto& f) { f("samples", K::kCount, d.pib.samples); });
+  r.One("pib.deltas", S::kPib, Need::kOptional, [&](auto& f) {
+    f("delta_sum", K::kReal, d.pib.neighbor_delta_sums);
+  });
+  r.One("pib.audit", S::kPib, Need::kOptional, [&](auto& f) {
+    f("delta_spent", K::kAmount, d.pib.audit_delta_spent);
+    f("rounds", K::kCount, d.pib.audit_rounds);
+  });
+  r.Rows("pib.move", S::kPib, d.pib.moves, [](auto& m, auto& f) {
+    f("at_context", K::kCount, m.at_context);
+    f("samples_used", K::kCount, m.samples_used);
+    f("parent", K::kNode, m.swap.parent);
+    f("arc_a", K::kArc, m.swap.arc_a);
+    f("arc_b", K::kArc, m.swap.arc_b);
+    f("delta_sum", K::kReal, m.delta_sum);
+    f("threshold", K::kReal, m.threshold);
+    f("delta_spent", K::kReal, m.delta_spent);
+  });
+
+  r.One(kStrategyKey, S::kPalo, Need::kRequired,
+        [&](auto& f) { f("arc", K::kArc, d.palo.strategy); });
+  r.One("palo.contexts", S::kPalo, Need::kRequired,
+        [&](auto& f) { f("contexts", K::kCount, d.palo.contexts); });
+  r.One("palo.trials", S::kPalo, Need::kRequired,
+        [&](auto& f) { f("trials", K::kCount, d.palo.trials); });
+  r.One("palo.samples", S::kPalo, Need::kRequired,
+        [&](auto& f) { f("samples", K::kCount, d.palo.samples); });
+  r.One("palo.moves", S::kPalo, Need::kRequired,
+        [&](auto& f) { f("moves", K::kCount, d.palo.moves); });
+  r.One("palo.finished", S::kPalo, Need::kOptional,
+        [&](auto& f) { f("finished", K::kFlag, d.palo.finished); });
+  r.One("palo.unders", S::kPalo, Need::kOptional, [&](auto& f) {
+    f("under_sum", K::kReal, d.palo.neighbor_under_sums);
+  });
+  r.One("palo.overs", S::kPalo, Need::kOptional, [&](auto& f) {
+    f("over_sum", K::kReal, d.palo.neighbor_over_sums);
+  });
+
+  r.One("pao.contexts", S::kPao, Need::kRequired,
+        [&](auto& f) { f("contexts", K::kCount, d.qpa.contexts); });
+  r.One("pao.remaining", S::kPao, Need::kOptional,
+        [&](auto& f) { f("remaining", K::kInteger, d.qpa.remaining); });
+  r.Rows("pao.counter", S::kPao, d.qpa.counters, [](auto& c, auto& f) {
+    f("attempts", K::kCount, c.attempts);
+    f("successes", K::kCount, c.successes);
+    f("blocked_aims", K::kCount, c.blocked_aims);
+  });
+
+  r.One("health", S::kHealth, Need::kOptional, [&](auto& f) {
+    f("healthy", K::kFlag, d.health.healthy);
+    f("windows_seen", K::kCount, d.health.windows_seen);
+    f("drift_active", K::kCount, d.health.drift_active);
+    f("firing", K::kCount, d.health.firing);
+  });
+  r.One("recovery.ring", S::kRing, Need::kOptional, [&](auto& f) {
+    f("cursor", K::kCount, d.ring_cursor);
+    f("writes", K::kCount, d.ring_writes);
+  });
+  r.One("ts.cursor", S::kSeries, Need::kRequired, [&](auto& f) {
+    f("window_start", K::kCount, d.ts_window_start);
+    f("next_index", K::kCount, d.ts_next_index);
+    f("evicted", K::kCount, d.ts_evicted);
+  });
+  r.Rows("ts", S::kSeries, d.ts_windows,
+         [](auto& window, auto& f) { f("window", K::kJson, window); });
+
+  r.One("audit.cursor", S::kAudit, Need::kRequired, [&](auto& f) {
+    f("bytes", K::kOffset, d.audit.bytes);
+    f("certificates", K::kCount, d.audit.certificates);
+    f("commits", K::kCount, d.audit.commits);
+    f("rejects", K::kCount, d.audit.rejects);
+    f("stops", K::kCount, d.audit.stops);
+    f("quotas_met", K::kCount, d.audit.quotas_met);
+    f("queries", K::kCount, d.audit.queries);
+    f("window_queries", K::kCount, d.audit.window_queries);
+    f("windows_written", K::kCount, d.audit.windows_written);
+    f("window_cost", K::kReal, d.audit.window_cost);
+    f("total_cost", K::kReal, d.audit.total_cost);
+  });
+  r.Rows("audit.epoch", S::kAudit, d.audit.epoch, [](auto& a, auto& f) {
+    f("arc", K::kArc, a.arc);
+    f("experiment", K::kOffset, a.experiment);
+    f("attempts", K::kCount, a.attempts);
+    f("successes", K::kCount, a.successes);
+    f("cost", K::kReal, a.cost);
+    f.Check(a.successes <= a.attempts, "<successes> exceeds <attempts>");
+  });
+  r.Rows("audit.ledger", S::kAudit, d.audit.ledgers, [](auto& l, auto& f) {
+    f("learner", K::kWord, l.learner);
+    f("spent", K::kAmount, l.spent);
+    f("budget", K::kAmount, l.budget);
+  });
 }
 
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = value;
-  return true;
-}
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
 
-bool ParseF64(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = value;
-  return true;
-}
-
-Status Corrupt(int line_number, const char* what) {
-  return Status::FailedPrecondition(
-      StrFormat("checkpoint line %d: %s", line_number, what));
-}
-
-std::vector<std::string> Fields(std::string_view line) {
-  std::vector<std::string> fields;
-  for (const std::string& f : Split(line, ' ')) {
-    if (!Trim(f).empty()) fields.emplace_back(Trim(f));
+template <typename D>
+auto PresenceFlag(D& d, Section s) -> decltype(&d.has_injector) {
+  switch (s) {
+    case Section::kInjector: return &d.has_injector;
+    case Section::kHealth: return &d.health.present;
+    case Section::kSeries: return &d.has_timeseries;
+    case Section::kAudit: return &d.has_audit;
+    default: return nullptr;
   }
-  return fields;
 }
 
-void AppendRng(const char* key, const std::array<uint64_t, 4>& state,
-               std::string* out) {
-  *out += StrFormat("%s %llu %llu %llu %llu\n", key,
-                    static_cast<unsigned long long>(state[0]),
-                    static_cast<unsigned long long>(state[1]),
-                    static_cast<unsigned long long>(state[2]),
-                    static_cast<unsigned long long>(state[3]));
-}
-
-void AppendDoubles(const char* key, const std::vector<double>& values,
-                   std::string* out) {
-  *out += key;
-  for (double v : values) {
-    *out += ' ';
-    *out += FormatDouble(v, 17);
+bool HasSection(const CheckpointData& d, Section s) {
+  if (const bool* present = PresenceFlag(d, s)) return *present;
+  switch (s) {
+    case Section::kPib: return d.learner == "pib";
+    case Section::kPalo: return d.learner == "palo";
+    case Section::kPao: return d.learner == "pao";
+    case Section::kRing: return d.ring_cursor > 0 || d.ring_writes > 0;
+    default: return true;
   }
-  *out += '\n';
 }
 
-bool ParseRngLine(const std::vector<std::string>& fields,
-                  std::array<uint64_t, 4>* state) {
-  if (fields.size() != 5) return false;
-  for (int k = 0; k < 4; ++k) {
-    if (!ParseU64(fields[k + 1], &(*state)[k])) return false;
+/// Writes every record whose section `d` has, one " <value>" per field.
+class Writer {
+ public:
+  Writer(const CheckpointData& d, std::string* out) : d_(d), out_(out) {}
+
+  template <typename Fields>
+  void One(std::string_view key, Section s, Need, Fields&& fields) {
+    if (!HasSection(d_, s)) return;
+    *out_ += key;
+    fields(*this);
+    *out_ += '\n';
   }
-  return true;
-}
+  template <typename Vec, typename Fields>
+  void Rows(std::string_view key, Section s, const Vec& rows,
+            Fields&& fields) {
+    for (const auto& row : rows) {
+      One(key, s, Need::kOptional, [&](Writer& w) { fields(row, w); });
+    }
+  }
+
+  template <typename T>
+  void operator()(const char* name, Kind kind, const T& value) {
+    if constexpr (kIsVector<T>) {
+      for (const auto& v : value) (*this)(name, kind, v);
+    } else if constexpr (std::is_same_v<T, Strategy>) {
+      (*this)(name, kind, value.arcs());
+    } else {
+      *out_ += ' ';
+      if constexpr (std::is_same_v<T, std::string>) {
+        *out_ += value;
+      } else if constexpr (std::is_same_v<T, bool>) {
+        *out_ += value ? '1' : '0';
+      } else if constexpr (std::is_floating_point_v<T>) {
+        *out_ += FormatDouble(value, 17);
+      } else {
+        char digits[24];
+        out_->append(digits,
+                     std::to_chars(digits, digits + sizeof(digits), value).ptr);
+      }
+    }
+  }
+  void Optional() {}
+  void Check(bool, const char*) {}
+
+ private:
+  const CheckpointData& d_;
+  std::string* out_;
+};
+
+/// Parses one line's tokens into the members a record binds, stopping
+/// at the first that does not fit, and collects the record's layout
+/// (" <arc> [<forced>]") for messages; over an empty line it only
+/// describes the record.
+class FieldReader {
+ public:
+  FieldReader(std::string_view rest, const InferenceGraph* graph)
+      : rest_(Trim(rest)), tokens_(SplitFields(rest)), graph_(graph) {}
+
+  template <typename T>
+  void operator()(const char* name, Kind kind, T& member) {
+    layout_ += layout_.ends_with('[') ? "<" : " <";
+    layout_ += name;
+    layout_ += kIsVector<T> || std::is_same_v<T, Strategy> ? "...>" : ">";
+    if (!stopped_) Read(name, kind, member);
+  }
+  void Optional() {
+    layout_ += " [";
+    stopped_ = stopped_ || next_ == tokens_.size();
+  }
+  void Check(bool ok, const char* what) {
+    if (!stopped_ && !ok) Fail(what);
+  }
+
+  std::string layout() const {
+    return layout_.find('[') != std::string::npos ? layout_ + "]" : layout_;
+  }
+  /// Why the line does not fit the record, or "" when it does.
+  std::string error() const {
+    if (error_.empty() && (short_ || next_ < tokens_.size())) {
+      return "expects" + layout();
+    }
+    return error_;
+  }
+
+ private:
+  template <typename T>
+  void Read(const char* name, Kind kind, T& member) {
+    if constexpr (kIsVector<T>) {
+      member.clear();
+      while (!stopped_ && next_ < tokens_.size()) {
+        Take(name, kind, tokens_[next_++], &member.emplace_back());
+      }
+    } else if constexpr (std::is_same_v<T, Strategy>) {
+      std::vector<ArcId> arcs;
+      Read(name, kind, arcs);
+      if (stopped_ || graph_ == nullptr) return;
+      Result<Strategy> strategy = Strategy::FromArcOrder(*graph_, arcs);
+      if (!strategy.ok()) {
+        Fail("is not a strategy of this graph: " +
+             strategy.status().message());
+        return;
+      }
+      member = *std::move(strategy);
+    } else if (next_ == tokens_.size()) {
+      short_ = stopped_ = true;
+    } else if (kind == Kind::kJson) {
+      next_ = tokens_.size();
+      Take(name, kind, rest_, &member);
+    } else {
+      Take(name, kind, tokens_[next_++], &member);
+    }
+  }
+
+  template <typename T>
+  bool Parse(Kind kind, std::string_view token, T* out) const {
+    if constexpr (std::is_same_v<T, std::string>) {
+      bool ok = true;
+      if (kind == Kind::kLearner) {
+        ok = token == "pib" || token == "palo" || token == "pao";
+      } else if (kind == Kind::kJson) {
+        ok = token.size() >= 2 && token.front() == '{' && token.back() == '}';
+      }
+      if (ok) *out = std::string(token);
+      return ok;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (token != "0" && token != "1") return false;
+      *out = token == "1";
+      return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      double value = 0.0;
+      if (!ParseDouble(token, &value)) return false;
+      if (kind == Kind::kAmount && value < 0.0) return false;
+      *out = value;
+      return true;
+    } else {
+      T value{};
+      if (!ParseInteger(token, &value)) return false;
+      int64_t lowest = kind == Kind::kInteger ? INT64_MIN
+                       : kind == Kind::kOffset ? -1
+                                               : 0;
+      if (std::cmp_less(value, lowest) ||
+          std::cmp_greater_equal(value, Limit(kind))) {
+        return false;
+      }
+      *out = value;
+      return true;
+    }
+  }
+
+  /// One past the largest admissible id (no limit without a graph).
+  uint64_t Limit(Kind kind) const {
+    if (graph_ != nullptr && kind == Kind::kArc) return graph_->num_arcs();
+    if (graph_ != nullptr && kind == Kind::kNode) return graph_->num_nodes();
+    return std::numeric_limits<uint64_t>::max();
+  }
+
+  template <typename T>
+  void Take(const char* name, Kind kind, std::string_view token, T* out) {
+    if (Parse(kind, token, out)) return;
+    static constexpr const char* kWhat[] = {  // in Kind order
+        "an unsigned 64-bit integer", "an integer", "a non-negative integer",
+        "an integer >= -1", "0 or 1", "a number", "a number >= 0",
+        "an arc id", "a node id", "pib, palo or pao", "a word",
+        "one JSON object"};
+    std::string what = kWhat[static_cast<int>(kind)];
+    if (Limit(kind) != std::numeric_limits<uint64_t>::max()) {
+      what += StrFormat(" below %llu",
+                        static_cast<unsigned long long>(Limit(kind)));
+    }
+    std::string shown(token.substr(0, 40));
+    if (token.size() > 40) shown += "...";
+    Fail(StrFormat("<%s> must be %s, got '%s'", name, what.c_str(),
+                   shown.c_str()));
+  }
+
+  void Fail(std::string error) {
+    stopped_ = true;
+    error_ = std::move(error);
+  }
+
+  std::string_view rest_;
+  std::vector<std::string> tokens_;
+  const InferenceGraph* graph_;
+  size_t next_ = 0;
+  bool stopped_ = false;
+  bool short_ = false;
+  std::string layout_;
+  std::string error_;
+};
+
+/// Reads a payload line by line against Records(), then reports every
+/// required record its section lacks.
+class Reader {
+ public:
+  Reader(const InferenceGraph* graph, std::vector<CheckpointFinding>* findings)
+      : graph_(graph), findings_(findings) {}
+
+  /// With `first_only`, stops at the first bad line.
+  CheckpointData Read(std::string_view text, bool first_only) {
+    const std::string no_header = StrFormat(
+        "checkpoint must start with '%s'",
+        std::string(kCheckpointHeader).c_str());
+    bool saw_header = false;
+    int number = 0;
+    for (const std::string& raw : Split(text, '\n')) {
+      ++number;
+      line_ = Trim(raw);
+      if (line_.empty()) continue;
+      if (!saw_header) {
+        if (line_ != kCheckpointHeader) {
+          findings_->push_back({number, no_header});
+          return std::move(data_);
+        }
+        saw_header = true;
+        continue;
+      }
+      number_ = number;
+      matched_ = {};
+      error_.clear();
+      Records(data_, *this);
+      if (matched_.empty()) {
+        error_ = StrFormat("unknown directive '%s'",
+                           std::string(line_.substr(0, line_.find(' ')))
+                               .c_str());
+      } else {
+        seen_.push_back(matched_);
+      }
+      if (!error_.empty()) {
+        findings_->push_back({number, error_});
+        if (first_only) return std::move(data_);
+      }
+    }
+    if (!saw_header) {
+      findings_->push_back({0, no_header});
+      return std::move(data_);
+    }
+    at_end_ = true;
+    Records(data_, *this);
+    return std::move(data_);
+  }
+
+  template <typename Fields>
+  void One(std::string_view key, Section s, Need need, Fields&& fields) {
+    if (at_end_) {
+      if (need == Need::kRequired && HasSection(data_, s) && !Seen(key)) {
+        FieldReader layout("", graph_);
+        fields(layout);
+        findings_->push_back(
+            {opened_[static_cast<size_t>(s)],
+             StrFormat("missing required record '%s%s'",
+                       std::string(key).c_str(), layout.layout().c_str())});
+      }
+      return;
+    }
+    if (!Starts(key)) return;
+    if (Seen(key)) {
+      Match(key, s, "appears twice");
+      return;
+    }
+    FieldReader f(line_.substr(key.size()), graph_);
+    fields(f);
+    Match(key, s, f.error());
+  }
+
+  template <typename Vec, typename Fields>
+  void Rows(std::string_view key, Section s, Vec& rows, Fields&& fields) {
+    if (at_end_ || !Starts(key)) return;
+    FieldReader f(line_.substr(key.size()), graph_);
+    fields(rows.emplace_back(), f);
+    if (!Match(key, s, f.error())) rows.pop_back();
+  }
+
+ private:
+  bool Starts(std::string_view key) const {
+    return StartsWith(line_, key) &&
+           (line_.size() == key.size() || line_[key.size()] == ' ');
+  }
+  /// Whether an earlier line was a `key` record.
+  bool Seen(std::string_view key) const {
+    for (std::string_view k : seen_) {
+      if (k == key) return true;
+    }
+    return false;
+  }
+
+  /// Marks this line as a `key` record (and its optional section as
+  /// present), keeps the line's first error, and says if it read clean.
+  bool Match(std::string_view key, Section s, const std::string& error) {
+    matched_ = key;
+    if (bool* present = PresenceFlag(data_, s)) {
+      *present = true;
+      int& opened = opened_[static_cast<size_t>(s)];
+      if (opened == 0) opened = number_;
+    }
+    if (!error.empty() && error_.empty()) {
+      error_ = StrFormat("'%s' %s", std::string(key).c_str(), error.c_str());
+    }
+    return error.empty();
+  }
+
+  const InferenceGraph* graph_;
+  std::vector<CheckpointFinding>* findings_;
+  CheckpointData data_;
+  std::string_view line_;
+  int number_ = 0;
+  std::string_view matched_;
+  std::string error_;
+  std::vector<std::string_view> seen_;
+  /// The line that first opened each optional section: a record missing
+  /// from it is reported there (0, no line, for the sections every
+  /// checkpoint has).
+  int opened_[static_cast<size_t>(Section::kCount)] = {};
+  bool at_end_ = false;
+};
 
 }  // namespace
 
 std::string SerializeCheckpoint(const CheckpointData& data) {
   std::string out(kCheckpointHeader);
   out += '\n';
-  out += StrFormat("learner %s\n", data.learner.c_str());
-  out += StrFormat("seed %llu\n", static_cast<unsigned long long>(data.seed));
-  out += StrFormat("queries_done %lld\n",
-                   static_cast<long long>(data.queries_done));
-  AppendRng("rng", data.rng_state, &out);
-  if (data.has_injector) {
-    AppendRng("injector_rng", data.injector.rng_state, &out);
-    out += StrFormat("injector_queries %lld\n",
-                     static_cast<long long>(data.injector.query_count));
-    for (const FaultInjectorState::BreakerEntry& b : data.injector.breakers) {
-      out += StrFormat("breaker %u %d %lld %d %d\n", b.arc,
-                       b.consecutive_failures,
-                       static_cast<long long>(b.open_until), b.open_rounds,
-                       b.forced ? 1 : 0);
-    }
-  }
-  if (data.learner == "pib") {
-    out += data.pib.strategy.Serialize();
-    out += '\n';
-    out += StrFormat("pib.contexts %lld\npib.trials %lld\npib.samples %lld\n",
-                     static_cast<long long>(data.pib.contexts),
-                     static_cast<long long>(data.pib.trials),
-                     static_cast<long long>(data.pib.samples));
-    AppendDoubles("pib.deltas", data.pib.neighbor_delta_sums, &out);
-    out += StrFormat("pib.audit %s %lld\n",
-                     FormatDouble(data.pib.audit_delta_spent, 17).c_str(),
-                     static_cast<long long>(data.pib.audit_rounds));
-    for (const Pib::Move& m : data.pib.moves) {
-      out += StrFormat("pib.move %lld %lld %u %u %u %s %s %s\n",
-                       static_cast<long long>(m.at_context),
-                       static_cast<long long>(m.samples_used), m.swap.parent,
-                       m.swap.arc_a, m.swap.arc_b,
-                       FormatDouble(m.delta_sum, 17).c_str(),
-                       FormatDouble(m.threshold, 17).c_str(),
-                       FormatDouble(m.delta_spent, 17).c_str());
-    }
-  } else if (data.learner == "palo") {
-    out += data.palo.strategy.Serialize();
-    out += '\n';
-    out += StrFormat(
-        "palo.contexts %lld\npalo.trials %lld\npalo.samples %lld\n"
-        "palo.moves %lld\npalo.finished %d\n",
-        static_cast<long long>(data.palo.contexts),
-        static_cast<long long>(data.palo.trials),
-        static_cast<long long>(data.palo.samples),
-        static_cast<long long>(data.palo.moves),
-        data.palo.finished ? 1 : 0);
-    AppendDoubles("palo.unders", data.palo.neighbor_under_sums, &out);
-    AppendDoubles("palo.overs", data.palo.neighbor_over_sums, &out);
-  } else if (data.learner == "pao") {
-    out += StrFormat("pao.contexts %lld\n",
-                     static_cast<long long>(data.qpa.contexts));
-    out += "pao.remaining";
-    for (int64_t r : data.qpa.remaining) {
-      out += StrFormat(" %lld", static_cast<long long>(r));
-    }
-    out += '\n';
-    for (const AdaptiveQueryProcessor::Checkpoint::Counter& c :
-         data.qpa.counters) {
-      out += StrFormat("pao.counter %lld %lld %lld\n",
-                       static_cast<long long>(c.attempts),
-                       static_cast<long long>(c.successes),
-                       static_cast<long long>(c.blocked_aims));
-    }
-  }
-  if (data.health.present) {
-    out += StrFormat("health %d %lld %lld %lld\n", data.health.healthy ? 1 : 0,
-                     static_cast<long long>(data.health.windows_seen),
-                     static_cast<long long>(data.health.drift_active),
-                     static_cast<long long>(data.health.firing));
-  }
-  if (data.ring_cursor > 0 || data.ring_writes > 0) {
-    out += StrFormat("recovery.ring %lld %lld\n",
-                     static_cast<long long>(data.ring_cursor),
-                     static_cast<long long>(data.ring_writes));
-  }
-  if (data.has_timeseries) {
-    out += StrFormat("ts.cursor %lld %lld %lld\n",
-                     static_cast<long long>(data.ts_window_start),
-                     static_cast<long long>(data.ts_next_index),
-                     static_cast<long long>(data.ts_evicted));
-    for (const std::string& line : data.ts_windows) {
-      out += "ts ";
-      out += line;
-      out += '\n';
-    }
-  }
-  if (data.has_audit) {
-    out += StrFormat(
-        "audit.cursor %lld %lld %lld %lld %lld %lld %lld %lld %lld %s %s\n",
-        static_cast<long long>(data.audit.bytes),
-        static_cast<long long>(data.audit.certificates),
-        static_cast<long long>(data.audit.commits),
-        static_cast<long long>(data.audit.rejects),
-        static_cast<long long>(data.audit.stops),
-        static_cast<long long>(data.audit.quotas_met),
-        static_cast<long long>(data.audit.queries),
-        static_cast<long long>(data.audit.window_queries),
-        static_cast<long long>(data.audit.windows_written),
-        FormatDouble(data.audit.window_cost, 17).c_str(),
-        FormatDouble(data.audit.total_cost, 17).c_str());
-    for (const obs::AuditLog::Cursor::EpochArc& a : data.audit.epoch) {
-      out += StrFormat("audit.epoch %lld %lld %lld %lld %s\n",
-                       static_cast<long long>(a.arc),
-                       static_cast<long long>(a.experiment),
-                       static_cast<long long>(a.attempts),
-                       static_cast<long long>(a.successes),
-                       FormatDouble(a.cost, 17).c_str());
-    }
-    for (const obs::AuditLog::Cursor::LedgerEntry& l : data.audit.ledgers) {
-      out += StrFormat("audit.ledger %s %s %s\n", l.learner.c_str(),
-                       FormatDouble(l.spent, 17).c_str(),
-                       FormatDouble(l.budget, 17).c_str());
-    }
-  }
+  Writer writer(data, &out);
+  Records(data, writer);
   return out;
 }
 
 Result<CheckpointData> ParseCheckpoint(const InferenceGraph& graph,
                                        std::string_view text) {
-  CheckpointData data;
-  bool saw_header = false;
-  bool saw_rng = false;
-  bool saw_strategy = false;
-  bool saw_counts = false;
-  int line_number = 0;
-  for (const std::string& raw : Split(text, '\n')) {
-    ++line_number;
-    std::string_view line = Trim(raw);
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kCheckpointHeader) {
-        return Status::FailedPrecondition(
-            StrFormat("checkpoint must start with '%s'",
-                      std::string(kCheckpointHeader).c_str()));
-      }
-      saw_header = true;
-      continue;
-    }
-    // Raw time-series window lines carry JSON (embedded spaces), so
-    // they are peeled off by prefix before field tokenization.
-    if (line.size() > 3 && line.substr(0, 3) == "ts ") {
-      data.ts_windows.emplace_back(Trim(line.substr(3)));
-      data.has_timeseries = true;
-      continue;
-    }
-    std::vector<std::string> fields = Fields(line);
-    const std::string& key = fields[0];
-    if (key == "learner") {
-      if (fields.size() != 2 ||
-          (fields[1] != "pib" && fields[1] != "palo" && fields[1] != "pao")) {
-        return Corrupt(line_number, "unknown learner");
-      }
-      data.learner = fields[1];
-    } else if (key == "seed") {
-      if (fields.size() != 2 || !ParseU64(fields[1], &data.seed)) {
-        return Corrupt(line_number, "malformed seed");
-      }
-    } else if (key == "queries_done") {
-      if (fields.size() != 2 || !ParseI64(fields[1], &data.queries_done) ||
-          data.queries_done < 0) {
-        return Corrupt(line_number, "malformed query counter");
-      }
-    } else if (key == "rng") {
-      if (!ParseRngLine(fields, &data.rng_state)) {
-        return Corrupt(line_number, "malformed workload RNG state");
-      }
-      saw_rng = true;
-    } else if (key == "injector_rng") {
-      if (!ParseRngLine(fields, &data.injector.rng_state)) {
-        return Corrupt(line_number, "malformed injector RNG state");
-      }
-      data.has_injector = true;
-    } else if (key == "injector_queries") {
-      if (fields.size() != 2 ||
-          !ParseI64(fields[1], &data.injector.query_count) ||
-          data.injector.query_count < 0) {
-        return Corrupt(line_number, "malformed injector query counter");
-      }
-      data.has_injector = true;
-    } else if (key == "breaker") {
-      // 4 fields: the pre-recovery layout; 6 add the half-open backoff
-      // round count and the quarantine flag.
-      uint64_t arc = 0;
-      int64_t consecutive = 0;
-      int64_t open_until = 0;
-      int64_t open_rounds = 0;
-      bool forced = false;
-      bool ok = (fields.size() == 4 || fields.size() == 6) &&
-                ParseU64(fields[1], &arc) &&
-                ParseI64(fields[2], &consecutive) &&
-                ParseI64(fields[3], &open_until) && consecutive >= 0 &&
-                arc < graph.num_arcs();
-      if (ok && fields.size() == 6) {
-        ok = ParseI64(fields[4], &open_rounds) && open_rounds >= 0 &&
-             (fields[5] == "0" || fields[5] == "1");
-        forced = fields[5] == "1";
-      }
-      if (!ok) {
-        return Corrupt(line_number, "malformed breaker ledger entry");
-      }
-      data.injector.breakers.push_back({static_cast<ArcId>(arc),
-                                        static_cast<int>(consecutive),
-                                        open_until,
-                                        static_cast<int>(open_rounds),
-                                        forced});
-      data.has_injector = true;
-    } else if (key == "stratlearn-strategy") {
-      Result<Strategy> strategy = Strategy::Deserialize(graph, line);
-      if (!strategy.ok()) {
-        return Status::FailedPrecondition(
-            StrFormat("checkpoint line %d: %s", line_number,
-                      strategy.status().message().c_str()));
-      }
-      data.pib.strategy = *strategy;
-      data.palo.strategy = *std::move(strategy);
-      saw_strategy = true;
-    } else if (key == "pib.contexts" || key == "pib.trials" ||
-               key == "pib.samples" || key == "palo.contexts" ||
-               key == "palo.trials" || key == "palo.samples" ||
-               key == "palo.moves" || key == "pao.contexts") {
-      int64_t value = 0;
-      if (fields.size() != 2 || !ParseI64(fields[1], &value) || value < 0) {
-        return Corrupt(line_number, "malformed counter");
-      }
-      if (key == "pib.contexts") data.pib.contexts = value;
-      else if (key == "pib.trials") data.pib.trials = value;
-      else if (key == "pib.samples") data.pib.samples = value;
-      else if (key == "palo.contexts") data.palo.contexts = value;
-      else if (key == "palo.trials") data.palo.trials = value;
-      else if (key == "palo.samples") data.palo.samples = value;
-      else if (key == "palo.moves") data.palo.moves = value;
-      else data.qpa.contexts = value;
-      saw_counts = true;
-    } else if (key == "palo.finished") {
-      if (fields.size() != 2 || (fields[1] != "0" && fields[1] != "1")) {
-        return Corrupt(line_number, "malformed finished flag");
-      }
-      data.palo.finished = fields[1] == "1";
-    } else if (key == "pib.deltas" || key == "palo.unders" ||
-               key == "palo.overs") {
-      std::vector<double>* target =
-          key == "pib.deltas" ? &data.pib.neighbor_delta_sums
-          : key == "palo.unders" ? &data.palo.neighbor_under_sums
-                                 : &data.palo.neighbor_over_sums;
-      target->clear();
-      target->reserve(fields.size() - 1);
-      for (size_t k = 1; k < fields.size(); ++k) {
-        double value = 0.0;
-        if (!ParseF64(fields[k], &value)) {
-          return Corrupt(line_number, "malformed estimate ledger");
-        }
-        target->push_back(value);
-      }
-    } else if (key == "pib.move") {
-      Pib::Move move;
-      uint64_t parent = 0;
-      uint64_t arc_a = 0;
-      uint64_t arc_b = 0;
-      if (fields.size() != 9 || !ParseI64(fields[1], &move.at_context) ||
-          !ParseI64(fields[2], &move.samples_used) ||
-          !ParseU64(fields[3], &parent) || !ParseU64(fields[4], &arc_a) ||
-          !ParseU64(fields[5], &arc_b) ||
-          !ParseF64(fields[6], &move.delta_sum) ||
-          !ParseF64(fields[7], &move.threshold) ||
-          !ParseF64(fields[8], &move.delta_spent) ||
-          parent >= graph.num_nodes() || arc_a >= graph.num_arcs() ||
-          arc_b >= graph.num_arcs()) {
-        return Corrupt(line_number, "malformed climb-history entry");
-      }
-      move.swap.parent = static_cast<NodeId>(parent);
-      move.swap.arc_a = static_cast<ArcId>(arc_a);
-      move.swap.arc_b = static_cast<ArcId>(arc_b);
-      data.pib.moves.push_back(move);
-    } else if (key == "pao.remaining") {
-      data.qpa.remaining.clear();
-      for (size_t k = 1; k < fields.size(); ++k) {
-        int64_t value = 0;
-        if (!ParseI64(fields[k], &value)) {
-          return Corrupt(line_number, "malformed remaining-quota vector");
-        }
-        data.qpa.remaining.push_back(value);
-      }
-    } else if (key == "pao.counter") {
-      AdaptiveQueryProcessor::Checkpoint::Counter counter;
-      if (fields.size() != 4 || !ParseI64(fields[1], &counter.attempts) ||
-          !ParseI64(fields[2], &counter.successes) ||
-          !ParseI64(fields[3], &counter.blocked_aims)) {
-        return Corrupt(line_number, "malformed experiment counter");
-      }
-      data.qpa.counters.push_back(counter);
-    } else if (key == "pib.audit") {
-      if (fields.size() != 3 ||
-          !ParseF64(fields[1], &data.pib.audit_delta_spent) ||
-          !ParseI64(fields[2], &data.pib.audit_rounds) ||
-          data.pib.audit_delta_spent < 0.0 || data.pib.audit_rounds < 0) {
-        return Corrupt(line_number, "malformed audit ledger");
-      }
-    } else if (key == "health") {
-      int64_t windows_seen = 0;
-      int64_t drift_active = 0;
-      int64_t firing = 0;
-      if (fields.size() != 5 || (fields[1] != "0" && fields[1] != "1") ||
-          !ParseI64(fields[2], &windows_seen) ||
-          !ParseI64(fields[3], &drift_active) ||
-          !ParseI64(fields[4], &firing) || windows_seen < 0 ||
-          drift_active < 0 || firing < 0) {
-        return Corrupt(line_number, "malformed health stamp");
-      }
-      data.health.present = true;
-      data.health.healthy = fields[1] == "1";
-      data.health.windows_seen = windows_seen;
-      data.health.drift_active = drift_active;
-      data.health.firing = firing;
-    } else if (key == "recovery.ring") {
-      if (fields.size() != 3 || !ParseI64(fields[1], &data.ring_cursor) ||
-          !ParseI64(fields[2], &data.ring_writes) || data.ring_cursor < 0 ||
-          data.ring_writes < 0) {
-        return Corrupt(line_number, "malformed recovery ring cursor");
-      }
-    } else if (key == "ts.cursor") {
-      if (fields.size() != 4 || !ParseI64(fields[1], &data.ts_window_start) ||
-          !ParseI64(fields[2], &data.ts_next_index) ||
-          !ParseI64(fields[3], &data.ts_evicted) ||
-          data.ts_window_start < 0 || data.ts_next_index < 0 ||
-          data.ts_evicted < 0) {
-        return Corrupt(line_number, "malformed time-series cursor");
-      }
-      data.has_timeseries = true;
-    } else if (key == "audit.cursor") {
-      obs::AuditLog::Cursor& c = data.audit;
-      if (fields.size() != 12 || !ParseI64(fields[1], &c.bytes) ||
-          !ParseI64(fields[2], &c.certificates) ||
-          !ParseI64(fields[3], &c.commits) ||
-          !ParseI64(fields[4], &c.rejects) ||
-          !ParseI64(fields[5], &c.stops) ||
-          !ParseI64(fields[6], &c.quotas_met) ||
-          !ParseI64(fields[7], &c.queries) ||
-          !ParseI64(fields[8], &c.window_queries) ||
-          !ParseI64(fields[9], &c.windows_written) ||
-          !ParseF64(fields[10], &c.window_cost) ||
-          !ParseF64(fields[11], &c.total_cost) || c.bytes < -1 ||
-          c.certificates < 0 || c.commits < 0 || c.rejects < 0 ||
-          c.stops < 0 || c.quotas_met < 0 || c.queries < 0 ||
-          c.window_queries < 0 || c.windows_written < 0) {
-        return Corrupt(line_number, "malformed audit cursor");
-      }
-      data.has_audit = true;
-    } else if (key == "audit.epoch") {
-      obs::AuditLog::Cursor::EpochArc a;
-      if (fields.size() != 6 || !ParseI64(fields[1], &a.arc) ||
-          !ParseI64(fields[2], &a.experiment) ||
-          !ParseI64(fields[3], &a.attempts) ||
-          !ParseI64(fields[4], &a.successes) ||
-          !ParseF64(fields[5], &a.cost) || a.arc < 0 ||
-          static_cast<uint64_t>(a.arc) >= graph.num_arcs() ||
-          a.experiment < -1 || a.attempts < 0 || a.successes < 0 ||
-          a.successes > a.attempts) {
-        return Corrupt(line_number, "malformed audit epoch tally");
-      }
-      data.audit.epoch.push_back(a);
-      data.has_audit = true;
-    } else if (key == "audit.ledger") {
-      obs::AuditLog::Cursor::LedgerEntry l;
-      if (fields.size() != 4 || !ParseF64(fields[2], &l.spent) ||
-          !ParseF64(fields[3], &l.budget) || l.spent < 0.0 ||
-          l.budget < 0.0) {
-        return Corrupt(line_number, "malformed audit ledger entry");
-      }
-      l.learner = fields[1];
-      data.audit.ledgers.push_back(l);
-      data.has_audit = true;
-    } else {
-      return Corrupt(line_number, "unknown directive");
-    }
-  }
-  if (!saw_header) {
-    return Status::FailedPrecondition(
-        StrFormat("checkpoint must start with '%s'",
-                  std::string(kCheckpointHeader).c_str()));
-  }
-  if (data.learner.empty()) {
-    return Status::FailedPrecondition("checkpoint names no learner");
-  }
-  if (!saw_rng) {
-    return Status::FailedPrecondition(
-        "checkpoint carries no workload RNG state");
-  }
-  if ((data.learner == "pib" || data.learner == "palo") && !saw_strategy) {
-    return Status::FailedPrecondition(
-        "checkpoint carries no strategy for its learner");
-  }
-  if (!saw_counts) {
-    return Status::FailedPrecondition(
-        "checkpoint carries no learner counters");
-  }
-  return data;
+  std::vector<CheckpointFinding> findings;
+  CheckpointData data =
+      Reader(&graph, &findings).Read(text, /*first_only=*/true);
+  if (findings.empty()) return data;
+  const CheckpointFinding& first = findings.front();
+  return Status::FailedPrecondition(
+      first.line > 0 ? StrFormat("checkpoint line %d: %s", first.line,
+                                 first.message.c_str())
+                     : "checkpoint: " + first.message);
+}
+
+std::vector<CheckpointFinding> CheckCheckpoint(std::string_view text) {
+  std::vector<CheckpointFinding> findings;
+  (void)Reader(nullptr, &findings).Read(text, /*first_only=*/false);
+  return findings;
 }
 
 Status WriteCheckpoint(const std::string& path, const CheckpointData& data) {

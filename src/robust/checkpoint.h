@@ -82,12 +82,26 @@ inline constexpr std::string_view kCheckpointHeader =
 /// Renders the payload text (no checksum container).
 std::string SerializeCheckpoint(const CheckpointData& data);
 
-/// Parses a payload, validating structure and — where the graph gives us
-/// ground truth — semantics (strategy arcs, swap node/arc ids). Numeric
-/// consistency of the learner state is re-checked by the learner's own
-/// RestoreCheckpoint.
+/// Parses a payload against the checkpoint record list (checkpoint.cc),
+/// stopping at the first bad line: every field within its bounds, arc
+/// and node ids inside `graph`, the strategy one of its strategies, and
+/// every required record present. Numeric consistency of the learner
+/// state is re-checked by the learner's own RestoreCheckpoint.
 Result<CheckpointData> ParseCheckpoint(const InferenceGraph& graph,
                                        std::string_view text);
+
+/// One problem in a checkpoint payload: its 1-based line (0 when a
+/// required record is missing from a section every checkpoint has) and
+/// what is wrong.
+struct CheckpointFinding {
+  int line = 0;
+  std::string message;
+};
+
+/// ParseCheckpoint's reading without a graph: the same record rules,
+/// ids checked only for shape, and every bad line and missing required
+/// record reported instead of the first. Backs verify's V-K002 pass.
+std::vector<CheckpointFinding> CheckCheckpoint(std::string_view text);
 
 /// Atomically writes `data` to `path` inside the CRC-32 container
 /// (util/file_util): a crash mid-write leaves the previous checkpoint

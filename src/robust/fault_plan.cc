@@ -1,7 +1,5 @@
 #include "robust/fault_plan.h"
 
-#include <cstdlib>
-
 #include <fstream>
 #include <sstream>
 
@@ -24,14 +22,6 @@ Result<FaultKind> ParseKind(std::string_view name) {
                 std::string(name).c_str()));
 }
 
-std::vector<std::string> Fields(std::string_view line) {
-  std::vector<std::string> fields;
-  for (const std::string& f : Split(line, ' ')) {
-    if (!Trim(f).empty()) fields.emplace_back(Trim(f));
-  }
-  return fields;
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -47,6 +37,7 @@ const char* FaultKindName(FaultKind kind) {
 
 Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
   FaultPlan plan;
+  ResilienceOptions& r = plan.resilience;
   int line_number = 0;
   bool saw_header = false;
   for (const std::string& raw : Split(text, '\n')) {
@@ -62,59 +53,60 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
       saw_header = true;
       continue;
     }
-    std::vector<std::string> fields = Fields(line);
+    std::vector<std::string> fields = SplitFields(line);
     const std::string& key = fields[0];
     auto bad = [&](const char* expected) -> Status {
       return Status::InvalidArgument(StrFormat(
           "fault plan line %d: '%s' expects %s", line_number, key.c_str(),
           expected));
     };
-    if (key == "seed" && fields.size() == 2) {
-      plan.seed = std::strtoull(fields[1].c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      return bad("one integer");
-    } else if (key == "retries" && fields.size() == 2) {
-      plan.resilience.max_retries = std::atoi(fields[1].c_str());
-      if (plan.resilience.max_retries < 0) return bad("a count >= 0");
+    if (key == "seed") {
+      if (fields.size() != 2 || !ParseInteger(fields[1], &plan.seed)) {
+        return bad("one integer");
+      }
     } else if (key == "retries") {
-      return bad("one integer");
-    } else if (key == "backoff" && fields.size() == 4) {
-      plan.resilience.backoff_base = std::atof(fields[1].c_str());
-      plan.resilience.backoff_multiplier = std::atof(fields[2].c_str());
-      plan.resilience.backoff_cap = std::atof(fields[3].c_str());
-      if (plan.resilience.backoff_base < 0.0 ||
-          plan.resilience.backoff_multiplier < 1.0 ||
-          plan.resilience.backoff_cap < 0.0) {
+      if (fields.size() != 2 || !ParseInteger(fields[1], &r.max_retries)) {
+        return bad("one integer");
+      }
+      if (r.max_retries < 0) return bad("a count >= 0");
+    } else if (key == "backoff") {
+      if (fields.size() != 4 || !ParseDouble(fields[1], &r.backoff_base) ||
+          !ParseDouble(fields[2], &r.backoff_multiplier) ||
+          !ParseDouble(fields[3], &r.backoff_cap)) {
+        return bad("'<base> <multiplier> <cap>'");
+      }
+      if (r.backoff_base < 0.0 || r.backoff_multiplier < 1.0 ||
+          r.backoff_cap < 0.0) {
         return bad("base >= 0, multiplier >= 1, cap >= 0");
       }
-    } else if (key == "backoff") {
-      return bad("'<base> <multiplier> <cap>'");
-    } else if (key == "budget" && fields.size() == 2) {
-      plan.resilience.cost_budget = std::atof(fields[1].c_str());
-      if (plan.resilience.cost_budget < 0.0) return bad("a budget >= 0");
     } else if (key == "budget") {
-      return bad("one number");
-    } else if (key == "breaker" &&
-               (fields.size() == 3 || fields.size() == 4)) {
-      plan.resilience.breaker_threshold = std::atoi(fields[1].c_str());
-      plan.resilience.breaker_cooldown = std::atoll(fields[2].c_str());
-      if (fields.size() == 4) {
-        plan.resilience.breaker_cooldown_cap = std::atoll(fields[3].c_str());
+      if (fields.size() != 2 || !ParseDouble(fields[1], &r.cost_budget)) {
+        return bad("one number");
       }
-      if (plan.resilience.breaker_threshold < 0 ||
-          plan.resilience.breaker_cooldown < 1 ||
-          plan.resilience.breaker_cooldown_cap < 0 ||
-          (plan.resilience.breaker_cooldown_cap > 0 &&
-           plan.resilience.breaker_cooldown_cap <
-               plan.resilience.breaker_cooldown)) {
+      if (r.cost_budget < 0.0) return bad("a budget >= 0");
+    } else if (key == "breaker") {
+      if ((fields.size() != 3 && fields.size() != 4) ||
+          !ParseInteger(fields[1], &r.breaker_threshold) ||
+          !ParseInteger(fields[2], &r.breaker_cooldown) ||
+          (fields.size() == 4 &&
+           !ParseInteger(fields[3], &r.breaker_cooldown_cap))) {
+        return bad("'<threshold> <cooldown> [cooldown_cap]'");
+      }
+      if (r.breaker_threshold < 0 || r.breaker_cooldown < 1 ||
+          r.breaker_cooldown_cap < 0 ||
+          (r.breaker_cooldown_cap > 0 &&
+           r.breaker_cooldown_cap < r.breaker_cooldown)) {
         return bad("threshold >= 0, cooldown >= 1 and an optional "
                    "backoff cap >= cooldown (0 = 8x cooldown)");
       }
-    } else if (key == "breaker") {
-      return bad("'<threshold> <cooldown> [cooldown_cap]'");
-    } else if (key == "fault" &&
-               (fields.size() == 4 || fields.size() == 5)) {
+    } else if (key == "fault") {
       FaultRule rule;
+      if ((fields.size() != 4 && fields.size() != 5) ||
+          !ParseDouble(fields[2], &rule.probability) ||
+          !ParseInteger(fields[3], &rule.experiment) ||
+          (fields.size() == 5 && !ParseDouble(fields[4], &rule.magnitude))) {
+        return bad("'<kind> <probability> <experiment|-1> [magnitude]'");
+      }
       Result<FaultKind> kind = ParseKind(fields[1]);
       if (!kind.ok()) {
         return Status::InvalidArgument(StrFormat(
@@ -122,17 +114,12 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
             kind.status().message().c_str()));
       }
       rule.kind = *kind;
-      rule.probability = std::atof(fields[2].c_str());
-      rule.experiment = std::atoi(fields[3].c_str());
-      if (fields.size() == 5) rule.magnitude = std::atof(fields[4].c_str());
       if (rule.probability < 0.0 || rule.probability > 1.0) {
         return bad("a probability in [0, 1]");
       }
       if (rule.experiment < -1) return bad("an experiment index or -1");
       if (rule.magnitude < 1.0) return bad("a magnitude >= 1");
       plan.rules.push_back(rule);
-    } else if (key == "fault") {
-      return bad("'<kind> <probability> <experiment|-1> [magnitude]'");
     } else {
       return Status::InvalidArgument(StrFormat(
           "fault plan line %d: unknown directive '%s'", line_number,

@@ -1,7 +1,10 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace stratlearn {
@@ -24,6 +27,80 @@ std::string_view Trim(std::string_view s) {
   size_t e = s.size();
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+std::vector<std::string> SplitFields(std::string_view line) {
+  std::vector<std::string> fields;
+  size_t pos = 0;
+  while (true) {
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+    if (pos == line.size()) return fields;
+    size_t start = pos;
+    while (pos < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+    fields.emplace_back(line.substr(start, pos - start));
+  }
+}
+
+bool TakeTokens(std::string_view line, size_t n,
+                std::vector<std::string_view>* tokens,
+                std::string_view* rest) {
+  tokens->clear();
+  size_t pos = 0;
+  for (size_t i = 0; i < n; ++i) {
+    while (pos < line.size() && line[pos] == ' ') ++pos;
+    size_t start = pos;
+    while (pos < line.size() && line[pos] != ' ') ++pos;
+    if (start == pos) return false;
+    tokens->push_back(line.substr(start, pos - start));
+  }
+  if (pos < line.size() && line[pos] == ' ') ++pos;
+  *rest = line.substr(pos);
+  return true;
+}
+
+namespace {
+
+// Runs one strto* call over a NUL-terminated copy of `token` and keeps
+// the result only if it consumed every byte without a range error.
+template <typename T, typename Parse>
+bool ParseWhole(std::string_view token, T* out, Parse parse) {
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0]))) {
+    return false;
+  }
+  std::string buffer(token);
+  char* end = nullptr;
+  errno = 0;
+  T value = parse(buffer.c_str(), &end);
+  if (errno != 0 || end != buffer.c_str() + buffer.size()) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseInt64(std::string_view token, int64_t* out) {
+  return ParseWhole(token, out, [](const char* s, char** end) -> int64_t {
+    return std::strtoll(s, end, 10);
+  });
+}
+
+bool ParseUint64(std::string_view token, uint64_t* out) {
+  if (!token.empty() && token[0] == '-') return false;
+  return ParseWhole(token, out, [](const char* s, char** end) -> uint64_t {
+    return std::strtoull(s, end, 10);
+  });
+}
+
+bool ParseDouble(std::string_view token, double* out) {
+  return ParseWhole(token, out, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 std::string Join(const std::vector<std::string>& pieces,

@@ -1,8 +1,11 @@
 #ifndef STRATLEARN_UTIL_STRING_UTIL_H_
 #define STRATLEARN_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace stratlearn {
@@ -12,6 +15,42 @@ std::vector<std::string> Split(std::string_view input, char sep);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
+
+/// The whitespace-separated fields of `line`, none of them empty.
+std::vector<std::string> SplitFields(std::string_view line);
+
+/// Splits the first `n` space-separated tokens of `line` into `*tokens`;
+/// the remainder after one more space is `*rest` (a trailing free-form
+/// field such as a label). False when `line` has fewer than `n` tokens.
+bool TakeTokens(std::string_view line, size_t n,
+                std::vector<std::string_view>* tokens,
+                std::string_view* rest);
+
+/// Whole-token number parsers for text that may be damaged or
+/// hand-edited: true only when all of `token` is one base-10 integer
+/// (ParseDouble: one strtod number) with no leading whitespace, no
+/// trailing bytes, no '-' on an unsigned value and no overflow
+/// (errno). `*out` is written only on success.
+bool ParseInt64(std::string_view token, int64_t* out);
+bool ParseUint64(std::string_view token, uint64_t* out);
+bool ParseDouble(std::string_view token, double* out);
+
+/// ParseInt64 / ParseUint64 narrowed to T: false when the value does
+/// not fit T.
+template <typename T>
+bool ParseInteger(std::string_view token, T* out) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  if constexpr (std::is_signed_v<T>) {
+    int64_t value = 0;
+    if (!ParseInt64(token, &value) || !std::in_range<T>(value)) return false;
+    *out = static_cast<T>(value);
+  } else {
+    uint64_t value = 0;
+    if (!ParseUint64(token, &value) || !std::in_range<T>(value)) return false;
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
 
 /// Joins `pieces` with `sep` between them.
 std::string Join(const std::vector<std::string>& pieces,

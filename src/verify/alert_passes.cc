@@ -5,7 +5,6 @@
 // paths refuse to run on a file with blocking findings, so a rule set
 // that loads is exactly a rule set that verifies.
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,18 +22,6 @@ using obs::health::AlertRuleSet;
 using obs::health::MetricSelector;
 using obs::health::ParseMetricSelector;
 using obs::health::SelectorIsNonNegative;
-
-bool ParseDouble(const std::string& token, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size() && !token.empty();
-}
-
-bool ParseInt(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size() && !token.empty();
-}
 
 /// V-AL003's degeneracy test: on a series that is nonnegative by
 /// construction, a non-positive threshold makes the rule a constant —
@@ -72,10 +59,7 @@ AlertRuleSet ParseAlertRules(std::string_view text, DiagnosticSink* sink) {
       continue;
     }
     std::string location = StrFormat("line %d", line_number);
-    std::vector<std::string> tokens;
-    for (const std::string& token : Split(std::string(line), ' ')) {
-      if (!Trim(token).empty()) tokens.push_back(std::string(Trim(token)));
-    }
+    std::vector<std::string> tokens = SplitFields(line);
     if (tokens[0] != "rule") {
       sink->Error("V-AL001", location,
                   StrFormat("unknown directive '%s'", tokens[0].c_str()),
@@ -112,7 +96,7 @@ AlertRuleSet ParseAlertRules(std::string_view text, DiagnosticSink* sink) {
     for (size_t i = 5; i < tokens.size(); ++i) {
       const std::string& option = tokens[i];
       if (StartsWith(option, "for=")) {
-        if (!ParseInt(option.substr(4), &rule.for_windows)) {
+        if (!ParseInt64(option.substr(4), &rule.for_windows)) {
           sink->Error("V-AL001", location,
                       StrFormat("for-duration '%s' is not an integer",
                                 option.c_str()));

@@ -1,234 +1,11 @@
-#include <cerrno>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
+#include "robust/checkpoint.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
 #include "verify/verify.h"
 
 namespace stratlearn::verify {
-
-namespace {
-
-constexpr std::string_view kCheckpointHeader = "stratlearn-checkpoint v1";
-
-bool IsInteger(const std::string& token, bool allow_negative) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  if (allow_negative) {
-    (void)std::strtoll(token.c_str(), &end, 10);
-  } else {
-    if (token[0] == '-') return false;
-    (void)std::strtoull(token.c_str(), &end, 10);
-  }
-  return errno == 0 && end == token.c_str() + token.size();
-}
-
-bool IsDouble(const std::string& token) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  (void)std::strtod(token.c_str(), &end);
-  return errno == 0 && end == token.c_str() + token.size();
-}
-
-std::vector<std::string> Fields(std::string_view line) {
-  std::vector<std::string> fields;
-  for (const std::string& f : Split(line, ' ')) {
-    if (!Trim(f).empty()) fields.emplace_back(Trim(f));
-  }
-  return fields;
-}
-
-/// Structural (graph-free) checks of a checkpoint payload. The run-time
-/// parser (robust::ParseCheckpoint) re-validates everything against the
-/// actual graph; this pass exists so `stratlearn_cli verify ckpt-file`
-/// can vet an archived checkpoint without its program.
-void VerifyCheckpointPayload(std::string_view payload, DiagnosticSink* sink) {
-  bool saw_header = false;
-  bool saw_rng = false;
-  bool saw_strategy = false;
-  std::string learner;
-  int line_number = 0;
-  for (const std::string& raw : Split(payload, '\n')) {
-    ++line_number;
-    std::string_view line = Trim(raw);
-    if (line.empty()) continue;
-    std::string location = StrFormat("line %d", line_number);
-    if (!saw_header) {
-      // Dispatch guaranteed this prefix; anything else is unreachable.
-      saw_header = line == kCheckpointHeader;
-      continue;
-    }
-    if (line.size() > 3 && line.substr(0, 3) == "ts ") {
-      // Raw retained time-series window (JSON object as written by
-      // SerializeWindowJson); the resume path re-parses it through the
-      // series loader, so only the envelope is checked here.
-      if (line[3] != '{' || line.back() != '}') {
-        sink->Error("V-K002", location,
-                    "'ts' expects one JSON window object");
-      }
-      continue;
-    }
-    std::vector<std::string> fields = Fields(line);
-    const std::string& key = fields[0];
-    if (key == "learner") {
-      if (fields.size() != 2 ||
-          (fields[1] != "pib" && fields[1] != "palo" && fields[1] != "pao")) {
-        sink->Error("V-K002", location,
-                    "unknown learner (expected pib, palo or pao)");
-      } else {
-        learner = fields[1];
-      }
-    } else if (key == "rng" || key == "injector_rng") {
-      if (fields.size() != 5 || !IsInteger(fields[1], false) ||
-          !IsInteger(fields[2], false) || !IsInteger(fields[3], false) ||
-          !IsInteger(fields[4], false)) {
-        sink->Error("V-K002", location,
-                    StrFormat("'%s' expects four unsigned words",
-                              key.c_str()));
-      } else if (key == "rng") {
-        saw_rng = true;
-      }
-    } else if (key == "seed" || key == "queries_done" ||
-               key == "injector_queries" || key == "pib.contexts" ||
-               key == "pib.trials" || key == "pib.samples" ||
-               key == "palo.contexts" || key == "palo.trials" ||
-               key == "palo.samples" || key == "palo.moves" ||
-               key == "palo.finished" || key == "pao.contexts") {
-      if (fields.size() != 2 || !IsInteger(fields[1], false)) {
-        sink->Error("V-K002", location,
-                    StrFormat("'%s' expects one non-negative integer",
-                              key.c_str()));
-      }
-    } else if (key == "pao.counter") {
-      if (fields.size() != 4 || !IsInteger(fields[1], false) ||
-          !IsInteger(fields[2], true) || !IsInteger(fields[3], true)) {
-        sink->Error("V-K002", location,
-                    StrFormat("'%s' expects three integer fields",
-                              key.c_str()));
-      }
-    } else if (key == "breaker") {
-      // Three fields is the pre-half-open format; six adds open_rounds
-      // and the quarantine (forced) bit.
-      bool ok = fields.size() == 4 || fields.size() == 6;
-      for (size_t k = 1; ok && k < fields.size(); ++k) {
-        ok = IsInteger(fields[k], k != 1);
-      }
-      if (!ok) {
-        sink->Error("V-K002", location,
-                    "'breaker' expects <arc> <failures> <open_until> "
-                    "[<open_rounds> <forced>]");
-      }
-    } else if (key == "pib.audit") {
-      if (fields.size() != 3 || !IsDouble(fields[1]) ||
-          !IsInteger(fields[2], false)) {
-        sink->Error("V-K002", location,
-                    "'pib.audit' expects <delta_spent> <rounds>");
-      }
-    } else if (key == "health") {
-      bool ok = fields.size() == 5 &&
-                (fields[1] == "0" || fields[1] == "1");
-      for (size_t k = 2; ok && k < 5; ++k) ok = IsInteger(fields[k], false);
-      if (!ok) {
-        sink->Error("V-K002", location,
-                    "'health' expects <healthy 0|1> <windows_seen> "
-                    "<drift_active> <firing>");
-      }
-    } else if (key == "recovery.ring") {
-      if (fields.size() != 3 || !IsInteger(fields[1], false) ||
-          !IsInteger(fields[2], false)) {
-        sink->Error("V-K002", location,
-                    "'recovery.ring' expects <cursor> <writes>");
-      }
-    } else if (key == "ts.cursor") {
-      if (fields.size() != 4 || !IsInteger(fields[1], true) ||
-          !IsInteger(fields[2], false) || !IsInteger(fields[3], false)) {
-        sink->Error("V-K002", location,
-                    "'ts.cursor' expects <window_start> <next_index> "
-                    "<evicted>");
-      }
-    } else if (key == "audit.cursor") {
-      bool ok = fields.size() == 12;
-      for (size_t k = 1; ok && k < 10; ++k) ok = IsInteger(fields[k], false);
-      for (size_t k = 10; ok && k < 12; ++k) ok = IsDouble(fields[k]);
-      if (!ok) {
-        sink->Error("V-K002", location,
-                    "'audit.cursor' expects nine counters and two cost "
-                    "sums");
-      }
-    } else if (key == "audit.epoch") {
-      bool ok = fields.size() == 6;
-      for (size_t k = 1; ok && k < 5; ++k) ok = IsInteger(fields[k], false);
-      if (ok) ok = IsDouble(fields[5]);
-      if (!ok) {
-        sink->Error("V-K002", location,
-                    "'audit.epoch' expects <arc> <experiment> <attempts> "
-                    "<successes> <cost>");
-      }
-    } else if (key == "audit.ledger") {
-      if (fields.size() != 4 || !IsDouble(fields[2]) ||
-          !IsDouble(fields[3])) {
-        sink->Error("V-K002", location,
-                    "'audit.ledger' expects <learner> <spent> <budget>");
-      }
-    } else if (key == "pib.deltas" || key == "palo.unders" ||
-               key == "palo.overs") {
-      for (size_t k = 1; k < fields.size(); ++k) {
-        if (!IsDouble(fields[k])) {
-          sink->Error("V-K002", location, "malformed estimate ledger");
-          break;
-        }
-      }
-    } else if (key == "pib.move") {
-      bool ok = fields.size() == 9;
-      for (size_t k = 1; ok && k < 6; ++k) ok = IsInteger(fields[k], false);
-      for (size_t k = 6; ok && k < 9; ++k) ok = IsDouble(fields[k]);
-      if (!ok) {
-        sink->Error("V-K002", location, "malformed climb-history entry");
-      }
-    } else if (key == "pao.remaining") {
-      for (size_t k = 1; k < fields.size(); ++k) {
-        if (!IsInteger(fields[k], true)) {
-          sink->Error("V-K002", location,
-                      "malformed remaining-quota vector");
-          break;
-        }
-      }
-    } else if (key == "stratlearn-strategy") {
-      // Deep validation needs the graph; accept the shape here.
-      bool ok = fields.size() >= 2 && fields[1] == "v1";
-      for (size_t k = 2; ok && k < fields.size(); ++k) {
-        ok = IsInteger(fields[k], false);
-      }
-      if (!ok) {
-        sink->Error("V-K002", location, "malformed strategy line");
-      } else {
-        saw_strategy = true;
-      }
-    } else {
-      sink->Error("V-K002", location,
-                  StrFormat("unknown checkpoint directive '%s'",
-                            key.c_str()));
-    }
-  }
-  if (learner.empty()) {
-    sink->Error("V-K002", "", "checkpoint names no learner",
-                "expected a 'learner pib|palo|pao' line");
-  }
-  if (!saw_rng) {
-    sink->Error("V-K002", "", "checkpoint carries no workload RNG state",
-                "expected an 'rng <s0> <s1> <s2> <s3>' line");
-  }
-  if ((learner == "pib" || learner == "palo") && !saw_strategy) {
-    sink->Error("V-K002", "",
-                "checkpoint carries no strategy for its learner");
-  }
-}
-
-}  // namespace
 
 void VerifyChecksummedText(std::string_view text, DiagnosticSink* sink) {
   // Passed untrimmed: the header's byte count covers the payload
@@ -241,8 +18,14 @@ void VerifyChecksummedText(std::string_view text, DiagnosticSink* sink) {
                 "without --resume");
     return;
   }
-  if (StartsWith(Trim(*payload), kCheckpointHeader)) {
-    VerifyCheckpointPayload(*payload, sink);
+  if (StartsWith(Trim(*payload), robust::kCheckpointHeader)) {
+    // The loader's own record rules, run without the program's graph.
+    for (const robust::CheckpointFinding& finding :
+         robust::CheckCheckpoint(*payload)) {
+      sink->Error("V-K002",
+                  finding.line > 0 ? StrFormat("line %d", finding.line) : "",
+                  finding.message);
+    }
     return;
   }
   sink->Note("V-K001", "",

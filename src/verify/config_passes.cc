@@ -1,5 +1,4 @@
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -10,22 +9,6 @@
 namespace stratlearn::verify {
 
 namespace {
-
-bool ParseDoubleValue(std::string_view value, double* out) {
-  std::string buffer(value);
-  char* end = nullptr;
-  *out = std::strtod(buffer.c_str(), &end);
-  return !buffer.empty() && end == buffer.c_str() + buffer.size();
-}
-
-bool ParseIntValue(std::string_view value, int64_t* out) {
-  std::string buffer(value);
-  char* end = nullptr;
-  long long parsed = std::strtoll(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size()) return false;
-  *out = parsed;
-  return true;
-}
 
 bool ParseBoolValue(std::string_view value, bool* out) {
   if (value == "true" || value == "1") {
@@ -64,19 +47,19 @@ LearnerConfig ParseLearnerConfig(std::string_view text,
     std::string_view value = Trim(line.substr(eq + 1));
     bool parsed = true;
     if (key == "delta") {
-      parsed = ParseDoubleValue(value, &config.delta);
+      parsed = ParseDouble(value, &config.delta);
     } else if (key == "epsilon") {
-      parsed = ParseDoubleValue(value, &config.epsilon);
+      parsed = ParseDouble(value, &config.epsilon);
     } else if (key == "queries") {
-      parsed = ParseIntValue(value, &config.queries);
+      parsed = ParseInt64(value, &config.queries);
     } else if (key == "test_every") {
-      parsed = ParseIntValue(value, &config.test_every);
+      parsed = ParseInt64(value, &config.test_every);
     } else if (key == "max_contexts") {
-      parsed = ParseIntValue(value, &config.max_contexts);
+      parsed = ParseInt64(value, &config.max_contexts);
     } else if (key == "schedule_c") {
-      parsed = ParseDoubleValue(value, &config.schedule_c);
+      parsed = ParseDouble(value, &config.schedule_c);
     } else if (key == "hypotheses") {
-      parsed = ParseIntValue(value, &config.hypotheses);
+      parsed = ParseInt64(value, &config.hypotheses);
     } else if (key == "theorem3") {
       parsed = ParseBoolValue(value, &config.theorem3);
     } else {

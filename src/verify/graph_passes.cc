@@ -1,4 +1,3 @@
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,41 +8,6 @@
 namespace stratlearn::verify {
 
 namespace {
-
-bool ParseDoubleToken(std::string_view token, double* out) {
-  std::string buffer(token);
-  char* end = nullptr;
-  *out = std::strtod(buffer.c_str(), &end);
-  return !buffer.empty() && end == buffer.c_str() + buffer.size();
-}
-
-bool ParseUintToken(std::string_view token, uint32_t* out) {
-  std::string buffer(token);
-  char* end = nullptr;
-  unsigned long value = std::strtoul(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size()) return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
-
-/// Splits off the first `n` space-separated tokens; the remainder is the
-/// free-form label field (mirrors src/graph/serialization.cc).
-bool TakeTokens(std::string_view line, size_t n,
-                std::vector<std::string_view>* tokens,
-                std::string_view* rest) {
-  tokens->clear();
-  size_t pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (start == pos) return false;
-    tokens->push_back(line.substr(start, pos - start));
-  }
-  if (pos < line.size() && line[pos] == ' ') ++pos;
-  *rest = line.substr(pos);
-  return true;
-}
 
 /// Shared tree-shape / cost / depth checks over (possibly malformed)
 /// node+arc records. `success` flags which nodes are success boxes.
@@ -272,12 +236,12 @@ void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
       GraphRecords::ArcRecord arc;
       arc.line = static_cast<int>(i + 1);
       if (!TakeTokens(line.substr(4), 7, &tokens, &rest) ||
-          !ParseUintToken(tokens[0], &arc.from) ||
-          !ParseUintToken(tokens[1], &arc.to) ||
+          !ParseInteger(tokens[0], &arc.from) ||
+          !ParseInteger(tokens[1], &arc.to) ||
           (tokens[2] != "R" && tokens[2] != "D") ||
-          !ParseDoubleToken(tokens[3], &arc.cost) ||
-          !ParseDoubleToken(tokens[4], &arc.success_cost) ||
-          !ParseDoubleToken(tokens[5], &arc.failure_cost) ||
+          !ParseDouble(tokens[3], &arc.cost) ||
+          !ParseDouble(tokens[4], &arc.success_cost) ||
+          !ParseDouble(tokens[5], &arc.failure_cost) ||
           (tokens[6] != "0" && tokens[6] != "1")) {
         sink->Error("V-G008", location, "malformed arc record",
                     "expected: arc <from> <to> <kind:R|D> <cost> "
@@ -344,10 +308,10 @@ void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
       if (tokens[1] == "-") {
         node.is_root = true;
       } else {
-        ok = ParseUintToken(tokens[1], &node.parent);
+        ok = ParseInteger(tokens[1], &node.parent);
       }
     }
-    if (ok) ok = ParseDoubleToken(tokens[2], &node.cost);
+    if (ok) ok = ParseDouble(tokens[2], &node.cost);
     if (!ok) {
       sink->Error("V-A006", location, "malformed node record",
                   "expected: node <kind:A|O|L> <parent|-> <cost> <label>");

@@ -5,7 +5,6 @@
 // blocking findings, so a policy that loads is exactly a policy that
 // verifies.
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,18 +20,6 @@ namespace {
 using robust::IsKnownRecoveryAction;
 using robust::RecoveryPolicy;
 using robust::RecoveryRule;
-
-bool ParseDouble(const std::string& token, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size() && !token.empty();
-}
-
-bool ParseInt(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size() && !token.empty();
-}
 
 bool IsKnownTrigger(const std::string& trigger) {
   if (trigger == "drift:p_hat" || trigger == "drift:mean_cost" ||
@@ -67,13 +54,10 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
       continue;
     }
     std::string location = StrFormat("line %d", line_number);
-    std::vector<std::string> tokens;
-    for (const std::string& token : Split(std::string(line), ' ')) {
-      if (!Trim(token).empty()) tokens.push_back(std::string(Trim(token)));
-    }
+    std::vector<std::string> tokens = SplitFields(line);
     if (tokens[0] == "ring") {
       int64_t slots = 0;
-      if (tokens.size() != 2 || !ParseInt(tokens[1], &slots)) {
+      if (tokens.size() != 2 || !ParseInt64(tokens[1], &slots)) {
         sink->Error("V-RC001", location,
                     "ring lines read: ring <slots>");
         continue;
@@ -129,7 +113,7 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
           line_ok = false;
         }
       } else if (StartsWith(option, "cooldown=")) {
-        if (!ParseInt(option.substr(9), &rule.cooldown) ||
+        if (!ParseInt64(option.substr(9), &rule.cooldown) ||
             rule.cooldown < 0) {
           sink->Error("V-RC003", location,
                       StrFormat("cooldown '%s' is not a nonnegative "
@@ -148,7 +132,7 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
           line_ok = false;
         }
       } else if (StartsWith(option, "probe_cooldown=")) {
-        if (!ParseInt(option.substr(15), &rule.probe_cooldown) ||
+        if (!ParseInt64(option.substr(15), &rule.probe_cooldown) ||
             rule.probe_cooldown < 0) {
           sink->Error("V-RC003", location,
                       StrFormat("probe_cooldown '%s' is not a "

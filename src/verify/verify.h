@@ -231,10 +231,10 @@ void VerifyAuditText(std::string_view text, DiagnosticSink* sink);
 /// Verifies a "stratlearn-crc32" checksummed container (the learner
 /// checkpoint format): header shape, payload length (truncation) and
 /// CRC-32 integrity (bit corruption) — V-K001 on failure. When the
-/// payload is a "stratlearn-checkpoint v1", its structure is also
-/// checked (known directives, required learner/RNG/strategy lines,
-/// well-formed counters) — V-K002 findings. Deliberately graph-free:
-/// the deep semantic validation happens when a run resumes.
+/// payload is a "stratlearn-checkpoint v1", the loader's own record
+/// rules (robust::CheckCheckpoint) run over it without a graph, one
+/// V-K002 finding per bad line and per missing required record. Ids are
+/// checked against the graph when a run resumes.
 void VerifyChecksummedText(std::string_view text, DiagnosticSink* sink);
 
 // ---- Drivers ------------------------------------------------------------

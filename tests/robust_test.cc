@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "core/palo.h"
 #include "core/pib.h"
+#include "engine/adaptive_qp.h"
 #include "engine/query_processor.h"
 #include "graph/examples.h"
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/fault_plan.h"
+#include "util/file_util.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "verify/verify.h"
 #include "workload/faulty_oracle.h"
 #include "workload/synthetic_oracle.h"
 
@@ -69,6 +75,15 @@ TEST(FaultPlanTest, RejectsMalformedPlans) {
       FaultPlan::Parse("stratlearn-faultplan v1\nbreaker 1 0\n").ok());
   EXPECT_FALSE(
       FaultPlan::Parse("stratlearn-faultplan v1\nflux 3\n").ok());
+  // Numbers are whole tokens: trailing junk or words are errors, not a
+  // silently zeroed field.
+  EXPECT_FALSE(
+      FaultPlan::Parse("stratlearn-faultplan v1\nseed 12x\n").ok());
+  EXPECT_FALSE(
+      FaultPlan::Parse("stratlearn-faultplan v1\nretries three\n").ok());
+  EXPECT_FALSE(FaultPlan::Parse(
+                   "stratlearn-faultplan v1\nfault transient abc 0\n")
+                   .ok());
 }
 
 TEST(FaultPlanTest, ZeroFaultDetection) {
@@ -289,6 +304,44 @@ CheckpointData RunPibFor(const FigureTwoGraph& g, int64_t queries,
   return data;
 }
 
+// Wraps a payload in the container WriteFileChecksummed writes.
+std::string Checksummed(const std::string& payload) {
+  return StrFormat("%s %08x %zu\n", std::string(kChecksumHeaderTag).c_str(),
+                   Crc32(payload), payload.size()) +
+         payload;
+}
+
+// The loader and verify's V-K002 pass read a checkpoint through one
+// record list: the loader accepts `text` exactly when V-K002 reports
+// nothing, and a rejected text has a V-K002 finding on the line the
+// loader's status names (no line when a required record is missing).
+Result<CheckpointData> ParseAndVerify(const InferenceGraph& graph,
+                                      const std::string& text) {
+  Result<CheckpointData> parsed = robust::ParseCheckpoint(graph, text);
+  verify::DiagnosticSink sink;
+  verify::VerifyChecksummedText(Checksummed(text), &sink);
+  std::vector<std::string> locations;
+  for (const verify::Diagnostic& d : sink.diagnostics()) {
+    EXPECT_EQ(d.code, "V-K002") << d.message;
+    locations.push_back(d.location);
+  }
+  if (parsed.ok()) {
+    EXPECT_TRUE(sink.empty()) << sink.RenderText();
+    return parsed;
+  }
+  int line = 0;
+  std::string location =
+      std::sscanf(parsed.status().message().c_str(), "checkpoint line %d:",
+                  &line) == 1
+          ? StrFormat("line %d", line)
+          : "";
+  EXPECT_TRUE(std::find(locations.begin(), locations.end(), location) !=
+              locations.end())
+      << "loader: " << parsed.status().message() << "\nverify:\n"
+      << sink.RenderText();
+  return parsed;
+}
+
 TEST(CheckpointTest, SerializeParseRoundTrip) {
   FigureTwoGraph g = MakeFigureTwo();
   FaultPlan plan = TransientPlan(0.1);
@@ -315,12 +368,25 @@ TEST(CheckpointTest, ParseRejectsTampering) {
   FigureTwoGraph g = MakeFigureTwo();
   CheckpointData data = RunPibFor(g, 100, nullptr);
   std::string text = robust::SerializeCheckpoint(data);
+  ASSERT_TRUE(ParseAndVerify(g.graph, text).ok());
 
+  // Not a checkpoint at all: the loader refuses it, and verify only
+  // vouches for the container.
   EXPECT_FALSE(robust::ParseCheckpoint(g.graph, "not a checkpoint").ok());
+  verify::DiagnosticSink sink;
+  verify::VerifyChecksummedText(Checksummed("not a checkpoint"), &sink);
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.diagnostics()[0].code, "V-K001");
+  EXPECT_EQ(sink.num_errors(), 0u);
+
+  EXPECT_FALSE(ParseAndVerify(g.graph, text + "\ngremlin 1\n").ok());
+  // An arc the graph lacks, in a breaker row that also opens an
+  // injector section without its RNG state and query count.
+  EXPECT_FALSE(ParseAndVerify(g.graph, text + "\nbreaker 999 1 1\n").ok());
+  EXPECT_FALSE(ParseAndVerify(g.graph, text + "learner pib\n").ok());
+  EXPECT_FALSE(ParseAndVerify(g.graph, text + "ts.cursor -5 0 0\n").ok());
   EXPECT_FALSE(
-      robust::ParseCheckpoint(g.graph, text + "\ngremlin 1\n").ok());
-  EXPECT_FALSE(
-      robust::ParseCheckpoint(g.graph, text + "\nbreaker 999 1 1\n").ok());
+      ParseAndVerify(g.graph, text + "audit.epoch 0 -2 1 1 1\n").ok());
 
   // Drop the strategy line: a pib checkpoint without one is invalid.
   std::string no_strategy;
@@ -329,7 +395,7 @@ TEST(CheckpointTest, ParseRejectsTampering) {
     no_strategy += line;
     no_strategy += '\n';
   }
-  EXPECT_FALSE(robust::ParseCheckpoint(g.graph, no_strategy).ok());
+  EXPECT_FALSE(ParseAndVerify(g.graph, no_strategy).ok());
 }
 
 TEST(CheckpointTest, WriteLoadRoundTripsThroughDisk) {
@@ -422,6 +488,34 @@ TEST(KillResumeTest, PaloCheckpointRoundTrips) {
   ca.rng_state = cb.rng_state = rng_a.SaveState();
   EXPECT_EQ(robust::SerializeCheckpoint(ca),
             robust::SerializeCheckpoint(cb));
+  Result<CheckpointData> parsed =
+      ParseAndVerify(g.graph, robust::SerializeCheckpoint(ca));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(robust::SerializeCheckpoint(*parsed),
+            robust::SerializeCheckpoint(ca));
+}
+
+TEST(KillResumeTest, PaoCheckpointRoundTrips) {
+  FigureTwoGraph g = MakeFigureTwo();
+  IndependentOracle oracle({0.9, 0.2, 0.8, 0.3});
+  AdaptiveQueryProcessor qpa(&g.graph, {6, 6, 6, 6},
+                             AdaptiveQueryProcessor::QuotaMode::kAttempts);
+  Rng rng(7);
+  for (int i = 0; i < 5; ++i) qpa.Process(oracle.Next(rng));
+  CheckpointData data;
+  data.learner = "pao";
+  data.seed = 7;
+  data.queries_done = 5;
+  data.rng_state = rng.SaveState();
+  data.qpa = qpa.GetCheckpoint();
+  std::string text = robust::SerializeCheckpoint(data);
+  Result<CheckpointData> parsed = ParseAndVerify(g.graph, text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->qpa.counters.size(), 4u);
+  EXPECT_EQ(robust::SerializeCheckpoint(*parsed), text);
+
+  // A counter row cut short is one bad line to both readers.
+  EXPECT_FALSE(ParseAndVerify(g.graph, text + "pao.counter 1 2\n").ok());
 }
 
 TEST(KillResumeTest, RestoreRejectsWrongShape) {
@@ -560,13 +654,18 @@ TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   data.ts_evicted = 4;
   data.ts_windows = {"{\"index\":10}", "{\"index\":11}"};
   data.has_audit = true;
-  data.audit.bytes = 4096;
+  data.audit.bytes = -1;  // a borrowed stream: the resumed run restarts it
   data.audit.certificates = 5;
   data.audit.queries = 100;
   data.audit.total_cost = 123.5;
+  // Arc r_ga is deterministic: its epoch tally carries experiment -1.
+  data.audit.epoch = {{g.r_ga, -1, 3, 3, 3.0}, {g.d_a, 0, 3, 1, 4.5}};
+  data.audit.ledgers = {{"pib", 0.0125, 0.05}};
+  data.pib.moves.push_back(
+      {40, 35, {g.graph.root(), g.r_ga, g.r_gs}, 12.5, 11.25, 0.001});
 
   std::string text = robust::SerializeCheckpoint(data);
-  Result<CheckpointData> parsed = robust::ParseCheckpoint(g.graph, text);
+  Result<CheckpointData> parsed = ParseAndVerify(g.graph, text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->injector.breakers.size(), 1u);
   EXPECT_TRUE(parsed->injector.breakers[0].forced);
@@ -580,10 +679,24 @@ TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   EXPECT_EQ(parsed->ts_window_start, 1100);
   EXPECT_EQ(parsed->ts_windows, data.ts_windows);
   ASSERT_TRUE(parsed->has_audit);
-  EXPECT_EQ(parsed->audit.bytes, 4096);
+  EXPECT_EQ(parsed->audit.bytes, -1);
   EXPECT_DOUBLE_EQ(parsed->audit.total_cost, 123.5);
+  ASSERT_EQ(parsed->audit.epoch.size(), 2u);
+  EXPECT_EQ(parsed->audit.epoch[0].experiment, -1);
+  ASSERT_EQ(parsed->audit.ledgers.size(), 1u);
+  EXPECT_EQ(parsed->audit.ledgers[0].learner, "pib");
+  EXPECT_EQ(parsed->pib.moves.back().swap.arc_b, g.r_gs);
   // Full fidelity: re-serialization is byte-identical.
   EXPECT_EQ(robust::SerializeCheckpoint(*parsed), text);
+
+  // A breaker row written before half-open probes has three fields and
+  // reads as never probed, not quarantined.
+  Result<CheckpointData> legacy =
+      ParseAndVerify(g.graph, text + "breaker 2 1 9\n");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->injector.breakers.back().open_until, 9);
+  EXPECT_EQ(legacy->injector.breakers.back().open_rounds, 0);
+  EXPECT_FALSE(legacy->injector.breakers.back().forced);
 }
 
 // ---- FaultyOracle --------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/math_util.h"
 
 namespace stratlearn {
@@ -34,6 +36,54 @@ TEST(TrimTest, RemovesWhitespace) {
   EXPECT_EQ(Trim("x"), "x");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
+}
+
+TEST(SplitFieldsTest, DropsEmptyFields) {
+  EXPECT_EQ(SplitFields("  a \tb  c "),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_TRUE(SplitFields(" \t ").empty());
+}
+
+TEST(TakeTokensTest, LeavesTheRestAsALabel) {
+  std::vector<std::string_view> tokens;
+  std::string_view rest;
+  ASSERT_TRUE(TakeTokens("0 1 a label", 2, &tokens, &rest));
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[1], "1");
+  EXPECT_EQ(rest, "a label");
+  EXPECT_FALSE(TakeTokens("0", 2, &tokens, &rest));
+}
+
+TEST(ParseNumberTest, AcceptsOnlyWholeTokensInRange) {
+  int64_t i = 7;
+  EXPECT_TRUE(ParseInt64("-42", &i));
+  EXPECT_EQ(i, -42);
+  EXPECT_FALSE(ParseInt64("12x", &i));
+  EXPECT_FALSE(ParseInt64("", &i));
+  EXPECT_FALSE(ParseInt64(" 1", &i));
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &i));
+  EXPECT_EQ(i, -42);  // untouched by the failures
+
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_FALSE(ParseUint64("-1", &u));
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &u));
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseDouble("0.5", &d));
+  EXPECT_EQ(d, 0.5);
+  EXPECT_FALSE(ParseDouble("abc", &d));
+  EXPECT_FALSE(ParseDouble("1.5x", &d));
+  EXPECT_FALSE(ParseDouble("1e999", &d));
+
+  uint32_t id = 0;
+  EXPECT_TRUE(ParseInteger("4294967295", &id));
+  EXPECT_FALSE(ParseInteger("4294967296", &id));
+  int small = 0;
+  EXPECT_TRUE(ParseInteger("-1", &small));
+  EXPECT_EQ(small, -1);
+  EXPECT_FALSE(ParseInteger("2147483648", &small));
 }
 
 TEST(JoinTest, Basic) {

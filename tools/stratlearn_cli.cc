@@ -795,6 +795,48 @@ void WarnBadCheckpoint(const std::string& path, const Status& status) {
   std::fprintf(stderr, "%s", sink.RenderText().c_str());
 }
 
+/// The resume rules of every learner: the checkpoint loaded, belongs to
+/// `learner`, was taken with this --seed, and agrees with this run on
+/// --fault-plan (whether it has an injector).
+Status CheckResumable(const Result<robust::CheckpointData>& ckpt,
+                      const char* learner, const CliOptions& options,
+                      const robust::FaultInjector* injector) {
+  if (!ckpt.ok()) return ckpt.status();
+  if (ckpt->learner != learner) {
+    return Status::FailedPrecondition("checkpoint belongs to learner '" +
+                                      ckpt->learner + "', not " + learner);
+  }
+  if (ckpt->seed != options.seed) {
+    return Status::FailedPrecondition(StrFormat(
+        "checkpoint was taken with --seed=%llu, this run uses %llu",
+        static_cast<unsigned long long>(ckpt->seed),
+        static_cast<unsigned long long>(options.seed)));
+  }
+  if (ckpt->has_injector != (injector != nullptr)) {
+    return Status::FailedPrecondition(
+        "checkpoint and this run disagree on --fault-plan");
+  }
+  return Status::OK();
+}
+
+/// What every learner's checkpoint carries: the learner, the seed, the
+/// workload position and the fault injector's state.
+robust::CheckpointData BaseCheckpoint(const char* learner,
+                                      const CliOptions& options,
+                                      int64_t queries_done, const Rng& rng,
+                                      const robust::FaultInjector* injector) {
+  robust::CheckpointData data;
+  data.learner = learner;
+  data.seed = options.seed;
+  data.queries_done = queries_done;
+  data.rng_state = rng.SaveState();
+  if (injector != nullptr) {
+    data.has_injector = true;
+    data.injector = injector->SaveState();
+  }
+  return data;
+}
+
 /// Pre-flight check of the learner parameters (and, for PAO, the
 /// Equation 7/8 quotas against `graph`). Returns 0 to proceed; exit
 /// code 2 on error-level findings — notably delta outside (0, 1), which
@@ -1118,27 +1160,9 @@ int CmdLearnPib(const CliOptions& options) {
   robust::CheckpointData resume_data;
   bool resumed = false;
   if (options.resume) {
-    auto validate = [&](Result<robust::CheckpointData>& ckpt) -> Status {
-      if (!ckpt.ok()) return ckpt.status();
-      if (ckpt->learner != "pib") {
-        return Status::FailedPrecondition(
-            "checkpoint belongs to learner '" + ckpt->learner + "', not pib");
-      }
-      if (ckpt->seed != options.seed) {
-        return Status::FailedPrecondition(StrFormat(
-            "checkpoint was taken with --seed=%llu, this run uses %llu",
-            static_cast<unsigned long long>(ckpt->seed),
-            static_cast<unsigned long long>(options.seed)));
-      }
-      if (ckpt->has_injector != (injector != nullptr)) {
-        return Status::FailedPrecondition(
-            "checkpoint and this run disagree on --fault-plan");
-      }
-      return Status::OK();
-    };
     Result<robust::CheckpointData> ckpt =
         robust::LoadCheckpoint(options.checkpoint, loaded.built.graph);
-    Status restored = validate(ckpt);
+    Status restored = CheckResumable(ckpt, "pib", options, injector);
     if (restored.ok()) {
       resume_data = *std::move(ckpt);
       resumed = true;
@@ -1148,7 +1172,7 @@ int CmdLearnPib(const CliOptions& options) {
     } else if (ring != nullptr) {
       Result<robust::CheckpointData> slot =
           ring->LoadNewestGood(loaded.built.graph);
-      Status slot_status = validate(slot);
+      Status slot_status = CheckResumable(slot, "pib", options, injector);
       if (slot_status.ok()) {
         resume_data = *std::move(slot);
         resumed = true;
@@ -1208,15 +1232,8 @@ int CmdLearnPib(const CliOptions& options) {
   }
 
   auto write_checkpoint = [&]() -> Status {
-    robust::CheckpointData data;
-    data.learner = "pib";
-    data.seed = options.seed;
-    data.queries_done = done;
-    data.rng_state = rng.SaveState();
-    if (injector != nullptr) {
-      data.has_injector = true;
-      data.injector = injector->SaveState();
-    }
+    robust::CheckpointData data =
+        BaseCheckpoint("pib", options, done, rng, injector);
     data.pib = pib.GetCheckpoint();
     if (cli_obs.health != nullptr) {
       data.health.present = true;
@@ -1355,21 +1372,7 @@ int CmdLearnPao(const CliOptions& options) {
   if (options.resume) {
     Result<robust::CheckpointData> ckpt =
         robust::LoadCheckpoint(options.checkpoint, loaded.built.graph);
-    Status restored = ckpt.ok() ? Status::OK() : ckpt.status();
-    if (restored.ok() && ckpt->learner != "pao") {
-      restored = Status::FailedPrecondition(
-          "checkpoint belongs to learner '" + ckpt->learner + "', not pao");
-    }
-    if (restored.ok() && ckpt->seed != options.seed) {
-      restored = Status::FailedPrecondition(StrFormat(
-          "checkpoint was taken with --seed=%llu, this run uses %llu",
-          static_cast<unsigned long long>(ckpt->seed),
-          static_cast<unsigned long long>(options.seed)));
-    }
-    if (restored.ok() && ckpt->has_injector != (injector != nullptr)) {
-      restored = Status::FailedPrecondition(
-          "checkpoint and this run disagree on --fault-plan");
-    }
+    Status restored = CheckResumable(ckpt, "pao", options, injector);
     if (restored.ok() && injector != nullptr) {
       restored = injector->RestoreState(ckpt->injector);
     }
@@ -1391,15 +1394,8 @@ int CmdLearnPao(const CliOptions& options) {
                                  const AdaptiveQueryProcessor& qpa,
                                  int64_t contexts) {
       if (contexts % options.checkpoint_every != 0) return;
-      robust::CheckpointData data;
-      data.learner = "pao";
-      data.seed = options.seed;
-      data.queries_done = contexts;
-      data.rng_state = rng.SaveState();
-      if (injector != nullptr) {
-        data.has_injector = true;
-        data.injector = injector->SaveState();
-      }
+      robust::CheckpointData data =
+          BaseCheckpoint("pao", options, contexts, rng, injector);
       data.qpa = qpa.GetCheckpoint();
       // Periodic checkpoints are best-effort; the final state below is
       // the one whose failure should be loud.
@@ -1441,15 +1437,8 @@ int CmdLearnPao(const CliOptions& options) {
   }();
   if (!result.ok()) return Fail(result.status().ToString());
   if (!options.checkpoint.empty()) {
-    robust::CheckpointData data;
-    data.learner = "pao";
-    data.seed = options.seed;
-    data.queries_done = result->contexts_used;
-    data.rng_state = rng.SaveState();
-    if (injector != nullptr) {
-      data.has_injector = true;
-      data.injector = injector->SaveState();
-    }
+    robust::CheckpointData data = BaseCheckpoint(
+        "pao", options, result->contexts_used, rng, injector);
     data.qpa.contexts = result->contexts_used;
     for (const AdaptiveQueryProcessor::Snapshot::Experiment& e :
          result->sampler.experiments) {
