@@ -8,8 +8,8 @@
 
 namespace stratlearn::obs {
 
-/// Minimal JSON DOM shared by the offline report readers (bench_compare
-/// over BENCH_*.json, stats_report over time-series files).
+/// Minimal JSON DOM shared by the offline readers (traces, audit
+/// streams, time-series files, profiler reports).
 /// obs::JsonWriter only writes and obs::IsValidJson only validates;
 /// these tools need actual values. Scope-limited on purpose: objects,
 /// arrays, strings, numbers, bools, null — no \u decoding beyond

@@ -1,16 +1,20 @@
 #include "obs/perf/workloads.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
-#include <string>
-#include <utility>
-
 #include <sstream>
+#include <string>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 #include "core/pao.h"
 #include "core/pib.h"
 #include "core/upsilon.h"
-#include "datalog/parser.h"
 #include "engine/query_processor.h"
 #include "graph/examples.h"
 #include "obs/audit/audit_log.h"
@@ -31,55 +35,17 @@
 namespace stratlearn::obs::perf {
 namespace {
 
-/// Datalog parse + load: a transitive-closure rule set over a chain of
-/// edge facts plus a family of unary facts — the substrate every
-/// graph-based command pays before any learning starts.
-class DatalogLoadInstance : public BenchWorkloadInstance {
- public:
-  explicit DatalogLoadInstance(uint64_t seed) {
-    Rng rng(seed);
-    program_ =
-        "path(X, Y) :- edge(X, Y)."
-        "path(X, Y) :- edge(X, Z), path(Z, Y)."
-        "reach(X) :- path(X, X)."
-        "instructor(X) :- prof(X)."
-        "instructor(X) :- grad(X).";
-    clauses_ = 5;
-    for (int i = 0; i < 400; ++i) {
-      program_ += StrFormat("edge(n%d, n%d).", i, i + 1);
-      ++clauses_;
-    }
-    for (int i = 0; i < 100; ++i) {
-      // Membership varies with the seed so reloads are not all-hit or
-      // all-miss in the symbol table, but the clause count is fixed.
-      program_ += StrFormat(rng.NextBernoulli(0.5) ? "prof(p%d)."
-                                                   : "grad(p%d).",
-                            i);
-      ++clauses_;
-    }
-  }
-
-  RepResult RunOnce() override {
-    SymbolTable symbols;
-    Parser parser(&symbols);
-    Database db;
-    RuleBase rules;
-    Status loaded = parser.LoadProgram(program_, &db, &rules);
-    STRATLEARN_CHECK_MSG(loaded.ok(), "datalog_load program must load");
-    RepResult result;
-    result.work_units = static_cast<double>(clauses_);
-    result.counters = {{"clauses", clauses_}};
-    return result;
-  }
-
- private:
-  std::string program_;
-  int64_t clauses_ = 0;
+/// One repetition's outcome. `work_units` is its abstract cost (paper
+/// arc costs or contexts) and `counters` are named totals; both depend
+/// only on the seed, never on the clock.
+struct RepResult {
+  double work_units = 0.0;
+  std::vector<std::pair<std::string, int64_t>> counters;
 };
 
 /// QueryProcessor::Execute over the paper's Figure 1 and Figure 2
 /// graphs — the innermost hot path every learner drives.
-class FigureExecuteInstance : public BenchWorkloadInstance {
+class FigureExecuteInstance {
  public:
   explicit FigureExecuteInstance(uint64_t seed)
       : fig1_(MakeFigureOne()),
@@ -94,7 +60,7 @@ class FigureExecuteInstance : public BenchWorkloadInstance {
         oracle2_({0.3, 0.5, 0.6, 0.8}),
         rng_(seed) {}
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     constexpr int kFig1Contexts = 2000;
     constexpr int kFig2Contexts = 1000;
     double cost = 0.0;
@@ -132,30 +98,46 @@ class FigureExecuteInstance : public BenchWorkloadInstance {
   Rng rng_;
 };
 
+/// The depth-5 random tree that pib_climb and audit_overhead climb.
+RandomTree ClimbTree(uint64_t seed) {
+  Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  RandomTreeOptions options;
+  options.depth = 5;
+  options.min_branch = 2;
+  options.max_branch = 3;
+  options.early_leaf_prob = 0.1;
+  return MakeRandomTree(tree_rng, options);
+}
+
+/// The climb's start: Upsilon_AOT's optimal leaf order reversed. On the
+/// bench tree Strategy::DepthFirst is close enough to the optimum that
+/// PIB never moved from it, so it exercised no climb.
+Strategy ReversedOptimum(const RandomTree& tree) {
+  Result<UpsilonResult> optimum = UpsilonAot(tree.graph, tree.probs);
+  STRATLEARN_CHECK_MSG(optimum.ok(), "Upsilon_AOT must order the tree");
+  std::vector<ArcId> order = optimum->strategy.LeafOrder(tree.graph);
+  std::reverse(order.begin(), order.end());
+  return Strategy::FromLeafOrder(tree.graph, order);
+}
+
 /// A full PIB hill-climb: each repetition restarts the learner on the
 /// same random tree and feeds it a fresh slice of the context stream,
 /// measuring Observe + Execute together (the unobtrusive-PIB loop).
-class PibClimbInstance : public BenchWorkloadInstance {
+class PibClimbInstance {
  public:
-  explicit PibClimbInstance(uint64_t seed) : rng_(seed) {
-    Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    RandomTreeOptions options;
-    options.depth = 5;
-    options.min_branch = 2;
-    options.max_branch = 3;
-    options.early_leaf_prob = 0.1;
-    tree_ = MakeRandomTree(tree_rng, options);
-    oracle_ = std::make_unique<IndependentOracle>(tree_.probs);
-  }
+  explicit PibClimbInstance(uint64_t seed)
+      : tree_(ClimbTree(seed)),
+        start_(ReversedOptimum(tree_)),
+        oracle_(tree_.probs),
+        rng_(seed) {}
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     constexpr int kContexts = 400;
-    Pib pib(&tree_.graph, Strategy::DepthFirst(tree_.graph),
-            PibOptions{.delta = 0.2});
+    Pib pib(&tree_.graph, start_, PibOptions{.delta = 0.2});
     QueryProcessor qp(&tree_.graph);
     double cost = 0.0;
     for (int i = 0; i < kContexts; ++i) {
-      Trace trace = qp.Execute(pib.strategy(), oracle_->Next(rng_));
+      Trace trace = qp.Execute(pib.strategy(), oracle_.Next(rng_));
       cost += trace.cost;
       pib.Observe(trace);
     }
@@ -169,18 +151,19 @@ class PibClimbInstance : public BenchWorkloadInstance {
 
  private:
   RandomTree tree_;
-  std::unique_ptr<IndependentOracle> oracle_;
+  Strategy start_;
+  IndependentOracle oracle_;
   Rng rng_;
 };
 
 /// A PAO Theorem-3 quota run over Figure 2: QP^A adaptive sampling
 /// until every aim quota is met, then the Upsilon step.
-class PaoQuotaInstance : public BenchWorkloadInstance {
+class PaoQuotaInstance {
  public:
   explicit PaoQuotaInstance(uint64_t seed)
       : fig2_(MakeFigureTwo()), oracle_({0.3, 0.5, 0.6, 0.8}), rng_(seed) {}
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     PaoOptions options;
     options.epsilon = 0.75;
     options.delta = 0.2;
@@ -200,40 +183,14 @@ class PaoQuotaInstance : public BenchWorkloadInstance {
   Rng rng_;
 };
 
-/// Upsilon_AOT ordering of a 2048-leaf flat tree — the O(n log n)
-/// block-merge that closes every PAO run and the eval command.
-class UpsilonOrderInstance : public BenchWorkloadInstance {
- public:
-  explicit UpsilonOrderInstance(uint64_t seed) {
-    Rng rng(seed);
-    tree_ = MakeFlatTree(rng, 2048);
-  }
-
-  RepResult RunOnce() override {
-    Result<UpsilonResult> ordered = UpsilonAot(tree_.graph, tree_.probs);
-    STRATLEARN_CHECK_MSG(ordered.ok(), "upsilon_order must solve the tree");
-    RepResult result;
-    result.work_units =
-        static_cast<double>(tree_.graph.num_arcs());
-    result.counters = {
-        {"arcs", static_cast<int64_t>(tree_.graph.num_arcs())},
-        {"exact", ordered->exact ? 1 : 0}};
-    return result;
-  }
-
- private:
-  RandomTree tree_;
-};
-
 /// Instrumentation overhead on the fig1_execute hot path: the same
 /// Figure-1 context stream run with (a) no observer, (b) metrics only,
 /// (c) metrics + a locked null trace sink. Work units are the arc
-/// attempts actually made — identical across the three variants for a
-/// given seed (instrumentation must not change execution semantics), so
-/// a fake-clock baseline diff catches a variant whose observation path
-/// alters behaviour, while wall-clock p50/p99 across the three
-/// workloads price the telemetry itself.
-class ObsOverheadInstance : public BenchWorkloadInstance {
+/// attempts actually made. The three golden rows must be identical
+/// (instrumentation must not change execution semantics), so the golden
+/// catches a variant whose observation path alters behaviour;
+/// bm_core's BM_ExecuteStrategyObserved prices the telemetry itself.
+class ObsOverheadInstance {
  public:
   enum class Mode { kOff, kMetrics, kMetricsAndTrace };
 
@@ -254,7 +211,7 @@ class ObsOverheadInstance : public BenchWorkloadInstance {
     }
   }
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     constexpr int kContexts = 3000;
     int64_t attempts = 0;
     int64_t successes = 0;
@@ -290,11 +247,10 @@ class ObsOverheadInstance : public BenchWorkloadInstance {
 /// repetition runs the pipeline twice — drifting, then a stationary
 /// control with the same seed — and checks the detection contract in
 /// process: the shifted arc must raise a p-hat DriftDetected, the
-/// control must stay silent. The counters land in the fake-clock
-/// baseline, so a regression in detector sensitivity (missed drift) or
-/// specificity (control false positive) fails both the run and the
-/// bench diff.
-class DriftDetectInstance : public BenchWorkloadInstance {
+/// control must stay silent. The counters land in the golden, so a
+/// regression in detector sensitivity (missed drift) or specificity
+/// (control false positive) fails both the run and the golden.
+class DriftDetectInstance {
  public:
   explicit DriftDetectInstance(uint64_t seed) : rng_(seed) {
     Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
@@ -353,7 +309,7 @@ class DriftDetectInstance : public BenchWorkloadInstance {
     return out;
   }
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     uint64_t rep_seed = rng_.NextUint64();
     PipelineOutcome drift = RunPipeline(rep_seed, /*drifting=*/true);
     PipelineOutcome control = RunPipeline(rep_seed, /*drifting=*/false);
@@ -382,25 +338,19 @@ class DriftDetectInstance : public BenchWorkloadInstance {
 /// The decision-audit layer's price on the pib_climb loop: the same
 /// depth-5 random-tree hill-climb, but with a full observer attached
 /// and certificate emission enabled, every certificate landing in an
-/// in-memory AuditLog. The untouched pib_climb workload doubles as the
-/// certificates-off control — its fake-clock baseline must stay
-/// byte-identical with the audit layer merely compiled in — while this
-/// workload's wall clock prices emission + serialisation and its
-/// counters pin the certificate volume and encoded size.
-class AuditOverheadInstance : public BenchWorkloadInstance {
+/// in-memory AuditLog. pib_climb is the certificates-off control: both
+/// rows must keep the same work units and moves, because emitting a
+/// certificate must not change a decision. This row's counters pin the
+/// certificate volume and encoded size.
+class AuditOverheadInstance {
  public:
-  explicit AuditOverheadInstance(uint64_t seed) : rng_(seed) {
-    Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    RandomTreeOptions options;
-    options.depth = 5;
-    options.min_branch = 2;
-    options.max_branch = 3;
-    options.early_leaf_prob = 0.1;
-    tree_ = MakeRandomTree(tree_rng, options);
-    oracle_ = std::make_unique<IndependentOracle>(tree_.probs);
-  }
+  explicit AuditOverheadInstance(uint64_t seed)
+      : tree_(ClimbTree(seed)),
+        start_(ReversedOptimum(tree_)),
+        oracle_(tree_.probs),
+        rng_(seed) {}
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     constexpr int kContexts = 400;
     constexpr double kDelta = 0.2;
     std::ostringstream audit_out;
@@ -412,12 +362,11 @@ class AuditOverheadInstance : public BenchWorkloadInstance {
     Observer observer(&registry, &audit);
     observer.UseManualClock();
     observer.set_audit_enabled(true);
-    Pib pib(&tree_.graph, Strategy::DepthFirst(tree_.graph),
-            PibOptions{.delta = kDelta}, &observer);
+    Pib pib(&tree_.graph, start_, PibOptions{.delta = kDelta}, &observer);
     QueryProcessor qp(&tree_.graph, &observer);
     double cost = 0.0;
     for (int i = 0; i < kContexts; ++i) {
-      Trace trace = qp.Execute(pib.strategy(), oracle_->Next(rng_));
+      Trace trace = qp.Execute(pib.strategy(), oracle_.Next(rng_));
       cost += trace.cost;
       pib.Observe(trace);
       observer.AdvanceManualClock(i + 1);
@@ -436,7 +385,8 @@ class AuditOverheadInstance : public BenchWorkloadInstance {
 
  private:
   RandomTree tree_;
-  std::unique_ptr<IndependentOracle> oracle_;
+  Strategy start_;
+  IndependentOracle oracle_;
   Rng rng_;
 };
 
@@ -452,11 +402,10 @@ class AuditOverheadInstance : public BenchWorkloadInstance {
 /// post-revert contexts than the cold restart, because the graduated
 /// actions preserve (or restore) the pre-drift strategy instead of
 /// discarding it. The per-policy re-convergence counters land in the
-/// fake-clock baseline, so a recovery regression fails both the run
-/// and the bench diff. Quarantine is deliberately absent: it isolates
-/// a faulty arc rather than re-converging the learner, so it has no
-/// convergence race to win.
-class DriftRecoverInstance : public BenchWorkloadInstance {
+/// golden, so a recovery regression fails both the run and the golden.
+/// Quarantine is deliberately absent: it isolates a faulty arc rather
+/// than re-converging the learner, so it has no convergence race to win.
+class DriftRecoverInstance {
  public:
   static constexpr int64_t kContexts = 3200;
   static constexpr int64_t kDriftAt = 1600;
@@ -465,12 +414,31 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
   static constexpr double kDelta = 0.2;
   static constexpr int kBestExperiment = 2;
 
-  explicit DriftRecoverInstance(uint64_t seed) : seed_(seed), rng_(seed) {
+  explicit DriftRecoverInstance(uint64_t seed)
+      : seed_(seed), rng_(seed), ring_dir_(MakeRingDir()) {
     Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
     RandomTreeOptions options;
     options.min_cost = 1.0;  // equal costs: the optimal order is by p
     options.max_cost = 1.0;
     tree_ = MakeFlatTree(tree_rng, 4, options);
+  }
+
+  ~DriftRecoverInstance() {
+    std::error_code ignored;
+    std::filesystem::remove_all(ring_dir_, ignored);
+  }
+  DriftRecoverInstance(const DriftRecoverInstance&) = delete;
+  DriftRecoverInstance& operator=(const DriftRecoverInstance&) = delete;
+
+  /// A fresh directory for this instance's checkpoint ring, so runs
+  /// started at the same time never share rollback slots.
+  static std::string MakeRingDir() {
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       "stratlearn_drift_recover_XXXXXX")
+                          .string();
+    STRATLEARN_CHECK_MSG(mkdtemp(dir.data()) != nullptr,
+                         "drift_recover cannot create its ring directory");
+    return dir;
   }
 
   struct RunOutcome {
@@ -518,10 +486,7 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
                                      Strategy::DepthFirst(tree_.graph),
                                      PibOptions{.delta = kDelta}, &observer);
 
-    std::string ring_base =
-        StrFormat("/tmp/stratlearn_drift_recover_%llu",
-                  static_cast<unsigned long long>(seed_));
-    robust::CheckpointRing ring(ring_base, 3);
+    robust::CheckpointRing ring(ring_dir_ + "/ckpt", 3);
     std::unique_ptr<robust::RecoveryController> controller;
     int64_t cold_restarts = 0;
     if (!policy.empty()) {
@@ -608,7 +573,7 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
     return out;
   }
 
-  RepResult RunOnce() override {
+  RepResult RunOnce() {
     uint64_t rep_seed = rng_.NextUint64();
     RunOutcome control = RunPipeline(rep_seed, "");
     RunOutcome rebaseline = RunPipeline(rep_seed, "rebaseline");
@@ -658,61 +623,53 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
   RandomTree tree_;
   uint64_t seed_;
   Rng rng_;
+  std::string ring_dir_;
 };
 
-template <typename Instance>
-BenchWorkload Workload(const char* name, const char* description) {
-  return BenchWorkload{
-      name, description,
-      [](uint64_t seed) -> std::unique_ptr<BenchWorkloadInstance> {
-        return std::make_unique<Instance>(seed);
-      }};
+/// Builds `Instance` once, runs the warmup repetition, then sums the
+/// work units and counters of the counted repetitions into one golden
+/// row.
+template <typename Instance, typename... Args>
+std::string Row(const char* name, Args... args) {
+  constexpr uint64_t kSeed = 19920602;
+  constexpr int kWarmup = 1;
+  constexpr int kRepetitions = 5;
+  Instance instance(kSeed, args...);
+  for (int i = 0; i < kWarmup; ++i) (void)instance.RunOnce();
+  double work_units = 0.0;
+  std::map<std::string, int64_t> counters;
+  for (int i = 0; i < kRepetitions; ++i) {
+    RepResult rep = instance.RunOnce();
+    work_units += rep.work_units;
+    for (const auto& [counter, value] : rep.counters) {
+      counters[counter] += value;
+    }
+  }
+  std::string row = StrFormat("%s work_units=%s", name,
+                              FormatDouble(work_units, 17).c_str());
+  for (const auto& [counter, value] : counters) {
+    row += StrFormat(" %s=%lld", counter.c_str(),
+                     static_cast<long long>(value));
+  }
+  return row + "\n";
 }
 
 }  // namespace
 
-void RegisterCanonicalWorkloads(BenchRegistry* registry) {
-  registry->Register(Workload<DatalogLoadInstance>(
-      "datalog_load", "Datalog parse + load, 505-clause program"));
-  registry->Register(Workload<FigureExecuteInstance>(
-      "fig1_execute",
-      "QueryProcessor::Execute, Figure 1 + Figure 2, 3000 contexts/rep"));
-  registry->Register(Workload<PibClimbInstance>(
-      "pib_climb", "PIB hill-climb, depth-5 random tree, 400 contexts/rep"));
-  registry->Register(Workload<PaoQuotaInstance>(
-      "pao_quota", "PAO Theorem-3 quota run on Figure 2"));
-  registry->Register(Workload<UpsilonOrderInstance>(
-      "upsilon_order", "Upsilon_AOT ordering, 2048-leaf flat tree"));
-  registry->Register(Workload<AuditOverheadInstance>(
-      "audit_overhead",
-      "PIB hill-climb with decision-certificate emission into an "
-      "in-memory audit log"));
-  registry->Register(Workload<DriftDetectInstance>(
-      "drift_detect",
-      "health pipeline end-to-end: p-hat drift on a shifted arc + "
-      "stationary control"));
-  registry->Register(Workload<DriftRecoverInstance>(
-      "drift_recover",
-      "recovery controller end-to-end: transient drift, each policy "
-      "must re-converge faster than a cold restart"));
-  auto obs_overhead = [](const char* name, const char* description,
-                         ObsOverheadInstance::Mode mode) {
-    return BenchWorkload{
-        name, description,
-        [mode](uint64_t seed) -> std::unique_ptr<BenchWorkloadInstance> {
-          return std::make_unique<ObsOverheadInstance>(seed, mode);
-        }};
-  };
-  registry->Register(obs_overhead(
-      "obs_overhead_off", "Figure-1 execute, no observer (baseline)",
-      ObsOverheadInstance::Mode::kOff));
-  registry->Register(obs_overhead(
-      "obs_overhead_metrics", "Figure-1 execute, atomic metrics attached",
-      ObsOverheadInstance::Mode::kMetrics));
-  registry->Register(obs_overhead(
-      "obs_overhead_trace",
-      "Figure-1 execute, metrics + locked null trace sink",
-      ObsOverheadInstance::Mode::kMetricsAndTrace));
+std::string RunCanonicalBench() {
+  using Mode = ObsOverheadInstance::Mode;
+  std::string rows;
+  rows += Row<FigureExecuteInstance>("fig1_execute");
+  rows += Row<PibClimbInstance>("pib_climb");
+  rows += Row<PaoQuotaInstance>("pao_quota");
+  rows += Row<AuditOverheadInstance>("audit_overhead");
+  rows += Row<DriftDetectInstance>("drift_detect");
+  rows += Row<DriftRecoverInstance>("drift_recover");
+  rows += Row<ObsOverheadInstance>("obs_overhead_off", Mode::kOff);
+  rows += Row<ObsOverheadInstance>("obs_overhead_metrics", Mode::kMetrics);
+  rows += Row<ObsOverheadInstance>("obs_overhead_trace",
+                                   Mode::kMetricsAndTrace);
+  return rows;
 }
 
 }  // namespace stratlearn::obs::perf

@@ -1,25 +1,34 @@
 #ifndef STRATLEARN_OBS_PERF_WORKLOADS_H_
 #define STRATLEARN_OBS_PERF_WORKLOADS_H_
 
-#include "obs/perf/bench_runner.h"
+#include <string>
 
 namespace stratlearn::obs::perf {
 
-/// Registers the canonical perf workloads spanning the stack, in the
-/// order they appear in BENCH trajectories:
-///   datalog_load   — Datalog parse + load of a synthetic program
+/// Runs the canonical behaviour workloads behind `stratlearn_cli bench`
+/// and returns one line per workload:
+///
+///   <name> work_units=<17 significant digits> <counter>=<value> ...
+///
+/// with the counters in name order. The workloads are:
 ///   fig1_execute   — QueryProcessor::Execute on the Figure 1/2 graphs
 ///   pib_climb      — a full PIB hill-climb over a context stream
 ///   pao_quota      — a PAO/QP^A Theorem-3 quota run
-///   upsilon_order  — Upsilon_AOT ordering of a 2048-leaf flat tree
+///   audit_overhead — the pib_climb loop with decision certificates on
+///   drift_detect   — the health pipeline on a drifting and a stationary
+///                    stream
+///   drift_recover  — each recovery policy against a cold restart
 ///   obs_overhead_off / obs_overhead_metrics / obs_overhead_trace
 ///                  — the Figure-1 execute loop with no observer, with
 ///                    atomic metrics, and with metrics plus a locked
-///                    null trace sink, pricing the telemetry layer
-/// Every workload is deterministic for a fixed seed: its work_units and
-/// counters depend only on the RNG stream, so fake-clock BENCH reports
-/// are byte-reproducible and CI-gateable.
-void RegisterCanonicalWorkloads(BenchRegistry* registry);
+///                    null trace sink
+/// Each workload is built once at seed 19920602, runs one warmup
+/// repetition, then five repetitions whose work units and counters are
+/// summed; every repetition continues the instance's RNG stream. The
+/// text depends only on the code, never on the clock or the host, so
+/// tests/testdata/bench/golden.txt pins it byte for byte. Every workload
+/// also checks its own contract in process and aborts when it fails.
+std::string RunCanonicalBench();
 
 }  // namespace stratlearn::obs::perf
 

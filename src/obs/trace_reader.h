@@ -16,8 +16,8 @@ namespace stratlearn::obs {
 /// attribution report from a file (tools/trace_report does this).
 ///
 /// Each line must be one JSON object (parsed with the shared
-/// obs::ParseJson, the same reader bench_compare and stats_report
-/// use). Its "type" picks the event and the type's field list
+/// obs::ParseJson, the same reader the audit, time-series and
+/// stats_report readers use). Its "type" picks the event and the type's field list
 /// (events.h) reads it: a field that is absent, of the wrong kind or an
 /// out-of-range integer keeps the member's default, and unknown keys
 /// are ignored. Events whose "type" is unknown are counted and skipped,

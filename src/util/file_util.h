@@ -13,8 +13,8 @@ namespace stratlearn {
 /// file in the same directory, which is then renamed over `path`. A
 /// reader (or a process killed mid-write) therefore sees either the old
 /// file or the complete new one, never a torn prefix — the property the
-/// BENCH_*.json / STRATLEARN_JSON_OUT consumers (bench_compare, CI
-/// report scrapers) rely on. Returns false on any I/O failure; the
+/// checkpoint loader, OpenMetrics scrapers and STRATLEARN_JSON_OUT
+/// report consumers rely on. Returns false on any I/O failure; the
 /// temporary file is removed on failure.
 bool WriteFileAtomic(const std::string& path, std::string_view contents);
 

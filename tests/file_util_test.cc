@@ -1,5 +1,6 @@
 #include "util/file_util.h"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -86,6 +87,14 @@ TEST(AtomicWriteTest, LeavesNoTempFileBehind) {
   EXPECT_EQ(ReadAll(path), "contents");
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
+}
+
+TEST(WriteFileAtomicTest, OverwritesExistingContent) {
+  std::string path = ::testing::TempDir() + "/atomic_overwrite.txt";
+  ASSERT_TRUE(WriteFileAtomic(path, "first"));
+  ASSERT_TRUE(WriteFileAtomic(path, "second"));
+  EXPECT_EQ(ReadAll(path), "second");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,8 +11,7 @@ namespace stratlearn::tools {
 /// same HealthMonitor the live runs use. Prints the health report in
 /// `format` ("text" or "json") to stdout; when `report_out` is
 /// non-empty, also writes the "stratlearn-health-v1" JSON there.
-/// Shared by `stratlearn_cli health` and the standalone health_report
-/// binary, so the two renderings can never drift apart.
+/// Backs `stratlearn_cli health`.
 ///
 /// When `recovery_path` is non-empty, the "stratlearn-recovery v1"
 /// policy is loaded (through the V-RC verify passes) and a decide-only

@@ -15,8 +15,9 @@
 //
 // Exit codes: 0 report written, 1 cannot read file, 2 usage error
 // (unknown flag, bad value) or the file is not a well-formed
-// stratlearn-timeseries-v1 series. Matches health_report's contract:
-// usage mistakes must never look like a clean (or merely empty) run.
+// stratlearn-timeseries-v1 series. Matches `stratlearn_cli health`'s
+// contract: usage mistakes must never look like a clean (or merely
+// empty) run.
 
 #include <cstdio>
 #include <cstdlib>

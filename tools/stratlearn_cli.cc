@@ -22,18 +22,14 @@
 //       Delta~ margins for PIB, quota progress for PAO), and the
 //       per-arc attribution report. Output is deterministic for a
 //       fixed seed.
-//   bench [--workload=all|<name>] [--repetitions=N] [--warmup=N]
-//         [--seed=S] [--out=DIR] [--fake-clock] [--timestamp=ISO]
-//         [--list]
-//       Run the canonical perf workloads (Datalog load, Figure-1/2
-//       execution, PIB climb, PAO quota run, Upsilon ordering) with
-//       warmup + N timed repetitions on the monotonic clock, print a
-//       p50/p90/p99 table, and write one BENCH_<workload>.json (run
-//       manifest + latency percentiles + throughput + peak RSS) per
-//       workload into --out. --fake-clock reports deterministic
-//       work-units as latencies, making the files byte-reproducible
-//       for a fixed seed — the form the CI regression gate diffs with
-//       tools/bench_compare. See README "Performance tracking".
+//   bench
+//       Run the canonical behaviour workloads (obs/perf/workloads.h) at a
+//       fixed seed, warmup and repetition count, and print one line per
+//       workload: its summed work units to 17 significant digits and its
+//       counters in name order. The output depends only on the code; the
+//       cli_bench_golden test pins it against
+//       tests/testdata/bench/golden.txt. Speed is measured elsewhere (see
+//       README "Performance tracking").
 //   health <series.jsonl> --alerts=RULES [--format=text|json]
 //          [--health-out=FILE] [--recovery=POLICY]
 //       Replay a serialized "stratlearn-timeseries-v1" file through the
@@ -222,7 +218,6 @@
 #include "obs/health/series_io.h"
 #include "obs/observer.h"
 #include "obs/openmetrics.h"
-#include "obs/perf/bench_runner.h"
 #include "obs/perf/workloads.h"
 #include "obs/profiler.h"
 #include "obs/sinks.h"
@@ -289,14 +284,6 @@ struct CliOptions {
   int64_t checkpoint_every = 0;
   bool resume = false;
   int64_t halt_after = 0;
-  // bench subcommand.
-  std::string workload = "all";
-  int repetitions = 10;
-  int warmup = 2;
-  std::string out_dir = ".";
-  bool fake_clock = false;
-  std::string timestamp;
-  bool list = false;
   std::vector<std::string> positional;
 };
 
@@ -915,20 +902,6 @@ CliOptions ParseArgs(int argc, char** argv) {
       options.halt_after = std::atoll(arg.c_str() + 13);
     } else if (StartsWith(arg, "--learner=")) {
       options.learner = arg.substr(10);
-    } else if (StartsWith(arg, "--workload=")) {
-      options.workload = arg.substr(11);
-    } else if (StartsWith(arg, "--repetitions=")) {
-      options.repetitions = std::atoi(arg.c_str() + 14);
-    } else if (StartsWith(arg, "--warmup=")) {
-      options.warmup = std::atoi(arg.c_str() + 9);
-    } else if (StartsWith(arg, "--out=")) {
-      options.out_dir = arg.substr(6);
-    } else if (arg == "--fake-clock") {
-      options.fake_clock = true;
-    } else if (StartsWith(arg, "--timestamp=")) {
-      options.timestamp = arg.substr(12);
-    } else if (arg == "--list") {
-      options.list = true;
     } else if (StartsWith(arg, "--format=")) {
       options.format = arg.substr(9);
     } else if (arg == "--Werror") {
@@ -1592,64 +1565,11 @@ int CmdExplain(const CliOptions& options) {
   return 0;
 }
 
-int CmdBench(const CliOptions& options) {
-  obs::perf::BenchRegistry registry;
-  obs::perf::RegisterCanonicalWorkloads(&registry);
-  if (options.list) {
-    for (const obs::perf::BenchWorkload& w : registry.workloads()) {
-      std::printf("%-16s %s\n", w.name.c_str(), w.description.c_str());
-    }
-    return 0;
+int CmdBench(int argc) {
+  if (argc != 2) {
+    return Fail("usage: stratlearn_cli bench (takes no arguments)");
   }
-  if (options.repetitions < 1) return Fail("--repetitions must be >= 1");
-  if (options.warmup < 0) return Fail("--warmup must be >= 0");
-
-  std::vector<const obs::perf::BenchWorkload*> selected;
-  if (options.workload == "all") {
-    for (const obs::perf::BenchWorkload& w : registry.workloads()) {
-      selected.push_back(&w);
-    }
-  } else {
-    const obs::perf::BenchWorkload* w = registry.Find(options.workload);
-    if (w == nullptr) {
-      std::string names;
-      for (const obs::perf::BenchWorkload& known : registry.workloads()) {
-        names += (names.empty() ? "" : ", ") + known.name;
-      }
-      return Fail("unknown workload '" + options.workload +
-                  "' (available: " + names + ", all)");
-    }
-    selected.push_back(w);
-  }
-
-  obs::perf::BenchOptions bench_options;
-  bench_options.warmup = options.warmup;
-  bench_options.repetitions = options.repetitions;
-  bench_options.seed = options.seed;
-  bench_options.fake_clock = options.fake_clock;
-  bench_options.timestamp = options.timestamp;
-  obs::perf::BenchRunner runner(bench_options);
-
-  std::printf("%d warmup + %d timed repetitions, seed %llu, %s clock\n",
-              options.warmup, options.repetitions,
-              static_cast<unsigned long long>(options.seed),
-              options.fake_clock ? "fake (work-unit)" : "steady wall");
-  std::printf("  %-16s %12s %12s %12s %14s\n", "workload", "p50 us",
-              "p90 us", "p99 us", "work units");
-  std::printf("  %-16s %12s %12s %12s %14s\n", "----------------",
-              "------------", "------------", "------------",
-              "--------------");
-  for (const obs::perf::BenchWorkload* workload : selected) {
-    obs::perf::BenchRunResult result = runner.Run(*workload);
-    std::printf("  %-16s %12s %12s %12s %14s\n", result.workload.c_str(),
-                FormatDouble(result.wall_us.Percentile(50), 6).c_str(),
-                FormatDouble(result.wall_us.Percentile(90), 6).c_str(),
-                FormatDouble(result.wall_us.Percentile(99), 6).c_str(),
-                FormatDouble(result.total_work_units, 6).c_str());
-    Status written = obs::perf::WriteBenchFile(options.out_dir, result);
-    if (!written.ok()) return Fail(written.ToString());
-  }
-  std::printf("BENCH reports written to %s/\n", options.out_dir.c_str());
+  std::printf("%s", obs::perf::RunCanonicalBench().c_str());
   return 0;
 }
 
@@ -1745,7 +1665,7 @@ int Main(int argc, char** argv) {
   if (command == "learn-pao") return CmdLearnPao(options);
   if (command == "eval") return CmdEval(options);
   if (command == "explain") return CmdExplain(options);
-  if (command == "bench") return CmdBench(options);
+  if (command == "bench") return CmdBench(argc);
   if (command == "health") return CmdHealth(options);
   if (command == "audit") return CmdAudit(options);
   if (command == "verify") return CmdVerify(options);
