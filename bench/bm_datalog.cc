@@ -1,11 +1,15 @@
 // Micro-benchmarks for the Datalog substrate: parsing, fact lookup,
-// matching, and SLD proof search.
+// matching, SLD proof search, and one context drawn and executed.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
+#include "engine/query_processor.h"
 #include "util/string_util.h"
+#include "workload/datalog_oracle.h"
 
 namespace stratlearn {
 namespace {
@@ -82,6 +86,47 @@ void BM_SldProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SldProof)->Arg(8)->Arg(32);
+
+// One learn-loop step of learnbench's pao_bigdb shape: a DatalogOracle
+// draws a query from range(0) Zipf(0.7)-weighted constants and the
+// depth-first strategy runs on its context, so the retrievals the QP
+// attempts are timed with the draw. Ten unary relations each hold about
+// half of the queried constants; the rules nest them as pao_bigdb does.
+void BM_DatalogOracleNext(benchmark::State& state) {
+  SymbolTable symbols;
+  Parser parser(&symbols);
+  Database db;
+  RuleBase rules;
+  (void)parser.LoadProgram(
+      "q(X) :- n0(X). n0(X) :- r0(X). n0(X) :- r1(X), r2(X)."
+      "q(X) :- n1(X). n1(X) :- r3(X), r4(X). n1(X) :- r5(X)."
+      "q(X) :- n2(X). n2(X) :- r6(X). n2(X) :- r7(X), r8(X)."
+      "q(X) :- r9(X).",
+      &db, &rules);
+  Rng facts_rng(11);
+  QueryWorkload workload;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    SymbolId u = symbols.Intern(StrFormat("u%lld", static_cast<long long>(i)));
+    workload.entries.push_back(
+        {{u}, std::floor(1e9 / std::pow(static_cast<double>(i + 1), 0.7))});
+    for (int r = 0; r < 10; ++r) {
+      if (facts_rng.NextBernoulli(0.5)) {
+        (void)db.Insert(symbols.Intern(StrFormat("r%d", r)), {u});
+      }
+    }
+  }
+  Result<QueryForm> form = QueryForm::Parse("q(b)", &symbols);
+  Result<BuiltGraph> built = BuildInferenceGraph(rules, *form, &symbols);
+  DatalogOracle oracle(&*built, &db, std::move(workload));
+  QueryProcessor qp(&built->graph);
+  Strategy depth_first = Strategy::DepthFirst(built->graph);
+  Rng rng(7);
+  for (auto _ : state) {
+    Context context = oracle.Next(rng);
+    benchmark::DoNotOptimize(qp.Execute(depth_first, context).cost);
+  }
+}
+BENCHMARK(BM_DatalogOracleNext)->Arg(900)->Arg(100000);
 
 }  // namespace
 }  // namespace stratlearn

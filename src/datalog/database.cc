@@ -1,18 +1,43 @@
 #include "datalog/database.h"
 
-#include <unordered_map>
+#include <algorithm>
 
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace stratlearn {
 
-std::string Database::EncodeTuple(const FactTuple& t) {
-  std::string key;
-  key.reserve(t.size() * sizeof(SymbolId));
-  for (SymbolId s : t) {
-    key.append(reinterpret_cast<const char*>(&s), sizeof(SymbolId));
+bool TupleSet::Insert(std::span<const SymbolId> tuple) {
+  STRATLEARN_CHECK(tuple.size() == arity_);
+  if (2 * (size_ + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(8, 2 * slots_.size()));
   }
-  return key;
+  size_t slot = Slot([tuple](size_t i) { return tuple[i]; });
+  if (slots_[slot] != kFree) return false;
+  STRATLEARN_CHECK(size_ < kFree);
+  slots_[slot] = static_cast<uint32_t>(size_++);
+  values_.insert(values_.end(), tuple.begin(), tuple.end());
+  return true;
+}
+
+void TupleSet::Rehash(size_t capacity) {
+  slots_.assign(capacity, kFree);
+  for (size_t t = 0; t < size_; ++t) {
+    std::span<const SymbolId> row = (*this)[t];
+    slots_[Slot([row](size_t i) { return row[i]; })] =
+        static_cast<uint32_t>(t);
+  }
+}
+
+TupleSet TupleSet::Project(std::span<const size_t> positions) const {
+  TupleSet out(positions.size());
+  std::vector<SymbolId> key(positions.size());
+  for (size_t t = 0; t < size_; ++t) {
+    std::span<const SymbolId> row = (*this)[t];
+    for (size_t i = 0; i < key.size(); ++i) key[i] = row[positions[i]];
+    out.Insert(key);
+  }
+  return out;
 }
 
 Status Database::Insert(const Atom& fact) {
@@ -22,83 +47,92 @@ Status Database::Insert(const Atom& fact) {
   FactTuple tuple;
   tuple.reserve(fact.args.size());
   for (const Term& t : fact.args) tuple.push_back(t.symbol);
-  return Insert(fact.predicate, std::move(tuple));
+  return Insert(fact.predicate, tuple);
 }
 
-Status Database::Insert(SymbolId predicate, FactTuple args) {
-  Relation& rel = relations_[predicate];
-  if (rel.arity < 0) {
-    rel.arity = static_cast<int>(args.size());
-  } else if (rel.arity != static_cast<int>(args.size())) {
+Status Database::Insert(SymbolId predicate, const FactTuple& args) {
+  Relation& rel =
+      relations_.try_emplace(predicate, Relation{TupleSet(args.size()), {}})
+          .first->second;
+  if (rel.tuples.arity() != args.size()) {
     return Status::FailedPrecondition(
-        StrFormat("arity mismatch for predicate %u: have %d, got %zu",
-                  predicate, rel.arity, args.size()));
+        StrFormat("arity mismatch for predicate %u: have %zu, got %zu",
+                  predicate, rel.tuples.arity(), args.size()));
   }
-  std::string key = EncodeTuple(args);
-  if (rel.members.insert(key).second) {
-    if (!args.empty()) {
-      rel.first_arg_index[args[0]].push_back(
-          static_cast<uint32_t>(rel.tuples.size()));
-    }
-    rel.tuples.push_back(std::move(args));
+  size_t position = rel.tuples.size();
+  if (rel.tuples.Insert(args) && args.size() >= 2) {
+    rel.first_arg_index[args[0]].push_back(static_cast<uint32_t>(position));
   }
   return Status::OK();
 }
 
 bool Database::Contains(const Atom& fact) const {
-  if (!fact.IsGround()) return false;
-  FactTuple tuple;
-  tuple.reserve(fact.args.size());
-  for (const Term& t : fact.args) tuple.push_back(t.symbol);
-  return Contains(fact.predicate, tuple);
+  const TupleSet* tuples = Facts(fact.predicate);
+  if (tuples == nullptr || tuples->arity() != fact.args.size() ||
+      !fact.IsGround()) {
+    return false;
+  }
+  return tuples->ContainsKey([&fact](size_t i) { return fact.args[i].symbol; });
 }
 
 bool Database::Contains(SymbolId predicate, const FactTuple& args) const {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) return false;
-  if (it->second.arity != static_cast<int>(args.size())) return false;
-  return it->second.members.count(EncodeTuple(args)) > 0;
+  const TupleSet* tuples = Facts(predicate);
+  return tuples != nullptr && tuples->arity() == args.size() &&
+         tuples->Contains(args);
 }
 
 void Database::Match(const Atom& pattern, std::vector<FactTuple>* out) const {
   auto it = relations_.find(pattern.predicate);
   if (it == relations_.end()) return;
   const Relation& rel = it->second;
-  if (rel.arity != static_cast<int>(pattern.args.size())) return;
+  const std::vector<Term>& args = pattern.args;
+  if (rel.tuples.arity() != args.size()) return;
 
-  // Matches `tuple` against the pattern, honouring repeated variables.
-  auto matches = [&pattern](const FactTuple& tuple) {
-    std::unordered_map<SymbolId, SymbolId> bindings;
-    for (size_t i = 0; i < pattern.args.size(); ++i) {
-      const Term& t = pattern.args[i];
-      if (t.is_constant()) {
-        if (tuple[i] != t.symbol) return false;
-      } else {
-        auto [bit, inserted] = bindings.emplace(t.symbol, tuple[i]);
-        if (!inserted && bit->second != tuple[i]) return false;
+  // first[i]: the first position holding the same variable as position i
+  // (i itself for constants and first occurrences).
+  std::vector<size_t> first(args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    first[i] = i;
+    for (size_t j = 0; j < i && args[i].is_variable(); ++j) {
+      if (args[j].is_variable() && args[j].symbol == args[i].symbol) {
+        first[i] = j;
+        break;
       }
     }
-    return true;
+  }
+  auto append_if_matches = [&](std::span<const SymbolId> tuple) {
+    for (size_t i = 0; i < args.size(); ++i) {
+      SymbolId want = args[i].is_constant() ? args[i].symbol : tuple[first[i]];
+      if (tuple[i] != want) return;
+    }
+    out->emplace_back(tuple.begin(), tuple.end());
   };
 
-  // Use the first-argument index when the first position is bound.
-  if (!pattern.args.empty() && pattern.args[0].is_constant()) {
-    auto idx = rel.first_arg_index.find(pattern.args[0].symbol);
-    if (idx == rel.first_arg_index.end()) return;
-    for (uint32_t ti : idx->second) {
-      if (matches(rel.tuples[ti])) out->push_back(rel.tuples[ti]);
+  if (!args.empty() && args[0].is_constant()) {
+    if (args.size() == 1) {
+      if (rel.tuples.Contains({&args[0].symbol, 1})) {
+        out->push_back({args[0].symbol});
+      }
+      return;
     }
+    auto idx = rel.first_arg_index.find(args[0].symbol);
+    if (idx == rel.first_arg_index.end()) return;
+    for (uint32_t t : idx->second) append_if_matches(rel.tuples[t]);
     return;
   }
-  for (const FactTuple& tuple : rel.tuples) {
-    if (matches(tuple)) out->push_back(tuple);
+  for (size_t t = 0; t < rel.tuples.size(); ++t) {
+    append_if_matches(rel.tuples[t]);
   }
 }
 
-int64_t Database::CountFacts(SymbolId predicate) const {
+const TupleSet* Database::Facts(SymbolId predicate) const {
   auto it = relations_.find(predicate);
-  if (it == relations_.end()) return 0;
-  return static_cast<int64_t>(it->second.tuples.size());
+  return it == relations_.end() ? nullptr : &it->second.tuples;
+}
+
+int64_t Database::CountFacts(SymbolId predicate) const {
+  const TupleSet* tuples = Facts(predicate);
+  return tuples == nullptr ? 0 : static_cast<int64_t>(tuples->size());
 }
 
 int64_t Database::TotalFacts() const {
@@ -111,9 +145,8 @@ int64_t Database::TotalFacts() const {
 }
 
 int Database::Arity(SymbolId predicate) const {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) return -1;
-  return it->second.arity;
+  const TupleSet* tuples = Facts(predicate);
+  return tuples == nullptr ? -1 : static_cast<int>(tuples->arity());
 }
 
 std::vector<SymbolId> Database::Predicates() const {

@@ -2,9 +2,8 @@
 #define STRATLEARN_DATALOG_DATABASE_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "datalog/atom.h"
@@ -15,6 +14,69 @@ namespace stratlearn {
 /// A fact tuple: the constant arguments of one ground atom.
 using FactTuple = std::vector<SymbolId>;
 
+/// A set of constant tuples of one arity. Each tuple is stored once, in
+/// insertion order, in one row-major array; membership is answered by an
+/// open-addressing hash set of tuple positions. A probe reads its key
+/// through a callback, so it builds no tuple and allocates nothing.
+class TupleSet {
+ public:
+  explicit TupleSet(size_t arity) : arity_(arity) {}
+
+  size_t arity() const { return arity_; }
+  size_t size() const { return size_; }
+
+  /// The tuple inserted `i`-th.
+  std::span<const SymbolId> operator[](size_t i) const {
+    return {values_.data() + i * arity_, arity_};
+  }
+
+  /// Adds `tuple` (arity() constants) unless present; true when added.
+  bool Insert(std::span<const SymbolId> tuple);
+
+  bool Contains(std::span<const SymbolId> tuple) const {
+    return ContainsKey([tuple](size_t i) { return tuple[i]; });
+  }
+
+  /// True when some tuple t has t[i] == key(i) for every i < arity().
+  template <typename Key>
+  bool ContainsKey(const Key& key) const {
+    return !slots_.empty() && slots_[Slot(key)] != kFree;
+  }
+
+  /// The distinct projections of the tuples onto `positions`, in order
+  /// of first occurrence.
+  TupleSet Project(std::span<const size_t> positions) const;
+
+ private:
+  static constexpr uint32_t kFree = 0xffffffffu;
+
+  /// The slot holding the tuple equal to `key`, or else the free slot
+  /// where it would go. Requires a non-empty slot table.
+  template <typename Key>
+  size_t Slot(const Key& key) const {
+    uint64_t h = 0;
+    for (size_t i = 0; i < arity_; ++i) {
+      h = (h ^ key(i)) * 0x9e3779b97f4a7c15ULL;
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = (h ^ (h >> 32)) & mask;; s = (s + 1) & mask) {
+      if (slots_[s] == kFree) return s;
+      const SymbolId* row = values_.data() + size_t{slots_[s]} * arity_;
+      size_t i = 0;
+      while (i < arity_ && row[i] == key(i)) ++i;
+      if (i == arity_) return s;
+    }
+  }
+
+  void Rehash(size_t capacity);
+
+  size_t arity_;
+  size_t size_ = 0;
+  std::vector<SymbolId> values_;
+  /// Tuple positions or kFree; a power of two at most half full.
+  std::vector<uint32_t> slots_;
+};
+
 /// Store of ground atomic facts, grouped by predicate.
 ///
 /// Supports the operations the query processor needs:
@@ -22,6 +84,8 @@ using FactTuple = std::vector<SymbolId>;
 ///    retrieval" of the paper), O(1) expected;
 ///  * `Match` — enumerate tuples compatible with a partially-bound
 ///    pattern, accelerated by a first-bound-argument index;
+///  * `Facts` — a predicate's TupleSet, which compiled retrieval probes
+///    test directly;
 ///  * `CountFacts` — per-predicate fact counts, which the Smith [Smi89]
 ///    baseline uses as (questionable) probability surrogates.
 class Database {
@@ -34,7 +98,7 @@ class Database {
   Status Insert(const Atom& fact);
 
   /// Convenience: insert predicate + constant arguments directly.
-  Status Insert(SymbolId predicate, FactTuple args);
+  Status Insert(SymbolId predicate, const FactTuple& args);
 
   /// True when the exact ground atom is present.
   bool Contains(const Atom& fact) const;
@@ -44,6 +108,9 @@ class Database {
   /// `pattern` on its constant positions. Variable positions match
   /// anything (repeated variables must bind consistently).
   void Match(const Atom& pattern, std::vector<FactTuple>* out) const;
+
+  /// The facts stored for `predicate`, or null if none were inserted.
+  const TupleSet* Facts(SymbolId predicate) const;
 
   /// Number of facts stored for `predicate` (0 if unknown).
   int64_t CountFacts(SymbolId predicate) const;
@@ -61,15 +128,12 @@ class Database {
 
  private:
   struct Relation {
-    int arity = -1;
-    std::vector<FactTuple> tuples;
-    // Encoded-tuple membership set for O(1) Contains.
-    std::unordered_set<std::string> members;
-    // (arg position, symbol) -> tuple indexes, built lazily for position 0.
+    TupleSet tuples;
+    /// First argument -> positions of the tuples holding it. Insert
+    /// keeps it for arity >= 2 only: a bound unary lookup is a
+    /// membership test.
     std::unordered_map<SymbolId, std::vector<uint32_t>> first_arg_index;
   };
-
-  static std::string EncodeTuple(const FactTuple& t);
 
   std::unordered_map<SymbolId, Relation> relations_;
 };

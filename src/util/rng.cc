@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace stratlearn {
@@ -79,27 +80,6 @@ double Rng::NextGaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-size_t Rng::NextDiscrete(const std::vector<double>& weights) {
-  STRATLEARN_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    STRATLEARN_CHECK(w >= 0.0);
-    total += w;
-  }
-  STRATLEARN_CHECK(total > 0.0);
-  double r = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  // Floating point slop: return the last index with positive weight.
-  for (size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
 std::array<uint64_t, 4> Rng::SaveState() const {
@@ -108,6 +88,26 @@ std::array<uint64_t, 4> Rng::SaveState() const {
 
 void Rng::RestoreState(const std::array<uint64_t, 4>& state) {
   for (size_t i = 0; i < 4; ++i) state_[i] = state[i];
+}
+
+DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
+  STRATLEARN_CHECK(!weights.empty());
+  partial_sums_.reserve(weights.size());
+  double total = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    STRATLEARN_CHECK(weights[i] >= 0.0);
+    total += weights[i];
+    partial_sums_.push_back(total);
+    if (weights[i] > 0.0) last_positive_ = i;
+  }
+  STRATLEARN_CHECK(total > 0.0 && std::isfinite(total));
+}
+
+size_t DiscreteSampler::Next(Rng& rng) const {
+  double r = rng.NextDouble() * total();
+  auto it = std::upper_bound(partial_sums_.begin(), partial_sums_.end(), r);
+  if (it == partial_sums_.end()) return last_positive_;
+  return static_cast<size_t>(it - partial_sums_.begin());
 }
 
 }  // namespace stratlearn

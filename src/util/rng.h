@@ -43,10 +43,6 @@ class Rng {
   /// Standard normal deviate (Box–Muller; one value per call).
   double NextGaussian();
 
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Weights must be non-negative with a positive sum.
-  size_t NextDiscrete(const std::vector<double>& weights);
-
   /// Fisher–Yates shuffle of `items`.
   template <typename T>
   void Shuffle(std::vector<T>& items) {
@@ -70,6 +66,27 @@ class Rng {
 
  private:
   uint64_t state_[4];
+};
+
+/// Samples an index in [0, weights.size()) with probability proportional
+/// to weights[i], in O(log n) per draw. The left-to-right partial sums
+/// are built once; a draw scales one NextDouble by their total and
+/// binary-searches for the first partial sum above it. That is the index
+/// a linear walk accumulating the same sums picks, bit for bit.
+class DiscreteSampler {
+ public:
+  /// Weights must be non-negative with a positive, finite sum.
+  explicit DiscreteSampler(const std::vector<double>& weights);
+
+  size_t Next(Rng& rng) const;
+
+  /// The sum of the weights, accumulated left to right.
+  double total() const { return partial_sums_.back(); }
+
+ private:
+  std::vector<double> partial_sums_;
+  /// Returned when rounding puts a draw at or past the total.
+  size_t last_positive_ = 0;
 };
 
 }  // namespace stratlearn

@@ -21,7 +21,7 @@ Context FaultyOracle::Next(Rng& rng) {
         continue;
       }
       if (rng_.NextBernoulli(rule.probability)) {
-        context.Set(e, !context.Unblocked(e));
+        context.Flip(e);
         ++corruptions_;
       }
     }

@@ -19,7 +19,9 @@ namespace stratlearn {
 ///
 /// The decorator owns its own RNG seeded from the plan, so the inner
 /// oracle draws the exact same context stream with and without
-/// corruption (tests diff the two runs).
+/// corruption (tests diff the two runs). It draws one flip bit per
+/// experiment and rule from that RNG and flips with Context::Flip, so a
+/// lazy context still resolves only the experiments the QP attempts.
 class FaultyOracle : public ContextOracle {
  public:
   /// `inner` is not owned and must outlive the decorator.

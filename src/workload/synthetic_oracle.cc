@@ -17,20 +17,28 @@ Context IndependentOracle::Next(Rng& rng) {
   return c;
 }
 
-MixtureOracle::MixtureOracle(std::vector<Profile> profiles)
-    : profiles_(std::move(profiles)) {
-  STRATLEARN_CHECK(!profiles_.empty());
-  weights_.reserve(profiles_.size());
-  for (const Profile& p : profiles_) {
-    STRATLEARN_CHECK(p.weight >= 0.0);
+namespace {
+
+std::vector<double> ProfileWeights(
+    const std::vector<MixtureOracle::Profile>& profiles) {
+  STRATLEARN_CHECK(!profiles.empty());
+  std::vector<double> weights;
+  weights.reserve(profiles.size());
+  for (const MixtureOracle::Profile& p : profiles) {
     STRATLEARN_CHECK(p.success_probs.size() ==
-                     profiles_[0].success_probs.size());
-    weights_.push_back(p.weight);
+                     profiles[0].success_probs.size());
+    weights.push_back(p.weight);
   }
+  return weights;
 }
 
+}  // namespace
+
+MixtureOracle::MixtureOracle(std::vector<Profile> profiles)
+    : profiles_(std::move(profiles)), sampler_(ProfileWeights(profiles_)) {}
+
 Context MixtureOracle::Next(Rng& rng) {
-  const Profile& profile = profiles_[rng.NextDiscrete(weights_)];
+  const Profile& profile = profiles_[sampler_.Next(rng)];
   Context c(profile.success_probs.size());
   for (size_t i = 0; i < profile.success_probs.size(); ++i) {
     c.Set(i, rng.NextBernoulli(profile.success_probs[i]));
@@ -43,12 +51,10 @@ size_t MixtureOracle::num_experiments() const {
 }
 
 std::vector<double> MixtureOracle::MarginalProbs() const {
-  double total = 0.0;
-  for (double w : weights_) total += w;
   std::vector<double> out(num_experiments(), 0.0);
   for (const Profile& p : profiles_) {
     for (size_t i = 0; i < out.size(); ++i) {
-      out[i] += p.weight / total * p.success_probs[i];
+      out[i] += p.weight / sampler_.total() * p.success_probs[i];
     }
   }
   return out;

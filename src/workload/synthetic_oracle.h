@@ -46,7 +46,7 @@ class MixtureOracle : public ContextOracle {
 
  private:
   std::vector<Profile> profiles_;
-  std::vector<double> weights_;
+  DiscreteSampler sampler_;
 };
 
 /// A *non-stationary* independent oracle: per-experiment success

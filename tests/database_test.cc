@@ -130,6 +130,118 @@ TEST_F(DatabaseTest, ClearEmpties) {
   EXPECT_FALSE(db_.Contains(MakeAtom("p", {"a"})));
 }
 
+TEST_F(DatabaseTest, ZeroArityFacts) {
+  SymbolId rain = symbols_.Intern("rain");
+  EXPECT_FALSE(db_.Contains(rain, {}));
+  ASSERT_TRUE(db_.Insert(MakeAtom("rain", {})).ok());
+  ASSERT_TRUE(db_.Insert(rain, {}).ok());
+  EXPECT_EQ(db_.CountFacts(rain), 1);
+  EXPECT_EQ(db_.Arity(rain), 0);
+  EXPECT_TRUE(db_.Contains(rain, {}));
+  EXPECT_TRUE(db_.Contains(MakeAtom("rain", {})));
+  EXPECT_FALSE(db_.Contains(rain, {symbols_.Intern("a")}));
+  Atom pattern;
+  pattern.predicate = rain;
+  std::vector<FactTuple> out;
+  db_.Match(pattern, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].empty());
+}
+
+TEST_F(DatabaseTest, SymbolIdsNearTheTopOfTheRange) {
+  SymbolId pred = symbols_.Intern("edge");
+  const SymbolId top = 0xffffffffu;
+  for (SymbolId a = top - 3; a != 0; ++a) {  // wraps to 0 after `top`
+    for (SymbolId b = top - 3; b != 0; ++b) {
+      if (a == b) continue;
+      ASSERT_TRUE(db_.Insert(pred, {a, b}).ok());
+    }
+  }
+  EXPECT_EQ(db_.CountFacts(pred), 12);
+  EXPECT_TRUE(db_.Contains(pred, {top, top - 1}));
+  EXPECT_TRUE(db_.Contains(pred, {top - 3, top}));
+  EXPECT_FALSE(db_.Contains(pred, {top, top}));
+  EXPECT_FALSE(db_.Contains(pred, {0, top}));
+  Atom pattern;
+  pattern.predicate = pred;
+  pattern.args = {Term::Constant(top), Term::Variable(symbols_.Intern("X"))};
+  std::vector<FactTuple> out;
+  db_.Match(pattern, &out);
+  EXPECT_EQ(out.size(), 3u);
+}
+
+TEST_F(DatabaseTest, TernaryTuplesDifferingOnlyInTheLastPosition) {
+  SymbolId pred = symbols_.Intern("t");
+  for (SymbolId c = 0; c < 200; ++c) {
+    ASSERT_TRUE(db_.Insert(pred, {7, 8, c}).ok());
+  }
+  EXPECT_EQ(db_.CountFacts(pred), 200);
+  for (SymbolId c = 0; c < 200; ++c) EXPECT_TRUE(db_.Contains(pred, {7, 8, c}));
+  EXPECT_FALSE(db_.Contains(pred, {7, 8, 200}));
+  EXPECT_FALSE(db_.Contains(pred, {8, 7, 0}));
+  EXPECT_FALSE(db_.Contains(pred, {7, 0, 8}));
+}
+
+TEST_F(DatabaseTest, DuplicateInsertsKeepFirstInsertionOrder) {
+  SymbolId pred = symbols_.Intern("s");
+  for (int round = 0; round < 3; ++round) {
+    for (SymbolId a = 0; a < 50; ++a) {
+      ASSERT_TRUE(db_.Insert(pred, {a, a % 7}).ok());
+    }
+  }
+  EXPECT_EQ(db_.CountFacts(pred), 50);
+  EXPECT_EQ(db_.TotalFacts(), 50);
+  const TupleSet* tuples = db_.Facts(pred);
+  ASSERT_NE(tuples, nullptr);
+  for (SymbolId a = 0; a < 50; ++a) {
+    EXPECT_EQ((*tuples)[a][0], a);
+    EXPECT_EQ((*tuples)[a][1], a % 7);
+  }
+}
+
+TEST_F(DatabaseTest, ContainsWithTheWrongArityIsFalse) {
+  ASSERT_TRUE(db_.Insert(MakeAtom("p", {"a", "b"})).ok());
+  EXPECT_TRUE(db_.Contains(MakeAtom("p", {"a", "b"})));
+  EXPECT_FALSE(db_.Contains(MakeAtom("p", {"a"})));
+  EXPECT_FALSE(db_.Contains(MakeAtom("p", {"a", "b", "b"})));
+  EXPECT_FALSE(db_.Contains(MakeAtom("p", {})));
+  SymbolId a = symbols_.Intern("a");
+  EXPECT_FALSE(db_.Contains(symbols_.Intern("p"), {a}));
+}
+
+TEST_F(DatabaseTest, MatchOnUnaryRelationWithBoundArgument) {
+  ASSERT_TRUE(db_.Insert(MakeAtom("prof", {"russ"})).ok());
+  ASSERT_TRUE(db_.Insert(MakeAtom("prof", {"ann"})).ok());
+  Atom pattern = MakeAtom("prof", {"ann"});
+  std::vector<FactTuple> out;
+  db_.Match(pattern, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], FactTuple{symbols_.Intern("ann")});
+  out.clear();
+  db_.Match(MakeAtom("prof", {"fred"}), &out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(TupleSetTest, ProjectKeepsDistinctProjectionsInFirstOccurrenceOrder) {
+  TupleSet set(3);
+  EXPECT_TRUE(set.Insert(std::vector<SymbolId>{1, 2, 3}));
+  EXPECT_TRUE(set.Insert(std::vector<SymbolId>{1, 5, 3}));
+  EXPECT_TRUE(set.Insert(std::vector<SymbolId>{4, 2, 6}));
+  EXPECT_FALSE(set.Insert(std::vector<SymbolId>{1, 5, 3}));
+  const std::vector<size_t> outer = {0, 2};
+  TupleSet projected = set.Project(outer);
+  ASSERT_EQ(projected.arity(), 2u);
+  ASSERT_EQ(projected.size(), 2u);
+  EXPECT_TRUE(projected.Contains(std::vector<SymbolId>{1, 3}));
+  EXPECT_TRUE(projected.Contains(std::vector<SymbolId>{4, 6}));
+  EXPECT_FALSE(projected.Contains(std::vector<SymbolId>{1, 6}));
+  EXPECT_EQ(projected[1][0], 4u);
+  TupleSet none = set.Project({});
+  EXPECT_EQ(none.size(), 1u);
+  EXPECT_TRUE(none.Contains({}));
+  EXPECT_FALSE(TupleSet(2).Project({}).Contains({}));
+}
+
 TEST_F(DatabaseTest, LargeRelationLookupIsCorrect) {
   SymbolId pred = symbols_.Intern("big");
   for (int i = 0; i < 5000; ++i) {

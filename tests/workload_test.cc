@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
+#include <set>
+#include <string>
+
 #include "core/expected_cost.h"
 #include "datalog/parser.h"
+#include "util/math_util.h"
 #include "workload/datalog_oracle.h"
+#include "workload/faulty_oracle.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -124,6 +131,240 @@ TEST(DatalogOracleTest, GuardedExperimentEvaluation) {
   ASSERT_GE(guard_exp, 0);
   EXPECT_TRUE(fred.Unblocked(guard_exp));
   EXPECT_FALSE(russ.Unblocked(guard_exp));
+}
+
+// ---- Lazy contexts against the eager reference path -------------------
+
+/// A random non-recursive program for the query form q(b, b). Unary (u),
+/// binary (s) and ternary (t) relations hold random facts over four
+/// constants; e0 holds none. Each rule body is a chain of one or two
+/// atoms whose arguments are query variables, constants or existential
+/// variables (repeated within an atom now and then), optionally ending in
+/// an intensional subgoal; a head constant turns a reduction into a
+/// guarded one.
+std::string RandomProgram(Rng& rng) {
+  const std::vector<std::string> constants = {"c0", "c1", "c2", "c3"};
+  std::string text;
+  auto maybe_fact = [&](const std::string& atom) {
+    if (rng.NextBernoulli(0.4)) text += atom + ".\n";
+  };
+  for (int r = 0; r < 2; ++r) {
+    for (const std::string& a : constants) {
+      maybe_fact("u" + std::to_string(r) + "(" + a + ")");
+      for (const std::string& b : constants) {
+        maybe_fact("s" + std::to_string(r) + "(" + a + ", " + b + ")");
+        for (const std::string& c : constants) {
+          maybe_fact("t" + std::to_string(r) + "(" + a + ", " + b + ", " + c +
+                     ")");
+        }
+      }
+    }
+  }
+  int existentials = 0;
+  // One body atom over `vars` (the query variables the head binds);
+  // adds the ones it mentions to `used`.
+  auto body_atom = [&](const std::vector<std::string>& vars,
+                       std::set<std::string>* used) {
+    static const char* kRelations[] = {"u0", "u1", "s0", "s1",
+                                       "t0", "t1", "e0"};
+    std::string pred = kRelations[rng.NextBounded(7)];
+    int arity = pred[0] == 't' ? 3 : pred[0] == 's' ? 2 : 1;
+    std::string atom = pred + "(";
+    std::string existential;
+    for (int i = 0; i < arity; ++i) {
+      std::string arg;
+      switch (rng.NextInt(0, 4)) {
+        case 0:
+          arg = constants[rng.NextBounded(constants.size())];
+          break;
+        case 1:
+          if (!existential.empty()) {  // repeated within the atom
+            arg = existential;
+            break;
+          }
+          [[fallthrough]];
+        case 2:
+          arg = existential = "Z" + std::to_string(existentials++);
+          break;
+        default:
+          arg = vars[rng.NextBounded(vars.size())];
+          used->insert(arg);
+      }
+      atom += (i > 0 ? ", " : "") + arg;
+    }
+    return atom + ")";
+  };
+  // Rules for `head` (q or a subgoal p<k>); subgoals go one level deep.
+  int subgoals = 0;
+  std::function<void(const std::string&, bool)> rules_for =
+      [&](const std::string& head, bool top) {
+        for (int r = rng.NextInt(1, top ? 5 : 2); r > 0; --r) {
+          std::vector<std::string> vars = {"X", "Y"};
+          std::string x = "X", y = "Y";
+          if (rng.NextBernoulli(0.25)) {
+            x = constants[rng.NextBounded(constants.size())];
+            vars = {"Y"};
+          }
+          std::string body;
+          std::set<std::string> used;
+          for (int a = rng.NextInt(1, 2); a > 0; --a) {
+            body += (body.empty() ? "" : ", ") + body_atom(vars, &used);
+          }
+          for (const std::string& v : vars) {  // range restriction
+            if (used.count(v) == 0) body += ", u1(" + v + ")";
+          }
+          if (top && rng.NextBernoulli(0.3)) {
+            std::string sub = "p" + std::to_string(subgoals++);
+            body += ", " + sub + "(" + vars.front() + ", Y)";
+            rules_for(sub, false);
+          }
+          text += head + "(" + x + ", " + y + ") :- " + body + ".\n";
+        }
+      };
+  rules_for("q", true);
+  return text;
+}
+
+/// Every pair of the four constants plus one no fact mentions, with
+/// random weights (some zero).
+QueryWorkload RandomWorkload(Rng& rng, SymbolTable* symbols) {
+  QueryWorkload workload;
+  for (const char* a : {"c0", "c1", "c2", "c3", "c9"}) {
+    for (const char* b : {"c0", "c1", "c2", "c3", "c9"}) {
+      double weight = rng.NextBernoulli(0.2) ? 0.0 : rng.NextUniform(0.5, 3);
+      workload.entries.push_back(
+          {{symbols->Intern(a), symbols->Intern(b)}, weight});
+    }
+  }
+  workload.entries.back().weight = 1.0;
+  return workload;
+}
+
+/// One random program, loaded and unfolded for q(b, b).
+struct RandomKb {
+  SymbolTable symbols;
+  Database db;
+  RuleBase rules;
+  Result<BuiltGraph> built = Status::Internal("not built");
+
+  explicit RandomKb(Rng& rng) {
+    Parser parser(&symbols);
+    std::string program = RandomProgram(rng);
+    Status loaded = parser.LoadProgram(program, &db, &rules);
+    EXPECT_TRUE(loaded.ok()) << loaded.ToString() << "\n" << program;
+    Result<QueryForm> form = QueryForm::Parse("q(b, b)", &symbols);
+    if (loaded.ok() && form.ok()) {
+      built = BuildInferenceGraph(rules, *form, &symbols);
+    }
+  }
+};
+
+void ExpectSameOutcomes(const Context& got, const Context& want, Rng& rng) {
+  ASSERT_EQ(got.num_experiments(), want.num_experiments());
+  std::vector<size_t> order(want.num_experiments());
+  std::iota(order.begin(), order.end(), size_t{0});
+  rng.Shuffle(order);
+  for (size_t e : order) {
+    ASSERT_EQ(got.Unblocked(e), want.Unblocked(e)) << "experiment " << e;
+  }
+}
+
+TEST(DatalogOracleTest, LazyContextsMatchContextFor) {
+  Rng gen(2024);
+  int programs = 0, guards = 0, existentials = 0;
+  for (int attempt = 0; attempt < 60; ++attempt) {
+    RandomKb kb(gen);
+    if (!kb.built.ok() || kb.built->graph.num_experiments() == 0) continue;
+    ++programs;
+    if (!kb.built->guards.empty()) ++guards;
+    for (const auto& [arc, spec] : kb.built->retrievals) {
+      if (spec.IsExistential()) {
+        ++existentials;
+        break;
+      }
+    }
+    QueryWorkload workload = RandomWorkload(gen, &kb.symbols);
+    DatalogOracle oracle(&*kb.built, &kb.db, workload);
+
+    // The marginals sum the compiled probes; the reference sums ContextFor.
+    double total = 0.0;
+    for (const auto& e : workload.entries) total += e.weight;
+    std::vector<double> want_probs(oracle.num_experiments(), 0.0);
+    for (const auto& e : workload.entries) {
+      Context c = oracle.ContextFor(e.args);
+      for (size_t i = 0; i < want_probs.size(); ++i) {
+        if (c.Unblocked(i)) want_probs[i] += e.weight / total;
+      }
+    }
+    for (double& p : want_probs) p = ClampProbability(p);
+    EXPECT_EQ(oracle.TrueMarginalProbs(), want_probs);
+
+    Rng rng(static_cast<uint64_t>(attempt));
+    for (int draw = 0; draw < 100; ++draw) {
+      Context lazy = oracle.Next(rng);
+      Context untouched = lazy;
+      Context want = oracle.ContextFor(oracle.last_query_args());
+      // Copy half-way through the reads: the copy keeps what was
+      // resolved and resolves the rest itself.
+      std::vector<size_t> order(want.num_experiments());
+      std::iota(order.begin(), order.end(), size_t{0});
+      gen.Shuffle(order);
+      for (size_t k = 0; k < order.size() / 2; ++k) lazy.Unblocked(order[k]);
+      Context half = lazy;
+      ExpectSameOutcomes(lazy, want, gen);
+      ExpectSameOutcomes(half, want, gen);
+      ExpectSameOutcomes(untouched, want, gen);
+      Context next = oracle.Next(rng);
+      EXPECT_TRUE(next == oracle.ContextFor(oracle.last_query_args()));
+    }
+  }
+  EXPECT_GE(programs, 50);
+  EXPECT_GE(guards, 20);
+  EXPECT_GE(existentials, 20);
+}
+
+/// Draws from a DatalogOracle and hands out the eager ContextFor of the
+/// drawn query instead of the lazy context.
+class EagerDatalogOracle : public ContextOracle {
+ public:
+  explicit EagerDatalogOracle(DatalogOracle* inner) : inner_(inner) {}
+  Context Next(Rng& rng) override {
+    inner_->Next(rng);
+    return inner_->ContextFor(inner_->last_query_args());
+  }
+  size_t num_experiments() const override { return inner_->num_experiments(); }
+
+ private:
+  DatalogOracle* inner_;
+};
+
+TEST(DatalogOracleTest, FaultyOracleFlipsLazyAndEagerContextsAlike) {
+  Rng gen(77);
+  int programs = 0;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    RandomKb kb(gen);
+    if (!kb.built.ok() || kb.built->graph.num_experiments() < 2) continue;
+    ++programs;
+    QueryWorkload workload = RandomWorkload(gen, &kb.symbols);
+    DatalogOracle lazy_inner(&*kb.built, &kb.db, workload);
+    DatalogOracle eager_source(&*kb.built, &kb.db, workload);
+    EagerDatalogOracle eager_inner(&eager_source);
+    robust::FaultPlan plan;
+    plan.seed = 5 + static_cast<uint64_t>(attempt);
+    plan.rules.push_back({robust::FaultKind::kCorrupt, 0.3, -1, 1.0});
+    plan.rules.push_back({robust::FaultKind::kCorrupt, 0.5, 1, 1.0});
+    FaultyOracle lazy(&lazy_inner, plan);
+    FaultyOracle eager(&eager_inner, plan);
+    Rng a(9), b(9);
+    for (int draw = 0; draw < 300; ++draw) {
+      Context want = eager.Next(b);
+      Context got = lazy.Next(a);
+      ExpectSameOutcomes(got, want, gen);
+    }
+    EXPECT_EQ(lazy.corruptions(), eager.corruptions());
+    EXPECT_GT(lazy.corruptions(), 0);
+  }
+  EXPECT_GE(programs, 10);
 }
 
 TEST(DriftingOracleTest, RevertAtRestoresThePreDriftRegime) {

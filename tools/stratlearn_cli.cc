@@ -191,6 +191,7 @@
 // Workload files hold one query per line: "<weight> <arg1> [<arg2> ...]";
 // '#' starts a comment.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -955,6 +956,7 @@ Result<std::unique_ptr<Loaded>> Load(const std::string& program_path,
     Result<std::string> workload_text = ReadFile(workload_path);
     if (!workload_text.ok()) return workload_text.status();
     int line_number = 0;
+    double total_weight = 0.0;
     for (const std::string& raw : Split(*workload_text, '\n')) {
       ++line_number;
       std::string clipped = raw.substr(0, raw.find('#'));
@@ -969,11 +971,22 @@ Result<std::unique_ptr<Loaded>> Load(const std::string& program_path,
             "workload line %d needs '<weight> <args...>'", line_number));
       }
       QueryWorkload::Entry entry;
-      entry.weight = std::atof(fields[0].c_str());
+      if (!ParseDouble(fields[0], &entry.weight) ||
+          !std::isfinite(entry.weight)) {
+        return Status::InvalidArgument(
+            StrFormat("workload line %d: weight '%s' is not a finite number",
+                      line_number, fields[0].c_str()));
+      }
       if (entry.weight <= 0.0) {
         return Status::InvalidArgument(
             StrFormat("workload line %d has non-positive weight",
                       line_number));
+      }
+      total_weight += entry.weight;
+      if (!std::isfinite(total_weight)) {
+        return Status::InvalidArgument(StrFormat(
+            "workload line %d: the running weight total overflows",
+            line_number));
       }
       for (size_t i = 1; i < fields.size(); ++i) {
         entry.args.push_back(loaded->symbols.Intern(fields[i]));
