@@ -39,85 +39,6 @@ std::string SerializeAndOrGraph(const AndOrGraph& graph) {
   return out;
 }
 
-Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text) {
-  std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != kGraphHeader) {
-    return Status::InvalidArgument("missing 'stratlearn-andor v1' header");
-  }
-  AndOrGraph graph;
-  size_t node_count = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = Trim(lines[i]);
-    if (line.empty()) continue;
-    if (!StartsWith(line, "node ")) {
-      return Status::InvalidArgument(
-          StrFormat("unrecognised record on line %zu", i + 1));
-    }
-    // node <kind> <parent|-> <cost> <label...>
-    std::vector<std::string> fields = Split(line.substr(5), ' ');
-    if (fields.size() < 3) {
-      return Status::InvalidArgument(
-          StrFormat("malformed node record on line %zu", i + 1));
-    }
-    AndOrKind kind;
-    if (fields[0] == "A") {
-      kind = AndOrKind::kAnd;
-    } else if (fields[0] == "O") {
-      kind = AndOrKind::kOr;
-    } else if (fields[0] == "L") {
-      kind = AndOrKind::kLeaf;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("unknown node kind on line %zu", i + 1));
-    }
-    double cost = 0.0;
-    if (!ParseDouble(fields[2], &cost)) {
-      return Status::InvalidArgument(
-          StrFormat("bad cost on line %zu", i + 1));
-    }
-    // Label: everything after the third field.
-    std::string label;
-    for (size_t f = 3; f < fields.size(); ++f) {
-      if (f > 3) label += " ";
-      label += fields[f];
-    }
-    if (node_count == 0) {
-      if (fields[1] != "-") {
-        return Status::InvalidArgument("root must have parent '-'");
-      }
-      if (kind == AndOrKind::kLeaf && cost <= 0.0) {
-        return Status::InvalidArgument("root leaf needs positive cost");
-      }
-      graph.AddRoot(kind, label, kind == AndOrKind::kLeaf ? cost : 1.0);
-    } else {
-      uint32_t parent = 0;
-      if (!ParseInteger(fields[1], &parent) || parent >= node_count) {
-        return Status::InvalidArgument(
-            StrFormat("bad parent on line %zu", i + 1));
-      }
-      if (graph.node(parent).kind == AndOrKind::kLeaf) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu hangs a child off a leaf", i + 1));
-      }
-      if (kind == AndOrKind::kLeaf) {
-        if (cost <= 0.0) {
-          return Status::InvalidArgument(
-              StrFormat("leaf on line %zu needs positive cost", i + 1));
-        }
-        graph.AddLeaf(parent, label, cost);
-      } else {
-        graph.AddInternal(parent, kind, label);
-      }
-    }
-    ++node_count;
-  }
-  if (node_count == 0) {
-    return Status::InvalidArgument("graph has no nodes");
-  }
-  STRATLEARN_RETURN_IF_ERROR(graph.Validate());
-  return graph;
-}
-
 std::string SerializeAndOrStrategy(const AndOrGraph& graph,
                                    const AndOrStrategy& strategy) {
   std::string out(kStrategyHeader);

@@ -16,9 +16,9 @@ namespace stratlearn {
 /// Graph format:
 ///   stratlearn-andor v1
 ///   node <kind:A|O|L> <parent|-> <cost> <label>
-/// Nodes appear in id order (node 0 is the root, parent '-').
+/// Nodes appear in id order (node 0 is the root, parent '-'). The
+/// reader, verify::DeserializeAndOrGraph, is the V-A verify pass.
 std::string SerializeAndOrGraph(const AndOrGraph& graph);
-Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text);
 
 /// Strategy format (one line):
 ///   stratlearn-andor-strategy v1 <node:order,order,...> ...

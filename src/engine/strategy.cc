@@ -1,39 +1,91 @@
 #include "engine/strategy.h"
 
-#include <cstdlib>
-#include <unordered_set>
-
 #include "util/string_util.h"
 
 namespace stratlearn {
 
-Result<Strategy> Strategy::FromArcOrder(const InferenceGraph& graph,
-                                        std::vector<ArcId> arcs) {
-  if (arcs.size() != graph.num_arcs()) {
-    return Status::InvalidArgument(
-        StrFormat("strategy has %zu arcs; graph has %zu", arcs.size(),
-                  graph.num_arcs()));
-  }
+namespace {
+
+using Rule = StrategyFinding::Rule;
+
+/// Every rule `arcs` breaks as a strategy of `graph`, in one pass that
+/// allocates only its two flag arrays when it finds nothing: PAO checks
+/// one aiming strategy per context.
+std::vector<StrategyFinding> CheckArcOrder(const InferenceGraph& graph,
+                                           const std::vector<ArcId>& arcs) {
+  std::vector<StrategyFinding> findings;
+  // Tail before head: the processor can only consider an arc once its
+  // tail node has been reached. Reported only for a permutation.
+  std::vector<StrategyFinding> tail_first;
   std::vector<char> seen(graph.num_arcs(), 0);
-  std::vector<char> visited(graph.num_nodes(), 0);
-  visited[graph.root()] = 1;
-  for (ArcId a : arcs) {
+  std::vector<char> reached(graph.num_nodes(), 0);
+  reached[graph.root()] = 1;
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    ArcId a = arcs[i];
     if (a >= graph.num_arcs()) {
-      return Status::InvalidArgument(StrFormat("unknown arc id %u", a));
+      findings.push_back({Rule::kUnknownArc, i, a, {}});
+    } else if (seen[a]) {
+      findings.push_back({Rule::kRepeatedArc, i, a, {}});
+    } else {
+      seen[a] = 1;
+      const Arc& arc = graph.arc(a);
+      if (!reached[arc.from]) {
+        tail_first.push_back({Rule::kTailUnreached, i, a, {}});
+      }
+      reached[arc.to] = 1;
     }
-    if (seen[a]) {
-      return Status::InvalidArgument(
-          StrFormat("arc %u appears twice in strategy", a));
-    }
-    seen[a] = 1;
-    const Arc& arc = graph.arc(a);
-    if (!visited[arc.from]) {
-      return Status::InvalidArgument(StrFormat(
-          "arc %u (%s) appears before its tail node is reachable", a,
-          arc.label.c_str()));
-    }
-    visited[arc.to] = 1;
   }
+  // The entries not refused above name distinct arcs.
+  if (arcs.size() - findings.size() < graph.num_arcs()) {
+    for (ArcId a = 0; a < graph.num_arcs(); ++a) {
+      if (!seen[a]) findings.push_back({Rule::kMissingArc, 0, a, {}});
+    }
+  }
+  return findings.empty() ? std::move(tail_first) : std::move(findings);
+}
+
+/// The first of `found` as a status, all of them into `*findings`.
+Status Refuse(const InferenceGraph& graph,
+              std::vector<StrategyFinding> found,
+              std::vector<StrategyFinding>* findings) {
+  Status status = Status::InvalidArgument(found.front().Message(graph));
+  if (findings != nullptr) *findings = std::move(found);
+  return status;
+}
+
+}  // namespace
+
+std::string StrategyFinding::Message(const InferenceGraph& graph) const {
+  constexpr const char* kPermutation =
+      "a strategy is a permutation of the graph's arcs";
+  switch (rule) {
+    case Rule::kNoHeader:
+      return "missing 'stratlearn-strategy v1' header";
+    case Rule::kBadToken:
+      return StrFormat("token '%s' is not an arc id", token.c_str());
+    case Rule::kUnknownArc:
+      return StrFormat("arc id %u does not exist; the graph has %zu arcs",
+                       arc, graph.num_arcs());
+    case Rule::kRepeatedArc:
+      return StrFormat("arc id %u appears more than once; %s", arc,
+                       kPermutation);
+    case Rule::kMissingArc:
+      return StrFormat("arc %u ('%s') is missing from the strategy; %s", arc,
+                       graph.arc(arc).label.c_str(), kPermutation);
+    case Rule::kTailUnreached:
+      return StrFormat("arc %u ('%s') appears before any arc reaching its "
+                       "tail node %u",
+                       arc, graph.arc(arc).label.c_str(),
+                       graph.arc(arc).from);
+  }
+  return "";
+}
+
+Result<Strategy> Strategy::FromArcOrder(
+    const InferenceGraph& graph, std::vector<ArcId> arcs,
+    std::vector<StrategyFinding>* findings) {
+  std::vector<StrategyFinding> found = CheckArcOrder(graph, arcs);
+  if (!found.empty()) return Refuse(graph, std::move(found), findings);
   return Strategy(std::move(arcs));
 }
 
@@ -124,28 +176,26 @@ std::string Strategy::Serialize() const {
   return out;
 }
 
-Result<Strategy> Strategy::Deserialize(const InferenceGraph& graph,
-                                       std::string_view text) {
-  std::vector<std::string> tokens;
-  for (const std::string& piece : Split(Trim(text), ' ')) {
-    if (!piece.empty()) tokens.push_back(piece);
-  }
+Result<Strategy> Strategy::Deserialize(
+    const InferenceGraph& graph, std::string_view text,
+    std::vector<StrategyFinding>* findings) {
+  std::vector<std::string> tokens = SplitFields(text);
   if (tokens.size() < 2 || tokens[0] != "stratlearn-strategy" ||
       tokens[1] != "v1") {
-    return Status::InvalidArgument(
-        "missing 'stratlearn-strategy v1' header");
+    return Refuse(graph, {{Rule::kNoHeader, 0, 0, {}}}, findings);
   }
   std::vector<ArcId> arcs;
-  arcs.reserve(tokens.size() - 2);
+  std::vector<StrategyFinding> found;
   for (size_t i = 2; i < tokens.size(); ++i) {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(tokens[i].c_str(), &end, 10);
-    if (end != tokens[i].c_str() + tokens[i].size()) {
-      return Status::InvalidArgument("bad arc id '" + tokens[i] + "'");
+    ArcId id = 0;
+    if (ParseInteger(tokens[i], &id)) {
+      arcs.push_back(id);
+    } else {
+      found.push_back({Rule::kBadToken, 0, 0, tokens[i]});
     }
-    arcs.push_back(static_cast<ArcId>(value));
   }
-  return FromArcOrder(graph, std::move(arcs));
+  if (!found.empty()) return Refuse(graph, std::move(found), findings);
+  return FromArcOrder(graph, std::move(arcs), findings);
 }
 
 std::string Strategy::ToString(const InferenceGraph& graph) const {

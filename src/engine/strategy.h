@@ -9,6 +9,27 @@
 
 namespace stratlearn {
 
+/// One rule an arc sequence or a strategy text breaks. Strategy's
+/// readers and verify's V-S001..V-S003 pass report the same findings.
+struct StrategyFinding {
+  enum class Rule {
+    kNoHeader,       // text without the "stratlearn-strategy v1" header
+    kBadToken,       // a token that is not an arc id
+    kUnknownArc,     // an id that names no arc of the graph
+    kRepeatedArc,    // an arc listed twice
+    kMissingArc,     // an arc not listed
+    kTailUnreached,  // an arc before any arc that reaches its tail
+  };
+  Rule rule = Rule::kNoHeader;
+  /// Index into the arc sequence (kUnknownArc, kRepeatedArc,
+  /// kTailUnreached).
+  size_t position = 0;
+  ArcId arc = 0;
+  std::string token;  // kBadToken
+
+  std::string Message(const InferenceGraph& graph) const;
+};
+
 /// A query-processing strategy: the complete sequence of the graph's arcs
 /// in the order the processor will consider them (Section 2.1). The
 /// processor skips arcs whose tail it has not reached, and stops at the
@@ -19,9 +40,12 @@ class Strategy {
 
   /// Validates `arcs` against `graph`: the sequence must contain every
   /// arc exactly once, and each arc's tail must be the root or the head
-  /// of an earlier arc.
-  static Result<Strategy> FromArcOrder(const InferenceGraph& graph,
-                                       std::vector<ArcId> arcs);
+  /// of an earlier arc (checked once the first rule holds). On failure
+  /// the status names the first broken rule and `findings`, when given,
+  /// receives every one.
+  static Result<Strategy> FromArcOrder(
+      const InferenceGraph& graph, std::vector<ArcId> arcs,
+      std::vector<StrategyFinding>* findings = nullptr);
 
   /// Canonical "lazy" strategy realising a given visiting order of the
   /// success (leaf) arcs: for each leaf in order, the unvisited arcs of
@@ -54,9 +78,14 @@ class Strategy {
   /// persisting a learned strategy alongside its serialised graph.
   std::string Serialize() const;
 
-  /// Parses Serialize() output and validates it against `graph`.
-  static Result<Strategy> Deserialize(const InferenceGraph& graph,
-                                      std::string_view text);
+  /// Parses Serialize() output and validates it against `graph`: the
+  /// header, then whitespace-separated arc ids on any number of lines,
+  /// each read whole by util/string_util's strict integer parser.
+  /// Findings as for FromArcOrder, which runs only when every token is
+  /// an arc id.
+  static Result<Strategy> Deserialize(
+      const InferenceGraph& graph, std::string_view text,
+      std::vector<StrategyFinding>* findings = nullptr);
 
   friend bool operator==(const Strategy& a, const Strategy& b) {
     return a.arcs_ == b.arcs_;

@@ -2,10 +2,8 @@
 #define STRATLEARN_GRAPH_SERIALIZATION_H_
 
 #include <string>
-#include <string_view>
 
 #include "graph/inference_graph.h"
-#include "util/status.h"
 
 namespace stratlearn {
 
@@ -21,13 +19,11 @@ namespace stratlearn {
 ///   arc <from> <to> <kind:R|D> <cost> <success_cost> <failure_cost>
 ///       <is_experiment:0|1> <label>        (one line, wrapped here)
 ///
-/// Nodes and arcs appear in id order; deserialisation rebuilds them with
-/// identical ids (node 0 is the root). Costs round-trip via shortest
-/// exact decimal (%.17g).
+/// Nodes and arcs appear in id order, so arc i leads to node i + 1.
+/// Costs round-trip via shortest exact decimal (%.17g). The reader,
+/// verify::DeserializeGraph, is the V-G verify pass itself, so the
+/// loader and `stratlearn_cli verify` accept the same files.
 std::string SerializeGraph(const InferenceGraph& graph);
-
-/// Parses a graph produced by SerializeGraph. Validates the result.
-Result<InferenceGraph> DeserializeGraph(std::string_view text);
 
 }  // namespace stratlearn
 

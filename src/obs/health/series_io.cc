@@ -10,6 +10,9 @@ namespace stratlearn::obs::health {
 
 namespace {
 
+constexpr const char* kBadInteger =
+    "an integer field is not finite or out of range";
+
 Status Malformed(int line, const std::string& why) {
   return Status::InvalidArgument(
       StrFormat("line %d: %s", line, why.c_str()));
@@ -20,9 +23,19 @@ double NumberOr(const JsonValue* v, double fallback) {
                                                                : fallback;
 }
 
-int64_t IntOr(const JsonValue* v, int64_t fallback) {
-  return static_cast<int64_t>(
-      NumberOr(v, static_cast<double>(fallback)));
+/// Reads integer field `key` of `object` into `*out` when it is there.
+/// False when it is there but is not a number that fits T: converting
+/// a non-finite or out-of-range double is undefined behaviour, and a
+/// narrowing cast would read arc 4294967296 as arc 0.
+template <typename T>
+bool IntField(const JsonValue& object, const std::string& key, T* out) {
+  if (object.Get(key) == nullptr) return true;
+  int64_t value = 0;
+  if (!ReadJsonInt(object, key, &value) || !std::in_range<T>(value)) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
 
 }  // namespace
@@ -47,10 +60,12 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
                              ? "missing \"schema\" header"
                              : "unknown schema '" + schema + "'");
       }
-      (void)ReadJsonInt(value, "interval_us", &out->interval_us);
-      (void)ReadJsonInt(value, "capacity", &out->capacity);
-      (void)ReadJsonInt(value, "windows_closed", &out->windows_closed);
-      (void)ReadJsonInt(value, "windows_evicted", &out->windows_evicted);
+      if (!IntField(value, "interval_us", &out->interval_us) ||
+          !IntField(value, "capacity", &out->capacity) ||
+          !IntField(value, "windows_closed", &out->windows_closed) ||
+          !IntField(value, "windows_evicted", &out->windows_evicted)) {
+        return Malformed(line_number, kBadInteger);
+      }
       have_header = true;
       continue;
     }
@@ -59,13 +74,17 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
       return Malformed(line_number,
                        "window line lacks a numeric \"window\" index");
     }
-    (void)ReadJsonInt(value, "start_us", &window.start_us);
-    (void)ReadJsonInt(value, "end_us", &window.end_us);
+    if (!IntField(value, "start_us", &window.start_us) ||
+        !IntField(value, "end_us", &window.end_us)) {
+      return Malformed(line_number, kBadInteger);
+    }
     if (const JsonValue* counters = value.Get("counters");
         counters != nullptr && counters->kind == JsonValue::Kind::kObject) {
       for (const auto& [name, c] : counters->object) {
-        window.cumulative.counters[name] = IntOr(c.Get("total"), 0);
-        window.counter_deltas[name] = IntOr(c.Get("delta"), 0);
+        if (!IntField(c, "total", &window.cumulative.counters[name]) ||
+            !IntField(c, "delta", &window.counter_deltas[name])) {
+          return Malformed(line_number, kBadInteger);
+        }
       }
     }
     if (const JsonValue* gauges = value.Get("gauges");
@@ -79,11 +98,13 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
         histograms->kind == JsonValue::Kind::kObject) {
       for (const auto& [name, h] : histograms->object) {
         HistogramDelta delta;
-        delta.count = IntOr(h.Get("count_delta"), 0);
+        HistogramSnapshot total;
+        if (!IntField(h, "count_delta", &delta.count) ||
+            !IntField(h, "count_total", &total.count)) {
+          return Malformed(line_number, kBadInteger);
+        }
         delta.sum = NumberOr(h.Get("sum_delta"), 0.0);
         window.histogram_deltas[name] = delta;
-        HistogramSnapshot total;
-        total.count = IntOr(h.Get("count_total"), 0);
         total.sum = NumberOr(h.Get("sum_total"), 0.0);
         window.cumulative.histograms[name] = std::move(total);
       }
@@ -95,13 +116,14 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
           return Malformed(line_number, "arc entry is not an object");
         }
         ArcWindowStats stats;
-        int64_t arc = IntOr(a.Get("arc"), -1);
-        if (arc < 0) {
+        if (a.Get("arc") == nullptr) {
           return Malformed(line_number, "arc entry lacks an \"arc\" id");
         }
-        stats.arc = static_cast<uint32_t>(arc);
-        stats.attempts = IntOr(a.Get("attempts"), 0);
-        stats.unblocked = IntOr(a.Get("unblocked"), 0);
+        if (!IntField(a, "arc", &stats.arc) ||
+            !IntField(a, "attempts", &stats.attempts) ||
+            !IntField(a, "unblocked", &stats.unblocked)) {
+          return Malformed(line_number, kBadInteger);
+        }
         stats.cost = NumberOr(a.Get("cost"), 0.0);
         window.arcs.push_back(std::move(stats));
       }

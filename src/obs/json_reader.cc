@@ -2,18 +2,18 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <string_view>
 
 namespace stratlearn::obs {
 namespace {
 
+/// Recursive descent over RFC 8259's grammar, with nesting capped at
+/// kMaxJsonDepth so a hostile line cannot exhaust the stack.
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
+    if (!ParseValue(out, 0)) return false;
     SkipWs();
     return pos_ == text_.size();
   }
@@ -21,25 +21,41 @@ class JsonParser {
  private:
   void SkipWs() {
     while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
   }
 
-  bool Literal(const char* word) {
-    size_t n = std::string_view(word).size();
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
+  bool Consume(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
     return true;
   }
 
-  bool ParseValue(JsonValue* out) {
+  bool Digits() {
+    size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  bool Literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  /// `depth` counts the arrays and objects enclosing this value.
+  bool ParseValue(JsonValue* out, int depth) {
+    SkipWs();
     if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out);
       case '[':
-        return ParseArray(out);
+        return depth < kMaxJsonDepth && ParseContainer(out, depth + 1);
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string);
@@ -59,98 +75,66 @@ class JsonParser {
     }
   }
 
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
+  bool ParseContainer(JsonValue* out, int depth) {
+    bool is_object = text_[pos_++] == '{';
+    char close = is_object ? '}' : ']';
+    out->kind = is_object ? JsonValue::Kind::kObject : JsonValue::Kind::kArray;
     SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
+    if (Consume(close)) return true;
     while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      SkipWs();
       JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace_back(std::move(key), std::move(value));
+      if (is_object) {
+        std::string key;
+        SkipWs();
+        if (!ParseString(&key)) return false;
+        SkipWs();
+        if (!Consume(':') || !ParseValue(&value, depth)) return false;
+        out->object.emplace_back(std::move(key), std::move(value));
+      } else {
+        if (!ParseValue(&value, depth)) return false;
+        out->array.push_back(std::move(value));
+      }
       SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
+      if (Consume(close)) return true;
+      if (!Consume(',')) return false;
     }
   }
 
   bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
+    if (!Consume('"')) return false;
     out->clear();
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Our writers never emit \u escapes; accept and keep the
-            // raw sequence so foreign files still parse.
-            if (pos_ + 4 > text_.size()) return false;
-            out->append("\\u").append(text_, pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
         out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/': out->push_back(esc); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          // Kept as the raw six bytes, not decoded.
+          std::string_view hex = text_.substr(pos_, 4);
+          if (hex.size() < 4) return false;
+          for (char h : hex) {
+            if (!std::isxdigit(static_cast<unsigned char>(h))) return false;
+          }
+          out->append("\\u").append(hex);
+          pos_ += 4;
+          break;
+        }
+        default:
+          return false;
       }
     }
     return false;  // unterminated
@@ -158,28 +142,28 @@ class JsonParser {
 
   bool ParseNumber(JsonValue* out) {
     size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    Consume('-');
+    if (!Consume('0') && !Digits()) return false;
+    if (Consume('.') && !Digits()) return false;
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!Digits()) return false;
     }
-    if (pos_ == start) return false;
-    char* end = nullptr;
-    std::string token = text_.substr(start, pos_ - start);
+    // strtod reads every token this grammar admits in full.
     out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(token.c_str(), &end);
-    return end != nullptr && *end == '\0';
+    out->number =
+        std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
+                    nullptr);
+    return true;
   }
 
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-bool ParseJson(const std::string& text, JsonValue* out) {
+bool ParseJson(std::string_view text, JsonValue* out) {
   return JsonParser(text).Parse(out);
 }
 

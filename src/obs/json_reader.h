@@ -3,17 +3,17 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace stratlearn::obs {
 
 /// Minimal JSON DOM shared by the offline readers (traces, audit
-/// streams, time-series files, profiler reports).
-/// obs::JsonWriter only writes and obs::IsValidJson only validates;
-/// these tools need actual values. Scope-limited on purpose: objects,
-/// arrays, strings, numbers, bools, null — no \u decoding beyond
-/// pass-through, no duplicate-key policy.
+/// streams, time-series files, profiler reports); obs::JsonWriter only
+/// writes. Scope-limited on purpose: objects, arrays, strings, numbers,
+/// bools, null — no \u decoding beyond pass-through, no duplicate-key
+/// policy.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
@@ -31,9 +31,20 @@ struct JsonValue {
   }
 };
 
-/// Parses exactly one JSON value (plus surrounding whitespace) from
-/// `text`. Returns false on any syntax error or trailing garbage.
-bool ParseJson(const std::string& text, JsonValue* out);
+/// Arrays and objects nest at most this deep in a value ParseJson
+/// accepts, so a hostile line cannot overflow the reader's stack.
+inline constexpr int kMaxJsonDepth = 256;
+
+/// Parses exactly one RFC 8259 JSON value (plus surrounding space, tab,
+/// CR and LF) from `text`. Returns false on any syntax error, trailing
+/// garbage, or nesting deeper than kMaxJsonDepth.
+bool ParseJson(std::string_view text, JsonValue* out);
+
+/// True iff `text` is exactly one JSON value ParseJson accepts.
+inline bool IsValidJson(std::string_view text) {
+  JsonValue value;
+  return ParseJson(text, &value);
+}
 
 /// Typed field accessors over an object value; false / "" when the key
 /// is absent or has the wrong kind, leaving `*out` untouched.

@@ -1,6 +1,5 @@
 #include "obs/json_writer.h"
 
-#include <cctype>
 #include <cmath>
 
 #include "util/string_util.h"
@@ -137,166 +136,6 @@ JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_ += json;
   return *this;
-}
-
-namespace {
-
-/// Cursor for the validating parser.
-struct Cursor {
-  std::string_view text;
-  size_t pos = 0;
-
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-  bool Consume(char c) {
-    if (AtEnd() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  void SkipSpace() {
-    while (!AtEnd()) {
-      char c = text[pos];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos;
-    }
-  }
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-};
-
-bool ParseValue(Cursor& c, int depth);
-
-bool ParseString(Cursor& c) {
-  if (!c.Consume('"')) return false;
-  while (!c.AtEnd()) {
-    char ch = c.text[c.pos++];
-    if (ch == '"') return true;
-    if (static_cast<unsigned char>(ch) < 0x20) return false;
-    if (ch == '\\') {
-      if (c.AtEnd()) return false;
-      char esc = c.text[c.pos++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-        case 'b':
-        case 'f':
-        case 'n':
-        case 'r':
-        case 't':
-          break;
-        case 'u': {
-          for (int i = 0; i < 4; ++i) {
-            if (c.AtEnd() || !std::isxdigit(
-                                 static_cast<unsigned char>(c.Peek()))) {
-              return false;
-            }
-            ++c.pos;
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-  }
-  return false;  // unterminated
-}
-
-bool ParseNumber(Cursor& c) {
-  size_t start = c.pos;
-  c.Consume('-');
-  if (c.AtEnd() || !std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-    return false;
-  }
-  if (c.Peek() == '0') {
-    ++c.pos;
-  } else {
-    while (!c.AtEnd() && std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-      ++c.pos;
-    }
-  }
-  if (c.Consume('.')) {
-    if (c.AtEnd() || !std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-      return false;
-    }
-    while (!c.AtEnd() && std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-      ++c.pos;
-    }
-  }
-  if (!c.AtEnd() && (c.Peek() == 'e' || c.Peek() == 'E')) {
-    ++c.pos;
-    if (!c.AtEnd() && (c.Peek() == '+' || c.Peek() == '-')) ++c.pos;
-    if (c.AtEnd() || !std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-      return false;
-    }
-    while (!c.AtEnd() && std::isdigit(static_cast<unsigned char>(c.Peek()))) {
-      ++c.pos;
-    }
-  }
-  return c.pos > start;
-}
-
-bool ParseObject(Cursor& c, int depth) {
-  if (!c.Consume('{')) return false;
-  c.SkipSpace();
-  if (c.Consume('}')) return true;
-  while (true) {
-    c.SkipSpace();
-    if (!ParseString(c)) return false;
-    c.SkipSpace();
-    if (!c.Consume(':')) return false;
-    if (!ParseValue(c, depth + 1)) return false;
-    c.SkipSpace();
-    if (c.Consume('}')) return true;
-    if (!c.Consume(',')) return false;
-  }
-}
-
-bool ParseArray(Cursor& c, int depth) {
-  if (!c.Consume('[')) return false;
-  c.SkipSpace();
-  if (c.Consume(']')) return true;
-  while (true) {
-    if (!ParseValue(c, depth + 1)) return false;
-    c.SkipSpace();
-    if (c.Consume(']')) return true;
-    if (!c.Consume(',')) return false;
-  }
-}
-
-bool ParseValue(Cursor& c, int depth) {
-  if (depth > 256) return false;
-  c.SkipSpace();
-  if (c.AtEnd()) return false;
-  switch (c.Peek()) {
-    case '{':
-      return ParseObject(c, depth);
-    case '[':
-      return ParseArray(c, depth);
-    case '"':
-      return ParseString(c);
-    case 't':
-      return c.ConsumeLiteral("true");
-    case 'f':
-      return c.ConsumeLiteral("false");
-    case 'n':
-      return c.ConsumeLiteral("null");
-    default:
-      return ParseNumber(c);
-  }
-}
-
-}  // namespace
-
-bool IsValidJson(std::string_view text) {
-  Cursor c{text};
-  if (!ParseValue(c, 0)) return false;
-  c.SkipSpace();
-  return c.AtEnd();
 }
 
 }  // namespace stratlearn::obs

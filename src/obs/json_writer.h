@@ -43,7 +43,8 @@ class JsonWriter {
 
   /// Splices `json` — one pre-rendered JSON value — into the stream as
   /// the next value, handling commas like any other Value call. The
-  /// caller is responsible for `json` being well formed (IsValidJson).
+  /// caller is responsible for `json` being well formed (ParseJson in
+  /// obs/json_reader.h accepts exactly the well-formed values).
   JsonWriter& Raw(std::string_view json);
 
   const std::string& str() const { return out_; }
@@ -59,11 +60,6 @@ class JsonWriter {
   std::vector<bool> has_element_;
   bool pending_key_ = false;
 };
-
-/// Validating recursive-descent parse of one JSON value. Returns true iff
-/// `text` is exactly one well-formed JSON value (surrounded by optional
-/// whitespace). Used by the JSONL round-trip tests; not a DOM parser.
-bool IsValidJson(std::string_view text);
 
 }  // namespace stratlearn::obs
 

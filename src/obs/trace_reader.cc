@@ -15,7 +15,7 @@ Status TraceReader::ReplayLine(std::string_view line) {
   if (trimmed.empty()) return Status::OK();
 
   JsonValue value;
-  if (!ParseJson(std::string(trimmed), &value)) {
+  if (!ParseJson(trimmed, &value)) {
     return Status::InvalidArgument(
         StrFormat("line %lld: malformed JSON",
                   static_cast<long long>(line_number_)));

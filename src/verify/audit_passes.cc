@@ -30,11 +30,13 @@ void VerifyAuditText(std::string_view text, DiagnosticSink* sink) {
                 "edits are not recoverable");
     return;
   }
-  const obs::AuditFile& file = read.value();
+  VerifyAuditFile(*read, sink);
+}
 
+void VerifyAuditFile(const obs::AuditFile& file, DiagnosticSink* sink) {
   // Ledger discipline: per learner, delta_spent_total must advance by
-  // exactly delta_step per certificate and stay within the budget the
-  // certificate itself declares.
+  // exactly delta_step per certificate, never go down, and stay within
+  // the budget the certificate itself declares.
   struct Ledger {
     double spent = 0.0;
     bool reported_sum = false;
@@ -52,6 +54,14 @@ void VerifyAuditText(std::string_view text, DiagnosticSink* sink) {
     std::string location = StrFormat("line %lld", (long long)cert.line);
     Ledger& ledger = ledgers[e.learner];
     ledger.spent += e.delta_step;
+    if (e.delta_step < 0.0) {
+      sink->Error("V-AUD002", location,
+                  StrFormat("certificate %lld: %s ledger went down by %s",
+                            (long long)cert.seq, e.learner.c_str(),
+                            FormatDouble(-e.delta_step, 17).c_str()),
+                  "every decision spends part of the delta budget; a "
+                  "negative delta_step refunds confidence no test earned");
+    }
     if (e.delta_spent_total != ledger.spent && !ledger.reported_sum) {
       ledger.reported_sum = true;  // one report per learner, not per line
       sink->Error("V-AUD002", location,

@@ -15,7 +15,7 @@ ArcProbProfile ParseArcProbProfile(std::string_view json,
                                    DiagnosticSink* sink) {
   ArcProbProfile profile;
   obs::JsonValue root;
-  if (!obs::ParseJson(std::string(json), &root) ||
+  if (!obs::ParseJson(json, &root) ||
       root.kind != obs::JsonValue::Kind::kObject) {
     sink->Error("V-X005", "", "profile is not a JSON object",
                 "pass a profiling run's JSON report (it has an \"arcs\" "

@@ -58,6 +58,12 @@ int DiagnosticSink::ExitCode(bool werror) const {
   return 0;
 }
 
+std::string Diagnostic::Brief() const {
+  return StrFormat("%s%s%s [%s]", location.c_str(),
+                   location.empty() ? "" : ": ", message.c_str(),
+                   code.c_str());
+}
+
 std::string DiagnosticSink::RenderText(bool werror) const {
   std::string out;
   for (const Diagnostic& d : diagnostics_) {

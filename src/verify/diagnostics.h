@@ -27,6 +27,10 @@ struct Diagnostic {
   std::string location;
   std::string message;
   std::string hint;
+
+  /// "<location>: <message> [<code>]", as a loader's error or a report
+  /// line quotes the finding.
+  std::string Brief() const;
 };
 
 /// Collects diagnostics in the (deterministic) order the passes emit

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/serialization.h"
 #include "util/string_util.h"
 #include "verify/verify.h"
 
@@ -53,16 +52,13 @@ void ArtifactVerifier::AddText(const std::string& name,
     return;
   }
   if (StartsWith(trimmed, "stratlearn-graph v1")) {
-    size_t errors_before = sink_->num_errors();
-    VerifyGraphText(text, sink_, options_);
-    if (sink_->num_errors() == errors_before) {
-      Result<InferenceGraph> graph = DeserializeGraph(text);
-      if (graph.ok()) graph_context_ = std::move(*graph);
-    }
+    std::optional<InferenceGraph> graph =
+        VerifyGraphText(text, sink_, options_);
+    if (graph) graph_context_ = std::move(*graph);
     return;
   }
   if (StartsWith(trimmed, "stratlearn-andor v1")) {
-    VerifyAndOrText(text, sink_, options_);
+    (void)VerifyAndOrText(text, sink_);
     return;
   }
   if (StartsWith(trimmed, "stratlearn-alerts v1")) {
@@ -86,13 +82,10 @@ void ArtifactVerifier::AddText(const std::string& name,
                    ".graph file before the strategy file");
       return;
     }
-    size_t errors_before = sink_->num_errors();
-    VerifyStrategyText(*graph_context_, text, sink_);
-    if (sink_->num_errors() == errors_before) {
-      Result<Strategy> strategy = Strategy::Deserialize(*graph_context_, text);
-      if (strategy.ok()) {
-        VerifyStrategyCost(*graph_context_, *strategy, profile(), sink_);
-      }
+    std::optional<Strategy> strategy =
+        VerifyStrategyText(*graph_context_, text, sink_);
+    if (strategy) {
+      VerifyStrategyCost(*graph_context_, *strategy, profile(), sink_);
     }
     return;
   }
@@ -211,35 +204,11 @@ void ArtifactVerifier::VerifyDatalog(std::string_view text) {
                    "(the program must verify cleanly with a "
                    "% verify-form: directive first)");
     } else {
-      std::vector<int64_t> arcs;
-      bool tokens_ok = true;
-      for (const std::string& token : Split(strategy_text, ' ')) {
-        std::string_view t = Trim(token);
-        if (t.empty()) continue;
-        std::string buffer(t);
-        char* end = nullptr;
-        long long value = std::strtoll(buffer.c_str(), &end, 10);
-        if (end != buffer.c_str() + buffer.size()) {
-          sink_->Error("V-S001", "",
-                       StrFormat("token '%s' in %% verify-strategy: is "
-                                 "not an arc id",
-                                 buffer.c_str()));
-          tokens_ok = false;
-          continue;
-        }
-        arcs.push_back(value);
-      }
-      size_t strategy_errors_before = sink_->num_errors();
-      if (tokens_ok) {
-        VerifyStrategyOrder(*graph_context_, arcs, sink_);
-        if (sink_->num_errors() == strategy_errors_before) {
-          std::vector<ArcId> ids(arcs.begin(), arcs.end());
-          Result<Strategy> strategy =
-              Strategy::FromArcOrder(*graph_context_, std::move(ids));
-          if (strategy.ok()) {
-            VerifyStrategyCost(*graph_context_, *strategy, profile(), sink_);
-          }
-        }
+      // The directive holds a strategy file's arc ids.
+      std::optional<Strategy> strategy = VerifyStrategyText(
+          *graph_context_, "stratlearn-strategy v1 " + strategy_text, sink_);
+      if (strategy) {
+        VerifyStrategyCost(*graph_context_, *strategy, profile(), sink_);
       }
     }
   }

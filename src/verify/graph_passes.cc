@@ -1,7 +1,10 @@
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "andor/and_or_graph.h"
 #include "util/string_util.h"
 #include "verify/verify.h"
 
@@ -9,25 +12,32 @@ namespace stratlearn::verify {
 
 namespace {
 
-/// Shared tree-shape / cost / depth checks over (possibly malformed)
-/// node+arc records. `success` flags which nodes are success boxes.
+/// The node and arc records of a "stratlearn-graph v1" file as written,
+/// before any tree rule holds.
 struct GraphRecords {
+  struct NodeRecord {
+    bool success = false;
+    std::string label;
+  };
   struct ArcRecord {
     uint32_t from = 0;
     uint32_t to = 0;
+    ArcKind kind = ArcKind::kReduction;
     double cost = 1.0;
     double success_cost = 0.0;
     double failure_cost = 0.0;
+    bool is_experiment = false;
     std::string label;
     int line = 0;
   };
-  std::vector<uint8_t> success;  // per node
+  std::vector<NodeRecord> nodes;
   std::vector<ArcRecord> arcs;
 };
 
+/// Tree shape, costs, success leaves, dead ends and depth.
 void CheckGraphRecords(const GraphRecords& records, DiagnosticSink* sink,
                        const VerifyOptions& options) {
-  size_t num_nodes = records.success.size();
+  size_t num_nodes = records.nodes.size();
   std::vector<int> incoming(num_nodes, 0);
   std::vector<std::vector<size_t>> out(num_nodes);
   for (size_t a = 0; a < records.arcs.size(); ++a) {
@@ -59,6 +69,13 @@ void CheckGraphRecords(const GraphRecords& records, DiagnosticSink* sink,
       sink->Error("V-G003", location,
                   StrFormat("arc %zu has a negative outcome cost", a));
     }
+    if (!std::isfinite(arc.cost) || !std::isfinite(arc.success_cost) ||
+        !std::isfinite(arc.failure_cost)) {
+      sink->Error("V-G003", location,
+                  StrFormat("arc %zu has a cost that is not a finite "
+                            "number; no expected cost is defined over it",
+                            a));
+    }
     if (!endpoints_ok) continue;
     if (arc.from == arc.to) {
       sink->Error("V-G001", location,
@@ -71,7 +88,7 @@ void CheckGraphRecords(const GraphRecords& records, DiagnosticSink* sink,
     }
     ++incoming[arc.to];
     out[arc.from].push_back(a);
-    if (records.success[arc.from] != 0) {
+    if (records.nodes[arc.from].success) {
       sink->Error("V-G004", location,
                   StrFormat("success node %u has an outgoing arc; success "
                             "boxes terminate derivations and must be "
@@ -131,7 +148,7 @@ void CheckGraphRecords(const GraphRecords& records, DiagnosticSink* sink,
     }
   }
   for (size_t n = 0; n < num_nodes; ++n) {
-    if (depth[n] >= 0 && out[n].empty() && records.success[n] == 0) {
+    if (depth[n] >= 0 && out[n].empty() && !records.nodes[n].success) {
       sink->Warning("V-G005", StrFormat("node %zu", n),
                     StrFormat("node %zu heads a dead-end subtree: it is "
                               "not a success box and has no outgoing "
@@ -141,6 +158,61 @@ void CheckGraphRecords(const GraphRecords& records, DiagnosticSink* sink,
                     "tries them");
     }
   }
+}
+
+/// The rules InferenceGraph's construction relies on beyond the tree
+/// rules: the order the graph was built in, retrievals that are
+/// experiments, and a root that is not a success box.
+void CheckBuildOrder(const GraphRecords& records, DiagnosticSink* sink) {
+  if (records.nodes[0].success) {
+    sink->Error("V-G008", "node 0",
+                "the root is marked as a success node; the root is the "
+                "query, not a success box");
+  }
+  for (size_t a = 0; a < records.arcs.size(); ++a) {
+    const GraphRecords::ArcRecord& arc = records.arcs[a];
+    std::string location = StrFormat("line %d", arc.line);
+    if (arc.to != a + 1 || arc.from >= arc.to) {
+      sink->Error("V-G008", location,
+                  StrFormat("arc %zu leads from node %u to node %u; arc i "
+                            "must lead from an earlier node to node i+1",
+                            a, arc.from, arc.to),
+                  "list the arcs in the order of the nodes they lead to");
+    }
+    if (arc.kind == ArcKind::kRetrieval && !arc.is_experiment) {
+      sink->Error("V-G008", location,
+                  StrFormat("arc %zu is a retrieval (D) but not an "
+                            "experiment; every retrieval can be blocked",
+                            a));
+    }
+  }
+}
+
+InferenceGraph BuildGraph(const GraphRecords& records) {
+  InferenceGraph graph;
+  graph.AddRoot(records.nodes[0].label);
+  for (const GraphRecords::ArcRecord& arc : records.arcs) {
+    const GraphRecords::NodeRecord& head = records.nodes[arc.to];
+    ArcId id = graph
+                   .AddChild(arc.from, head.label, arc.kind, arc.cost,
+                             arc.label, arc.is_experiment, head.success)
+                   .arc;
+    if (arc.success_cost != 0.0 || arc.failure_cost != 0.0) {
+      graph.SetOutcomeCosts(id, arc.success_cost, arc.failure_cost);
+    }
+  }
+  return graph;
+}
+
+/// A loader's error for text its verify pass refused: the first error,
+/// else the first finding (the AND/OR loader's V-A002 warning).
+Status LoadError(const DiagnosticSink& sink) {
+  const std::vector<Diagnostic>& all = sink.diagnostics();
+  auto error = std::find_if(all.begin(), all.end(), [](const Diagnostic& d) {
+    return d.severity == Severity::kError;
+  });
+  return Status::InvalidArgument(
+      (error != all.end() ? *error : all.front()).Brief());
 }
 
 }  // namespace
@@ -201,14 +273,16 @@ void VerifyBuiltGraph(const BuiltGraph& built, const Database& db,
   }
 }
 
-void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
-                     const VerifyOptions& options) {
+std::optional<InferenceGraph> VerifyGraphText(std::string_view text,
+                                              DiagnosticSink* sink,
+                                              const VerifyOptions& options) {
   std::vector<std::string> lines = Split(text, '\n');
   if (lines.empty() || Trim(lines[0]) != "stratlearn-graph v1") {
     sink->Error("V-G008", "line 1",
                 "missing 'stratlearn-graph v1' header line");
-    return;
+    return std::nullopt;
   }
+  size_t errors_before = sink->num_errors();
   GraphRecords records;
   std::vector<std::string_view> tokens;
   std::string_view rest;
@@ -230,7 +304,7 @@ void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
                     "expected: node <is_success:0|1> <label>");
         continue;
       }
-      records.success.push_back(tokens[0] == "1" ? 1 : 0);
+      records.nodes.push_back({tokens[0] == "1", std::string(rest)});
     } else if (StartsWith(line, "arc ")) {
       arcs_seen = true;
       GraphRecords::ArcRecord arc;
@@ -249,6 +323,8 @@ void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
                     "<label>");
         continue;
       }
+      arc.kind = tokens[2] == "D" ? ArcKind::kRetrieval : ArcKind::kReduction;
+      arc.is_experiment = tokens[6] == "1";
       arc.label = std::string(rest);
       records.arcs.push_back(std::move(arc));
     } else {
@@ -258,27 +334,38 @@ void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
                   "expected 'node ...' or 'arc ...'");
     }
   }
-  if (records.success.empty()) {
+  if (records.nodes.empty()) {
     sink->Error("V-G008", "", "graph file declares no nodes");
-    return;
+    return std::nullopt;
   }
   CheckGraphRecords(records, sink, options);
+  if (sink->num_errors() == errors_before) CheckBuildOrder(records, sink);
+  if (sink->num_errors() != errors_before) return std::nullopt;
+  return BuildGraph(records);
 }
 
-void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
-                     const VerifyOptions& options) {
-  (void)options;
+Result<InferenceGraph> DeserializeGraph(std::string_view text) {
+  DiagnosticSink sink;
+  std::optional<InferenceGraph> graph = VerifyGraphText(text, &sink);
+  if (!graph) return LoadError(sink);
+  return *std::move(graph);
+}
+
+std::optional<AndOrGraph> VerifyAndOrText(std::string_view text,
+                                          DiagnosticSink* sink) {
   std::vector<std::string> lines = Split(text, '\n');
   if (lines.empty() || Trim(lines[0]) != "stratlearn-andor v1") {
     sink->Error("V-A006", "line 1",
                 "missing 'stratlearn-andor v1' header line");
-    return;
+    return std::nullopt;
   }
+  size_t findings_before = sink->size();
   struct NodeRecord {
-    char kind = 'L';
-    uint32_t parent = 0xffffffffu;
+    AndOrKind kind = AndOrKind::kLeaf;
+    uint32_t parent = kInvalidAndOrNode;
     bool is_root = false;
     double cost = 1.0;
+    std::string label;
     int line = 0;
     int children = 0;
   };
@@ -298,26 +385,21 @@ void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
     }
     NodeRecord node;
     node.line = static_cast<int>(i + 1);
-    bool ok = TakeTokens(line.substr(5), 3, &tokens, &rest);
-    if (ok) {
-      ok = tokens[0].size() == 1 &&
-           (tokens[0][0] == 'A' || tokens[0][0] == 'O' || tokens[0][0] == 'L');
-      if (ok) node.kind = tokens[0][0];
-    }
-    if (ok) {
-      if (tokens[1] == "-") {
-        node.is_root = true;
-      } else {
-        ok = ParseInteger(tokens[1], &node.parent);
-      }
-    }
-    if (ok) ok = ParseDouble(tokens[2], &node.cost);
+    bool ok = TakeTokens(line.substr(5), 3, &tokens, &rest) &&
+              (tokens[0] == "A" || tokens[0] == "O" || tokens[0] == "L") &&
+              (tokens[1] == "-" || ParseInteger(tokens[1], &node.parent)) &&
+              ParseDouble(tokens[2], &node.cost);
     if (!ok) {
       sink->Error("V-A006", location, "malformed node record",
                   "expected: node <kind:A|O|L> <parent|-> <cost> <label>");
       continue;
     }
-    nodes.push_back(node);
+    node.kind = tokens[0] == "A"   ? AndOrKind::kAnd
+                : tokens[0] == "O" ? AndOrKind::kOr
+                                   : AndOrKind::kLeaf;
+    node.is_root = tokens[1] == "-";
+    node.label = std::string(rest);
+    nodes.push_back(std::move(node));
   }
   for (size_t n = 0; n < nodes.size(); ++n) {
     NodeRecord& node = nodes[n];
@@ -339,7 +421,7 @@ void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
                               node.parent >= nodes.size()
                                   ? "not declared"
                                   : "not declared yet"));
-      } else if (nodes[node.parent].kind == 'L') {
+      } else if (nodes[node.parent].kind == AndOrKind::kLeaf) {
         sink->Error("V-A003", location,
                     StrFormat("node %zu names leaf node %u as its parent; "
                               "leaves are experiments and cannot have "
@@ -349,19 +431,27 @@ void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
         ++nodes[node.parent].children;
       }
     }
-    if (node.kind == 'L' && node.cost <= 0.0) {
+    if (node.kind != AndOrKind::kLeaf) continue;
+    if (node.cost <= 0.0) {
       sink->Error("V-A004", location,
                   StrFormat("leaf node %zu has non-positive cost %s; "
                             "attempt costs must be positive",
                             n, FormatDouble(node.cost).c_str()));
+    } else if (!std::isfinite(node.cost)) {
+      sink->Error("V-A004", location,
+                  StrFormat("leaf node %zu has cost %s; attempt costs "
+                            "must be finite",
+                            n, FormatDouble(node.cost).c_str()));
     }
   }
   for (size_t n = 0; n < nodes.size(); ++n) {
-    if (nodes[n].kind != 'L' && nodes[n].children == 0) {
+    if (nodes[n].kind != AndOrKind::kLeaf && nodes[n].children == 0) {
       sink->Warning("V-A002", StrFormat("line %d", nodes[n].line),
                     StrFormat("internal %s node %zu has no children; it "
                               "can never be satisfied",
-                              nodes[n].kind == 'A' ? "AND" : "OR", n),
+                              nodes[n].kind == AndOrKind::kAnd ? "AND"
+                                                               : "OR",
+                              n),
                     "an empty OR fails always; give the node children or "
                     "remove it");
     }
@@ -369,6 +459,28 @@ void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
   if (nodes.empty()) {
     sink->Error("V-A006", "", "AND/OR file declares no nodes");
   }
+  // The V-A002 warning blocks loading too: AndOrGraph::Validate refuses
+  // a childless internal node.
+  if (sink->size() != findings_before) return std::nullopt;
+  AndOrGraph graph;
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    const NodeRecord& node = nodes[n];
+    if (n == 0) {
+      graph.AddRoot(node.kind, node.label, node.cost);
+    } else if (node.kind == AndOrKind::kLeaf) {
+      graph.AddLeaf(node.parent, node.label, node.cost);
+    } else {
+      graph.AddInternal(node.parent, node.kind, node.label);
+    }
+  }
+  return graph;
+}
+
+Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text) {
+  DiagnosticSink sink;
+  std::optional<AndOrGraph> graph = VerifyAndOrText(text, &sink);
+  if (!graph) return LoadError(sink);
+  return *std::move(graph);
 }
 
 }  // namespace stratlearn::verify

@@ -1,7 +1,6 @@
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/strategy.h"
@@ -49,104 +48,42 @@ void CheckSiblingSwapReachability(const InferenceGraph& graph,
 
 }  // namespace
 
-void VerifyStrategyOrder(const InferenceGraph& graph,
-                         const std::vector<int64_t>& arcs,
-                         DiagnosticSink* sink) {
-  bool ids_ok = true;
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    if (arcs[i] < 0 || arcs[i] >= static_cast<int64_t>(graph.num_arcs())) {
-      sink->Error("V-S001", StrFormat("position %zu", i),
-                  StrFormat("arc id %lld does not exist; the graph has %zu "
-                            "arcs",
-                            static_cast<long long>(arcs[i]),
-                            graph.num_arcs()));
-      ids_ok = false;
+std::optional<Strategy> VerifyStrategyText(const InferenceGraph& graph,
+                                           std::string_view text,
+                                           DiagnosticSink* sink) {
+  using Rule = StrategyFinding::Rule;
+  std::vector<StrategyFinding> findings;
+  Result<Strategy> strategy = Strategy::Deserialize(graph, text, &findings);
+  for (const StrategyFinding& finding : findings) {
+    const char* code = "V-S001";
+    std::string location = StrFormat("position %zu", finding.position);
+    std::string hint;
+    switch (finding.rule) {
+      case Rule::kNoHeader:
+        location = "line 1";
+        break;
+      case Rule::kBadToken:
+        location = "";
+        break;
+      case Rule::kUnknownArc:
+        break;
+      case Rule::kRepeatedArc:
+        code = "V-S002";
+        break;
+      case Rule::kMissingArc:
+        code = "V-S002";
+        location = "";
+        break;
+      case Rule::kTailUnreached:
+        code = "V-S003";
+        hint = "order every arc after the arc that leads to its tail";
+        break;
     }
+    sink->Error(code, location, finding.Message(graph), hint);
   }
-  std::unordered_set<int64_t> seen;
-  bool permutation_ok = true;
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    if (!seen.insert(arcs[i]).second) {
-      sink->Error("V-S002", StrFormat("position %zu", i),
-                  StrFormat("arc id %lld appears more than once; a "
-                            "strategy is a permutation of the graph's "
-                            "arcs",
-                            static_cast<long long>(arcs[i])));
-      permutation_ok = false;
-    }
-  }
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    if (seen.count(static_cast<int64_t>(a)) == 0) {
-      sink->Error("V-S002", "",
-                  StrFormat("arc %u ('%s') is missing from the strategy; "
-                            "a strategy is a permutation of the graph's "
-                            "arcs",
-                            a, graph.arc(a).label.c_str()));
-      permutation_ok = false;
-    }
-  }
-  if (!ids_ok || !permutation_ok) return;
-
-  // Tail-before-head: the processor can only consider an arc once its
-  // tail node has been reached.
-  std::unordered_set<NodeId> reached = {graph.root()};
-  bool order_ok = true;
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& arc = graph.arc(static_cast<ArcId>(arcs[i]));
-    if (reached.count(arc.from) == 0) {
-      sink->Error("V-S003", StrFormat("position %zu", i),
-                  StrFormat("arc %lld ('%s') appears before any arc "
-                            "reaching its tail node %u",
-                            static_cast<long long>(arcs[i]),
-                            arc.label.c_str(), arc.from),
-                  "order every arc after the arc that leads to its tail");
-      order_ok = false;
-    }
-    reached.insert(arc.to);
-  }
-  if (!order_ok) return;
-
-  std::vector<ArcId> ids(arcs.begin(), arcs.end());
-  Result<Strategy> strategy = Strategy::FromArcOrder(graph, std::move(ids));
-  if (!strategy.ok()) {
-    // The checks above mirror FromArcOrder's contract, so this is
-    // unexpected — surface it rather than swallowing it.
-    sink->Error("V-S003", "",
-                StrFormat("strategy rejected by the engine: %s",
-                          strategy.status().message().c_str()));
-    return;
-  }
+  if (!strategy.ok()) return std::nullopt;
   CheckSiblingSwapReachability(graph, *strategy, sink);
-}
-
-void VerifyStrategyText(const InferenceGraph& graph, std::string_view text,
-                        DiagnosticSink* sink) {
-  std::string_view trimmed = Trim(text);
-  constexpr std::string_view kHeader = "stratlearn-strategy v1";
-  if (!StartsWith(trimmed, kHeader)) {
-    sink->Error("V-S001", "line 1",
-                "missing 'stratlearn-strategy v1' header");
-    return;
-  }
-  std::vector<int64_t> arcs;
-  bool tokens_ok = true;
-  for (const std::string& token :
-       Split(std::string(trimmed.substr(kHeader.size())), ' ')) {
-    std::string_view t = Trim(token);
-    if (t.empty()) continue;
-    std::string buffer(t);
-    char* end = nullptr;
-    long long value = std::strtoll(buffer.c_str(), &end, 10);
-    if (end != buffer.c_str() + buffer.size()) {
-      sink->Error("V-S001", "line 1",
-                  StrFormat("token '%s' is not an arc id", buffer.c_str()));
-      tokens_ok = false;
-      continue;
-    }
-    arcs.push_back(value);
-  }
-  if (!tokens_ok) return;
-  VerifyStrategyOrder(graph, arcs, sink);
+  return *std::move(strategy);
 }
 
 }  // namespace stratlearn::verify

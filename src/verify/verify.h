@@ -8,14 +8,17 @@
 #include <string_view>
 #include <vector>
 
+#include "andor/and_or_graph.h"
 #include "core/expected_cost_interval.h"
 #include "datalog/adornment.h"
 #include "datalog/database.h"
 #include "datalog/parser.h"
 #include "datalog/rule_base.h"
 #include "datalog/symbol_table.h"
+#include "engine/strategy.h"
 #include "graph/builder.h"
 #include "graph/inference_graph.h"
+#include "obs/audit/audit_reader.h"
 #include "obs/health/alerts.h"
 #include "robust/recovery/policy.h"
 #include "verify/diagnostics.h"
@@ -83,32 +86,50 @@ void VerifyBuiltGraph(const BuiltGraph& built, const Database& db,
                       const SymbolTable& symbols, DiagnosticSink* sink,
                       const VerifyOptions& options = {});
 
-/// Structural checks over serialized "stratlearn-graph v1" text. Unlike
-/// DeserializeGraph this is tolerant: a malformed file yields
-/// diagnostics (non-tree shape, dangling node references, non-positive
-/// costs, success nodes with children, ...) instead of one load error.
-void VerifyGraphText(std::string_view text, DiagnosticSink* sink,
-                     const VerifyOptions& options = {});
+/// The one reader of "stratlearn-graph v1" text. Records must be
+/// well formed with 0/1 flags (V-G008); the arcs must form a tree rooted
+/// at node 0 (V-G001) over declared nodes (V-G002) with positive, finite
+/// costs (V-G003) and success nodes as leaves (V-G004). A file that
+/// passes those must also list arc i as leading from an earlier node to
+/// node i + 1, mark every retrieval (D) arc an experiment and keep the
+/// root a non-success node (V-G008). Dead ends (V-G005) and deep arcs
+/// (V-G006) are warnings. Reports every finding; returns the graph when
+/// none is an error.
+std::optional<InferenceGraph> VerifyGraphText(
+    std::string_view text, DiagnosticSink* sink,
+    const VerifyOptions& options = {});
 
-/// Structural checks over serialized "stratlearn-andor v1" text
-/// (AND/OR trees): forward/dangling parents, childless internal nodes,
-/// leaves used as parents, non-positive leaf costs, stray extra roots.
-void VerifyAndOrText(std::string_view text, DiagnosticSink* sink,
-                     const VerifyOptions& options = {});
+/// The loader for the same text: VerifyGraphText's graph, or its first
+/// error as InvalidArgument ("line 4: ... [V-G002]").
+Result<InferenceGraph> DeserializeGraph(std::string_view text);
+
+/// The one reader of "stratlearn-andor v1" text: malformed records
+/// (V-A006), forward or dangling parents (V-A001), leaves used as
+/// parents (V-A003), leaf costs that are not positive and finite
+/// (V-A004), stray extra roots (V-A005), and childless internal nodes
+/// (V-A002, a warning). Reports every finding; returns the tree when
+/// there is none at all, since AndOrGraph refuses a childless internal
+/// node.
+std::optional<AndOrGraph> VerifyAndOrText(std::string_view text,
+                                          DiagnosticSink* sink);
+
+/// The loader for the same text: VerifyAndOrText's tree, or its first
+/// error (else its V-A002 warning) as InvalidArgument.
+Result<AndOrGraph> DeserializeAndOrGraph(std::string_view text);
 
 // ---- Strategy passes (V-S...) ------------------------------------------
 
-/// Checks an explicit arc order against `graph`: dangling arc ids,
-/// permutation property, tail-before-head ordering, and reachability
-/// from the default strategy under the sibling-swap transformation set
-/// (PIB can only learn hierarchically contiguous strategies).
-void VerifyStrategyOrder(const InferenceGraph& graph,
-                         const std::vector<int64_t>& arcs,
-                         DiagnosticSink* sink);
-
-/// Same, for "stratlearn-strategy v1 ..." text (tolerant parse).
-void VerifyStrategyText(const InferenceGraph& graph, std::string_view text,
-                        DiagnosticSink* sink);
+/// Reads "stratlearn-strategy v1 ..." text through Strategy::Deserialize
+/// and reports its findings: a missing header, tokens that are not arc
+/// ids and ids outside the graph (V-S001), a sequence that is not a
+/// permutation of the arcs (V-S002), and arcs ordered before their tail
+/// is reached (V-S003). A strategy that passes is returned, after a
+/// V-S004 warning when the sibling-swap set T(Theta) cannot reach it
+/// from the default strategy (PIB can only learn hierarchically
+/// contiguous strategies).
+std::optional<Strategy> VerifyStrategyText(const InferenceGraph& graph,
+                                           std::string_view text,
+                                           DiagnosticSink* sink);
 
 // ---- Learner-config passes (V-C...) ------------------------------------
 
@@ -217,7 +238,8 @@ robust::RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
 
 /// Verifies a "stratlearn-audit v1" decision-certificate stream
 /// (obs::AuditLog): parse/shape failures are V-AUD001, delta-ledger
-/// violations (non-monotone running sum, overspent budget) V-AUD002,
+/// violations (a running sum that disagrees with the steps or goes
+/// down, an overspent budget) V-AUD002,
 /// non-conservative certificates (verdict disagreeing with the margin's
 /// sign, broken margin identity) V-AUD003, and summary records that
 /// disagree with the stream they close V-AUD004 (missing summary is a
@@ -225,6 +247,10 @@ robust::RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
 /// of every threshold from the raw event trace is tools/audit_verify's
 /// job; these passes are the trace-free subset.
 void VerifyAuditText(std::string_view text, DiagnosticSink* sink);
+
+/// The same passes over an already parsed stream (V-AUD002..V-AUD004);
+/// `stratlearn_cli audit` reports their errors as its findings.
+void VerifyAuditFile(const obs::AuditFile& file, DiagnosticSink* sink);
 
 // ---- Robustness passes (V-K...) ----------------------------------------
 
@@ -245,7 +271,9 @@ void VerifyChecksummedText(std::string_view text, DiagnosticSink* sink);
 /// directives), "stratlearn-graph v1" files, "stratlearn-andor v1"
 /// files, and key=value learner configs (*.cfg). A program-with-form or
 /// graph file that verifies cleanly becomes the *graph context* that
-/// later strategy and config files are checked against.
+/// later strategy and config files are checked against; each file is
+/// read once, and the graph or strategy its pass read is the one the
+/// later passes use.
 class ArtifactVerifier {
  public:
   ArtifactVerifier(DiagnosticSink* sink, VerifyOptions options = {});

@@ -419,6 +419,24 @@ TEST(VerifyAuditTest, OverspentLedgerIsAnError) {
   EXPECT_TRUE(found);
 }
 
+// A learner's ledger never goes down, even when the running sum of the
+// steps agrees with it.
+TEST(VerifyAuditTest, LedgerThatGoesDownIsAnError) {
+  std::ostringstream out;
+  AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
+  log.On(MakeCert(0.1, 0.1));
+  log.On(MakeCert(-0.05, 0.05));
+  log.Close();
+  verify::DiagnosticSink sink;
+  verify::VerifyAuditText(out.str(), &sink);
+  bool found = false;
+  for (const verify::Diagnostic& d : sink.diagnostics()) {
+    found = found || (d.code == "V-AUD002" &&
+                      d.message.find("went down") != std::string::npos);
+  }
+  EXPECT_TRUE(found) << sink.RenderText();
+}
+
 TEST(VerifyAuditTest, NonConservativeVerdictIsAnError) {
   std::ostringstream out;
   AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});

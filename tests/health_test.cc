@@ -15,7 +15,7 @@
 #include "obs/health/drift.h"
 #include "obs/health/monitor.h"
 #include "obs/health/series_io.h"
-#include "obs/json_writer.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "obs/timeseries.h"
@@ -436,6 +436,22 @@ TEST(SeriesIoTest, RejectsMalformedInput) {
       "{\"schema\":\"stratlearn-timeseries-v1\",\"interval_us\":100}\n"
       "not json\n");
   EXPECT_FALSE(obs::health::LoadTimeSeries(not_json, &series).ok());
+}
+
+// An integer field that is not finite or does not fit its type is a
+// malformed line, not an undefined conversion (1e999 reads as +inf) or
+// a silent truncation (arc 4294967296 as arc 0).
+TEST(SeriesIoTest, RejectsOutOfRangeIntegers) {
+  const std::string header =
+      "{\"schema\":\"stratlearn-timeseries-v1\",\"interval_us\":100}\n";
+  for (const char* window :
+       {"{\"window\":0,\"counters\":{\"qp.queries\":{\"total\":1e999}}}",
+        "{\"window\":0,\"arcs\":[{\"arc\":4294967296,\"attempts\":1}]}"}) {
+    std::istringstream in(header + window + "\n");
+    obs::health::LoadedSeries series;
+    Status loaded = obs::health::LoadTimeSeries(in, &series);
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << window;
+  }
 }
 
 // ----------------------------------------------------------- trace replay

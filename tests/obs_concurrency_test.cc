@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_processor.h"
-#include "obs/json_writer.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/sinks.h"

@@ -15,6 +15,7 @@
 
 #include "core/pib.h"
 #include "engine/query_processor.h"
+#include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -67,6 +68,33 @@ TEST(JsonValidatorTest, AcceptsAndRejects) {
   EXPECT_FALSE(IsValidJson("01"));
   EXPECT_FALSE(IsValidJson("{\"a\":1}{\"b\":2}"));  // two values
   EXPECT_FALSE(IsValidJson("\"unterminated"));
+}
+
+// One grammar for every reader: RFC 8259 numbers, whitespace and
+// strings, which the DOM parser once read more loosely than this
+// validator.
+TEST(JsonValidatorTest, FollowsRfc8259) {
+  for (const char* bad : {"01", ".5", "+1", "1.", "\"a\tb\"", "\"\\uZZZZ\"",
+                          "\"\\u12\"", "1e", "-", "\v1", "[1,\f2]"}) {
+    obs::JsonValue value;
+    EXPECT_FALSE(obs::ParseJson(bad, &value)) << bad;
+  }
+  for (const char* good : {"0", "-0", "1.5e+3", "2E-2", "\"\\u00e9\"",
+                           " \t\r\n[1]\n"}) {
+    EXPECT_TRUE(IsValidJson(good)) << good;
+  }
+}
+
+TEST(JsonValidatorTest, CapsNestingDepth) {
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(IsValidJson(nested(obs::kMaxJsonDepth)));
+  EXPECT_FALSE(IsValidJson(nested(obs::kMaxJsonDepth + 1)));
+  EXPECT_TRUE(IsValidJson("{\"a\":" + nested(obs::kMaxJsonDepth - 1) + "}"));
+  EXPECT_FALSE(IsValidJson("{\"a\":" + nested(obs::kMaxJsonDepth) + "}"));
+  // Far past the cap: refused, not a stack overflow.
+  EXPECT_FALSE(IsValidJson(std::string(1000000, '[')));
 }
 
 TEST(HistogramTest, BucketAssignment) {

@@ -13,7 +13,7 @@
 
 #include "core/pib.h"
 #include "engine/query_processor.h"
-#include "obs/json_writer.h"
+#include "obs/json_reader.h"
 #include "obs/observer.h"
 #include "obs/profiler.h"
 #include "obs/sinks.h"

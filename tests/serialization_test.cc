@@ -8,6 +8,7 @@
 #include "engine/strategy.h"
 #include "graph/examples.h"
 #include "util/math_util.h"
+#include "verify/verify.h"
 #include "workload/random_tree.h"
 
 namespace stratlearn {
@@ -22,7 +23,7 @@ TEST(GraphSerializationTest, FigureOneRoundTrip) {
   FigureOneGraph g = MakeFigureOne();
   std::string text = SerializeGraph(g.graph);
   EXPECT_NE(text.find("stratlearn-graph v1"), std::string::npos);
-  Result<InferenceGraph> restored = DeserializeGraph(text);
+  Result<InferenceGraph> restored = verify::DeserializeGraph(text);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectGraphsEqual(g.graph, *restored);
   EXPECT_EQ(restored->num_experiments(), 2u);
@@ -34,7 +35,7 @@ TEST(GraphSerializationTest, PreservesCostsAndOutcomeCosts) {
   NodeId root = g.AddRoot("goal with spaces");
   ArcId leaf = g.AddRetrieval(root, 2.125, "label with spaces").arc;
   g.SetOutcomeCosts(leaf, 0.25, 1.75);
-  Result<InferenceGraph> restored = DeserializeGraph(SerializeGraph(g));
+  Result<InferenceGraph> restored = verify::DeserializeGraph(SerializeGraph(g));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_DOUBLE_EQ(restored->arc(leaf).cost, 2.125);
   EXPECT_DOUBLE_EQ(restored->arc(leaf).success_cost, 0.25);
@@ -52,7 +53,7 @@ TEST(GraphSerializationTest, RandomTreesRoundTripWithSemantics) {
     options.max_outcome_cost = (t % 3) ? 1.5 : 0.0;
     RandomTree tree = MakeRandomTree(rng, options);
     Result<InferenceGraph> restored =
-        DeserializeGraph(SerializeGraph(tree.graph));
+        verify::DeserializeGraph(SerializeGraph(tree.graph));
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     ExpectGraphsEqual(tree.graph, *restored);
     // Semantics preserved: identical expected costs.
@@ -64,22 +65,22 @@ TEST(GraphSerializationTest, RandomTreesRoundTripWithSemantics) {
 }
 
 TEST(GraphSerializationTest, RejectsGarbage) {
-  EXPECT_FALSE(DeserializeGraph("").ok());
-  EXPECT_FALSE(DeserializeGraph("not a graph").ok());
-  EXPECT_FALSE(DeserializeGraph("stratlearn-graph v1\nbogus line\n").ok());
+  EXPECT_FALSE(verify::DeserializeGraph("").ok());
+  EXPECT_FALSE(verify::DeserializeGraph("not a graph").ok());
+  EXPECT_FALSE(verify::DeserializeGraph("stratlearn-graph v1\nbogus line\n").ok());
   EXPECT_FALSE(
-      DeserializeGraph("stratlearn-graph v1\nnode 0 root\narc 0 9 R 1 0 0 0 x\n")
+      verify::DeserializeGraph("stratlearn-graph v1\nnode 0 root\narc 0 9 R 1 0 0 0 x\n")
           .ok());
   // Arc with non-positive cost.
   EXPECT_FALSE(
-      DeserializeGraph(
+      verify::DeserializeGraph(
           "stratlearn-graph v1\nnode 0 root\nnode 1 leaf\narc 0 1 R 0 0 0 0 x\n")
           .ok());
 }
 
 TEST(GraphSerializationTest, RejectsChildOfSuccessNode) {
   // Node 1 is a success box, yet the second arc hangs a child off it.
-  Result<InferenceGraph> r = DeserializeGraph(
+  Result<InferenceGraph> r = verify::DeserializeGraph(
       "stratlearn-graph v1\n"
       "node 0 root\n"
       "node 1 box\n"
@@ -109,6 +110,24 @@ TEST(StrategySerializationTest, RejectsInvalid) {
   // Bad token.
   EXPECT_FALSE(
       Strategy::Deserialize(g.graph, "stratlearn-strategy v1 0 1 2 x").ok());
+  // An id past 32 bits is refused by name, not wrapped to arc 0.
+  for (const char* id : {"4294967296", "-4294967296", "-1"}) {
+    Result<Strategy> wide = Strategy::Deserialize(
+        g.graph, std::string("stratlearn-strategy v1 ") + id + " 1 2 3");
+    ASSERT_FALSE(wide.ok()) << id;
+    EXPECT_NE(wide.status().message().find(id), std::string::npos)
+        << wide.status().ToString();
+  }
+}
+
+TEST(StrategySerializationTest, IdsMayFollowOnLaterLines) {
+  FigureOneGraph g = MakeFigureOne();
+  Strategy theta = Strategy::DepthFirst(g.graph);
+  std::string text = theta.Serialize();
+  text.replace(text.find(" v1 ") + 3, 1, "\n");
+  Result<Strategy> restored = Strategy::Deserialize(g.graph, text);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(*restored, theta);
 }
 
 TEST(StrategySerializationTest, FullPersistencePipeline) {
@@ -120,7 +139,7 @@ TEST(StrategySerializationTest, FullPersistencePipeline) {
   std::string graph_text = SerializeGraph(g.graph);
   std::string strategy_text = learned.Serialize();
 
-  Result<InferenceGraph> graph2 = DeserializeGraph(graph_text);
+  Result<InferenceGraph> graph2 = verify::DeserializeGraph(graph_text);
   ASSERT_TRUE(graph2.ok());
   Result<Strategy> learned2 = Strategy::Deserialize(*graph2, strategy_text);
   ASSERT_TRUE(learned2.ok());
@@ -138,7 +157,7 @@ TEST(AndOrSerializationTest, GraphRoundTrip) {
   g.AddLeaf(root, "fallback", 0.75);
 
   std::string text = SerializeAndOrGraph(g);
-  Result<AndOrGraph> restored = DeserializeAndOrGraph(text);
+  Result<AndOrGraph> restored = verify::DeserializeAndOrGraph(text);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(SerializeAndOrGraph(*restored), text);
   EXPECT_EQ(restored->num_experiments(), 3u);
@@ -153,17 +172,17 @@ TEST(AndOrSerializationTest, GraphRoundTrip) {
 }
 
 TEST(AndOrSerializationTest, GraphRejectsGarbage) {
-  EXPECT_FALSE(DeserializeAndOrGraph("").ok());
-  EXPECT_FALSE(DeserializeAndOrGraph("wrong header").ok());
+  EXPECT_FALSE(verify::DeserializeAndOrGraph("").ok());
+  EXPECT_FALSE(verify::DeserializeAndOrGraph("wrong header").ok());
   EXPECT_FALSE(
-      DeserializeAndOrGraph("stratlearn-andor v1\nnode Q - 1 x\n").ok());
+      verify::DeserializeAndOrGraph("stratlearn-andor v1\nnode Q - 1 x\n").ok());
   // Child of a leaf.
-  EXPECT_FALSE(DeserializeAndOrGraph("stratlearn-andor v1\n"
+  EXPECT_FALSE(verify::DeserializeAndOrGraph("stratlearn-andor v1\n"
                                      "node L - 1 root\n"
                                      "node L 0 1 child\n")
                    .ok());
   // Non-positive leaf cost.
-  EXPECT_FALSE(DeserializeAndOrGraph("stratlearn-andor v1\n"
+  EXPECT_FALSE(verify::DeserializeAndOrGraph("stratlearn-andor v1\n"
                                      "node O - 1 root\n"
                                      "node L 0 0 leaf\n")
                    .ok());
@@ -184,7 +203,7 @@ TEST(AndOrSerializationTest, StrategyRoundTripAfterLearning) {
   std::string strategy_text =
       SerializeAndOrStrategy(g, learned->strategy);
 
-  Result<AndOrGraph> g2 = DeserializeAndOrGraph(graph_text);
+  Result<AndOrGraph> g2 = verify::DeserializeAndOrGraph(graph_text);
   ASSERT_TRUE(g2.ok());
   Result<AndOrStrategy> s2 =
       DeserializeAndOrStrategy(*g2, strategy_text);

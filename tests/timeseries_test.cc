@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/json_writer.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "util/string_util.h"

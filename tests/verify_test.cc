@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/json_writer.h"
+#include "obs/json_reader.h"
 #include "verify/diagnostics.h"
 #include "verify/sarif.h"
 #include "verify/suppressions.h"
@@ -49,6 +49,14 @@ const GoldenCase kGoldenCases[] = {
     {"g006", {"g006_depth_bound.graph"}, "g006.expected"},
     {"g008", {"g008_malformed_record.graph"}, "g008.expected"},
     {"g009", {"g009_build_failure.dl"}, "g009.expected"},
+    {"g003_non_finite", {"g003_non_finite_cost.graph"},
+     "g003_non_finite.expected"},
+    {"g008_out_of_order", {"g008_out_of_order.graph"},
+     "g008_out_of_order.expected"},
+    {"g008_retrieval", {"g008_retrieval_not_experiment.graph"},
+     "g008_retrieval.expected"},
+    {"g008_success_root", {"g008_success_root.graph"},
+     "g008_success_root.expected"},
     // AND/OR family.
     {"a001", {"a001_dangling_parent.andor"}, "a001.expected"},
     {"a002", {"a002_childless_internal.andor"}, "a002.expected"},
@@ -56,6 +64,10 @@ const GoldenCase kGoldenCases[] = {
     {"a004", {"a004_non_positive_leaf_cost.andor"}, "a004.expected"},
     {"a005", {"a005_multiple_roots.andor"}, "a005.expected"},
     {"a006", {"a006_malformed_record.andor"}, "a006.expected"},
+    {"a004_non_finite", {"a004_non_finite_leaf_cost.andor"},
+     "a004_non_finite.expected"},
+    {"a006_indented", {"a006_indented_record.andor"},
+     "a006_indented.expected"},
     // Strategy family (verified against the two-branch context graph).
     {"s001",
      {"context_two_branch.graph", "s001_dangling_arc.strategy"},
@@ -70,6 +82,16 @@ const GoldenCase kGoldenCases[] = {
      {"context_two_branch.graph", "s004_swap_unreachable.strategy"},
      "s004.expected"},
     {"s005", {"s005_no_context.strategy"}, "s005.expected"},
+    {"s001_past_32_bits",
+     {"context_two_branch.graph", "s001_id_past_32_bits.strategy"},
+     "s001_past_32_bits.expected"},
+    {"s001_negative",
+     {"context_two_branch.graph", "s001_negative_id.strategy"},
+     "s001_negative.expected"},
+    // Ids may continue on the lines after the header.
+    {"x004_second_line",
+     {"context_two_branch.graph", "x004_ids_on_second_line.strategy"},
+     "x004_second_line.expected"},
     // Alert-config family.
     {"al001", {"al001_malformed.alerts"}, "al001.expected"},
     {"al002", {"al002_unknown_selector.alerts"}, "al002.expected"},
@@ -187,7 +209,8 @@ TEST(VerifyGolden, EveryCaseMentionsItsCode) {
   if (RegenRequested()) GTEST_SKIP();
   for (const GoldenCase& c : kGoldenCases) {
     SCOPED_TRACE(c.name);
-    // Uppercase the letter prefix ("al001" -> "V-AL001").
+    // Uppercase the letter prefix and keep the digits after it
+    // ("al001" -> "V-AL001", "g008_out_of_order" -> "V-G008").
     std::string code = "V-";
     const char* rest = c.name;
     for (; *rest != '\0' &&
@@ -196,7 +219,9 @@ TEST(VerifyGolden, EveryCaseMentionsItsCode) {
       code += static_cast<char>(
           std::toupper(static_cast<unsigned char>(*rest)));
     }
-    code += rest;
+    for (; std::isdigit(static_cast<unsigned char>(*rest)); ++rest) {
+      code += *rest;
+    }
     EXPECT_NE(RunCase(c).find("[" + code + "]"), std::string::npos)
         << "fixture does not trigger its own diagnostic code";
   }

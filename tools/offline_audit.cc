@@ -7,6 +7,7 @@
 #include "obs/audit/audit_reader.h"
 #include "obs/json_writer.h"
 #include "util/string_util.h"
+#include "verify/verify.h"
 
 namespace stratlearn::tools {
 
@@ -19,88 +20,14 @@ struct LedgerRow {
   int64_t certificates = 0;
 };
 
-/// Consistency findings over a parsed audit file. Mirrors what
-/// tools/audit_verify re-derives from the raw trace, restricted to
-/// what the audit file alone can witness: ledger monotonicity and
-/// budget, verdict/margin agreement, summary/stream agreement.
-std::vector<std::string> CheckAuditFile(const obs::AuditFile& file) {
+/// The report's findings: the errors verify's V-AUD passes report on
+/// the same stream, one line each.
+std::vector<std::string> Findings(const obs::AuditFile& file) {
+  verify::DiagnosticSink sink;
+  verify::VerifyAuditFile(file, &sink);
   std::vector<std::string> findings;
-  std::map<std::string, double> last_spent;
-  int64_t commits = 0, rejects = 0, stops = 0, quotas_met = 0;
-  // A rebaseline recovery certificate re-opens the delta ledger: the
-  // rewound trial counter re-charges earlier rungs, so overspend at or
-  // after it is certified by the stream itself, not a finding.
-  bool ledger_reopened = false;
-  for (const obs::AuditCertificate& cert : file.certificates) {
-    const obs::DecisionCertificateEvent& e = cert.event;
-    if (e.learner == "recovery" && e.verdict == "rebaseline") {
-      ledger_reopened = true;
-    }
-    auto [it, first] = last_spent.try_emplace(e.learner, 0.0);
-    if (!first && e.delta_spent_total < it->second) {
-      findings.push_back(StrFormat(
-          "line %lld: %s delta ledger went backwards (%s after %s)",
-          static_cast<long long>(cert.line), e.learner.c_str(),
-          FormatDouble(e.delta_spent_total, 12).c_str(),
-          FormatDouble(it->second, 12).c_str()));
-    }
-    it->second = e.delta_spent_total;
-    if (!ledger_reopened && e.delta_budget > 0.0 &&
-        e.delta_spent_total > e.delta_budget) {
-      findings.push_back(StrFormat(
-          "line %lld: %s spent %s of a %s delta budget",
-          static_cast<long long>(cert.line), e.learner.c_str(),
-          FormatDouble(e.delta_spent_total, 12).c_str(),
-          FormatDouble(e.delta_budget, 12).c_str()));
-    }
-    // Verdict/margin agreement: a commit / one-shot stop / met quota
-    // certifies delta_sum >= threshold; a PALO stop certifies the worst
-    // neighbour stayed *below* epsilon; a reject means the threshold
-    // was not crossed.
-    bool wants_crossed = e.verdict == "commit" || e.verdict == "met" ||
-                         (e.verdict == "stop" && e.learner == "pib1");
-    bool wants_below =
-        e.verdict == "reject" || (e.verdict == "stop" && e.learner == "palo");
-    if (wants_crossed && e.margin < 0.0) {
-      findings.push_back(StrFormat(
-          "line %lld: %s %s verdict with negative margin %s",
-          static_cast<long long>(cert.line), e.learner.c_str(),
-          e.verdict.c_str(), FormatDouble(e.margin, 12).c_str()));
-    }
-    if (wants_below && e.margin > 0.0) {
-      findings.push_back(StrFormat(
-          "line %lld: %s %s verdict with positive margin %s",
-          static_cast<long long>(cert.line), e.learner.c_str(),
-          e.verdict.c_str(), FormatDouble(e.margin, 12).c_str()));
-    }
-    // The margin must be the literal difference of the two fields it
-    // summarises; a disagreement means one of the three was edited.
-    if (e.margin != e.delta_sum - e.threshold) {
-      findings.push_back(StrFormat(
-          "line %lld: %s margin %s != delta_sum - threshold (%s)",
-          static_cast<long long>(cert.line), e.learner.c_str(),
-          FormatDouble(e.margin, 12).c_str(),
-          FormatDouble(e.delta_sum - e.threshold, 12).c_str()));
-    }
-    if (e.verdict == "commit") ++commits;
-    else if (e.verdict == "reject") ++rejects;
-    else if (e.verdict == "stop") ++stops;
-    else if (e.verdict == "met") ++quotas_met;
-  }
-  if (file.summary.present) {
-    const obs::AuditSummary& s = file.summary;
-    if (s.certificates != static_cast<int64_t>(file.certificates.size()) ||
-        s.commits != commits || s.rejects != rejects || s.stops != stops ||
-        s.quotas_met != quotas_met) {
-      findings.push_back(StrFormat(
-          "line %lld: summary counts disagree with the certificate stream",
-          static_cast<long long>(s.line)));
-    }
-    if (!s.budget_ok && !ledger_reopened) {
-      findings.push_back(StrFormat(
-          "line %lld: summary reports the delta budget was exceeded",
-          static_cast<long long>(s.line)));
-    }
+  for (const verify::Diagnostic& d : sink.diagnostics()) {
+    if (d.severity == verify::Severity::kError) findings.push_back(d.Brief());
   }
   return findings;
 }
@@ -304,7 +231,7 @@ int RunOfflineAudit(const std::string& audit_path,
                  file.status().ToString().c_str());
     return 2;
   }
-  std::vector<std::string> findings = CheckAuditFile(*file);
+  std::vector<std::string> findings = Findings(*file);
   if (format == "json") {
     RenderJson(*file, findings);
   } else {

@@ -13,8 +13,9 @@ namespace stratlearn::tools {
 /// or "json"; the JSON rendering is byte-deterministic for a given
 /// input file. Backs `stratlearn_cli audit`.
 ///
-/// Exit contract: 0 clean, 1 findings (delta ledger over budget,
-/// non-conservative certificate, summary/stream disagreement), 2 usage
+/// Exit contract: 0 clean, 1 findings (the errors of verify's V-AUD
+/// passes: a broken or overspent delta ledger, a non-conservative
+/// certificate, a summary that disagrees with its stream), 2 usage
 /// error (bad flags, unreadable or malformed audit file).
 int RunOfflineAudit(const std::string& audit_path, const std::string& format);
 
