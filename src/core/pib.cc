@@ -129,32 +129,9 @@ Status Pib::RestoreCheckpoint(const Checkpoint& checkpoint) {
   return Status::OK();
 }
 
-void Pib::Rebaseline(double trials_factor) {
-  STRATLEARN_CHECK(trials_factor > 0.0 && trials_factor <= 1.0);
-  // Every sum is dropped, not just the epoch's samples: a pre-drift sum
-  // left standing would cross the (now smaller) rewound threshold on
-  // stale evidence.
+void Pib::Rebaseline() {
   delta_sums_.assign(delta_sums_.size(), 0.0);
   samples_ = 0;
-  trials_ = std::max<int64_t>(
-      1, static_cast<int64_t>(static_cast<double>(trials_) * trials_factor));
-}
-
-int64_t Pib::RestartScoped(ArcId arc) {
-  auto touches = [&](ArcId root) {
-    for (ArcId sub : graph_->SubtreeArcs(root)) {
-      if (sub == arc) return true;
-    }
-    return false;
-  };
-  int64_t reset = 0;
-  for (size_t j = 0; j < hood_.size(); ++j) {
-    const SiblingSwap& swap = hood_.neighbors()[j].swap;
-    if (!touches(swap.arc_a) && !touches(swap.arc_b)) continue;
-    delta_sums_[j] = 0.0;
-    ++reset;
-  }
-  return reset;
 }
 
 obs::DecisionCertificateEvent Pib::MakeAuditCertificate(size_t neighbor,

@@ -142,22 +142,12 @@ class Pib {
 
   /// Recovery action: re-open the sequential test after detected drift
   /// without discarding the current strategy. Zeroes every neighbour's
-  /// Delta~ sum along with the epoch sample count (pre-drift evidence
-  /// must not certify a post-drift climb) and rewinds the trial counter
-  /// to max(1, trials * trials_factor), which widens delta_i back to an
-  /// earlier rung of the 6/pi^2 schedule so the test re-converges
-  /// faster than a cold restart while Theorem 1's union bound (a
-  /// subsequence of the same schedule) still holds.
-  void Rebaseline(double trials_factor);
-
-  /// Recovery action scoped to one drifted arc: zeroes the Delta~ sums
-  /// of exactly the neighbours whose swap moves a subtree containing
-  /// `arc`, keeping every other neighbour's evidence. The shared
-  /// samples_/trials_ counters are kept too, which leaves the scoped
-  /// neighbours' thresholds conservatively over-estimated (they demand
-  /// at least as much post-drift evidence as a fresh epoch would).
-  /// Returns the number of neighbours reset.
-  int64_t RestartScoped(ArcId arc);
+  /// Delta~ sum along with the epoch sample count, so pre-drift evidence
+  /// cannot certify a post-drift climb. The trial counter is left alone:
+  /// this is the fresh epoch a climb starts, so the next test uses the
+  /// next delta_i rung of the 6/pi^2 schedule and Theorem 1's union
+  /// bound over the whole run still holds.
+  void Rebaseline();
 
  private:
   /// Builds the decision certificate for one test round's verdict on

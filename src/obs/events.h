@@ -192,7 +192,7 @@ struct RetryEvent {
 };
 
 /// A per-arc circuit breaker changed state. "open": the arc's retrieval
-/// failed persistently (or was quarantined) and will be skipped (with
+/// failed persistently and will be skipped (with
 /// its pessimistic cost charged) until `cooldown_until`; "half_open":
 /// the cooldown elapsed and a single probe attempt is admitted;
 /// "closed": a probe (or ordinary physical attempt) succeeded and
@@ -308,21 +308,21 @@ struct AlertEvent {
 };
 
 /// The recovery controller decided (and, in a live run, executed) one
-/// graduated action from a "stratlearn-recovery v1" policy in response
-/// to drift/alert transitions in a closed window. `matched` counts the
-/// trigger transitions that justified the action (>= 1), and the
+/// rule of a "stratlearn-recovery v1" policy in response to drift/alert
+/// transitions in a closed window. `matched` counts the trigger
+/// transitions that justified the action (>= 1), and the
 /// statistic/reference/threshold triple echoes the first matching
 /// transition so humans can see what moved. `outcome` reports what the
-/// executor actually did ("applied", "skipped_unsupported",
-/// "skipped_no_checkpoint"); decide-only replays reconstruct decisions,
-/// not outcomes.
+/// executor actually did ("applied", or "skipped_unsupported" without a
+/// learner to act on); decide-only replays reconstruct decisions, not
+/// outcomes.
 struct RecoveryEvent {
   int64_t t_us = 0;
   std::string rule;     // policy rule id
   std::string trigger;  // e.g. "drift:p_hat" | "alert:<rule-id>"
-  std::string action;   // "rebaseline"|"rollback"|"restart_scoped"|"quarantine"
-  std::string outcome;  // "applied" | "skipped_*"
-  int64_t arc = -1;     // target arc for scoped actions; -1 otherwise
+  std::string action;   // "rebaseline", the one action
+  std::string outcome;  // "applied" | "skipped_unsupported"
+  int64_t arc = -1;     // always -1: no action targets one arc
   int64_t window = 0;   // index of the window whose transitions fired it
   int64_t matched = 0;  // trigger transitions matched in that window
   double statistic = 0.0;

@@ -28,8 +28,8 @@ struct RecoveryLogEntry {
   int64_t window = 0;
   std::string rule;     // policy rule id
   std::string trigger;  // e.g. "drift:p_hat" | "alert:latency"
-  std::string action;   // "rebaseline" | "rollback" | ...
-  int64_t arc = -1;     // target arc for scoped actions; -1 otherwise
+  std::string action;   // "rebaseline", the one action
+  int64_t arc = -1;     // always -1: no action targets one arc
   int64_t matched = 0;  // trigger transitions matched in the window
 };
 

@@ -1,14 +1,10 @@
 #include "obs/perf/workloads.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -23,7 +19,6 @@
 #include "obs/observer.h"
 #include "obs/timeseries.h"
 #include "obs/trace_sink.h"
-#include "robust/checkpoint.h"
 #include "robust/recovery/controller.h"
 #include "robust/recovery/policy.h"
 #include "util/check.h"
@@ -390,32 +385,41 @@ class AuditOverheadInstance {
   Rng rng_;
 };
 
-/// Drift reaction end-to-end: a 4-leaf satisficing search whose best
-/// experiment transiently degrades (p 0.9 -> 0.25, then reverts), with
-/// the full detect -> decide -> recover pipeline attached. Each
-/// repetition runs the same context stream four times: once per
-/// graduated recovery policy (rebaseline, restart_scoped, rollback
-/// against an on-disk checkpoint ring) and once with the naive
-/// cold-restart reaction (drift detected => throw the learner away).
-/// The rep hard-asserts the tentpole claim of the recovery layer: every
-/// policy re-converges on the optimal ordering in strictly fewer
-/// post-revert contexts than the cold restart, because the graduated
-/// actions preserve (or restore) the pre-drift strategy instead of
-/// discarding it. The per-policy re-convergence counters land in the
-/// golden, so a recovery regression fails both the run and the golden.
-/// Quarantine is deliberately absent: it isolates a faulty arc rather
-/// than re-converging the learner, so it has no convergence race to win.
+/// Drift reaction end-to-end: a 4-leaf satisficing search with unit
+/// costs whose best experiment (2, p = 0.9) falls to the others' p = 0.3
+/// at context 1600, with the full detect -> decide -> recover pipeline
+/// attached. Two regimes share that drift:
+///   transient - experiment 2 reverts at context 2100 (3200 contexts).
+///     The excursion gives the detector a 0.6 p-hat step but no
+///     ordering signal, so a learner that keeps its strategy never
+///     leaves the optimum;
+///   flip - experiment 3, DepthFirst's last leaf, rises to p = 0.9 at
+///     the same context and stays there (8000 contexts), so the
+///     pre-drift evidence points the wrong way.
+/// Each repetition runs both regimes on one seed under three reactions:
+/// none (no controller, no hook), a rebaseline policy, and a cold
+/// restart (any detected drift throws the learner away). It hard-asserts
+/// why the recovery layer keeps its code: on the flip, rebaseline puts
+/// the new optimum in front in fewer contexts than no reaction and pays
+/// less post-drift cost; on the transient, it re-converges faster than a
+/// cold restart. Cold restart's flip counters are pinned, not asserted:
+/// it wins whenever DepthFirst already ranks the new optimum early.
 class DriftRecoverInstance {
  public:
-  static constexpr int64_t kContexts = 3200;
   static constexpr int64_t kDriftAt = 1600;
-  static constexpr int64_t kRevertAt = 2100;
   static constexpr int64_t kWindowUnits = 100;
   static constexpr double kDelta = 0.2;
-  static constexpr int kBestExperiment = 2;
 
-  explicit DriftRecoverInstance(uint64_t seed)
-      : seed_(seed), rng_(seed), ring_dir_(MakeRingDir()) {
+  enum class Reaction { kNone, kRebaseline, kColdRestart };
+
+  struct Regime {
+    std::vector<double> after;  // success rates from kDriftAt on
+    int64_t revert_at;          // back to the pre-drift rates; 0 = never
+    int64_t contexts;
+    int best;                   // the optimum once the drift settles
+  };
+
+  explicit DriftRecoverInstance(uint64_t seed) : rng_(seed) {
     Rng tree_rng(seed ^ 0x9e3779b97f4a7c15ULL);
     RandomTreeOptions options;
     options.min_cost = 1.0;  // equal costs: the optimal order is by p
@@ -423,51 +427,19 @@ class DriftRecoverInstance {
     tree_ = MakeFlatTree(tree_rng, 4, options);
   }
 
-  ~DriftRecoverInstance() {
-    std::error_code ignored;
-    std::filesystem::remove_all(ring_dir_, ignored);
-  }
-  DriftRecoverInstance(const DriftRecoverInstance&) = delete;
-  DriftRecoverInstance& operator=(const DriftRecoverInstance&) = delete;
-
-  /// A fresh directory for this instance's checkpoint ring, so runs
-  /// started at the same time never share rollback slots.
-  static std::string MakeRingDir() {
-    std::string dir = (std::filesystem::temp_directory_path() /
-                       "stratlearn_drift_recover_XXXXXX")
-                          .string();
-    STRATLEARN_CHECK_MSG(mkdtemp(dir.data()) != nullptr,
-                         "drift_recover cannot create its ring directory");
-    return dir;
-  }
-
   struct RunOutcome {
     double cost = 0.0;
-    int64_t converged_at = 0;   // first context from which the best
-                                // experiment stays in front to the end
-    int64_t detections = 0;     // drift "detected" transitions
-    int64_t actions = 0;        // recovery actions applied / cold restarts
+    double post_drift_cost = 0.0;  // contexts kDriftAt onwards
+    int64_t recovery_ctx = 0;  // contexts from the revert (or the drift,
+                               // when permanent) until `best` is in
+                               // front for good; 0 when it never left
+    int64_t actions = 0;       // recovery actions applied / cold restarts
   };
 
-  /// Post-revert contexts until the learner is (back) on the optimal
-  /// ordering; 0 when it never lost it.
-  static int64_t RecoveryContexts(const RunOutcome& run) {
-    return run.converged_at <= kRevertAt ? 0
-                                         : run.converged_at - kRevertAt;
-  }
-
-  /// One full pipeline run. `policy` empty = cold-restart control.
-  RunOutcome RunPipeline(uint64_t seed, const std::string& policy) {
-    // The drift collapses the best experiment onto the others' success
-    // rate: a 0.6 p-hat step the Hoeffding test flags within a window,
-    // but zero ordering signal during the transient — so no learner
-    // commits a *wrong* swap while drifted, and what separates the runs
-    // is purely how their drift reaction treats the pre-drift strategy.
-    std::vector<double> before = {0.3, 0.3, 0.9, 0.3};
-    std::vector<double> after = before;
-    after[kBestExperiment] = 0.3;
-    DriftingOracle oracle(before, after, kDriftAt);
-    oracle.set_revert_at(kRevertAt);
+  RunOutcome RunPipeline(uint64_t seed, const Regime& regime,
+                         Reaction reaction) {
+    DriftingOracle oracle({0.3, 0.3, 0.9, 0.3}, regime.after, kDriftAt);
+    oracle.set_revert_at(regime.revert_at);
 
     MetricsRegistry registry;
     TimeSeriesOptions ts_options;
@@ -486,29 +458,21 @@ class DriftRecoverInstance {
                                      Strategy::DepthFirst(tree_.graph),
                                      PibOptions{.delta = kDelta}, &observer);
 
-    robust::CheckpointRing ring(ring_dir_ + "/ckpt", 3);
     std::unique_ptr<robust::RecoveryController> controller;
     int64_t cold_restarts = 0;
-    if (!policy.empty()) {
-      robust::RecoveryPolicy p;
-      robust::RecoveryRule rule;
-      rule.id = "drift->" + policy;
-      rule.trigger = "drift:p_hat";
-      rule.action = policy;
-      rule.cooldown = 2;
-      rule.trials_factor = 0.5;
-      p.rules.push_back(rule);
-      controller = std::make_unique<robust::RecoveryController>(std::move(p));
+    if (reaction == Reaction::kRebaseline) {
+      robust::RecoveryPolicy policy;
+      policy.rules.push_back(
+          {"drift->rebaseline", "drift:p_hat", "rebaseline", /*cooldown=*/2});
+      controller =
+          std::make_unique<robust::RecoveryController>(std::move(policy));
       controller->BindPib(pib.get());
-      controller->BindRing(&ring);
       controller->BindObserver(&observer);
-      controller->BindGraph(&tree_.graph);
       controller->set_live(true);
       monitor.set_recovery_hook(controller->Hook());
-    } else {
-      // The naive reaction the policies must beat: any detected drift
-      // transition throws the learner away wholesale (same 2-window
-      // cooldown as the policy rules, so the comparison is fair).
+    } else if (reaction == Reaction::kColdRestart) {
+      // Any detected drift transition throws the learner away wholesale
+      // (same 2-window cooldown as the rebaseline rule).
       int64_t last_restart_window = -100;
       monitor.set_recovery_hook(
           [&, last_restart_window](
@@ -530,100 +494,84 @@ class DriftRecoverInstance {
           });
     }
 
-    ArcId best_arc = tree_.graph.experiments()[kBestExperiment];
+    ArcId best_arc = tree_.graph.experiments()[regime.best];
     Rng rng(seed);
     RunOutcome out;
-    int64_t converged_since = -1;
-    for (int64_t i = 0; i < kContexts; ++i) {
+    int64_t converged_at = 0;  // one past the last context with `best`
+                               // not in front
+    for (int64_t i = 0; i < regime.contexts; ++i) {
       Trace trace = qp.Execute(pib->strategy(), oracle.Next(rng));
       out.cost += trace.cost;
+      if (i >= kDriftAt) out.post_drift_cost += trace.cost;
       pib->Observe(trace);
       observer.AdvanceManualClock(i + 1);
       collector.AdvanceTo(i + 1);
-      if ((i + 1) % (4 * kWindowUnits) == 0 && monitor.drift_active() == 0 &&
-          policy == "rollback") {
-        // Known-good rollback targets, stamped with the monitor's
-        // verdict the way the CLI's checkpoint writer stamps them.
-        robust::CheckpointData data;
-        data.learner = "pib";
-        data.seed = seed_;
-        data.queries_done = i + 1;
-        data.rng_state = rng.SaveState();
-        data.pib = pib->GetCheckpoint();
-        data.health.present = true;
-        data.health.healthy = true;
-        data.health.windows_seen = monitor.windows_seen();
-        (void)ring.Write(data);
+      if (pib->strategy().LeafOrder(tree_.graph)[0] != best_arc) {
+        converged_at = i + 1;
       }
-      bool in_front =
-          pib->strategy().LeafOrder(tree_.graph)[0] == best_arc;
-      if (in_front && converged_since < 0) converged_since = i;
-      if (!in_front) converged_since = -1;
     }
-    collector.Finalize(kContexts);
-    out.converged_at = converged_since >= 0 ? converged_since : kContexts;
-    for (const DriftEvent& e : monitor.drift_log()) {
-      if (e.state == "detected") ++out.detections;
-    }
+    collector.Finalize(regime.contexts);
+    int64_t from = regime.revert_at > 0 ? regime.revert_at : kDriftAt;
+    out.recovery_ctx = std::max<int64_t>(0, converged_at - from);
     out.actions =
         controller != nullptr ? controller->actions_applied() : cold_restarts;
-    for (int64_t slot = 0; slot < ring.slots(); ++slot) {
-      std::remove(ring.SlotPath(slot).c_str());
-    }
     return out;
   }
 
   RepResult RunOnce() {
+    const Regime transient = {{0.3, 0.3, 0.3, 0.3}, 2100, 3200, 2};
+    const Regime flip = {{0.3, 0.3, 0.3, 0.9}, 0, 8000, 3};
     uint64_t rep_seed = rng_.NextUint64();
-    RunOutcome control = RunPipeline(rep_seed, "");
-    RunOutcome rebaseline = RunPipeline(rep_seed, "rebaseline");
-    RunOutcome scoped = RunPipeline(rep_seed, "restart_scoped");
-    RunOutcome rollback = RunPipeline(rep_seed, "rollback");
+    RunOutcome none = RunPipeline(rep_seed, transient, Reaction::kNone);
+    RunOutcome rebaseline =
+        RunPipeline(rep_seed, transient, Reaction::kRebaseline);
+    RunOutcome cold = RunPipeline(rep_seed, transient, Reaction::kColdRestart);
+    RunOutcome flip_none = RunPipeline(rep_seed, flip, Reaction::kNone);
+    RunOutcome flip_rebaseline =
+        RunPipeline(rep_seed, flip, Reaction::kRebaseline);
+    RunOutcome flip_cold = RunPipeline(rep_seed, flip, Reaction::kColdRestart);
 
-    STRATLEARN_CHECK_MSG(control.detections >= 1 && control.actions >= 1,
-                         "drift_recover control must detect and restart");
-    STRATLEARN_CHECK_MSG(RecoveryContexts(control) > 0,
-                         "drift_recover control must pay a re-convergence "
-                         "price for its cold restart");
-    const struct {
-      const char* name;
-      const RunOutcome* run;
-    } policies[] = {{"rebaseline", &rebaseline},
-                    {"restart_scoped", &scoped},
-                    {"rollback", &rollback}};
-    for (const auto& p : policies) {
-      STRATLEARN_CHECK_MSG(p.run->detections >= 1,
-                           "drift_recover policy run must detect the drift");
-      STRATLEARN_CHECK_MSG(p.run->actions >= 1,
-                           "drift_recover policy must apply an action");
-      // The tentpole claim, hard-asserted per repetition: a graduated
-      // recovery re-converges in strictly fewer contexts than the
-      // cold restart.
-      STRATLEARN_CHECK_MSG(
-          RecoveryContexts(*p.run) < RecoveryContexts(control),
-          "drift_recover: policy must re-converge faster than cold restart");
-    }
+    STRATLEARN_CHECK_MSG(cold.actions >= 1 && cold.recovery_ctx > 0,
+                         "drift_recover: the cold restart must fire and pay "
+                         "a re-convergence price");
+    STRATLEARN_CHECK_MSG(
+        rebaseline.actions >= 1 && flip_rebaseline.actions >= 1,
+        "drift_recover: rebaseline must act on the drift");
+    STRATLEARN_CHECK_MSG(rebaseline.recovery_ctx < cold.recovery_ctx,
+                         "drift_recover: rebaseline must re-converge faster "
+                         "than a cold restart");
+    STRATLEARN_CHECK_MSG(flip_rebaseline.recovery_ctx < flip_none.recovery_ctx,
+                         "drift_recover: rebaseline must reach the new "
+                         "optimum sooner than no reaction");
+    STRATLEARN_CHECK_MSG(
+        flip_rebaseline.post_drift_cost < flip_none.post_drift_cost,
+        "drift_recover: rebaseline must pay less post-drift cost than no "
+        "reaction");
 
+    // Unit arc costs: every cost below is a whole number.
+    auto whole = [](double cost) { return static_cast<int64_t>(cost); };
     RepResult result;
-    result.work_units =
-        control.cost + rebaseline.cost + scoped.cost + rollback.cost;
+    result.work_units = none.cost + rebaseline.cost + cold.cost +
+                        flip_none.cost + flip_rebaseline.cost + flip_cold.cost;
     result.counters = {
-        {"contexts", 4 * kContexts},
-        {"control_recovery_ctx", RecoveryContexts(control)},
-        {"rebaseline_recovery_ctx", RecoveryContexts(rebaseline)},
-        {"restart_scoped_recovery_ctx", RecoveryContexts(scoped)},
-        {"rollback_recovery_ctx", RecoveryContexts(rollback)},
-        {"recovery_actions",
-         rebaseline.actions + scoped.actions + rollback.actions},
-        {"cold_restarts", control.actions}};
+        {"contexts", 3 * (transient.contexts + flip.contexts)},
+        {"transient_no_reaction_ctx", none.recovery_ctx},
+        {"transient_rebaseline_ctx", rebaseline.recovery_ctx},
+        {"transient_cold_restart_ctx", cold.recovery_ctx},
+        {"flip_no_reaction_ctx", flip_none.recovery_ctx},
+        {"flip_rebaseline_ctx", flip_rebaseline.recovery_ctx},
+        {"flip_cold_restart_ctx", flip_cold.recovery_ctx},
+        {"flip_no_reaction_cost", whole(flip_none.post_drift_cost)},
+        {"flip_rebaseline_cost", whole(flip_rebaseline.post_drift_cost)},
+        {"flip_cold_restart_cost", whole(flip_cold.post_drift_cost)},
+        {"recovery_actions", rebaseline.actions + flip_rebaseline.actions},
+        {"cold_restarts", cold.actions + flip_cold.actions}};
     return result;
   }
 
  private:
   RandomTree tree_;
-  uint64_t seed_;
   Rng rng_;
-  std::string ring_dir_;
 };
 
 /// Builds `Instance` once, runs the warmup repetition, then sums the

@@ -17,7 +17,8 @@ namespace stratlearn::obs::perf {
 ///   audit_overhead — the pib_climb loop with decision certificates on
 ///   drift_detect   — the health pipeline on a drifting and a stationary
 ///                    stream
-///   drift_recover  — each recovery policy against a cold restart
+///   drift_recover  — rebaseline against no reaction and a cold restart,
+///                    on a transient and a permanent drift
 ///   obs_overhead_off / obs_overhead_metrics / obs_overhead_trace
 ///                  — the Figure-1 execute loop with no observer, with
 ///                    atomic metrics, and with metrics plus a locked

@@ -41,7 +41,6 @@ enum class Section {
   kPalo,
   kPao,
   kHealth,
-  kRing,
   kSeries,
   kAudit,
   kCount
@@ -84,7 +83,6 @@ void Records(D& d, R& r) {
     f("open_until", K::kInteger, b.open_until);
     f.Optional();  // rows written before half-open probes end here
     f("open_rounds", K::kCount, b.open_rounds);
-    f("forced", K::kFlag, b.forced);
   });
 
   r.One(kStrategyKey, S::kPib, Need::kRequired,
@@ -148,10 +146,6 @@ void Records(D& d, R& r) {
     f("drift_active", K::kCount, d.health.drift_active);
     f("firing", K::kCount, d.health.firing);
   });
-  r.One("recovery.ring", S::kRing, Need::kOptional, [&](auto& f) {
-    f("cursor", K::kCount, d.ring_cursor);
-    f("writes", K::kCount, d.ring_writes);
-  });
   r.One("ts.cursor", S::kSeries, Need::kRequired, [&](auto& f) {
     f("window_start", K::kCount, d.ts_window_start);
     f("next_index", K::kCount, d.ts_next_index);
@@ -210,7 +204,6 @@ bool HasSection(const CheckpointData& d, Section s) {
     case Section::kPib: return d.learner == "pib";
     case Section::kPalo: return d.learner == "palo";
     case Section::kPao: return d.learner == "pao";
-    case Section::kRing: return d.ring_cursor > 0 || d.ring_writes > 0;
     default: return true;
   }
 }
@@ -266,7 +259,7 @@ class Writer {
 
 /// Parses one line's tokens into the members a record binds, stopping
 /// at the first that does not fit, and collects the record's layout
-/// (" <arc> [<forced>]") for messages; over an empty line it only
+/// (" <arc> [<open_rounds>]") for messages; over an empty line it only
 /// describes the record.
 class FieldReader {
  public:

@@ -39,10 +39,10 @@ struct CheckpointData {
   Palo::Checkpoint palo;
   AdaptiveQueryProcessor::Checkpoint qpa;
 
-  /// Health-monitor verdict at checkpoint time. Ring-checkpoint slots
-  /// (recovery rollback) are only eligible as rollback targets when
-  /// stamped healthy, so "known-good" is decided when the checkpoint is
-  /// written, not re-guessed when drift already corrupted the state.
+  /// Health-monitor verdict at checkpoint time (learn-pib and the
+  /// learnbench driver write it on --alerts runs), so an archived
+  /// checkpoint records whether drift or a firing alert was active
+  /// when it was taken.
   struct HealthStamp {
     bool present = false;
     bool healthy = true;
@@ -51,11 +51,6 @@ struct CheckpointData {
     int64_t firing = 0;
   };
   HealthStamp health;
-
-  /// Recovery checkpoint-ring bookkeeping (next slot to overwrite and
-  /// total writes), so a resumed run keeps rotating the same ring.
-  int64_t ring_cursor = 0;
-  int64_t ring_writes = 0;
 
   /// Time-series collector cursor plus the retained windows as the raw
   /// JSON lines SerializeJsonl would emit. A resumed run replays these

@@ -94,16 +94,6 @@ bool FaultInjector::RecordRecovery(ArcId arc) {
   return was_open;
 }
 
-FaultInjectorState::BreakerEntry FaultInjector::Quarantine(
-    ArcId arc, int64_t query, int64_t cooldown) {
-  Breaker& breaker = breakers_[arc];
-  breaker.forced = true;
-  breaker.probe_inflight = false;
-  breaker.open_rounds = 0;
-  breaker.open_until = query + cooldown + 1;
-  return BreakerLedger(arc);
-}
-
 FaultInjectorState::BreakerEntry FaultInjector::BreakerLedger(
     ArcId arc) const {
   FaultInjectorState::BreakerEntry entry;
@@ -113,7 +103,6 @@ FaultInjectorState::BreakerEntry FaultInjector::BreakerLedger(
     entry.consecutive_failures = it->second.consecutive_failures;
     entry.open_until = it->second.open_until;
     entry.open_rounds = it->second.open_rounds;
-    entry.forced = it->second.forced;
   }
   return entry;
 }
@@ -128,8 +117,7 @@ FaultInjectorState FaultInjector::SaveState() const {
     // within the attempt that issued it, and checkpoints are only
     // written at query boundaries.
     state.breakers.push_back({arc, breaker.consecutive_failures,
-                              breaker.open_until, breaker.open_rounds,
-                              breaker.forced});
+                              breaker.open_until, breaker.open_rounds});
   }
   return state;
 }
@@ -147,7 +135,7 @@ Status FaultInjector::RestoreState(const FaultInjectorState& state) {
       return Status::InvalidArgument("malformed breaker ledger entry");
     }
     breakers_[entry.arc] = {entry.consecutive_failures, entry.open_until,
-                            entry.open_rounds, false, entry.forced};
+                            entry.open_rounds, false};
   }
   return Status::OK();
 }

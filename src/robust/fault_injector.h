@@ -25,7 +25,6 @@ struct FaultInjectorState {
     int consecutive_failures = 0;
     int64_t open_until = 0;  // first resilient-query index allowed a probe
     int open_rounds = 0;     // failed half-open probes (backoff exponent)
-    bool forced = false;     // opened by quarantine, not by failures
   };
   std::vector<BreakerEntry> breakers;  // sorted by arc
 };
@@ -56,10 +55,6 @@ class FaultInjector {
   /// Starts one resilient query; returns its 0-based ordinal (the clock
   /// the circuit breakers run on).
   int64_t BeginQuery() { return query_count_++; }
-
-  /// Resilient queries begun so far — the breaker clock's current
-  /// reading, which quarantine cooldowns are measured from.
-  int64_t queries_begun() const { return query_count_; }
 
   /// Samples the fault outcome of one physical attempt of `experiment`.
   /// First matching rule (in plan order) that fires wins; `*magnitude`
@@ -92,14 +87,6 @@ class FaultInjector {
   /// this *closed* a previously opened breaker ("closed" trace event).
   bool RecordRecovery(ArcId arc);
 
-  /// Recovery-controller action: force `arc`'s breaker open for
-  /// `cooldown` resilient queries (then the normal half-open probe
-  /// schedule applies), regardless of its failure count or whether the
-  /// plan configured a breaker threshold. Returns the resulting ledger
-  /// entry for the caller's "open" trace event.
-  FaultInjectorState::BreakerEntry Quarantine(ArcId arc, int64_t query,
-                                              int64_t cooldown);
-
   /// Breaker ledger of `arc` (consecutive failures, open-until), for
   /// events and tests.
   FaultInjectorState::BreakerEntry BreakerLedger(ArcId arc) const;
@@ -113,15 +100,12 @@ class FaultInjector {
     int64_t open_until = 0;
     int open_rounds = 0;
     bool probe_inflight = false;
-    bool forced = false;
   };
 
   /// Whether the entry is in the open/half-open regime at all.
   bool Armed(const Breaker& breaker) const {
-    return breaker.forced ||
-           (plan_.resilience.breaker_threshold > 0 &&
-            breaker.consecutive_failures >=
-                plan_.resilience.breaker_threshold);
+    return plan_.resilience.breaker_threshold > 0 &&
+           breaker.consecutive_failures >= plan_.resilience.breaker_threshold;
   }
 
   int64_t BackoffCooldown(int open_rounds) const;

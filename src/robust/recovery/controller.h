@@ -8,66 +8,25 @@
 #include <vector>
 
 #include "core/pib.h"
-#include "graph/inference_graph.h"
 #include "obs/health/monitor.h"
 #include "obs/observer.h"
-#include "robust/checkpoint.h"
-#include "robust/fault_injector.h"
 #include "robust/recovery/policy.h"
 
 namespace stratlearn::robust {
 
-/// Ring of retained "known-good" checkpoints backing the recovery
-/// policy's rollback action. Slot k of a ring of N lives at
-/// "<base>.ring<k>" (CRC-32 container, like the main checkpoint);
-/// writes rotate through the slots oldest-first. Callers only write
-/// when the health monitor's verdict is healthy and stamp that verdict
-/// into the payload, so every retained slot is pre-drift by
-/// construction — rollback never restores state the detectors had
-/// already flagged.
-class CheckpointRing {
- public:
-  CheckpointRing(std::string base_path, int64_t slots);
-
-  int64_t slots() const { return slots_; }
-  int64_t cursor() const { return cursor_; }
-  int64_t writes() const { return writes_; }
-
-  /// Reinstates the rotation cursor persisted in the main checkpoint,
-  /// so a resumed run overwrites the oldest slot next, not slot 0.
-  /// Out-of-range values are ignored (fresh rotation).
-  void RestoreCursor(int64_t cursor, int64_t writes);
-
-  /// Writes `data` into the next slot and advances the rotation.
-  Status Write(const CheckpointData& data);
-
-  /// Newest retained slot (by queries_done) whose container checksum,
-  /// payload and health stamp all check out. Corrupt or unhealthy
-  /// slots are skipped, so a ring where every slot was damaged simply
-  /// reports NotFound and the caller degrades gracefully.
-  Result<CheckpointData> LoadNewestGood(const InferenceGraph& graph) const;
-
-  std::string SlotPath(int64_t slot) const;
-
- private:
-  std::string base_;
-  int64_t slots_ = 0;
-  int64_t cursor_ = 0;  // next slot to overwrite
-  int64_t writes_ = 0;  // lifetime writes, for retention tests
-};
-
 /// Executes a "stratlearn-recovery v1" policy against the health
 /// monitor's window stream: install `Hook()` via
 /// HealthMonitor::set_recovery_hook and every closed window's
-/// drift/alert transitions are matched against the policy's rules,
-/// producing graduated recovery actions instead of a cold restart.
+/// drift/alert transitions are matched against the policy's rules, and
+/// each rule that fires rebaselines the bound PIB learner instead of
+/// cold-restarting it.
 ///
 /// The controller has two modes. In decide-only mode (the default) it
 /// records which rules fire — this is what offline `health` replays
 /// and the resume path use, and it is a pure function of the window
 /// sequence, so online and offline transcripts match byte for byte.
-/// After set_live(true) it additionally *executes* each action against
-/// whatever targets are bound (unbound targets degrade the outcome to
+/// After set_live(true) it additionally *executes* each action on the
+/// bound learner (without one the outcome degrades to
 /// "skipped_unsupported") and emits one RecoveryEvent plus, on audit
 /// runs, one decision certificate per action, so tools/audit_verify
 /// can re-derive why recovery fired from the trace alone.
@@ -82,24 +41,20 @@ class RecoveryController {
 
   const RecoveryPolicy& policy() const { return policy_; }
 
-  /// Live-action targets, all optional. Bound after construction
-  /// because the learner/injector typically outlive the observer setup
-  /// that installs the hook.
+  /// Live-action targets, both optional. Bound after construction
+  /// because the learner is built after the observer setup that
+  /// installs the hook.
   void BindPib(Pib* pib) { pib_ = pib; }
-  void BindInjector(FaultInjector* injector) { injector_ = injector; }
-  void BindRing(CheckpointRing* ring) { ring_ = ring; }
   void BindObserver(obs::Observer* observer) { observer_ = observer; }
-  void BindGraph(const InferenceGraph* graph) { graph_ = graph; }
 
   /// Decide-only (false, default) vs live execution (true).
   void set_live(bool live) { live_ = live; }
   bool live() const { return live_; }
 
   /// The monitor hook: decides which rules fire on this window's
-  /// transitions (and executes them when live). Arc-scoped rules fire
-  /// once per (rule, arc) pair; global rules once per rule per window.
-  /// A rule's cooldown suppresses re-firing for that many subsequent
-  /// windows per target.
+  /// transitions (and executes them when live). A rule fires at most
+  /// once per window, and its cooldown suppresses re-firing for that
+  /// many subsequent windows.
   std::vector<obs::health::RecoveryLogEntry> OnWindow(
       const obs::TimeSeriesWindow& window,
       const std::vector<obs::DriftEvent>& drift,
@@ -113,8 +68,8 @@ class RecoveryController {
   int64_t actions_applied() const { return applied_; }
 
  private:
-  /// Matched-transition tally for one (rule, target) in one window,
-  /// echoing the first matching transition's numbers for the event.
+  /// Matched-transition tally for one rule in one window, echoing the
+  /// first matching transition's numbers for the event.
   struct Match {
     int64_t count = 0;
     double statistic = 0.0;
@@ -122,25 +77,19 @@ class RecoveryController {
     double threshold = 0.0;
   };
 
-  bool PassesCooldown(const RecoveryRule& rule, int64_t arc,
-                      int64_t window) const;
+  bool PassesCooldown(const RecoveryRule& rule, int64_t window) const;
   void Fire(const RecoveryRule& rule, const obs::TimeSeriesWindow& window,
-            int64_t arc, const Match& match,
+            const Match& match,
             std::vector<obs::health::RecoveryLogEntry>* out);
-  std::string Execute(const RecoveryRule& rule, int64_t arc);
 
   RecoveryPolicy policy_;
   bool live_ = false;
   Pib* pib_ = nullptr;
-  FaultInjector* injector_ = nullptr;
-  CheckpointRing* ring_ = nullptr;
   obs::Observer* observer_ = nullptr;
-  const InferenceGraph* graph_ = nullptr;
-  /// Last window each (rule id, target arc; -1 = global) fired in.
-  std::map<std::pair<std::string, int64_t>, int64_t> last_fired_;
+  /// Last window each rule id fired in.
+  std::map<std::string, int64_t> last_fired_;
   int64_t decisions_ = 0;
   int64_t applied_ = 0;
-  bool warned_no_checkpoint_ = false;
 };
 
 }  // namespace stratlearn::robust

@@ -15,44 +15,26 @@ namespace stratlearn::robust {
 ///       a drift detector entered "detected" in the closed window
 ///   alert:<rule-id> | alert:any
 ///       an alert rule entered "firing" in the closed window
-/// Actions are graduated: "rebaseline" (re-open the sequential test),
-/// "rollback" (restore the last known-good ring checkpoint),
-/// "restart_scoped" (cold-restart only the drifted subtree's
-/// statistics), "quarantine" (force the arc's circuit breaker open on a
-/// half-open probe schedule).
+/// The one action is "rebaseline": PIB drops its Delta~ sums and starts
+/// a fresh test epoch on its current strategy. It is the only reaction
+/// that beat a no-reaction control when the optimum moves (EXPERIMENTS.md
+/// "Re-convergence after a transient drift").
 struct RecoveryRule {
   std::string id;
   std::string trigger;
   std::string action;
-  /// Windows to suppress re-firing of this rule (per target arc for
-  /// arc-scoped actions) after it fires. 0 = may fire every window.
+  /// Windows to suppress re-firing of this rule after it fires. 0 = may
+  /// fire every window.
   int64_t cooldown = 0;
-  /// Rebaseline: the sequential trial counter is rewound to
-  /// max(1, floor(trials * trials_factor)), widening the delta_i rung
-  /// (and so epsilon(n, delta_i)) back toward an earlier test.
-  double trials_factor = 1.0;
-  /// Quarantine: breaker cooldown (resilient-query units) before the
-  /// half-open probe; 0 = the fault plan's configured cooldown.
-  int64_t probe_cooldown = 0;
 };
 
-/// A parsed recovery policy. `ring` is the number of retained
-/// known-good checkpoint slots backing the "rollback" action (0 = no
-/// ring; rollback then always reports skipped_no_checkpoint).
+/// A parsed recovery policy.
 struct RecoveryPolicy {
-  int64_t ring = 0;
   std::vector<RecoveryRule> rules;
 };
 
-/// Actions that target one arc (and therefore only fire on arc-bearing
-/// drift transitions): restart_scoped and quarantine.
-inline bool RecoveryActionIsArcScoped(const std::string& action) {
-  return action == "restart_scoped" || action == "quarantine";
-}
-
 inline bool IsKnownRecoveryAction(const std::string& action) {
-  return action == "rebaseline" || action == "rollback" ||
-         RecoveryActionIsArcScoped(action);
+  return action == "rebaseline";
 }
 
 /// Trigger matching is deliberately header-inline: the live controller,
@@ -60,24 +42,14 @@ inline bool IsKnownRecoveryAction(const std::string& action) {
 /// certificate re-derivation must all count the *same* transitions.
 inline bool MatchesTrigger(const RecoveryRule& rule,
                            const obs::DriftEvent& e) {
-  if (e.state != "detected") return false;
-  if (rule.trigger != "drift:any" && rule.trigger != "drift:" + e.detector) {
-    return false;
-  }
-  // Arc-scoped actions need a target arc; counter-rate detections
-  // (arc == -1) cannot supply one.
-  return !RecoveryActionIsArcScoped(rule.action) || e.arc >= 0;
+  return e.state == "detected" &&
+         (rule.trigger == "drift:any" || rule.trigger == "drift:" + e.detector);
 }
 
 inline bool MatchesTrigger(const RecoveryRule& rule,
                            const obs::AlertEvent& e) {
-  if (e.state != "firing") return false;
-  if (rule.trigger != "alert:any" && rule.trigger != "alert:" + e.rule) {
-    return false;
-  }
-  // Alert transitions carry no arc, so they can never justify an
-  // arc-scoped action.
-  return !RecoveryActionIsArcScoped(rule.action);
+  return e.state == "firing" &&
+         (rule.trigger == "alert:any" || rule.trigger == "alert:" + e.rule);
 }
 
 }  // namespace stratlearn::robust

@@ -42,15 +42,8 @@ void VerifyAuditFile(const obs::AuditFile& file, DiagnosticSink* sink) {
     bool reported_sum = false;
   };
   std::map<std::string, Ledger> ledgers;
-  // A rebaseline recovery certificate re-opens the ledger: the rewound
-  // trial counter re-charges earlier delta rungs, so overspend at or
-  // after it is certified in-stream and no longer a finding.
-  bool ledger_reopened = false;
   for (const obs::AuditCertificate& cert : file.certificates) {
     const obs::DecisionCertificateEvent& e = cert.event;
-    if (e.learner == "recovery" && e.verdict == "rebaseline") {
-      ledger_reopened = true;
-    }
     std::string location = StrFormat("line %lld", (long long)cert.line);
     Ledger& ledger = ledgers[e.learner];
     ledger.spent += e.delta_step;
@@ -73,7 +66,7 @@ void VerifyAuditFile(const obs::AuditFile& file, DiagnosticSink* sink) {
                   "the delta ledger must be the running sum of the "
                   "emitted certificates' delta_step values");
     }
-    if (!ledger_reopened && e.delta_spent_total > e.delta_budget) {
+    if (e.delta_spent_total > e.delta_budget) {
       sink->Error("V-AUD002", location,
                   StrFormat("certificate %lld: %s overspent its delta "
                             "budget (%s > %s)",
@@ -184,7 +177,7 @@ void VerifyAuditFile(const obs::AuditFile& file, DiagnosticSink* sink) {
                           s.budget_ok ? "true" : "false",
                           budget_ok ? "true" : "false"));
   }
-  if (!budget_ok && !ledger_reopened) {
+  if (!budget_ok) {
     sink->Error("V-AUD002", location, "run overspent its delta budget");
   }
   if (sink->num_errors() == 0) {

@@ -55,30 +55,11 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
     }
     std::string location = StrFormat("line %d", line_number);
     std::vector<std::string> tokens = SplitFields(line);
-    if (tokens[0] == "ring") {
-      int64_t slots = 0;
-      if (tokens.size() != 2 || !ParseInt64(tokens[1], &slots)) {
-        sink->Error("V-RC001", location,
-                    "ring lines read: ring <slots>");
-        continue;
-      }
-      if (slots < 1) {
-        sink->Error("V-RC003", location,
-                    StrFormat("ring size %lld is not positive",
-                              static_cast<long long>(slots)),
-                    "rollback needs at least one retained known-good "
-                    "checkpoint slot");
-        continue;
-      }
-      policy.ring = slots;
-      continue;
-    }
     if (tokens[0] != "on") {
       sink->Error("V-RC001", location,
                   StrFormat("unknown directive '%s'", tokens[0].c_str()),
-                  "policy lines read: on <trigger> <action> [id=<name>] "
-                  "[cooldown=<windows>] [trials_factor=<f>] "
-                  "[probe_cooldown=<n>], or: ring <slots>");
+                  "policy lines read: on <trigger> rebaseline [id=<name>] "
+                  "[cooldown=<windows>]");
       continue;
     }
     if (tokens.size() < 3) {
@@ -100,8 +81,7 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
     if (!IsKnownRecoveryAction(rule.action)) {
       sink->Error("V-RC003", location,
                   StrFormat("unknown action '%s'", rule.action.c_str()),
-                  "actions: rebaseline, rollback, restart_scoped, "
-                  "quarantine");
+                  "the one action is rebaseline");
       line_ok = false;
     }
     for (size_t i = 3; i < tokens.size(); ++i) {
@@ -121,30 +101,10 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
                                 option.c_str()));
           line_ok = false;
         }
-      } else if (StartsWith(option, "trials_factor=")) {
-        if (!ParseDouble(option.substr(14), &rule.trials_factor) ||
-            !(rule.trials_factor > 0.0) || rule.trials_factor > 1.0) {
-          sink->Error("V-RC003", location,
-                      StrFormat("trials_factor '%s' is not in (0, 1]",
-                                option.c_str()),
-                      "the rebaseline rewind keeps at least one trial "
-                      "and never moves the rung forward");
-          line_ok = false;
-        }
-      } else if (StartsWith(option, "probe_cooldown=")) {
-        if (!ParseInt64(option.substr(15), &rule.probe_cooldown) ||
-            rule.probe_cooldown < 0) {
-          sink->Error("V-RC003", location,
-                      StrFormat("probe_cooldown '%s' is not a "
-                                "nonnegative integer",
-                                option.c_str()));
-          line_ok = false;
-        }
       } else {
         sink->Error("V-RC001", location,
                     StrFormat("unknown option '%s'", option.c_str()),
-                    "options are id=<name>, cooldown=<windows>, "
-                    "trials_factor=<f> and probe_cooldown=<n>");
+                    "options are id=<name> and cooldown=<windows>");
         line_ok = false;
       }
     }

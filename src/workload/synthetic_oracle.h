@@ -61,10 +61,12 @@ class MixtureOracle : public ContextOracle {
 /// `set_revert_at(draw)` arms a second, reverse shift: from that draw
 /// on the pre-drift `before` vector applies again (stepwise — the ramp
 /// only shapes the forward shift). A drift-then-revert workload is the
-/// shape transient regressions take in production, and it is what the
-/// recovery controller's rebaseline/rollback actions are judged
-/// against: after the revert, pre-drift state is correct again, so a
-/// policy that preserved it re-converges faster than a cold restart.
+/// shape transient regressions take in production: after the revert,
+/// pre-drift state is correct again, so a reaction that keeps it
+/// re-converges faster than a cold restart. Without a revert the shift
+/// is permanent; the drift_recover bench judges the recovery
+/// controller's rebaseline on both shapes, against no reaction and
+/// against a cold restart.
 class DriftingOracle : public ContextOracle {
  public:
   DriftingOracle(std::vector<double> before, std::vector<double> after,

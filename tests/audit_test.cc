@@ -419,6 +419,36 @@ TEST(VerifyAuditTest, OverspentLedgerIsAnError) {
   EXPECT_TRUE(found);
 }
 
+// A rebaseline re-opens nothing: it keeps PIB's trial counter, so a
+// ledger that runs past the budget after one is still a finding.
+TEST(VerifyAuditTest, OverspendAfterRebaselineIsAnError) {
+  std::ostringstream out;
+  AuditLog log(&out, AuditLogOptions{.delta_budget = 0.2});
+  DecisionCertificateEvent rebaseline;
+  rebaseline.t_us = 1;
+  rebaseline.learner = "recovery";
+  rebaseline.decision = "drift:p_hat->rebaseline";
+  rebaseline.verdict = "rebaseline";
+  rebaseline.samples = 1;
+  rebaseline.trials = 1;
+  rebaseline.subject = -1;
+  rebaseline.delta_sum = 1.0;
+  rebaseline.threshold = 1.0;
+  log.On(rebaseline);
+  log.On(MakeCert(0.15, 0.15));
+  log.On(MakeCert(0.1, 0.25));  // sums past the 0.2 budget
+  log.Close();
+  verify::DiagnosticSink sink;
+  verify::VerifyAuditText(out.str(), &sink);
+  bool found = false;
+  for (const verify::Diagnostic& d : sink.diagnostics()) {
+    EXPECT_EQ(d.code, "V-AUD002") << sink.RenderText();
+    found = found ||
+            d.message.find("overspent its delta budget") != std::string::npos;
+  }
+  EXPECT_TRUE(found) << sink.RenderText();
+}
+
 // A learner's ledger never goes down, even when the running sum of the
 // steps agrees with it.
 TEST(VerifyAuditTest, LedgerThatGoesDownIsAnError) {

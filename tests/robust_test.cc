@@ -519,8 +519,8 @@ TEST(KillResumeTest, PaoCheckpointRoundTrips) {
 }
 
 TEST(KillResumeTest, RestoreRejectsWrongShape) {
-  // A rejected restore must leave the learner exactly as it was: the
-  // recovery controller's rollback carries on with it.
+  // A rejected restore must leave the learner exactly as it was: a
+  // resumed run that rejects its checkpoint carries on with it.
   FigureTwoGraph g = MakeFigureTwo();
   IndependentOracle oracle({0.9, 0.2, 0.8, 0.3});
   Pib pib(&g.graph, Strategy::DepthFirst(g.graph),
@@ -616,38 +616,24 @@ TEST(FaultInjectorTest, FailedProbeReopensWithCappedBackoff) {
   EXPECT_EQ(injector.BreakerLedger(5).open_until, 21 + 8 + 1);  // capped
 }
 
-TEST(FaultInjectorTest, QuarantineForcesOpenWithoutThreshold) {
-  FaultPlan plan;  // breaker disabled: quarantine must still work
-  FaultInjector injector(plan);
-  FaultInjectorState::BreakerEntry ledger = injector.Quarantine(3, 10, 5);
-  EXPECT_TRUE(ledger.forced);
-  EXPECT_EQ(ledger.open_until, 16);
-  EXPECT_TRUE(injector.BreakerOpen(3, 15));
-  EXPECT_EQ(injector.CheckBreaker(3, 16),
-            robust::BreakerDecision::kHalfOpenProbe);
-  EXPECT_TRUE(injector.RecordRecovery(3));
-  EXPECT_FALSE(injector.BreakerOpen(3, 17));
-}
-
 TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   FigureTwoGraph g = MakeFigureTwo();
   FaultPlan plan = TransientPlan(0.1);
   plan.resilience.breaker_threshold = 2;
   plan.resilience.breaker_cooldown = 3;
   FaultInjector injector(plan);
-  // A quarantined arc mid-backoff: the forced bit and the backoff
-  // exponent both have to survive the round trip.
-  injector.Quarantine(5, 0, 3);
-  injector.CheckBreaker(5, 4);
-  injector.RecordInfraFailure(5, 4);
+  // An arc mid-backoff after one failed half-open probe: the backoff
+  // exponent has to survive the round trip.
+  injector.RecordInfraFailure(5, 0);
+  injector.RecordInfraFailure(5, 1);
+  injector.CheckBreaker(5, 5);
+  injector.RecordInfraFailure(5, 5);
   CheckpointData data = RunPibFor(g, 100, &injector);
   data.health.present = true;
   data.health.healthy = false;
   data.health.windows_seen = 12;
   data.health.drift_active = 1;
   data.health.firing = 2;
-  data.ring_cursor = 1;
-  data.ring_writes = 7;
   data.has_timeseries = true;
   data.ts_window_start = 1100;
   data.ts_next_index = 12;
@@ -668,13 +654,11 @@ TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   Result<CheckpointData> parsed = ParseAndVerify(g.graph, text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->injector.breakers.size(), 1u);
-  EXPECT_TRUE(parsed->injector.breakers[0].forced);
+  EXPECT_EQ(parsed->injector.breakers[0].consecutive_failures, 3);
   EXPECT_EQ(parsed->injector.breakers[0].open_rounds, 1);
   EXPECT_TRUE(parsed->health.present);
   EXPECT_FALSE(parsed->health.healthy);
   EXPECT_EQ(parsed->health.windows_seen, 12);
-  EXPECT_EQ(parsed->ring_cursor, 1);
-  EXPECT_EQ(parsed->ring_writes, 7);
   ASSERT_TRUE(parsed->has_timeseries);
   EXPECT_EQ(parsed->ts_window_start, 1100);
   EXPECT_EQ(parsed->ts_windows, data.ts_windows);
@@ -690,13 +674,12 @@ TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   EXPECT_EQ(robust::SerializeCheckpoint(*parsed), text);
 
   // A breaker row written before half-open probes has three fields and
-  // reads as never probed, not quarantined.
+  // reads as never probed.
   Result<CheckpointData> legacy =
       ParseAndVerify(g.graph, text + "breaker 2 1 9\n");
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   EXPECT_EQ(legacy->injector.breakers.back().open_until, 9);
   EXPECT_EQ(legacy->injector.breakers.back().open_rounds, 0);
-  EXPECT_FALSE(legacy->injector.breakers.back().forced);
 }
 
 // ---- FaultyOracle --------------------------------------------------------

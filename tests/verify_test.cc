@@ -464,20 +464,31 @@ TEST(RecoveryPolicyPass, ParsesFullPolicy) {
   robust::RecoveryPolicy policy = ParseRecoveryPolicy(
       "# transient-drift reaction\n"
       "stratlearn-recovery v1\n"
-      "ring 3\n"
-      "on drift:p_hat rollback id=rewind cooldown=4\n"
-      "on drift:any rebaseline trials_factor=0.5\n"
-      "on alert:latency quarantine probe_cooldown=16\n",
+      "on drift:p_hat rebaseline id=rewind cooldown=4\n"
+      "on drift:any rebaseline\n"
+      "on alert:latency rebaseline\n",
       &sink);
   EXPECT_TRUE(sink.empty()) << sink.RenderText();
-  EXPECT_EQ(policy.ring, 3);
   ASSERT_EQ(policy.rules.size(), 3u);
   EXPECT_EQ(policy.rules[0].id, "rewind");
   EXPECT_EQ(policy.rules[0].cooldown, 4);
   // Unnamed rules default to "<trigger>-><action>".
   EXPECT_EQ(policy.rules[1].id, "drift:any->rebaseline");
-  EXPECT_DOUBLE_EQ(policy.rules[1].trials_factor, 0.5);
-  EXPECT_EQ(policy.rules[2].probe_cooldown, 16);
+  EXPECT_EQ(policy.rules[1].cooldown, 0);
+  EXPECT_EQ(policy.rules[2].trigger, "alert:latency");
+}
+
+TEST(RecoveryPolicyPass, UnknownDirectivesAndOptionsAreRC001) {
+  DiagnosticSink sink;
+  robust::RecoveryPolicy policy = ParseRecoveryPolicy(
+      "stratlearn-recovery v1\n"
+      "ring 2\n"
+      "on drift:any rebaseline trials_factor=0.5\n"
+      "on drift:p_hat rebaseline probe_cooldown=16\n",
+      &sink);
+  EXPECT_EQ(sink.num_errors(), 3u);
+  EXPECT_EQ(sink.RenderText().find("V-RC003"), std::string::npos);
+  EXPECT_TRUE(policy.rules.empty());
 }
 
 TEST(RecoveryPolicyPass, MissingHeaderIsRC001) {
@@ -502,14 +513,15 @@ TEST(RecoveryPolicyPass, BadActionsAndRangesAreRC003) {
   DiagnosticSink sink;
   ParseRecoveryPolicy(
       "stratlearn-recovery v1\n"
-      "ring 0\n"
       "on drift:p_hat reboot\n"
-      "on drift:any rebaseline trials_factor=1.5\n"
-      "on drift:any rollback cooldown=-1\n",
+      "on drift:any rollback\n"
+      "on alert:any restart_scoped\n"
+      "on drift:rate quarantine\n"
+      "on drift:any rebaseline cooldown=-1\n",
       &sink);
-  EXPECT_EQ(sink.num_errors(), 4u);
-  std::string rendered = sink.RenderText();
-  EXPECT_NE(rendered.find("V-RC003"), std::string::npos);
+  EXPECT_EQ(sink.num_errors(), 5u);
+  EXPECT_EQ(sink.RenderText().find("V-RC001"), std::string::npos);
+  EXPECT_EQ(sink.RenderText().find("V-RC002"), std::string::npos);
 }
 
 TEST(RecoveryPolicyPass, DuplicateRuleIdIsRC004) {
@@ -517,7 +529,7 @@ TEST(RecoveryPolicyPass, DuplicateRuleIdIsRC004) {
   robust::RecoveryPolicy policy = ParseRecoveryPolicy(
       "stratlearn-recovery v1\n"
       "on drift:p_hat rebaseline id=react\n"
-      "on drift:rate rollback id=react\n",
+      "on drift:rate rebaseline id=react\n",
       &sink);
   EXPECT_TRUE(sink.HasBlocking());
   EXPECT_NE(sink.RenderText().find("V-RC004"), std::string::npos);
@@ -527,7 +539,7 @@ TEST(RecoveryPolicyPass, DuplicateRuleIdIsRC004) {
 
 TEST(RecoveryPolicyPass, EmptyPolicyWarnsRC005) {
   DiagnosticSink sink;
-  ParseRecoveryPolicy("stratlearn-recovery v1\nring 2\n", &sink);
+  ParseRecoveryPolicy("stratlearn-recovery v1\n", &sink);
   EXPECT_FALSE(sink.HasBlocking());  // a warning, not an error
   EXPECT_EQ(sink.num_warnings(), 1u);
   EXPECT_NE(sink.RenderText().find("V-RC005"), std::string::npos);
@@ -538,11 +550,12 @@ TEST(RecoveryPolicyPass, GoodRulesSurviveBadNeighbours) {
   robust::RecoveryPolicy policy = ParseRecoveryPolicy(
       "stratlearn-recovery v1\n"
       "on drift:sparkle rebaseline\n"
-      "on drift:p_hat restart_scoped cooldown=2\n",
+      "on drift:p_hat rebaseline cooldown=2\n",
       &sink);
   EXPECT_TRUE(sink.HasBlocking());
   ASSERT_EQ(policy.rules.size(), 1u);
-  EXPECT_EQ(policy.rules[0].action, "restart_scoped");
+  EXPECT_EQ(policy.rules[0].trigger, "drift:p_hat");
+  EXPECT_EQ(policy.rules[0].cooldown, 2);
 }
 
 }  // namespace

@@ -26,12 +26,7 @@
 //     margin's sign (a commit/stop/met certificate must have crossed,
 //     a reject must not have);
 //   - the running per-learner sum of delta_step equals
-//     delta_spent_total and never exceeds delta_budget — unless a
-//     rebaseline recovery certificate appeared earlier in the stream:
-//     rebaseline rewinds the sequential trial counter, so later rungs
-//     re-charge delta the ledger honestly keeps counting (the summary
-//     still reports budget_ok=false), and the in-stream certificate is
-//     the witness that the overspend was certified, not tampered in;
+//     delta_spent_total and never exceeds delta_budget;
 //   - recovery certificates (learner "recovery") carry the count-based
 //     test the controller ran: delta_sum = matched trigger transitions
 //     against threshold 1, no delta charged. With --recovery=<policy>
@@ -336,22 +331,17 @@ void CheckRecoveryMath(Verifier* v, const AuditCertificate& cert,
                           rule->id.c_str(), rule->action.c_str(),
                           e.verdict.c_str()));
   }
-  bool scoped = robust::RecoveryActionIsArcScoped(rule->action);
   int64_t matched = 0;
   if (const std::vector<obs::DriftEvent>* drift =
           replay.DriftAt(e.at_context)) {
     for (const obs::DriftEvent& t : *drift) {
-      if (!robust::MatchesTrigger(*rule, t)) continue;
-      if (scoped && t.arc != e.subject) continue;
-      ++matched;
+      if (robust::MatchesTrigger(*rule, t)) ++matched;
     }
   }
-  if (!scoped) {
-    if (const std::vector<obs::AlertEvent>* alerts =
-            replay.AlertsAt(e.at_context)) {
-      for (const obs::AlertEvent& t : *alerts) {
-        if (robust::MatchesTrigger(*rule, t)) ++matched;
-      }
+  if (const std::vector<obs::AlertEvent>* alerts =
+          replay.AlertsAt(e.at_context)) {
+    for (const obs::AlertEvent& t : *alerts) {
+      if (robust::MatchesTrigger(*rule, t)) ++matched;
     }
   }
   v->ExpectInt(where, "samples (matched transitions)", e.samples, matched);
@@ -363,14 +353,13 @@ void CheckRecoveryMath(Verifier* v, const AuditCertificate& cert,
 // learner called, so agreement is bit-exact.
 void CheckMath(Verifier* v, const AuditCertificate& cert,
                const robust::RecoveryPolicy* policy,
-               const ReplaySink& replay, bool ledger_reopened) {
+               const ReplaySink& replay) {
   const DecisionCertificateEvent& e = cert.event;
   std::string where = Where(cert);
 
-  // Universal identities. The budget cap is waived once a rebaseline
-  // recovery certificate re-opened the ledger (see file header).
+  // Universal identities.
   v->ExpectNum(where, "margin", e.margin, e.delta_sum - e.threshold);
-  if (!ledger_reopened && !(e.delta_spent_total <= e.delta_budget)) {
+  if (!(e.delta_spent_total <= e.delta_budget)) {
     v->Mismatch(where, StrFormat("delta ledger overspent: %s > budget %s",
                                  FormatDouble(e.delta_spent_total, 17).c_str(),
                                  FormatDouble(e.delta_budget, 17).c_str()));
@@ -553,18 +542,13 @@ int Verify(const std::string& trace_path, const std::string& audit_path,
                          replay.certificates().size()));
   }
   std::map<std::string, double> ledgers;
-  bool ledger_reopened = false;
   for (size_t i = 0; i < file.certificates.size(); ++i) {
     const AuditCertificate& cert = file.certificates[i];
     if (i < n) {
       CheckStreamAgreement(&v, cert, replay.certificates()[i]);
       CheckArcTallies(&v, cert, replay.epoch_arcs()[i]);
     }
-    CheckMath(&v, cert, policy, replay, ledger_reopened);
-    if (cert.event.learner == "recovery" &&
-        cert.event.verdict == "rebaseline") {
-      ledger_reopened = true;
-    }
+    CheckMath(&v, cert, policy, replay);
     // Running ledger: the sum of emitted delta_steps, in order, must
     // reproduce delta_spent_total exactly (the learners accumulate the
     // same way) and stay within the budget.
@@ -647,7 +631,7 @@ int Verify(const std::string& trace_path, const std::string& audit_path,
                            s.budget_ok ? "true" : "false",
                            budget_ok ? "true" : "false"));
     }
-    if (!budget_ok && !ledger_reopened) {
+    if (!budget_ok) {
       v.Mismatch("summary", "delta budget overspent");
     }
   }

@@ -15,17 +15,20 @@
 //
 // Exit codes: 0 report written, 1 cannot read file, 2 usage error
 // (unknown flag, bad value) or the file is not a well-formed
-// stratlearn-timeseries-v1 series. Matches `stratlearn_cli health`'s
-// contract: usage mistakes must never look like a clean (or merely
-// empty) run.
+// stratlearn-timeseries-v1 series. The file is read through the same
+// loader as `stratlearn_cli health` (obs::health::LoadTimeSeries), so
+// both tools accept exactly the same series, and usage mistakes never
+// look like a clean (or merely empty) run.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/health/series_io.h"
 #include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "util/string_util.h"
@@ -44,20 +47,12 @@ int Usage() {
   return 2;
 }
 
-int Malformed(const std::string& path, int line, const std::string& why) {
-  std::fprintf(stderr, "error: %s:%d: %s\n", path.c_str(), line,
-               why.c_str());
-  return 2;
-}
-
-/// One decoded window line, kept as a DOM: the report re-renders the
+/// A series the health loader accepted: its header fields, plus each
+/// window line kept as a DOM for rendering. The report re-renders the
 /// fields it knows and ignores unknown keys, so schema-compatible
 /// additions don't break old reports.
 struct SeriesFile {
-  int64_t interval_us = 0;
-  int64_t capacity = 0;
-  int64_t windows_closed = 0;
-  int64_t windows_evicted = 0;
+  obs::health::LoadedSeries checked;
   std::vector<JsonValue> windows;
 };
 
@@ -76,41 +71,24 @@ int Load(const std::string& path, SeriesFile* out) {
     std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
     return 1;
   }
-  std::string line;
-  int line_number = 0;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (Trim(line).empty()) continue;
-    JsonValue value;
-    if (!ParseJson(line, &value) ||
-        value.kind != JsonValue::Kind::kObject) {
-      return Malformed(path, line_number, "line is not a JSON object");
-    }
-    if (!have_header) {
-      std::string schema = ReadJsonString(value, "schema");
-      if (schema != "stratlearn-timeseries-v1") {
-        return Malformed(path, line_number,
-                         schema.empty()
-                             ? "missing \"schema\" header"
-                             : "unknown schema '" + schema + "'");
-      }
-      (void)ReadJsonInt(value, "interval_us", &out->interval_us);
-      (void)ReadJsonInt(value, "capacity", &out->capacity);
-      (void)ReadJsonInt(value, "windows_closed", &out->windows_closed);
-      (void)ReadJsonInt(value, "windows_evicted", &out->windows_evicted);
-      have_header = true;
-      continue;
-    }
-    int64_t ignored = 0;
-    if (!ReadJsonInt(value, "window", &ignored)) {
-      return Malformed(path, line_number,
-                       "window line lacks a numeric \"window\" index");
-    }
-    out->windows.push_back(std::move(value));
+  std::stringstream text;
+  text << in.rdbuf();
+  Status loaded = obs::health::LoadTimeSeries(text, &out->checked);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
+                 loaded.ToString().c_str());
+    return 2;
   }
-  if (!have_header) {
-    return Malformed(path, line_number, "empty file (no header line)");
+  // Every line passed the loader: the first non-blank one is the
+  // header, each later one a window object.
+  text.clear();
+  text.seekg(0);
+  std::string line;
+  bool header = true;
+  while (std::getline(text, line)) {
+    if (Trim(line).empty()) continue;
+    if (std::exchange(header, false)) continue;
+    (void)ParseJson(line, &out->windows.emplace_back());
   }
   return 0;
 }
@@ -210,18 +188,19 @@ void RenderTextWindow(const JsonValue& w, std::string* out) {
 // byte-identical series render byte-identically whatever the files were
 // named (the CI determinism gate compares exactly that).
 std::string RenderText(const SeriesFile& series) {
+  const obs::health::LoadedSeries& header = series.checked;
   std::string out;
   out += StrFormat(
       "interval_us=%lld windows_retained=%zu windows_closed=%lld "
       "windows_evicted=%lld\n",
-      static_cast<long long>(series.interval_us), series.windows.size(),
-      static_cast<long long>(series.windows_closed),
-      static_cast<long long>(series.windows_evicted));
-  if (series.windows_evicted > 0) {
+      static_cast<long long>(header.interval_us), series.windows.size(),
+      static_cast<long long>(header.windows_closed),
+      static_cast<long long>(header.windows_evicted));
+  if (header.windows_evicted > 0) {
     out += StrFormat(
         "note: the %lld oldest windows were evicted from the ring and are "
         "not in this report\n",
-        static_cast<long long>(series.windows_evicted));
+        static_cast<long long>(header.windows_evicted));
   }
   for (const JsonValue& w : series.windows) {
     out += "\n";
@@ -267,10 +246,10 @@ std::string RenderJson(const SeriesFile& series) {
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("schema").Value("stratlearn-stats-report-v1");
-  w.Key("interval_us").Value(series.interval_us);
+  w.Key("interval_us").Value(series.checked.interval_us);
   w.Key("windows_retained").Value(static_cast<int64_t>(series.windows.size()));
-  w.Key("windows_closed").Value(series.windows_closed);
-  w.Key("windows_evicted").Value(series.windows_evicted);
+  w.Key("windows_closed").Value(series.checked.windows_closed);
+  w.Key("windows_evicted").Value(series.checked.windows_evicted);
   w.Key("windows").BeginArray();
   for (const JsonValue& window : series.windows) EmitValue(window, &w);
   w.EndArray();

@@ -143,28 +143,20 @@
 //   --health-out=FILE       write the "stratlearn-health-v1" JSON report
 //                           at end of run (requires --alerts)
 //
-// Drift reaction & self-healing (learn-pib / learn-pao):
+// Drift reaction (learn-pib):
 //   --recovery=FILE         load a "stratlearn-recovery v1" policy
 //                           (verified through the V-RC passes; errors
 //                           exit 2) and attach the recovery controller
 //                           to the health monitor (requires --alerts).
-//                           Drift/alert transitions matched by a policy
-//                           rule trigger graduated actions instead of a
-//                           cold restart: rebaseline (rewind the
-//                           sequential trial counter, widening epsilon),
-//                           rollback (restore PIB state from the newest
-//                           known-good ring checkpoint), restart_scoped
-//                           (reset only the drifted subtree's tallies)
-//                           and quarantine (force the arc's circuit
-//                           breaker open with a half-open probe). Each
-//                           applied action is traced as a RecoveryEvent
-//                           and, with --audit-out, certified so
-//                           tools/audit_verify --recovery=FILE
-//                           re-derives why it fired. A `ring N`
-//                           directive retains N health-stamped
-//                           "<checkpoint>.ring<k>" rollback slots
-//                           (requires --checkpoint). See README "Fault
-//                           tolerance" and docs/OBSERVABILITY.md.
+//                           A drift/alert transition matched by a policy
+//                           rule rebaselines PIB: its Delta~ sums and
+//                           epoch sample count restart from zero on the
+//                           current strategy, instead of a cold restart.
+//                           Each applied action is traced as a
+//                           RecoveryEvent and, with --audit-out,
+//                           certified so tools/audit_verify
+//                           --recovery=FILE re-derives why it fired. See
+//                           docs/OBSERVABILITY.md.
 //
 // Decision audit (learn-pib / learn-pao):
 //   --audit-out=FILE        write the "stratlearn-audit v1" stream: one
@@ -729,16 +721,9 @@ int FailStatus(const Status& status) {
 }
 
 /// Builds the fault injector for --fault-plan, or null without the flag.
-/// A --recovery run without a fault plan still gets a zero-fault
-/// injector: the quarantine action drives the circuit breakers, which
-/// live in the injector, and synthesizing it unconditionally keeps the
-/// checkpoint's has-injector bit consistent across kill and resume.
 Result<std::unique_ptr<robust::FaultInjector>> MakeInjector(
     const CliOptions& options) {
   if (options.fault_plan.empty()) {
-    if (!options.recovery.empty()) {
-      return std::make_unique<robust::FaultInjector>(robust::FaultPlan{});
-    }
     return std::unique_ptr<robust::FaultInjector>();
   }
   Result<robust::FaultPlan> plan = robust::FaultPlan::Load(options.fault_plan);
@@ -1116,22 +1101,13 @@ int CmdLearnPib(const CliOptions& options) {
 
   // Drift-reaction controller (--recovery): built before the observer so
   // its hook can be installed on the health monitor, but kept in
-  // decide-only mode until every live-action target exists.
+  // decide-only mode until the learner it rebaselines exists.
   std::unique_ptr<robust::RecoveryController> controller;
-  std::unique_ptr<robust::CheckpointRing> ring;
   if (!options.recovery.empty()) {
     Result<robust::RecoveryPolicy> policy = LoadRecoveryPolicy(options.recovery);
     if (!policy.ok()) return FailStatus(policy.status());
-    if (policy->ring > 0 && !options.checkpoint.empty()) {
-      ring = std::make_unique<robust::CheckpointRing>(options.checkpoint,
-                                                      policy->ring);
-    }
-    std::printf("recovery policy: %s (%zu rules%s)\n",
-                options.recovery.c_str(), policy->rules.size(),
-                ring != nullptr
-                    ? StrFormat(", ring of %lld", (long long)policy->ring)
-                        .c_str()
-                    : "");
+    std::printf("recovery policy: %s (%zu rules)\n", options.recovery.c_str(),
+                policy->rules.size());
     controller =
         std::make_unique<robust::RecoveryController>(*std::move(policy));
   }
@@ -1139,10 +1115,7 @@ int CmdLearnPib(const CliOptions& options) {
   // Load the checkpoint before the observer exists: the restored
   // time-series windows and audit cursor feed its construction. Any
   // failure degrades to a fresh start — checkpointing accelerates
-  // recovery, it must never block it. When the main checkpoint is
-  // unusable and a recovery ring exists, the newest known-good ring
-  // slot is the fallback; only when both paths fail does the single
-  // V-K001 warning fire.
+  // recovery, it must never block it.
   robust::CheckpointData resume_data;
   bool resumed = false;
   if (options.resume) {
@@ -1155,20 +1128,6 @@ int CmdLearnPib(const CliOptions& options) {
       std::printf("resumed from %s at query %lld\n",
                   options.checkpoint.c_str(),
                   static_cast<long long>(resume_data.queries_done));
-    } else if (ring != nullptr) {
-      Result<robust::CheckpointData> slot =
-          ring->LoadNewestGood(loaded.built.graph);
-      Status slot_status = CheckResumable(slot, "pib", options, injector);
-      if (slot_status.ok()) {
-        resume_data = *std::move(slot);
-        resumed = true;
-        std::printf("main checkpoint unusable (%s); resumed from ring "
-                    "slot at query %lld\n",
-                    restored.message().c_str(),
-                    static_cast<long long>(resume_data.queries_done));
-      } else {
-        WarnBadCheckpoint(options.checkpoint, restored);
-      }
     } else {
       WarnBadCheckpoint(options.checkpoint, restored);
     }
@@ -1194,10 +1153,6 @@ int CmdLearnPib(const CliOptions& options) {
     if (restored.ok()) {
       rng.RestoreState(resume_data.rng_state);
       done = resume_data.queries_done;
-      if (ring != nullptr) {
-        ring->RestoreCursor(resume_data.ring_cursor,
-                            resume_data.ring_writes);
-      }
     } else {
       WarnBadCheckpoint(options.checkpoint, restored);
       resumed = false;
@@ -1205,15 +1160,12 @@ int CmdLearnPib(const CliOptions& options) {
     }
   }
 
-  // All live-action targets exist now: bind them and go live. Cooldown
-  // state from before a kill was already rebuilt by the observer's
-  // decide-only replay of the restored windows.
+  // The learner exists now: bind it and go live. Cooldown state from
+  // before a kill was already rebuilt by the observer's decide-only
+  // replay of the restored windows.
   if (controller != nullptr) {
     controller->BindPib(&pib);
-    controller->BindInjector(injector);
-    controller->BindRing(ring.get());
     controller->BindObserver(cli_obs.observer.get());
-    controller->BindGraph(&loaded.built.graph);
     controller->set_live(true);
   }
 
@@ -1229,10 +1181,6 @@ int CmdLearnPib(const CliOptions& options) {
       data.health.drift_active = cli_obs.health->drift_active();
       data.health.firing = cli_obs.health->FiringCount();
     }
-    if (ring != nullptr) {
-      data.ring_cursor = ring->cursor();
-      data.ring_writes = ring->writes();
-    }
     if (cli_obs.timeseries != nullptr) {
       data.has_timeseries = true;
       data.ts_window_start = cli_obs.timeseries->window_start_us();
@@ -1247,15 +1195,7 @@ int CmdLearnPib(const CliOptions& options) {
       data.has_audit = true;
       data.audit = cli_obs.audit_log->SaveCursor();
     }
-    Status written = robust::WriteCheckpoint(options.checkpoint, data);
-    if (written.ok() && ring != nullptr && data.health.present &&
-        data.health.healthy) {
-      // Only health-stamped-good states enter the rollback ring, so the
-      // rollback action can never restore a state the detectors had
-      // already flagged.
-      (void)ring->Write(data);
-    }
-    return written;
+    return robust::WriteCheckpoint(options.checkpoint, data);
   };
 
   {
@@ -1312,9 +1252,11 @@ int CmdLearnPao(const CliOptions& options) {
         "--seed= --metrics-out= --trace-out= --profile-out= "
         "--metrics-export= --export-every= --timeseries-out= "
         "--timeseries-every= --obs-clock=steady|fake --alerts= "
-        "--health-out= --recovery= --audit-out= --audit-every= "
-        "--audit-window= --fault-plan= --checkpoint= --checkpoint-every= "
-        "--resume]");
+        "--health-out= --audit-out= --audit-every= --audit-window= "
+        "--fault-plan= --checkpoint= --checkpoint-every= --resume]");
+  }
+  if (!options.recovery.empty()) {
+    return Fail("--recovery applies to learn-pib only");
   }
   if (options.resume && options.checkpoint.empty()) {
     return Fail("--resume requires --checkpoint=FILE");
@@ -1334,19 +1276,6 @@ int CmdLearnPao(const CliOptions& options) {
   if (!injector_or.ok()) return Fail(injector_or.status().ToString());
   robust::FaultInjector* injector = injector_or->get();
 
-  // PAO recovery wiring is injector-scoped: quarantine acts on the
-  // breakers, while the PIB-state actions (rebaseline, rollback,
-  // restart_scoped) have no target here and degrade to
-  // "skipped_unsupported" in the transcript.
-  std::unique_ptr<robust::RecoveryController> controller;
-  if (!options.recovery.empty()) {
-    Result<robust::RecoveryPolicy> policy = LoadRecoveryPolicy(options.recovery);
-    if (!policy.ok()) return FailStatus(policy.status());
-    std::printf("recovery policy: %s (%zu rules)\n", options.recovery.c_str(),
-                policy->rules.size());
-    controller =
-        std::make_unique<robust::RecoveryController>(*std::move(policy));
-  }
   PaoOptions pao_options;
   pao_options.epsilon = options.epsilon;
   pao_options.delta = options.delta;
@@ -1391,15 +1320,8 @@ int CmdLearnPao(const CliOptions& options) {
 
   AuditBaselines baselines = MakeAuditBaselines(
       options, loaded, Strategy::DepthFirst(loaded.built.graph), truth);
-  CliObserver cli_obs(options, /*want_profiler=*/false, baselines,
-                      controller.get());
+  CliObserver cli_obs(options, /*want_profiler=*/false, baselines);
   if (!cli_obs.status.ok()) return FailStatus(cli_obs.status);
-  if (controller != nullptr) {
-    controller->BindInjector(injector);
-    controller->BindObserver(cli_obs.observer.get());
-    controller->BindGraph(&loaded.built.graph);
-    controller->set_live(true);
-  }
   if (cli_obs.NeedsTicks() || cli_obs.fake_clock) {
     // Chain the telemetry cadence onto the per-context hook (after the
     // checkpoint writer, when one is installed). Fake-clock runs need
