@@ -1,8 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: strategy
-// execution, expected-cost evaluation, Upsilon, and PIB's per-context
-// update. These are throughput numbers, not paper artifacts.
+// execution, expected-cost evaluation, Upsilon, PIB's per-context
+// update and telemetry emission. These are throughput numbers, not
+// paper artifacts.
 
 #include <benchmark/benchmark.h>
+
+#include <ostream>
+#include <streambuf>
+#include <variant>
+#include <vector>
 
 #include "core/delta_estimator.h"
 #include "core/expected_cost.h"
@@ -11,8 +17,10 @@
 #include "core/transformations.h"
 #include "core/upsilon.h"
 #include "engine/query_processor.h"
+#include "obs/audit/audit_log.h"
 #include "obs/observer.h"
 #include "obs/profiler.h"
+#include "obs/sinks.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -175,6 +183,105 @@ void BM_DeltaUnderEstimate(benchmark::State& state) {
   state.counters["neighbors"] = static_cast<double>(hood.size());
 }
 BENCHMARK(BM_DeltaUnderEstimate)->Arg(3)->Arg(5)->Arg(7);
+
+// Telemetry emission: the sinks below write to a stream that drops its
+// bytes, so each number is the cost of rendering one record (number
+// formatting, escaping, framing), not of I/O.
+class DiscardBuffer final : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+};
+
+// A reject certificate as PIB writes one per test round, with the
+// non-integral statistics of a real run.
+obs::DecisionCertificateEvent SampleCertificate(Rng& rng) {
+  obs::DecisionCertificateEvent e;
+  e.t_us = 1234567 + rng.NextInt(0, 1000);
+  e.learner = "pib";
+  e.decision = "climb";
+  e.verdict = "reject";
+  e.at_context = 4321;
+  e.samples = 4321;
+  e.trials = 324075;
+  e.subject = 17;
+  e.mean = -0.04 * rng.NextDouble();
+  e.delta_sum = -172.83 * rng.NextDouble();
+  e.threshold = 5.2865357851997832 + rng.NextDouble();
+  e.margin = e.delta_sum - e.threshold;
+  e.range = 4;
+  e.epsilon_n = e.threshold;
+  e.delta_step = 0.03039635509270134 * rng.NextDouble();
+  e.delta_budget = 0.05;
+  e.delta_spent_total = 0.049 + 0.001 * rng.NextDouble();
+  return e;
+}
+
+// Arg 0: arc_attempt, 1: sequential_test, 2: decision_certificate, the
+// three records pib_telemetry writes most (items = records).
+void BM_EmitJsonl(benchmark::State& state) {
+  Rng rng(12);
+  obs::Event event;
+  switch (state.range(0)) {
+    case 0:
+      event = obs::ArcAttemptEvent{4321, 1234567 + rng.NextInt(0, 1000), 17,
+                                   -1, true, 1.0};
+      break;
+    case 1:
+      event = obs::SequentialTestEvent{1234567 + rng.NextInt(0, 1000),
+                                       "pib",
+                                       4321,
+                                       4321,
+                                       324075,
+                                       17,
+                                       -172.83 * rng.NextDouble(),
+                                       5.2865357851997832 + rng.NextDouble(),
+                                       false};
+      break;
+    default:
+      event = SampleCertificate(rng);
+  }
+  DiscardBuffer discard;
+  std::ostream out(&discard);
+  obs::JsonlSink sink(&out);
+  for (auto _ : state) {
+    sink.On(event);
+    benchmark::ClobberMemory();
+  }
+  if (sink.failed() || sink.events_dropped() != 0) {
+    state.SkipWithError("the sink stopped writing");
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::visit([](const auto& e) { return e.kType; }, event));
+}
+BENCHMARK(BM_EmitJsonl)->Arg(0)->Arg(1)->Arg(2);
+
+// The audit log's certificate record; Arg is the number of arcs attempted
+// since the previous certificate, fed as arc attempts before each one and
+// written as its "arcs" tallies (items = certificates).
+void BM_EmitAuditCertificate(benchmark::State& state) {
+  Rng rng(13);
+  const obs::DecisionCertificateEvent certificate = SampleCertificate(rng);
+  std::vector<obs::ArcAttemptEvent> attempts;
+  for (int64_t arc = 0; arc < state.range(0); ++arc) {
+    attempts.push_back(obs::ArcAttemptEvent{
+        4321, 1234567, static_cast<uint32_t>(arc),
+        static_cast<int>(arc) - 1, rng.NextBernoulli(0.5), 1.0});
+  }
+  DiscardBuffer discard;
+  std::ostream out(&discard);
+  obs::AuditLog audit(&out);
+  for (auto _ : state) {
+    for (const obs::ArcAttemptEvent& a : attempts) audit.On(a);
+    audit.On(certificate);
+    benchmark::ClobberMemory();
+  }
+  if (audit.failed()) state.SkipWithError("the audit log stopped writing");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EmitAuditCertificate)->Arg(0)->Arg(4);
 
 }  // namespace
 }  // namespace stratlearn

@@ -189,6 +189,7 @@ bool Pib::Observe(const Trace& trace) {
   size_t fired = k;
   size_t best = k;
   double best_margin = 0.0;
+  double best_threshold = 0.0;
   double fired_threshold = 0.0;
   for (size_t j = 0; j < k; ++j) {
     double threshold = ThresholdFor(j);
@@ -196,6 +197,7 @@ bool Pib::Observe(const Trace& trace) {
     if (best == k || margin > best_margin) {
       best = j;
       best_margin = margin;
+      best_threshold = threshold;
     }
     if (fired == k && delta_sums_[j] > 0.0 && delta_sums_[j] >= threshold) {
       fired = j;
@@ -207,7 +209,7 @@ bool Pib::Observe(const Trace& trace) {
     if (obs::TraceSink* sink = observer_->sink()) {
       sink->On(obs::SequentialTestEvent{
           observer_->NowUs(), "pib", contexts_, samples_, trials_,
-          static_cast<int64_t>(best), delta_sums_[best], ThresholdFor(best),
+          static_cast<int64_t>(best), delta_sums_[best], best_threshold,
           fired != k});
     }
   }
@@ -219,7 +221,7 @@ bool Pib::Observe(const Trace& trace) {
       ++audit_rounds_;
       if ((audit_rounds_ - 1) % observer_->audit_every() == 0) {
         if (obs::TraceSink* sink = observer_->sink()) {
-          sink->On(MakeAuditCertificate(best, "reject", ThresholdFor(best)));
+          sink->On(MakeAuditCertificate(best, "reject", best_threshold));
         }
       }
     }

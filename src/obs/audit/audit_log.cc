@@ -6,7 +6,6 @@
 #include <variant>
 
 #include "obs/event_json.h"
-#include "obs/json_writer.h"
 
 namespace stratlearn::obs {
 
@@ -117,7 +116,8 @@ void AuditLog::WriteLine(const std::string& json) {
 void AuditLog::WriteHeader() {
   if (out_ == nullptr || !out_->good()) return;
   *out_ << "stratlearn-audit v1\n";
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = writer_;
+  w.Clear();
   w.BeginObject();
   w.Key("record").Value("header");
   w.Key("window").Value(options_.window);
@@ -151,7 +151,8 @@ void AuditLog::On(const Event& event) {
 
 void AuditLog::WriteRegret() {
   if (window_queries_ == 0) return;
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = writer_;
+  w.Clear();
   w.BeginObject();
   w.Key("record").Value("regret");
   w.Key("window_index").Value(windows_written_);
@@ -183,7 +184,8 @@ void AuditLog::WriteCertificate(const DecisionCertificateEvent& e) {
   Ledger& ledger = ledgers_[e.learner];
   ledger.spent = e.delta_spent_total;
   ledger.budget = e.delta_budget;
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = writer_;
+  w.Clear();
   w.BeginObject();
   w.Key("record").Value("certificate");
   w.Key("seq").Value(certificates_);
@@ -229,7 +231,8 @@ void AuditLog::Close() {
     if (ledger.budget > budget) budget = ledger.budget;
     if (ledger.spent > ledger.budget) budget_ok = false;
   }
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = writer_;
+  w.Clear();
   w.BeginObject();
   w.Key("record").Value("summary");
   w.Key("queries").Value(queries_);

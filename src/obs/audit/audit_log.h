@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_writer.h"
 #include "obs/trace_sink.h"
 
 namespace stratlearn::obs {
@@ -50,7 +51,8 @@ struct AuditLogOptions {
 /// offline TraceReader replay of the run's JSONL trace into a fresh
 /// AuditLog with the same options reproduces the online file
 /// byte-for-byte. Mid-run I/O failure disables the sink after one
-/// stderr warning, like JsonlSink.
+/// stderr warning, like JsonlSink; like it, the log renders every record
+/// into one reused writer and is single-threaded.
 class AuditLog final : public TraceSink {
  public:
   /// Borrow an open stream (e.g. a std::ostringstream in tests).
@@ -146,6 +148,7 @@ class AuditLog final : public TraceSink {
   AuditLogOptions options_;
   bool closed_ = false;
   bool failed_ = false;
+  JsonWriter writer_{JsonWriter::kRoundTripDigits};
 
   std::map<uint32_t, ArcTally> epoch_arcs_;
   std::map<std::string, Ledger> ledgers_;

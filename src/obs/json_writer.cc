@@ -6,41 +6,49 @@
 
 namespace stratlearn::obs {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void JsonWriter::AppendEscaped(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the bytes not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out_ += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        out_ += "\\\\";
         break;
       case '\b':
-        out += "\\b";
+        out_ += "\\b";
         break;
       case '\f':
-        out += "\\f";
+        out_ += "\\f";
         break;
       case '\n':
-        out += "\\n";
+        out_ += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        out_ += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        out_ += "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+        out_ += "\\u00";
+        out_ += kHex[c >> 4];
+        out_ += kHex[c & 0xf];
     }
   }
-  return out;
+  out_.append(s.data() + run, s.size() - run);
+}
+
+void JsonWriter::Clear() {
+  out_.clear();
+  has_element_.clear();
+  pending_key_ = false;
 }
 
 void JsonWriter::BeforeValue() {
@@ -86,7 +94,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
     has_element_.back() = true;
   }
   out_ += '"';
-  out_ += JsonEscape(key);
+  AppendEscaped(key);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -95,7 +103,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 JsonWriter& JsonWriter::Value(std::string_view value) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(value);
+  AppendEscaped(value);
   out_ += '"';
   return *this;
 }
@@ -109,14 +117,14 @@ JsonWriter& JsonWriter::Value(double value) {
   if (!std::isfinite(value)) {
     out_ += "null";
   } else {
-    out_ += StrFormat("%.*g", double_digits_, value);
+    AppendDouble(&out_, value, double_digits_);
   }
   return *this;
 }
 
 JsonWriter& JsonWriter::Value(int64_t value) {
   BeforeValue();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  AppendInt(&out_, value);
   return *this;
 }
 

@@ -8,19 +8,18 @@
 
 namespace stratlearn::obs {
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes
-/// added): control characters, quote and backslash become \-sequences.
-std::string JsonEscape(std::string_view s);
-
 /// Minimal streaming JSON writer used by the metrics snapshot and the
 /// trace sinks. Handles commas and nesting; the caller is responsible
 /// for pairing Begin/End calls and for putting a Key before each value
-/// inside an object. Non-finite doubles are emitted as null (JSON has
-/// no Inf/NaN).
+/// inside an object. Keys and strings are escaped straight into the
+/// buffer: quote, backslash and control characters become \-sequences
+/// (\u00xx for those without a short form); every other byte is copied.
+/// Numbers go through AppendDouble/AppendInt (util/string_util.h).
+/// Non-finite doubles are emitted as null (JSON has no Inf/NaN).
 ///
-/// `double_digits` is the %g precision for doubles: the default 12 is
-/// compact for human-facing reports; machine formats that must replay
-/// losslessly (JSONL traces) use kRoundTripDigits.
+/// `double_digits` is the significant-digit count for doubles: the
+/// default 12 is compact for human-facing reports; machine formats that
+/// must replay losslessly (JSONL traces) use kRoundTripDigits.
 class JsonWriter {
  public:
   /// 17 significant digits round-trip any IEEE-754 double exactly.
@@ -50,8 +49,14 @@ class JsonWriter {
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }
 
+  /// Starts a new document, keeping the buffers' capacity: a sink that
+  /// renders one record per event reuses one writer. Open containers
+  /// and a pending key are forgotten.
+  void Clear();
+
  private:
   void BeforeValue();
+  void AppendEscaped(std::string_view s);
 
   std::string out_;
   int double_digits_;

@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "obs/event_json.h"
-#include "obs/json_writer.h"
 
 namespace stratlearn::obs {
 
@@ -113,16 +112,17 @@ JsonlSink::JsonlSink(const std::string& path)
     : StreamSink(path, {"JSONL", "", "", "\n", ""}) {}
 
 void JsonlSink::On(const Event& event) {
+  JsonWriter& w = writer_;
+  w.Clear();
   std::visit(
-      [this](const auto& e) {
-        JsonWriter w(JsonWriter::kRoundTripDigits);
+      [&w](const auto& e) {
         w.BeginObject();
         w.Key("type").Value(e.kType);
         WriteEventFields(w, e);
         w.EndObject();
-        Write(w.str());
       },
       event);
+  Write(w.str());
 }
 
 ChromeTraceSink::ChromeTraceSink(std::ostream* out)
@@ -132,7 +132,10 @@ ChromeTraceSink::ChromeTraceSink(const std::string& path)
     : StreamSink(path, {"Chrome", "[\n", ",\n", "", "\n]\n"}) {}
 
 void ChromeTraceSink::On(const Event& event) {
-  JsonWriter w;
+  // Cleared before the visit: a skipped event type leaves the writer
+  // empty instead of holding the previous record.
+  JsonWriter& w = writer_;
+  w.Clear();
   std::visit(
       [&w](const auto& e) {
         using E = std::decay_t<decltype(e)>;

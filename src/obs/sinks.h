@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 
@@ -76,7 +77,9 @@ class StreamSink : public TraceSink {
 /// Writes one JSON object per line (JSONL): a "type" discriminator (the
 /// event's kType) and then the event's fields, so a stream can be
 /// filtered with grep/jq. Doubles carry 17 significant digits, so
-/// TraceReader replays a stream exactly.
+/// TraceReader replays a stream exactly. Every record is rendered into
+/// one reused writer, so the sink is single-threaded: wrap it in a
+/// LockingSink to share it.
 class JsonlSink final : public StreamSink {
  public:
   /// Borrow an open stream (e.g. a std::ostringstream in tests).
@@ -85,6 +88,9 @@ class JsonlSink final : public StreamSink {
   explicit JsonlSink(const std::string& path);
 
   void On(const Event& event) override;
+
+ private:
+  JsonWriter writer_{JsonWriter::kRoundTripDigits};
 };
 
 /// Emits a chrome://tracing / Perfetto-loadable JSON array. Queries
@@ -94,13 +100,17 @@ class JsonlSink final : public StreamSink {
 /// starts and arc attempts are intentionally not written (and not
 /// counted as dropped): at one span per query they already dominate
 /// file size, and the per-arc detail belongs in JSONL. Doubles carry 12
-/// significant digits, so only JSONL replays exactly.
+/// significant digits, so only JSONL replays exactly. Like JsonlSink it
+/// reuses one writer and is single-threaded.
 class ChromeTraceSink final : public StreamSink {
  public:
   explicit ChromeTraceSink(std::ostream* out);
   explicit ChromeTraceSink(const std::string& path);
 
   void On(const Event& event) override;
+
+ private:
+  JsonWriter writer_;
 };
 
 }  // namespace stratlearn::obs

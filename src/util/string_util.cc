@@ -2,10 +2,14 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
+
+#include "util/check.h"
 
 namespace stratlearn {
 
@@ -133,8 +137,28 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendDouble(std::string* out, double value, int digits) {
+  // Sign, 17 digits, the point and "e-308" take 24 bytes.
+  STRATLEARN_CHECK(digits >= 0 && digits <= 17);
+  char buffer[32];
+  std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, digits);
+  STRATLEARN_CHECK(r.ec == std::errc());
+  out->append(buffer, r.ptr);
+}
+
+void AppendInt(std::string* out, int64_t value) {
+  char buffer[32];
+  std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  STRATLEARN_CHECK(r.ec == std::errc());
+  out->append(buffer, r.ptr);
+}
+
 std::string FormatDouble(double value, int digits) {
-  std::string s = StrFormat("%.*g", digits, value);
+  std::string s;
+  AppendDouble(&s, value, digits);
   return s;
 }
 

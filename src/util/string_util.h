@@ -63,8 +63,17 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// The one number formatter behind FormatDouble and obs::JsonWriter.
+/// AppendDouble appends `value` with `digits` significant digits
+/// (0 <= digits <= 17, CHECKed), trimming trailing zeros; AppendInt
+/// appends `value` in base 10. Both use std::to_chars, which writes the
+/// bytes printf's "%.*g" and "%lld" write ("3.7", "1e+17", "-inf",
+/// "-nan"), without the locale and varargs machinery.
+void AppendDouble(std::string* out, double value, int digits);
+void AppendInt(std::string* out, int64_t value);
+
 /// Formats a double with `digits` significant digits, trimming trailing
-/// zeros ("3.7", "0.012").
+/// zeros ("3.7", "0.012"): AppendDouble into a fresh string.
 std::string FormatDouble(double value, int digits = 6);
 
 }  // namespace stratlearn

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "obs/sinks.h"
 #include "obs/timer.h"
 #include "obs/trace_reader.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
@@ -50,9 +52,114 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   JsonWriter w;
   w.BeginArray();
   w.Value(std::numeric_limits<double>::infinity());
+  w.Value(-std::numeric_limits<double>::infinity());
   w.Value(std::nan(""));
+  w.Value(-std::nan(""));
   w.EndArray();
-  EXPECT_EQ(w.str(), "[null,null]");
+  EXPECT_EQ(w.str(), "[null,null,null,null]");
+}
+
+/// Reference escaper: one character at a time into a temporary string,
+/// printf for the \u sequences. JsonWriter escapes in place and must
+/// produce the same bytes.
+std::string ReferenceJsonEscape(std::string_view s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonWriterTest, EscapesEveryByteLikeTheReference) {
+  Rng rng(11);
+  auto random_bytes = [&rng] {
+    std::string s(rng.NextBounded(12), '\0');
+    for (char& c : s) c = static_cast<char>(rng.NextBounded(256));
+    return s;
+  };
+  std::vector<std::string> inputs = {""};
+  for (int b = 0; b < 256; ++b) {
+    std::string byte(1, static_cast<char>(b));
+    inputs.push_back(byte);
+    for (int i = 0; i < 8; ++i) {
+      inputs.push_back(random_bytes() + byte + random_bytes());
+      inputs.push_back("plain text " + byte + byte + " more text");
+    }
+  }
+  for (const std::string& s : inputs) {
+    const std::string escaped = ReferenceJsonEscape(s);
+    JsonWriter key;
+    key.BeginObject().Key(s).Null().EndObject();
+    ASSERT_EQ(key.str(), "{\"" + escaped + "\":null}");
+    JsonWriter value;
+    value.BeginArray().Value(s).EndArray();
+    ASSERT_EQ(value.str(), "[\"" + escaped + "\"]");
+  }
+}
+
+/// One nested record, the shape a sink renders per event.
+void WriteRecord(JsonWriter& w) {
+  w.BeginObject();
+  w.Key("type").Value("a\"b");
+  w.Key("n").Value(int64_t{-7});
+  w.Key("v").BeginArray().Value(0.1 + 0.2).Null().EndArray();
+  w.Key("o").BeginObject().Key("k").Value(false).EndObject();
+  w.EndObject();
+}
+
+TEST(JsonWriterTest, ClearedWriterMatchesAFreshOne) {
+  JsonWriter fresh(JsonWriter::kRoundTripDigits);
+  WriteRecord(fresh);
+
+  JsonWriter reused(JsonWriter::kRoundTripDigits);
+  WriteRecord(reused);  // a complete record
+  reused.Clear();
+  EXPECT_EQ(reused.str(), "");
+  WriteRecord(reused);
+  EXPECT_EQ(reused.str(), fresh.str());
+
+  // A record abandoned with containers open and a key awaiting its value.
+  reused.Clear();
+  reused.BeginObject().Key("a").BeginArray().Value(true).BeginObject();
+  reused.Key("pending");
+  reused.Clear();
+  WriteRecord(reused);
+  EXPECT_EQ(reused.str(), fresh.str());
+
+  // A top-level array left open.
+  reused.Clear();
+  reused.BeginArray().Value(int64_t{1});
+  reused.Clear();
+  WriteRecord(reused);
+  EXPECT_EQ(reused.str(), fresh.str());
 }
 
 TEST(JsonValidatorTest, AcceptsAndRejects) {
@@ -446,6 +553,24 @@ TEST(ChromeTraceSinkTest, EmitsLoadableJsonArray) {
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(ChromeTraceSinkTest, SkippedEventsAfterADrawnOneWriteNothing) {
+  std::ostringstream out;
+  obs::ChromeTraceSink sink(&out);
+  sink.On(obs::QueryEndEvent{0, 10, 5, 2.5, 4, 1, true});
+  sink.Flush();
+  const std::string drawn = out.str();
+  // Query starts and arc attempts are not drawn; the sink's reused
+  // writer must not hand them the query end's record.
+  sink.On(obs::QueryStartEvent{1, 20});
+  sink.On(obs::ArcAttemptEvent{1, 21, 3, 0, true, 1.5});
+  sink.Flush();
+  EXPECT_EQ(out.str(), drawn);
+  EXPECT_EQ(sink.events_dropped(), 0);
+  sink.Close();
+  EXPECT_EQ(out.str(), drawn + "\n]\n");
+  EXPECT_TRUE(IsValidJson(out.str()));
 }
 
 TEST(NullObserverTest, ExecutionUnchangedByObservation) {
