@@ -141,7 +141,7 @@ void BM_PibObserve(benchmark::State& state) {
   state.counters["neighbors"] =
       static_cast<double>(pib.num_neighbors());
 }
-BENCHMARK(BM_PibObserve)->Arg(3)->Arg(5);
+BENCHMARK(BM_PibObserve)->Arg(3)->Arg(5)->Arg(7);
 
 // PALO's per-context update: Delta~ and Delta^ for every neighbour. A
 // tight epsilon keeps the stopping rule from certifying, so every
@@ -161,8 +161,10 @@ void BM_PaloObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_PaloObserve)->Arg(3)->Arg(5);
 
-// Delta~ for a whole neighbourhood from one trace: the per-trace
-// completion J, then every neighbour (items = neighbours).
+// Delta~ for a whole neighbourhood from one trace, added to its sums:
+// the trace's completion J patched into J0, one run of Theta and its
+// block table, then the neighbours of the entered regions (items =
+// neighbours).
 void BM_DeltaUnderEstimate(benchmark::State& state) {
   RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
   SwapNeighborhood hood(tree.graph, Strategy::DepthFirst(tree.graph),
@@ -172,10 +174,10 @@ void BM_DeltaUnderEstimate(benchmark::State& state) {
   IndependentOracle oracle(tree.probs);
   Rng rng(10);
   Trace trace = qp.Execute(hood.strategy(), oracle.Next(rng));
-  std::vector<double> deltas;
+  std::vector<double> sums(hood.size(), 0.0);
   for (auto _ : state) {
-    estimator.UnderEstimates(trace, hood, &deltas);
-    benchmark::DoNotOptimize(deltas.data());
+    estimator.AddUnderEstimates(trace, hood, &sums);
+    benchmark::DoNotOptimize(sums.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *

@@ -66,8 +66,12 @@ class AblatedPib {
     trials_ += variant_ == Variant::kNoBonferroni
                    ? 1
                    : static_cast<int64_t>(hood_.size());
-    estimator_.UnderEstimates(trace, hood_, &deltas_);
-    for (size_t j = 0; j < hood_.size(); ++j) delta_sums_[j] += deltas_[j];
+    estimator_.AddUnderEstimates(trace, hood_, &delta_sums_);
+    const double factor =
+        variant_ == Variant::kFull || variant_ == Variant::kNoBonferroni
+            ? SequentialSumFactor(samples_, std::max<int64_t>(1, trials_),
+                                  delta_)
+            : 0.0;
     for (size_t j = 0; j < hood_.size(); ++j) {
       const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
       const double delta_sum = delta_sums_[j];
@@ -75,8 +79,7 @@ class AblatedPib {
       switch (variant_) {
         case Variant::kFull:
         case Variant::kNoBonferroni:
-          threshold = SequentialSumThreshold(
-              samples_, std::max<int64_t>(1, trials_), delta_, n.range);
+          threshold = n.range * factor;
           break;
         case Variant::kNoSequential:
           threshold = SumThreshold(samples_, delta_, n.range);
@@ -107,7 +110,6 @@ class AblatedPib {
   DeltaEstimator estimator_;
   SwapNeighborhood hood_;
   std::vector<double> delta_sums_;
-  std::vector<double> deltas_;
   double delta_;
   Variant variant_;
   int64_t samples_ = 0;

@@ -39,15 +39,11 @@ double Run(const InferenceGraph& graph, const std::vector<ArcId>& arcs,
   return cost;
 }
 
-/// One block: an arc plus the part of its subtree Theta runs with it.
-struct Block {
-  double cost = 0.0;
-  bool succeeds = false;
-};
+using Block = SwapNeighborhood::Scratch::Block;
 
 /// Cost of running `count` blocks in the given order, up to and including
 /// the first one that succeeds.
-double RunBlocks(const std::vector<Block>& summary, const ArcId* blocks,
+double RunBlocks(const Block* summary, const uint32_t* blocks,
                  uint32_t count) {
   double cost = 0.0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -102,6 +98,13 @@ Completion Complete(const InferenceGraph& graph,
 
 }  // namespace
 
+void SwapNeighborhood::Scratch::Reserve(const InferenceGraph& graph) {
+  reached.reserve(graph.num_nodes());
+  ok.reserve(graph.num_arcs() + 1);
+  blocks.reserve(graph.num_arcs());
+  entered.reserve(graph.num_nodes());
+}
+
 SwapNeighborhood::SwapNeighborhood(const InferenceGraph& graph,
                                    Strategy theta,
                                    const std::vector<SiblingSwap>& swaps)
@@ -111,6 +114,8 @@ SwapNeighborhood::SwapNeighborhood(const InferenceGraph& graph,
     Neighbor n{swap, ApplySwap(graph, theta_, swap), 0.0};
     if (n.strategy == theta_) continue;  // no-op swap (e.g. dead ends)
     n.range = SwapRange(graph, theta_, swap);
+    // Arc costs are positive, so a swap that changes Theta has a range.
+    STRATLEARN_CHECK(n.range > 0.0);
     neighbors_.push_back(std::move(n));
   }
   if (theta_ != theta_.Canonicalized(graph)) return;  // not lazy
@@ -118,6 +123,7 @@ SwapNeighborhood::SwapNeighborhood(const InferenceGraph& graph,
   // A lazy strategy runs the arcs on success paths first, in leaf order,
   // and the dead-end arcs after them.
   const std::vector<ArcId>& arcs = theta_.arcs();
+  const uint32_t n = static_cast<uint32_t>(arcs.size());
   const size_t num_arcs = graph.num_arcs();
   std::vector<char> on_path(num_arcs, 0);
   for (ArcId leaf : graph.SuccessArcs()) {
@@ -127,43 +133,53 @@ SwapNeighborhood::SwapNeighborhood(const InferenceGraph& graph,
       ++success_prefix_;
     }
   }
+  std::vector<uint32_t> pos(num_arcs, 0);
+  for (uint32_t i = 0; i < n; ++i) pos[arcs[i]] = i;
+  std::vector<uint32_t> above(n, n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ArcId up = ArcAbove(graph, arcs[i]);
+    if (up != kInvalidArc) above[i] = pos[up];
+  }
   // Hierarchical contiguity: each success-path subtree occupies the
-  // positions [pos, pos + size) of Theta, its own arc first.
-  std::vector<uint32_t> pos(num_arcs, 0), size(num_arcs, 0), last(num_arcs, 0);
+  // positions [i, i + size) of Theta, its own arc first.
+  std::vector<uint32_t> size(n, 0), last(n, 0);
   for (uint32_t i = success_prefix_; i-- > 0;) {
-    const ArcId a = arcs[i];
-    pos[a] = i;
-    size[a] += 1;
-    last[a] = std::max(last[a], i);
-    ArcId up = ArcAbove(graph, a);
-    if (up == kInvalidArc) continue;
-    size[up] += size[a];
-    last[up] = std::max(last[up], last[a]);
+    size[i] += 1;
+    last[i] = std::max(last[i], i);
+    if (above[i] == n) continue;
+    size[above[i]] += size[i];
+    last[above[i]] = std::max(last[above[i]], last[i]);
   }
   for (uint32_t i = 0; i < success_prefix_; ++i) {
-    if (last[arcs[i]] - i + 1 != size[arcs[i]]) return;  // interleaved
+    if (last[i] - i + 1 != size[i]) return;  // interleaved
+  }
+
+  above_ = std::move(above);
+  success_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    success_[i] = graph.node(graph.arc(arcs[i]).to).is_success ? 1 : 0;
   }
 
   // Plan each swap's region: P's child blocks from the first swapped one
   // to the last, in Theta's order; Theta' exchanges the two ends.
   regions_.reserve(neighbors_.size());
-  std::vector<ArcId> children;
-  for (const Neighbor& n : neighbors_) {
+  std::vector<uint32_t> children;
+  for (const Neighbor& nb : neighbors_) {
     children.clear();
-    for (ArcId c : graph.node(n.swap.parent).out_arcs) {
-      if (on_path[c]) children.push_back(c);
+    for (ArcId c : graph.node(nb.swap.parent).out_arcs) {
+      if (on_path[c]) children.push_back(pos[c]);
     }
-    std::sort(children.begin(), children.end(),
-              [&](ArcId x, ArcId y) { return pos[x] < pos[y]; });
+    std::sort(children.begin(), children.end());
     auto at = [&](ArcId c) {
       return static_cast<size_t>(
-          std::find(children.begin(), children.end(), c) - children.begin());
+          std::find(children.begin(), children.end(), pos[c]) -
+          children.begin());
     };
-    size_t lo = at(n.swap.arc_a), hi = at(n.swap.arc_b);
+    size_t lo = at(nb.swap.arc_a), hi = at(nb.swap.arc_b);
     if (lo > hi) std::swap(lo, hi);
     Region r;
-    r.parent = n.swap.parent;
-    r.start = pos[children[lo]];
+    r.parent_pos = above_[children[lo]];
+    r.start = children[lo];
     r.count = static_cast<uint32_t>(hi - lo + 1);
     r.theta_begin = static_cast<uint32_t>(blocks_.size());
     blocks_.insert(blocks_.end(), children.begin() + lo,
@@ -174,56 +190,145 @@ SwapNeighborhood::SwapNeighborhood(const InferenceGraph& graph,
     std::swap(blocks_[r.alt_begin], blocks_.back());
     regions_.push_back(r);
   }
+
+  // Group the neighbours by P, each group in start order.
+  order_.resize(neighbors_.size());
+  for (uint32_t j = 0; j < order_.size(); ++j) order_[j] = j;
+  std::stable_sort(order_.begin(), order_.end(), [&](uint32_t x, uint32_t y) {
+    const Region& rx = regions_[x];
+    const Region& ry = regions_[y];
+    return rx.parent_pos != ry.parent_pos ? rx.parent_pos < ry.parent_pos
+                                          : rx.start < ry.start;
+  });
+  group_at_.assign(n + 1, kNoGroup);
+  for (uint32_t i = 0; i < order_.size(); ++i) {
+    const uint32_t parent_pos = regions_[order_[i]].parent_pos;
+    if (i > 0 && regions_[order_[i - 1]].parent_pos == parent_pos) continue;
+    group_at_[parent_pos] = static_cast<uint32_t>(group_begin_.size());
+    group_begin_.push_back(i);
+  }
+  group_begin_.push_back(static_cast<uint32_t>(order_.size()));
   incremental_ = true;
 }
 
-void SwapNeighborhood::Costs(const Completion& k,
-                             std::vector<double>* out) const {
-  out->resize(neighbors_.size());
-  std::vector<char> reached;
-  size_t stop = 0;
-  if (!incremental_) {
-    for (size_t j = 0; j < neighbors_.size(); ++j) {
-      (*out)[j] =
-          Run(*graph_, neighbors_[j].strategy.arcs(), k, &reached, &stop);
-    }
-    return;
-  }
+double SwapNeighborhood::RunTheta(const Completion& k, Scratch* scratch,
+                                  size_t* stop) const {
   const std::vector<ArcId>& arcs = theta_.arcs();
-  const double cost = Run(*graph_, arcs, k, &reached, &stop);
+  const size_t n = arcs.size();
+  // ok[i]: the arc at position i was attempted and unblocked; ok[n]
+  // stands for the root, which is always reached. Positions past the
+  // stop keep stale values, and no region entered before the stop
+  // reads them.
+  scratch->ok.resize(n + 1);
+  char* ok = scratch->ok.data();
+  ok[n] = 1;
+  scratch->entered.clear();
+  if (group_at_[n] != kNoGroup) scratch->entered.push_back(group_at_[n]);
+  *stop = n;
+  double cost = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    ok[i] = 0;
+    if (!ok[above_[i]]) continue;
+    const ArcId a = arcs[i];
+    cost += k.cost[a];
+    if (!k.unblocked[a]) continue;
+    ok[i] = 1;
+    if (success_[i]) {
+      *stop = i;
+      break;
+    }
+    if (group_at_[i] != kNoGroup) scratch->entered.push_back(group_at_[i]);
+  }
 
   // Every success-path arc's block, bottom-up in one reverse pass: an
   // arc's slot first accumulates the run of its head's child blocks
   // (each block is prepended to the blocks after it), then becomes the
   // arc's own block.
-  std::vector<Block> summary(graph_->num_arcs());
+  scratch->blocks.assign(success_prefix_, Block{});
+  Block* summary = scratch->blocks.data();
   for (size_t i = success_prefix_; i-- > 0;) {
     const ArcId a = arcs[i];
-    const Arc& arc = graph_->arc(a);
-    Block& b = summary[a];
+    Block& b = summary[i];
     if (!k.unblocked[a]) {
       b = {k.cost[a], false};
-    } else if (graph_->node(arc.to).is_success) {
+    } else if (success_[i]) {
       b = {k.cost[a], true};
     } else {
       b.cost = k.cost[a] + b.cost;
     }
-    ArcId up = ArcAbove(*graph_, a);
-    if (up == kInvalidArc) continue;
-    Block& run = summary[up];
+    if (above_[i] == n) continue;
+    Block& run = summary[above_[i]];
     run.cost = b.succeeds ? b.cost : b.cost + run.cost;
     run.succeeds = run.succeeds || b.succeeds;
   }
+  return cost;
+}
 
-  for (size_t j = 0; j < neighbors_.size(); ++j) {
-    const Region& r = regions_[j];
-    if (!reached[r.parent] || stop < r.start) {
-      (*out)[j] = cost;  // the region never runs: Theta and Theta' agree
-      continue;
-    }
-    (*out)[j] = cost - (RunBlocks(summary, &blocks_[r.theta_begin], r.count) -
-                        RunBlocks(summary, &blocks_[r.alt_begin], r.count));
+double SwapNeighborhood::NeighborCost(size_t j, const Completion& k,
+                                      double theta_cost, size_t stop,
+                                      Scratch* scratch) const {
+  if (!incremental_) {
+    size_t replay_stop = 0;
+    return Run(*graph_, neighbors_[j].strategy.arcs(), k, &scratch->reached,
+               &replay_stop);
   }
+  const Region& r = regions_[j];
+  if (stop < r.start || !scratch->ok[r.parent_pos]) {
+    return theta_cost;  // the region never runs: Theta and Theta' agree
+  }
+  return theta_cost - RegionSaving(j, *scratch);
+}
+
+double SwapNeighborhood::RegionSaving(size_t j, const Scratch& scratch) const {
+  const Region& r = regions_[j];
+  const Block* summary = scratch.blocks.data();
+  return RunBlocks(summary, &blocks_[r.theta_begin], r.count) -
+         RunBlocks(summary, &blocks_[r.alt_begin], r.count);
+}
+
+void SwapNeighborhood::Costs(const Completion& k, Scratch* scratch,
+                             std::vector<double>* out) const {
+  out->resize(neighbors_.size());
+  size_t stop = 0;
+  const double theta_cost = incremental_ ? RunTheta(k, scratch, &stop) : 0.0;
+  for (size_t j = 0; j < neighbors_.size(); ++j) {
+    (*out)[j] = NeighborCost(j, k, theta_cost, stop, scratch);
+  }
+}
+
+void SwapNeighborhood::AddCostDifferences(const Completion& k, double cost,
+                                          Scratch* scratch,
+                                          std::vector<double>* sums) const {
+  STRATLEARN_CHECK(sums->size() == neighbors_.size());
+  double* sum = sums->data();
+  size_t stop = 0;
+  const double theta_cost = incremental_ ? RunTheta(k, scratch, &stop) : 0.0;
+  if (!incremental_ || cost - theta_cost != 0.0) {
+    for (size_t j = 0; j < neighbors_.size(); ++j) {
+      sum[j] += cost - NeighborCost(j, k, theta_cost, stop, scratch);
+    }
+    return;
+  }
+  // Outside the entered regions c(Theta', K) = c(Theta, K) = cost, so
+  // those neighbours would add +0.0, which leaves a sum's bits alone
+  // (sums start at +0.0 and so never hold -0.0).
+  for (uint32_t g : scratch->entered) {
+    for (uint32_t i = group_begin_[g]; i < group_begin_[g + 1]; ++i) {
+      const uint32_t j = order_[i];
+      if (regions_[j].start > stop) break;
+      sum[j] += cost - (theta_cost - RegionSaving(j, *scratch));
+    }
+  }
+}
+
+DeltaEstimator::DeltaEstimator(const InferenceGraph* graph)
+    : graph_(graph),
+      processor_(graph),
+      base_(Complete(*graph,
+                     std::vector<signed char>(graph->num_experiments(), -1),
+                     /*pessimistic=*/true)),
+      patched_(base_) {
+  scratch_.Reserve(*graph);
 }
 
 double DeltaEstimator::ExactDelta(const Strategy& strategy,
@@ -294,21 +399,34 @@ double DeltaEstimator::OverEstimate(const Trace& trace,
   return trace.cost - best;
 }
 
-void DeltaEstimator::UnderEstimates(const Trace& trace,
-                                    const SwapNeighborhood& hood,
-                                    std::vector<double>* out) const {
-  hood.Costs(Pessimistic(trace), out);
-  for (double& cost : *out) cost = trace.cost - cost;
+void DeltaEstimator::AddUnderEstimates(const Trace& trace,
+                                       const SwapNeighborhood& hood,
+                                       std::vector<double>* sums) {
+  // J: J0 with the observed outcomes written in (the last attempt of an
+  // experiment wins, as in ObservedOutcomes), restored to J0 afterwards.
+  STRATLEARN_CHECK(base_.cost.size() == graph_->num_arcs());
+  for (const ArcAttempt& at : trace.attempts) {
+    const Arc& arc = graph_->arc(at.arc);
+    if (arc.experiment < 0) continue;
+    patched_.unblocked[at.arc] = at.unblocked ? 1 : 0;
+    patched_.cost[at.arc] =
+        arc.cost + (at.unblocked ? arc.success_cost : arc.failure_cost);
+  }
+  hood.AddCostDifferences(patched_, trace.cost, &scratch_, sums);
+  for (const ArcAttempt& at : trace.attempts) {
+    patched_.unblocked[at.arc] = base_.unblocked[at.arc];
+    patched_.cost[at.arc] = base_.cost[at.arc];
+  }
 }
 
 void DeltaEstimator::OverEstimates(const Trace& trace,
                                    const SwapNeighborhood& hood,
-                                   std::vector<double>* out) const {
+                                   std::vector<double>* out) {
   std::vector<Completion> completions = Optimistic(trace);
-  hood.Costs(completions.front(), out);
+  hood.Costs(completions.front(), &scratch_, out);
   std::vector<double> costs;
   for (size_t i = 1; i < completions.size(); ++i) {
-    hood.Costs(completions[i], &costs);
+    hood.Costs(completions[i], &scratch_, &costs);
     for (size_t j = 0; j < out->size(); ++j) {
       (*out)[j] = std::min((*out)[j], costs[j]);
     }

@@ -38,17 +38,38 @@ struct Completion {
 /// where [entered] means P is reached and Theta found no success before
 /// the region, and R sums the block costs in each order up to and
 /// including the first block that succeeds. Each neighbour stores its
-/// region's blocks in both orders and the region's start position.
+/// region's blocks in both orders and the region's start position; the
+/// neighbours are grouped by P, each group in start order, so a run
+/// visits only the groups of the parents it reached. Theta itself is
+/// held as flat per-position arrays (the arc above, whether the head is
+/// a success node) that the run and the block table read.
 ///
 /// Any other Theta (e.g. DepthFirst over a graph with dead-end subtrees,
-/// or an interleaved leaf order) plans no regions; the estimator then
-/// replays each neighbour under the per-trace completion instead.
+/// or an interleaved leaf order) plans no regions; each neighbour is then
+/// replayed under the completion instead.
 class SwapNeighborhood {
  public:
   struct Neighbor {
     SiblingSwap swap;
     Strategy strategy;   // Theta' = ApplySwap(Theta, swap)
     double range = 0.0;  // Lambda[Theta, Theta'] (strategy-aware SwapRange)
+  };
+
+  /// Working memory of one evaluation, passed in by the caller so that a
+  /// reused Scratch (DeltaEstimator keeps one) makes no heap allocation
+  /// once Reserve has sized it for the graph.
+  struct Scratch {
+    /// One block: an arc plus the part of its subtree Theta runs with it.
+    struct Block {
+      double cost = 0.0;
+      bool succeeds = false;
+    };
+    std::vector<char> reached;      // replay: the nodes a run reached
+    std::vector<char> ok;           // per position: attempted, unblocked
+    std::vector<Block> blocks;      // per success-path position
+    std::vector<uint32_t> entered;  // groups whose parent the run reached
+
+    void Reserve(const InferenceGraph& graph);
   };
 
   /// Keeps the swaps of `swaps` that change Theta, in their given order;
@@ -68,19 +89,41 @@ class SwapNeighborhood {
   /// size()). Incremental: one run of Theta under `k`, a bottom-up table
   /// of every block's (cost, succeeds) in O(A), then O(region) per
   /// neighbour. Otherwise one replay per neighbour.
-  void Costs(const Completion& k, std::vector<double>* out) const;
+  void Costs(const Completion& k, Scratch* scratch,
+             std::vector<double>* out) const;
+
+  /// (*sums)[j] += cost - c(Theta'_j, K) for every neighbour j (`sums`
+  /// holds size() values), bit for bit as if from Costs. Incremental,
+  /// with cost == c(Theta, K): only the neighbours whose region the run
+  /// of Theta entered are visited; every other one would add exactly
+  /// +0.0. Otherwise every neighbour is visited.
+  void AddCostDifferences(const Completion& k, double cost, Scratch* scratch,
+                          std::vector<double>* sums) const;
 
  private:
-  /// A swap's region: P, the position in Theta of the region's first
-  /// arc, and its child arcs ("blocks") in Theta's and in Theta''s order,
-  /// as [begin, begin + count) ranges of `blocks_`.
+  /// A swap's region: the position in Theta of the arc into P (size()
+  /// of Theta for the root), the position of the region's first arc,
+  /// and the positions of its child arcs ("blocks") in Theta's and in
+  /// Theta''s order, as [begin, begin + count) ranges of `blocks_`.
   struct Region {
-    NodeId parent = kInvalidNode;
+    uint32_t parent_pos = 0;
     uint32_t start = 0;
     uint32_t theta_begin = 0;
     uint32_t alt_begin = 0;
     uint32_t count = 0;
   };
+  static constexpr uint32_t kNoGroup = 0xffffffffu;
+
+  /// The run of Theta under `k`: returns c(Theta, K), sets `*stop` to
+  /// the position of the arc that reached a success (size() of Theta
+  /// when none did), marks scratch->ok, lists the entered groups and
+  /// tabulates every success-path block.
+  double RunTheta(const Completion& k, Scratch* scratch, size_t* stop) const;
+  /// c(Theta'_j, K) after RunTheta, or by replay when not incremental.
+  double NeighborCost(size_t j, const Completion& k, double theta_cost,
+                      size_t stop, Scratch* scratch) const;
+  /// R_Theta - R_Theta' for neighbour j's region, from RunTheta's blocks.
+  double RegionSaving(size_t j, const Scratch& scratch) const;
 
   const InferenceGraph* graph_;
   Strategy theta_;
@@ -89,8 +132,20 @@ class SwapNeighborhood {
   /// Length of Theta's leading run of arcs that lie on a success path
   /// (a lazy strategy appends the dead-end arcs after it).
   uint32_t success_prefix_ = 0;
+  // Theta per position (incremental only): the position of the arc
+  // above (size() of Theta for a root arc) and whether the head is a
+  // success node.
+  std::vector<uint32_t> above_;
+  std::vector<char> success_;
   std::vector<Region> regions_;  // parallel to neighbors_ when incremental
-  std::vector<ArcId> blocks_;
+  std::vector<uint32_t> blocks_;
+  // Neighbours grouped by region parent: group g is
+  // order_[group_begin_[g], group_begin_[g + 1]), in start order, and
+  // group_at_[i] is the group whose parent the arc at position i enters
+  // (index size() of Theta: the root's group), else kNoGroup.
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> group_begin_;
+  std::vector<uint32_t> group_at_;
 };
 
 /// Estimates Delta[Theta, Theta', I] = c(Theta, I) - c(Theta', I)
@@ -119,13 +174,20 @@ class SwapNeighborhood {
 /// minimum) attempt cost, keeping both bounds sound; this reduces to the
 /// plain execution cost in the paper's fixed-cost model.
 ///
-/// The learners use the neighbourhood forms `UnderEstimates` and
-/// `OverEstimates`, which build the trace's completions once and then
-/// apply the region identity (see SwapNeighborhood): per context that is
-/// O(A + E + |trace|) plus O(region) per neighbour for Delta~, and
-/// O(S * A) plus O(region) per neighbour and completion for Delta^ (S
-/// success arcs). The single-neighbour forms replay Theta' under the
-/// completion, as the neighbourhood forms do for a strategy without a
+/// The learners use the neighbourhood forms `AddUnderEstimates` and
+/// `OverEstimates`, which apply the region identity (see
+/// SwapNeighborhood). Delta~ starts from J0, the pessimistic completion
+/// with nothing observed, built once: every experiment is one arc, so a
+/// trace's J differs from J0 only at the experiment arcs it attempted,
+/// which are written before the run and restored after it. Per context
+/// that is O(|trace|) for J, one run of Theta and one block table, and
+/// O(region) per neighbour whose region the run entered; the others add
+/// trace.cost - c(Theta, J), which is +0.0 unless faults inflated or the
+/// cost budget truncated the trace, or it ran past its first success,
+/// and is then added to each of them. Delta^ costs O(S * A) plus
+/// O(region) per neighbour and completion (S success arcs). The
+/// single-neighbour forms replay Theta' under a completion built from
+/// scratch, as the neighbourhood forms do for a strategy without a
 /// region plan; they are the reference the incremental path is tested
 /// against.
 ///
@@ -136,8 +198,7 @@ class SwapNeighborhood {
 /// few ulps.
 class DeltaEstimator {
  public:
-  explicit DeltaEstimator(const InferenceGraph* graph)
-      : graph_(graph), processor_(graph) {}
+  explicit DeltaEstimator(const InferenceGraph* graph);
 
   /// Exact Delta given the full context.
   double ExactDelta(const Strategy& strategy, const Strategy& alternative,
@@ -163,18 +224,24 @@ class DeltaEstimator {
   /// optimistic completion.
   double OverEstimate(const Trace& trace, const Strategy& alternative) const;
 
-  /// Delta~ for every neighbour of `hood`, from one trace of
-  /// hood.strategy(); resizes `out` to hood.size().
-  void UnderEstimates(const Trace& trace, const SwapNeighborhood& hood,
-                      std::vector<double>* out) const;
+  /// Adds Delta~ for every neighbour of `hood`, from one trace of
+  /// hood.strategy(), to (*sums)[j]; `sums` holds hood.size() values.
+  /// Makes no heap allocation.
+  void AddUnderEstimates(const Trace& trace, const SwapNeighborhood& hood,
+                         std::vector<double>* sums);
 
   /// Delta^ for every neighbour of `hood`; resizes `out` to hood.size().
   void OverEstimates(const Trace& trace, const SwapNeighborhood& hood,
-                     std::vector<double>* out) const;
+                     std::vector<double>* out);
 
  private:
   const InferenceGraph* graph_;
   QueryProcessor processor_;
+  /// J0, and the completion AddUnderEstimates patches to a trace's J and
+  /// restores to J0 afterwards.
+  Completion base_;
+  Completion patched_;
+  SwapNeighborhood::Scratch scratch_;
 };
 
 }  // namespace stratlearn

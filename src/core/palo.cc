@@ -106,21 +106,21 @@ bool Palo::Observe(const Trace& trace) {
   ++contexts_;
   ++samples_;
   trials_ += static_cast<int64_t>(hood_.size());
+  estimator_.AddUnderEstimates(trace, hood_, &under_sums_);
   std::vector<double> deltas;
-  estimator_.UnderEstimates(trace, hood_, &deltas);
-  for (size_t j = 0; j < deltas.size(); ++j) under_sums_[j] += deltas[j];
   estimator_.OverEstimates(trace, hood_, &deltas);
   for (size_t j = 0; j < deltas.size(); ++j) over_sums_[j] += deltas[j];
   if (handles_.contexts != nullptr) handles_.contexts->Increment();
   if (contexts_ % options_.test_every != 0) return false;
 
-  // Climb exactly like PIB, at confidence delta/2.
+  // Climb exactly like PIB, at confidence delta/2: one Equation-6 factor
+  // per round, times each neighbour's range.
+  const double factor = SequentialSumFactor(
+      samples_, std::max<int64_t>(1, trials_), options_.delta / 2.0);
   for (size_t j = 0; j < hood_.size(); ++j) {
     const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
     const double under_sum = under_sums_[j];
-    double threshold = SequentialSumThreshold(samples_, std::max<int64_t>(
-                                                  1, trials_),
-                                              options_.delta / 2.0, n.range);
+    double threshold = n.range * factor;
     if (under_sum > 0.0 && under_sum >= threshold) {
       ++moves_;
       if (handles_.moves != nullptr) handles_.moves->Increment();

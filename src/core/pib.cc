@@ -38,11 +38,14 @@ void Pib::set_observer(obs::Observer* observer) {
   handles_.moves = &r->GetCounter("pib.moves");
 }
 
+double Pib::ThresholdFactor() const {
+  if (samples_ == 0 || trials_ == 0) return 0.0;
+  return SequentialSumFactor(samples_, trials_, options_.delta);
+}
+
 double Pib::ThresholdFor(size_t neighbor) const {
   STRATLEARN_CHECK(neighbor < hood_.size());
-  if (samples_ == 0 || trials_ == 0) return 0.0;
-  return SequentialSumThreshold(samples_, trials_, options_.delta,
-                                hood_.neighbors()[neighbor].range);
+  return hood_.neighbors()[neighbor].range * ThresholdFactor();
 }
 
 double Pib::DeltaSumFor(size_t neighbor) const {
@@ -59,12 +62,13 @@ PibSnapshot Pib::Snapshot() const {
   snap.current_test_delta =
       trials_ > 0 ? SequentialDelta(trials_, options_.delta) : 0.0;
   snap.neighbors.reserve(hood_.size());
+  const double factor = ThresholdFactor();
   for (size_t j = 0; j < hood_.size(); ++j) {
     const SwapNeighborhood::Neighbor& n = hood_.neighbors()[j];
     PibSnapshot::Neighbor view;
     view.swap = n.swap.ToString(*graph_);
     view.delta_sum = delta_sums_[j];
-    view.threshold = ThresholdFor(j);
+    view.threshold = n.range * factor;
     view.margin = view.delta_sum - view.threshold;
     view.range = n.range;
     snap.neighbors.push_back(std::move(view));
@@ -173,9 +177,7 @@ bool Pib::Observe(const Trace& trace) {
   ++contexts_;
   ++samples_;
   trials_ += static_cast<int64_t>(hood_.size());
-  std::vector<double> deltas;
-  estimator_.UnderEstimates(trace, hood_, &deltas);
-  for (size_t j = 0; j < deltas.size(); ++j) delta_sums_[j] += deltas[j];
+  estimator_.AddUnderEstimates(trace, hood_, &delta_sums_);
   if (handles_.contexts != nullptr) {
     handles_.contexts->Increment();
     handles_.trials->Increment(static_cast<int64_t>(hood_.size()));
@@ -184,15 +186,17 @@ bool Pib::Observe(const Trace& trace) {
 
   // One test round: the first neighbour (in T order) whose sum crosses
   // its Equation-6 threshold wins; the largest-margin neighbour is
-  // reported either way so traces show how close the round came.
+  // reported either way so traces show how close the round came. Every
+  // neighbour's threshold is its range times the round's one factor.
   const size_t k = hood_.size();
+  const double factor = ThresholdFactor();
   size_t fired = k;
   size_t best = k;
   double best_margin = 0.0;
   double best_threshold = 0.0;
   double fired_threshold = 0.0;
   for (size_t j = 0; j < k; ++j) {
-    double threshold = ThresholdFor(j);
+    double threshold = hood_.neighbors()[j].range * factor;
     double margin = delta_sums_[j] - threshold;
     if (best == k || margin > best_margin) {
       best = j;

@@ -105,7 +105,8 @@ class Pib {
   const std::vector<Move>& moves() const { return moves_; }
 
   /// The current Equation-6 threshold for neighbour `j` (for
-  /// introspection and the ablation benches).
+  /// introspection and the ablation benches): its range times
+  /// SequentialSumFactor, 0 before any sample or trial.
   double ThresholdFor(size_t neighbor) const;
   double DeltaSumFor(size_t neighbor) const;
   size_t num_neighbors() const { return hood_.size(); }
@@ -156,6 +157,9 @@ class Pib {
   obs::DecisionCertificateEvent MakeAuditCertificate(size_t neighbor,
                                                      const char* verdict,
                                                      double threshold);
+  /// The current round's Equation-6 factor (0 before any sample or
+  /// trial), shared by every neighbour's threshold.
+  double ThresholdFactor() const;
 
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;

@@ -10,7 +10,8 @@ Pib1::Pib1(const InferenceGraph* graph, Strategy current, SiblingSwap swap,
     : estimator_(graph),
       hood_(*graph, std::move(current), {swap}),
       options_(options),
-      range_(SwapRange(*graph, hood_.strategy(), swap)) {
+      range_(SwapRange(*graph, hood_.strategy(), swap)),
+      delta_sums_(hood_.size(), 0.0) {
   STRATLEARN_CHECK(options_.delta > 0.0 && options_.delta < 1.0);
   set_observer(observer);
 }
@@ -27,20 +28,18 @@ void Pib1::set_observer(obs::Observer* observer) {
 
 void Pib1::Observe(const Trace& trace) {
   // A no-op swap has no neighbour: its Delta is identically zero.
-  std::vector<double> deltas;
-  estimator_.UnderEstimates(trace, hood_, &deltas);
-  if (!deltas.empty()) delta_sum_ += deltas[0];
+  estimator_.AddUnderEstimates(trace, hood_, &delta_sums_);
   ++samples_;
   if (observer_ == nullptr) return;
   if (handles_.samples != nullptr) {
     handles_.samples->Increment();
-    handles_.delta_sum->Set(delta_sum_);
+    handles_.delta_sum->Set(delta_sum());
     handles_.threshold->Set(Threshold());
   }
   if (obs::TraceSink* sink = observer_->sink()) {
     sink->On(obs::SequentialTestEvent{
         observer_->NowUs(), "pib1", samples_, samples_, /*trial_count=*/1,
-        /*best_neighbor=*/0, delta_sum_, Threshold(), ShouldSwitch()});
+        /*best_neighbor=*/0, delta_sum(), Threshold(), ShouldSwitch()});
     // The one-shot filter's single decision: certify the first
     // observation on which Equation 2 declares the alternative better.
     // The whole delta budget is spent on this one test.
@@ -55,10 +54,10 @@ void Pib1::Observe(const Trace& trace) {
       e.samples = samples_;
       e.trials = 1;
       e.subject = 0;
-      e.mean = delta_sum_ / static_cast<double>(samples_);
-      e.delta_sum = delta_sum_;
+      e.mean = delta_sum() / static_cast<double>(samples_);
+      e.delta_sum = delta_sum();
       e.threshold = Threshold();
-      e.margin = delta_sum_ - e.threshold;
+      e.margin = delta_sum() - e.threshold;
       e.range = range_;
       e.epsilon_n = range_ > 0.0
                         ? HoeffdingDeviation(samples_, options_.delta, range_)
@@ -82,7 +81,7 @@ double Pib1::Threshold() const {
 
 bool Pib1::ShouldSwitch() const {
   if (samples_ == 0) return false;
-  return delta_sum_ >= Threshold() && delta_sum_ > 0.0;
+  return delta_sum() >= Threshold() && delta_sum() > 0.0;
 }
 
 ThreeCounterPib1::ThreeCounterPib1(double fstar_first, double fstar_second,

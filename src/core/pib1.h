@@ -2,6 +2,7 @@
 #define STRATLEARN_CORE_PIB1_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/delta_estimator.h"
 #include "core/transformations.h"
@@ -47,7 +48,9 @@ class Pib1 {
     return hood_.size() > 0 ? hood_.neighbors()[0].strategy : current();
   }
 
-  double delta_sum() const { return delta_sum_; }
+  double delta_sum() const {
+    return delta_sums_.empty() ? 0.0 : delta_sums_[0];
+  }
   int64_t samples() const { return samples_; }
   /// The current Equation-2 threshold (0 before any samples).
   double Threshold() const;
@@ -61,7 +64,9 @@ class Pib1 {
   SwapNeighborhood hood_;
   Options options_;
   double range_;
-  double delta_sum_ = 0.0;
+  /// The Delta~ sum of the neighbourhood's one neighbour (none when the
+  /// swap is a no-op).
+  std::vector<double> delta_sums_;
   int64_t samples_ = 0;
   /// Audit mode: the stop certificate is emitted once, on the first
   /// observation where ShouldSwitch() becomes true.

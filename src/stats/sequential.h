@@ -15,10 +15,17 @@ namespace stratlearn {
 /// delta_i = delta * 6 / (pi^2 * i^2) for the i-th test (i >= 1).
 double SequentialDelta(int64_t test_index, double delta);
 
-/// Equation 6's threshold on the Delta~ sum after |S| = n samples of the
-/// current strategy, when the cumulative number of (strategy, neighbour)
-/// trials so far is `trial_count` = i:
-///   range * sqrt(n/2 * ln(i^2 * pi^2 / (6 * delta))).
+/// The factor Equation 6's threshold shares across one test round's
+/// neighbours: sqrt(n/2 * ln(i^2 * pi^2 / (6 * delta))) after |S| = n
+/// samples of the current strategy, when the cumulative number of
+/// (strategy, neighbour) trials so far is `trial_count` = i. A negative
+/// log (very small i) is clamped to 0.
+double SequentialSumFactor(int64_t n, int64_t trial_count, double delta);
+
+/// Equation 6's threshold on one neighbour's Delta~ sum:
+/// range * SequentialSumFactor(n, trial_count, delta), the same double.
+/// A learner computes the factor once per round and multiplies it by
+/// each neighbour's range (> 0).
 double SequentialSumThreshold(int64_t n, int64_t trial_count, double delta,
                               double range);
 

@@ -1,6 +1,7 @@
 #ifndef STRATLEARN_UTIL_STRING_UTIL_H_
 #define STRATLEARN_UTIL_STRING_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -50,6 +51,28 @@ bool ParseInteger(std::string_view token, T* out) {
     *out = static_cast<T>(value);
   }
   return true;
+}
+
+/// Reads the value of a "--name=value" argument strictly as a T
+/// (ParseDouble for double, ParseInteger otherwise). On a bad value
+/// returns false and sets `*error` to a message naming the flag.
+template <typename T>
+bool ParseFlagValue(std::string_view arg, T* out, std::string* error) {
+  const size_t eq = std::min(arg.find('='), arg.size());
+  const std::string_view value = arg.substr(std::min(eq + 1, arg.size()));
+  bool ok = false;
+  const char* expected = "a number";
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ParseDouble(value, out);
+  } else {
+    ok = ParseInteger(value, out);
+    expected = std::is_signed_v<T> ? "an integer" : "a non-negative integer";
+  }
+  if (!ok) {
+    *error = std::string(arg.substr(0, eq)) + " takes " + expected +
+             ", not '" + std::string(value) + "'";
+  }
+  return ok;
 }
 
 /// Joins `pieces` with `sep` between them.

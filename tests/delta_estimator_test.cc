@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 
@@ -208,9 +209,21 @@ Strategy RandomContiguous(const InferenceGraph& g, Rng& rng) {
   return Strategy::FromLeafOrder(g, leaves);
 }
 
-// Every neighbour's Delta~ and Delta^ from the incremental path equal the
-// per-neighbour replay on every context: exactly with integer costs, to
-// 1e-9 with fractional ones; and Delta~ <= Delta <= Delta^ still holds.
+/// Random starting sums: a learner's sums mid-epoch (never -0.0, which no
+/// sum that starts at +0.0 can hold).
+std::vector<double> RandomSums(Rng& rng, size_t n) {
+  std::vector<double> sums(n, 0.0);
+  for (double& s : sums) {
+    if (rng.NextBernoulli(0.75)) s = rng.NextUniform(-40.0, 40.0);
+  }
+  return sums;
+}
+
+// AddUnderEstimates adds to random starting sums exactly what the full
+// Costs path gives, bit for bit, and the per-neighbour replay's Delta~
+// (exactly with integer costs, to 1e-9 with fractional ones); Delta^
+// equals the replay the same way; and Delta~ <= Delta <= Delta^ holds on
+// every context.
 class IncrementalDeltaProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalDeltaProperty, MatchesReplayOnEveryContext) {
@@ -224,27 +237,35 @@ TEST_P(IncrementalDeltaProperty, MatchesReplayOnEveryContext) {
   ASSERT_GT(hood.size(), 0u);
 
   const size_t n = g.num_experiments();
-  std::vector<double> under, over;
+  SwapNeighborhood::Scratch scratch;
+  std::vector<double> costs, over;
   for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
     Context ctx = Context::FromMask(n, mask);
     Trace trace = qp.Execute(hood.strategy(), ctx);
-    estimator.UnderEstimates(trace, hood, &under);
+    const std::vector<double> start = RandomSums(rng, hood.size());
+    std::vector<double> sums = start;
+    estimator.AddUnderEstimates(trace, hood, &sums);
+    hood.Costs(estimator.Pessimistic(trace), &scratch, &costs);
     estimator.OverEstimates(trace, hood, &over);
-    ASSERT_EQ(under.size(), hood.size());
+    ASSERT_EQ(sums.size(), hood.size());
+    ASSERT_EQ(costs.size(), hood.size());
     ASSERT_EQ(over.size(), hood.size());
     for (size_t j = 0; j < hood.size(); ++j) {
+      EXPECT_EQ(sums[j], start[j] + (trace.cost - costs[j]))
+          << "mask=" << mask << " j=" << j;
       const Strategy& alt = hood.neighbors()[j].strategy;
       double under_ref = estimator.UnderEstimate(trace, alt);
       double over_ref = estimator.OverEstimate(trace, alt);
       if (integer) {
-        EXPECT_EQ(under[j], under_ref) << "mask=" << mask << " j=" << j;
+        EXPECT_EQ(sums[j], start[j] + under_ref) << "mask=" << mask;
         EXPECT_EQ(over[j], over_ref) << "mask=" << mask << " j=" << j;
       } else {
-        EXPECT_NEAR(under[j], under_ref, 1e-9) << "mask=" << mask;
+        EXPECT_NEAR(sums[j], start[j] + under_ref, 1e-9) << "mask=" << mask;
         EXPECT_NEAR(over[j], over_ref, 1e-9) << "mask=" << mask;
       }
       double exact = estimator.ExactDelta(hood.strategy(), alt, ctx);
-      EXPECT_LE(under[j], exact + 1e-9) << "mask=" << mask << " j=" << j;
+      EXPECT_LE(trace.cost - costs[j], exact + 1e-9)
+          << "mask=" << mask << " j=" << j;
       EXPECT_GE(over[j], exact - 1e-9) << "mask=" << mask << " j=" << j;
     }
   }
@@ -260,6 +281,7 @@ TEST_P(IncrementalDeltaProperty, RegionIdentityHoldsForAnyCompletion) {
   DeltaEstimator estimator(&g);
   SwapNeighborhood hood(g, RandomContiguous(g, rng), AllSiblingSwaps(g));
   ASSERT_TRUE(hood.incremental());
+  SwapNeighborhood::Scratch scratch;
   std::vector<double> costs;
   for (int trial = 0; trial < 200; ++trial) {
     Completion k;
@@ -270,7 +292,7 @@ TEST_P(IncrementalDeltaProperty, RegionIdentityHoldsForAnyCompletion) {
       k.cost.push_back(arc.cost +
                        (unblocked ? arc.success_cost : arc.failure_cost));
     }
-    hood.Costs(k, &costs);
+    hood.Costs(k, &scratch, &costs);
     ASSERT_EQ(costs.size(), hood.size());
     for (size_t j = 0; j < hood.size(); ++j) {
       double replay = estimator.Cost(hood.neighbors()[j].strategy, k);
@@ -317,65 +339,153 @@ TEST(SwapNeighborhoodTest, StrategyShapePicksThePath) {
                                dead_swaps)
                   .incremental());
 
-  // The fallback still gives the replay's estimates.
+  // Both fallbacks still give the replay's estimates, added to any sums.
   DeltaEstimator estimator(&dead);
   QueryProcessor qp(&dead);
-  SwapNeighborhood fallback(dead, depth_first, dead_swaps);
-  std::vector<double> under, over;
+  Rng rng(17);
+  const SwapNeighborhood fallbacks[] = {
+      SwapNeighborhood(dead, depth_first, dead_swaps),
+      SwapNeighborhood(
+          dead, Strategy::FromLeafOrder(dead, {g.d_b, g.d_c, g.d_a, g.d_d}),
+          dead_swaps)};
+  std::vector<double> over;
   const size_t n = dead.num_experiments();
-  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-    Trace trace = qp.Execute(depth_first, Context::FromMask(n, mask));
-    estimator.UnderEstimates(trace, fallback, &under);
-    estimator.OverEstimates(trace, fallback, &over);
-    for (size_t j = 0; j < fallback.size(); ++j) {
-      const Strategy& alt = fallback.neighbors()[j].strategy;
-      EXPECT_EQ(under[j], estimator.UnderEstimate(trace, alt));
-      EXPECT_EQ(over[j], estimator.OverEstimate(trace, alt));
+  for (const SwapNeighborhood& fallback : fallbacks) {
+    ASSERT_FALSE(fallback.incremental());
+    ASSERT_GT(fallback.size(), 0u);
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      Trace trace =
+          qp.Execute(fallback.strategy(), Context::FromMask(n, mask));
+      const std::vector<double> start = RandomSums(rng, fallback.size());
+      std::vector<double> sums = start;
+      estimator.AddUnderEstimates(trace, fallback, &sums);
+      estimator.OverEstimates(trace, fallback, &over);
+      for (size_t j = 0; j < fallback.size(); ++j) {
+        const Strategy& alt = fallback.neighbors()[j].strategy;
+        EXPECT_EQ(sums[j], start[j] + estimator.UnderEstimate(trace, alt));
+        EXPECT_EQ(over[j], estimator.OverEstimate(trace, alt));
+      }
     }
   }
 }
 
-// Injected faults inflate trace.cost above c(Theta, J) and the cost budget
-// truncates traces; PIB's sums must still be the replay's, bit for bit.
+// Injected faults (transient, timeout, cost spike, an open breaker)
+// inflate trace.cost above c(Theta, J), the cost budget truncates traces,
+// and stop_after_successes = 2 runs past the first success. Each makes
+// trace.cost - c(Theta, J) nonzero, which every neighbour outside the
+// entered regions adds; PIB's sums must still be the replay's, bit for
+// bit.
 TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
-  FigureTwoGraph g = MakeFigureTwo();
+  FigureTwoGraph fig = MakeFigureTwo();
+  Rng tree_rng(23);
+  InferenceGraph mixed = MakeMixedTree(tree_rng, /*integer=*/true);
   robust::FaultPlan plan;
   plan.seed = 3;
   plan.rules.push_back({robust::FaultKind::kTransient, 0.3, -1, 1.0});
+  plan.rules.push_back({robust::FaultKind::kTimeout, 0.15, -1, 2.0});
   plan.rules.push_back({robust::FaultKind::kCostSpike, 0.2, -1, 2.5});
+  plan.resilience.max_retries = 1;
   plan.resilience.cost_budget = 6.0;
   plan.resilience.breaker_threshold = 2;
   plan.resilience.breaker_cooldown = 4;
-  robust::FaultInjector injector(plan);
-  QueryProcessor qp(&g.graph);
-  qp.set_fault_injector(&injector);
-  IndependentOracle oracle({0.3, 0.4, 0.2, 0.6});
-  Pib pib(&g.graph, Strategy::DepthFirst(g.graph), PibOptions{.delta = 0.3});
-  DeltaEstimator estimator(&g.graph);
-  std::vector<double> reference(pib.num_neighbors(), 0.0);
-  int truncated = 0, inflated = 0;
-  Rng rng(11);
-  for (int i = 0; i < 3000; ++i) {
-    SwapNeighborhood hood(g.graph, pib.strategy(), AllSiblingSwaps(g.graph));
-    ASSERT_TRUE(hood.incremental());
-    Trace trace = qp.Execute(pib.strategy(), oracle.Next(rng));
-    truncated += trace.resolved ? 0 : 1;
-    inflated += trace.cost != estimator.Cost(pib.strategy(),
-                                             estimator.Pessimistic(trace));
-    for (size_t j = 0; j < hood.size(); ++j) {
-      reference[j] +=
-          estimator.UnderEstimate(trace, hood.neighbors()[j].strategy);
+  struct Case {
+    const InferenceGraph* graph;
+    Strategy initial;
+    bool faults;
+    int64_t stop_after_successes;
+  };
+  const Case cases[] = {
+      {&fig.graph, Strategy::DepthFirst(fig.graph), true, 1},
+      {&mixed, RandomContiguous(mixed, tree_rng), true, 1},
+      {&fig.graph, Strategy::DepthFirst(fig.graph), false, 2},
+      {&mixed, RandomContiguous(mixed, tree_rng), false, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "faults=" << c.faults << " arcs="
+                                    << c.graph->num_arcs());
+    const InferenceGraph& g = *c.graph;
+    robust::FaultInjector injector(plan);
+    QueryProcessor qp(&g);
+    if (c.faults) qp.set_fault_injector(&injector);
+    std::vector<double> probs(g.num_experiments(), 0.35);
+    IndependentOracle oracle(probs);
+    Pib pib(&g, c.initial, PibOptions{.delta = 0.3});
+    DeltaEstimator estimator(&g);
+    std::vector<double> reference(pib.num_neighbors(), 0.0);
+    int truncated = 0, inflated = 0, infra = 0, opened = 0, past_first = 0;
+    Rng rng(11);
+    for (int i = 0; i < 3000; ++i) {
+      SwapNeighborhood hood(g, pib.strategy(), AllSiblingSwaps(g));
+      ASSERT_TRUE(hood.incremental());
+      Trace trace =
+          qp.Execute(pib.strategy(), oracle.Next(rng),
+                     {.stop_after_successes = c.stop_after_successes});
+      truncated += trace.resolved ? 0 : 1;
+      inflated += trace.cost != estimator.Cost(pib.strategy(),
+                                               estimator.Pessimistic(trace));
+      infra += std::any_of(trace.attempts.begin(), trace.attempts.end(),
+                           [](const ArcAttempt& at) {
+                             return at.infra_failure;
+                           });
+      past_first += trace.successes > 1;
+      const robust::FaultInjectorState state = injector.SaveState();
+      opened += std::any_of(state.breakers.begin(), state.breakers.end(),
+                            [](const auto& b) { return b.open_until > 0; });
+      for (size_t j = 0; j < hood.size(); ++j) {
+        reference[j] +=
+            estimator.UnderEstimate(trace, hood.neighbors()[j].strategy);
+      }
+      if (pib.Observe(trace)) {
+        reference.assign(pib.num_neighbors(), 0.0);
+        continue;
+      }
+      for (size_t j = 0; j < pib.num_neighbors(); ++j) {
+        ASSERT_EQ(pib.DeltaSumFor(j), reference[j]) << "context " << i;
+      }
     }
-    if (pib.Observe(trace)) {
-      reference.assign(pib.num_neighbors(), 0.0);
-      continue;
-    }
-    for (size_t j = 0; j < pib.num_neighbors(); ++j) {
-      ASSERT_EQ(pib.DeltaSumFor(j), reference[j]) << "context " << i;
+    EXPECT_GT(inflated, 0);
+    if (c.faults) {
+      EXPECT_GT(truncated, 0);
+      EXPECT_GT(infra, 0);
+      EXPECT_GT(opened, 0);
+    } else {
+      EXPECT_GT(past_first, 0);
     }
   }
-  EXPECT_GT(truncated, 0);
-  EXPECT_GT(inflated, 0);
+}
+
+// One estimator fed interleaved traces of different strategies and
+// contexts, some faulted, restores J0 after each: every result equals a
+// fresh estimator's, bit for bit.
+TEST(IncrementalDeltaTest, PatchedCompletionIsRestoredAfterEveryTrace) {
+  Rng rng(31);
+  InferenceGraph g = MakeMixedTree(rng, /*integer=*/false);
+  std::vector<SwapNeighborhood> hoods;
+  for (int i = 0; i < 4; ++i) {
+    hoods.emplace_back(g, RandomContiguous(g, rng), AllSiblingSwaps(g));
+  }
+  hoods.emplace_back(g, Strategy::DepthFirst(g), AllSiblingSwaps(g));
+  robust::FaultPlan plan;
+  plan.seed = 5;
+  plan.rules.push_back({robust::FaultKind::kTransient, 0.3, -1, 1.0});
+  plan.rules.push_back({robust::FaultKind::kCostSpike, 0.2, -1, 2.5});
+  robust::FaultInjector injector(plan);
+  QueryProcessor plain(&g), faulted(&g);
+  faulted.set_fault_injector(&injector);
+  const size_t n = g.num_experiments();
+  DeltaEstimator shared(&g);
+  for (int i = 0; i < 500; ++i) {
+    const SwapNeighborhood& hood = hoods[rng.NextInt(0, 4)];
+    Context ctx = Context::FromMask(n, rng.NextInt(0, (int64_t{1} << n) - 1));
+    Trace trace = (i % 3 == 0 ? faulted : plain).Execute(hood.strategy(), ctx);
+    const std::vector<double> start = RandomSums(rng, hood.size());
+    std::vector<double> reused = start, fresh = start;
+    shared.AddUnderEstimates(trace, hood, &reused);
+    DeltaEstimator(&g).AddUnderEstimates(trace, hood, &fresh);
+    for (size_t j = 0; j < hood.size(); ++j) {
+      ASSERT_EQ(reused[j], fresh[j]) << "trace " << i << " j=" << j;
+    }
+  }
 }
 
 // A learner checkpointed mid-epoch and restored into a fresh instance

@@ -5,6 +5,7 @@
 #include "core/expected_cost.h"
 #include "core/upsilon.h"
 #include "graph/examples.h"
+#include "stats/sequential.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -97,6 +98,46 @@ TEST(PibTest, TrialCountGrowsByNeighborhoodSize) {
   pib.Observe(qp.Execute(pib.strategy(), none));
   EXPECT_EQ(pib.trial_count(), 6);
   EXPECT_EQ(pib.contexts_processed(), 2);
+}
+
+// ThresholdFor and Snapshot multiply one factor per round by each range;
+// every threshold must be SequentialSumThreshold's double, at several
+// points of a run that climbs.
+TEST(PibTest, ThresholdsAreSequentialSumThresholds) {
+  Rng tree_rng(21);
+  RandomTree tree = MakeRandomTree(tree_rng);
+  std::vector<double> probs(tree.probs.size(), 0.03);
+  probs.back() = 0.9;
+  IndependentOracle oracle(probs);
+  QueryProcessor qp(&tree.graph);
+  Pib pib(&tree.graph, Strategy::DepthFirst(tree.graph), {.delta = 0.3});
+  Rng rng(5);
+  auto check = [&](int at) {
+    PibSnapshot snap = pib.Snapshot();
+    ASSERT_EQ(snap.neighbors.size(), pib.num_neighbors());
+    for (size_t j = 0; j < pib.num_neighbors(); ++j) {
+      const double range = snap.neighbors[j].range;
+      const double expected =
+          pib.samples_in_epoch() == 0
+              ? 0.0
+              : SequentialSumThreshold(pib.samples_in_epoch(),
+                                       pib.trial_count(), 0.3, range);
+      EXPECT_EQ(pib.ThresholdFor(j), expected) << "at " << at << " j=" << j;
+      EXPECT_EQ(snap.neighbors[j].threshold, expected)
+          << "at " << at << " j=" << j;
+    }
+  };
+  check(0);
+  for (int i = 1; i <= 1500; ++i) {
+    const bool moved =
+        pib.Observe(qp.Execute(pib.strategy(), oracle.Next(rng)));
+    if (moved || i % 97 == 0) check(i);
+  }
+  EXPECT_GT(pib.moves().size(), 0u);
+  for (const Pib::Move& m : pib.moves()) {
+    EXPECT_GT(m.threshold, 0.0);
+    EXPECT_GE(m.delta_sum, m.threshold);
+  }
 }
 
 TEST(PibTest, TestEveryKDefersDecisions) {

@@ -6,6 +6,7 @@
 
 #include "stats/chernoff.h"
 #include "util/math_util.h"
+#include "util/rng.h"
 
 namespace stratlearn {
 namespace {
@@ -53,6 +54,30 @@ TEST(SequentialThresholdTest, GrowsSublinearlyWithSamples) {
   double t100 = SequentialSumThreshold(100, 10, 0.1, 1.0);
   double t400 = SequentialSumThreshold(400, 10, 0.1, 1.0);
   EXPECT_NEAR(t400 / t100, 2.0, 1e-9);  // sqrt scaling
+}
+
+TEST(SequentialThresholdTest, IsRangeTimesTheRoundsFactor) {
+  // A learner multiplies one factor per round by each neighbour's range;
+  // that must be the very double SequentialSumThreshold returns. A
+  // quarter of the draws take i <= 3, where the log term is smallest
+  // (its argument i^2 pi^2 / (6 delta) never drops below pi^2 / 6 > 1
+  // for delta < 1, so the clamp to 0 never fires on valid arguments).
+  Rng rng(61);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int64_t n = rng.NextInt(1, 1000000);
+    const int64_t i = trial % 4 == 0 ? rng.NextInt(1, 3)
+                                     : rng.NextInt(1, int64_t{1} << 40);
+    const double delta = rng.NextUniform(1e-9, 0.999);
+    const double range = trial % 2 == 0
+                             ? static_cast<double>(rng.NextInt(1, 500))
+                             : rng.NextUniform(1e-3, 1e3);
+    EXPECT_EQ(SequentialSumThreshold(n, i, delta, range),
+              range * SequentialSumFactor(n, i, delta))
+        << "n=" << n << " i=" << i << " delta=" << delta;
+  }
+  EXPECT_EQ(SequentialSumThreshold(7, 1, 0.99, 3.5),
+            3.5 * SequentialSumFactor(7, 1, 0.99));
+  EXPECT_GT(SequentialSumFactor(7, 1, 0.99), 0.0);
 }
 
 TEST(SequentialThresholdTest, NeverNegative) {

@@ -21,7 +21,6 @@
 // look like a clean (or merely empty) run.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -266,7 +265,11 @@ int Main(int argc, char** argv) {
     if (StartsWith(arg, "--format=")) {
       format = arg.substr(9);
     } else if (StartsWith(arg, "--last=")) {
-      last = std::atoll(arg.c_str() + 7);
+      std::string error;
+      if (!ParseFlagValue(arg, &last, &error)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+      }
       if (last <= 0) return Usage();
     } else if (StartsWith(arg, "--")) {
       return Usage();

@@ -185,7 +185,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -832,20 +831,24 @@ int CheckLearnerConfig(const CliOptions& options,
   return 2;
 }
 
-CliOptions ParseArgs(int argc, char** argv) {
+/// Every numeric flag is read strictly: a value that is not one whole
+/// number of the flag's type fails with a message naming the flag.
+Result<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
+  std::string error;
   for (int i = 2; i < argc; ++i) {
+    bool ok = true;
     std::string arg = argv[i];
     if (StartsWith(arg, "--delta=")) {
-      options.delta = std::atof(arg.c_str() + 8);
+      ok = ParseFlagValue(arg, &options.delta, &error);
     } else if (StartsWith(arg, "--epsilon=")) {
-      options.epsilon = std::atof(arg.c_str() + 10);
+      ok = ParseFlagValue(arg, &options.epsilon, &error);
     } else if (StartsWith(arg, "--queries=")) {
-      options.queries = std::atoll(arg.c_str() + 10);
+      ok = ParseFlagValue(arg, &options.queries, &error);
     } else if (arg == "--theorem3") {
       options.theorem3 = true;
     } else if (StartsWith(arg, "--seed=")) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      ok = ParseFlagValue(arg, &options.seed, &error);
     } else if (StartsWith(arg, "--strategy-out=")) {
       options.strategy_out = arg.substr(15);
     } else if (StartsWith(arg, "--metrics-out=")) {
@@ -857,11 +860,11 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (StartsWith(arg, "--metrics-export=")) {
       options.metrics_export = arg.substr(17);
     } else if (StartsWith(arg, "--export-every=")) {
-      options.export_every = std::atoll(arg.c_str() + 15);
+      ok = ParseFlagValue(arg, &options.export_every, &error);
     } else if (StartsWith(arg, "--timeseries-out=")) {
       options.timeseries_out = arg.substr(17);
     } else if (StartsWith(arg, "--timeseries-every=")) {
-      options.timeseries_every = std::atoll(arg.c_str() + 19);
+      ok = ParseFlagValue(arg, &options.timeseries_every, &error);
     } else if (StartsWith(arg, "--obs-clock=")) {
       options.obs_clock = arg.substr(12);
     } else if (StartsWith(arg, "--alerts=")) {
@@ -873,19 +876,19 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (StartsWith(arg, "--audit-out=")) {
       options.audit_out = arg.substr(12);
     } else if (StartsWith(arg, "--audit-every=")) {
-      options.audit_every = std::atoll(arg.c_str() + 14);
+      ok = ParseFlagValue(arg, &options.audit_every, &error);
     } else if (StartsWith(arg, "--audit-window=")) {
-      options.audit_window = std::atoll(arg.c_str() + 15);
+      ok = ParseFlagValue(arg, &options.audit_window, &error);
     } else if (StartsWith(arg, "--fault-plan=")) {
       options.fault_plan = arg.substr(13);
     } else if (StartsWith(arg, "--checkpoint=")) {
       options.checkpoint = arg.substr(13);
     } else if (StartsWith(arg, "--checkpoint-every=")) {
-      options.checkpoint_every = std::atoll(arg.c_str() + 19);
+      ok = ParseFlagValue(arg, &options.checkpoint_every, &error);
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (StartsWith(arg, "--halt-after=")) {
-      options.halt_after = std::atoll(arg.c_str() + 13);
+      ok = ParseFlagValue(arg, &options.halt_after, &error);
     } else if (StartsWith(arg, "--learner=")) {
       options.learner = arg.substr(10);
     } else if (StartsWith(arg, "--format=")) {
@@ -901,10 +904,11 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (StartsWith(arg, "--suppress-out=")) {
       options.suppress_out = arg.substr(15);
     } else if (StartsWith(arg, "--max-contexts=")) {
-      options.max_contexts = std::atoll(arg.c_str() + 15);
+      ok = ParseFlagValue(arg, &options.max_contexts, &error);
     } else {
       options.positional.push_back(arg);
     }
+    if (!ok) return Status::InvalidArgument(error);
   }
   return options;
 }
@@ -1593,7 +1597,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::string command = argv[1];
-  CliOptions options = ParseArgs(argc, argv);
+  Result<CliOptions> parsed = ParseArgs(argc, argv);
+  if (!parsed.ok()) return Fail(parsed.status().message());
+  const CliOptions& options = *parsed;
   if (command == "query") return CmdQuery(options);
   if (command == "dot") return CmdDot(options);
   if (command == "learn-pib") return CmdLearnPib(options);

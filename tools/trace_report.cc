@@ -21,7 +21,6 @@
 // line); unknown event types are skipped so newer traces stay readable.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -137,22 +136,24 @@ int RunDiff(const Options& options) {
 
 int Main(int argc, char** argv) {
   Options options;
+  std::string error;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    bool ok = true;
     if (StartsWith(arg, "--baseline=")) {
       options.baseline = arg.substr(11);
     } else if (StartsWith(arg, "--candidate=")) {
       options.candidate = arg.substr(12);
     } else if (StartsWith(arg, "--delta=")) {
-      options.delta = std::atof(arg.c_str() + 8);
+      ok = ParseFlagValue(arg, &options.delta, &error);
     } else if (StartsWith(arg, "--hot-share=")) {
-      options.hot_share = std::atof(arg.c_str() + 12);
+      ok = ParseFlagValue(arg, &options.hot_share, &error);
     } else if (StartsWith(arg, "--threshold=")) {
-      options.threshold = std::atof(arg.c_str() + 12);
+      ok = ParseFlagValue(arg, &options.threshold, &error);
     } else if (StartsWith(arg, "--abs-threshold=")) {
-      options.abs_threshold = std::atof(arg.c_str() + 16);
+      ok = ParseFlagValue(arg, &options.abs_threshold, &error);
     } else if (StartsWith(arg, "--min-attempts=")) {
-      options.min_attempts = std::atoll(arg.c_str() + 15);
+      ok = ParseFlagValue(arg, &options.min_attempts, &error);
     } else if (arg == "--json") {
       options.json = true;
     } else if (StartsWith(arg, "--")) {
@@ -163,6 +164,7 @@ int Main(int argc, char** argv) {
     } else {
       return Usage();
     }
+    if (!ok) return Fail(error);
   }
 
   bool diff_mode = !options.baseline.empty() || !options.candidate.empty();
