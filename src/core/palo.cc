@@ -92,6 +92,7 @@ Status Palo::RestoreCheckpoint(const Checkpoint& checkpoint) {
   }
   hood_ = std::move(hood);
   under_sums_ = checkpoint.neighbor_under_sums;
+  for (double& sum : under_sums_) sum += 0.0;  // no -0.0, as in Pib
   over_sums_ = checkpoint.neighbor_over_sums;
   contexts_ = checkpoint.contexts;
   trials_ = checkpoint.trials;

@@ -124,6 +124,10 @@ Status Pib::RestoreCheckpoint(const Checkpoint& checkpoint) {
   }
   hood_ = std::move(hood);
   delta_sums_ = checkpoint.neighbor_delta_sums;
+  // Observe skips the exact +0.0 a neighbour outside the entered regions
+  // would add, which is bit-neutral only for sums that never hold -0.0;
+  // a file may carry one, so it becomes +0.0 here.
+  for (double& sum : delta_sums_) sum += 0.0;
   contexts_ = checkpoint.contexts;
   trials_ = checkpoint.trials;
   samples_ = checkpoint.samples;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string>
 
@@ -485,6 +486,31 @@ TEST(IncrementalDeltaTest, PatchedCompletionIsRestoredAfterEveryTrace) {
     for (size_t j = 0; j < hood.size(); ++j) {
       ASSERT_EQ(reused[j], fresh[j]) << "trace " << i << " j=" << j;
     }
+  }
+}
+
+// Observe skips the +0.0 a neighbour outside the entered regions would
+// add, so a -0.0 sum read from a checkpoint file is stored as +0.0, the
+// value that add would have made of it.
+TEST(IncrementalDeltaTest, RestoredNegativeZeroSumsBecomePositiveZero) {
+  FigureTwoGraph g = MakeFigureTwo();
+  Pib pib(&g.graph, Strategy::DepthFirst(g.graph), PibOptions{.delta = 0.3});
+  Pib::Checkpoint checkpoint = pib.GetCheckpoint();
+  ASSERT_GT(checkpoint.neighbor_delta_sums.size(), 0u);
+  checkpoint.neighbor_delta_sums.assign(checkpoint.neighbor_delta_sums.size(),
+                                        -0.0);
+  ASSERT_TRUE(pib.RestoreCheckpoint(checkpoint).ok());
+  for (size_t j = 0; j < pib.num_neighbors(); ++j) {
+    EXPECT_FALSE(std::signbit(pib.DeltaSumFor(j))) << "j=" << j;
+  }
+  Palo palo(&g.graph, Strategy::DepthFirst(g.graph),
+            PaloOptions{.delta = 0.3, .epsilon = 0.05});
+  Palo::Checkpoint palo_checkpoint = palo.GetCheckpoint();
+  palo_checkpoint.neighbor_under_sums.assign(
+      palo_checkpoint.neighbor_under_sums.size(), -0.0);
+  ASSERT_TRUE(palo.RestoreCheckpoint(palo_checkpoint).ok());
+  for (double sum : palo.GetCheckpoint().neighbor_under_sums) {
+    EXPECT_FALSE(std::signbit(sum));
   }
 }
 
