@@ -21,6 +21,8 @@
 #include "obs/observer.h"
 #include "obs/profiler.h"
 #include "obs/sinks.h"
+#include "robust/fault_injector.h"
+#include "robust/fault_plan.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -51,6 +53,36 @@ void BM_ExecuteStrategy(benchmark::State& state) {
   state.counters["arcs"] = static_cast<double>(tree.graph.num_arcs());
 }
 BENCHMARK(BM_ExecuteStrategy)->Arg(3)->Arg(5)->Arg(7);
+
+// The same trees through the fault-injected walk, under the rules and
+// resilience policy of tests/testdata/faults_transient.plan.
+void BM_ExecuteStrategyFaulted(benchmark::State& state) {
+  RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
+  Strategy theta = Strategy::DepthFirst(tree.graph);
+  robust::FaultPlan plan;
+  plan.seed = 42;
+  plan.resilience.max_retries = 3;
+  plan.resilience.backoff_base = 0.25;
+  plan.resilience.backoff_multiplier = 2.0;
+  plan.resilience.backoff_cap = 2.0;
+  plan.resilience.breaker_threshold = 8;
+  plan.resilience.breaker_cooldown = 32;
+  plan.rules = {{robust::FaultKind::kTransient, 0.05, -1, 1.0},
+                {robust::FaultKind::kTimeout, 0.01, -1, 4.0},
+                {robust::FaultKind::kCorrupt, 0.005, -1, 1.0},
+                {robust::FaultKind::kCostSpike, 0.02, -1, 3.0}};
+  robust::FaultInjector injector(plan);
+  QueryProcessor qp(&tree.graph);
+  qp.set_fault_injector(&injector);
+  IndependentOracle oracle(tree.probs);
+  Rng rng(7);
+  Context ctx = oracle.Next(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qp.Execute(theta, ctx));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecuteStrategyFaulted)->Arg(3)->Arg(5)->Arg(7);
 
 // Same hot path with a metrics-only observer attached: the price of
 // qp.* counters and wall-time histograms (no trace sink).

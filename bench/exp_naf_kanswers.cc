@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "apps/kanswers.h"
 #include "apps/naf.h"
 #include "core/expected_cost.h"
 #include "datalog/parser.h"
@@ -80,8 +79,9 @@ int main() {
   bool monotone = true;
   double prev = 0.0;
   for (int k = 1; k <= 4; ++k) {
-    double c_dfs = EnumeratedExpectedCostK(g.graph, dfs, probs, k);
-    double c_rev = EnumeratedExpectedCostK(g.graph, reversed, probs, k);
+    const ExecutionOptions first_k{.stop_after_successes = k};
+    double c_dfs = EnumeratedExpectedCost(g.graph, dfs, probs, first_k);
+    double c_rev = EnumeratedExpectedCost(g.graph, reversed, probs, first_k);
     monotone &= c_dfs >= prev - 1e-9;
     prev = c_dfs;
     k_table.AddRow({Int(k), Num(c_dfs), Num(c_rev),
@@ -90,8 +90,9 @@ int main() {
   k_table.Print();
 
   // At k = 4 (all answers) both strategies cost exactly the total.
-  double c4a = EnumeratedExpectedCostK(g.graph, dfs, probs, 4);
-  double c4b = EnumeratedExpectedCostK(g.graph, reversed, probs, 4);
+  const ExecutionOptions all_answers{.stop_after_successes = 4};
+  double c4a = EnumeratedExpectedCost(g.graph, dfs, probs, all_answers);
+  double c4b = EnumeratedExpectedCost(g.graph, reversed, probs, all_answers);
   bool converge = std::abs(c4a - g.graph.TotalCost()) < 1e-9 &&
                   std::abs(c4b - g.graph.TotalCost()) < 1e-9;
 

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "apps/kanswers.h"
 #include "apps/naf.h"
 #include "core/expected_cost.h"
 #include "datalog/parser.h"
@@ -73,7 +72,8 @@ int main() {
   Strategy theta = Strategy::DepthFirst(g.graph);
   for (int k = 1; k <= 4; ++k) {
     std::printf("first-%d-answers expected cost on G_B: %.3f\n", k,
-                EnumeratedExpectedCostK(g.graph, theta, probs, k));
+                EnumeratedExpectedCost(g.graph, theta, probs,
+                                       {.stop_after_successes = k}));
   }
   std::printf("(exhaustive cost would be %.1f)\n", g.graph.TotalCost());
   return 0;

@@ -13,30 +13,15 @@ ArcId ArcAbove(const InferenceGraph& graph, ArcId a) {
   return graph.node(graph.arc(a).from).incoming;
 }
 
-/// Runs `arcs` under completion `k` like QueryProcessor::Execute: arcs
-/// whose tail is unreached are skipped, every attempted arc pays its cost
-/// under `k`, and the run stops at the first success. Fills `reached`
-/// with the nodes it reached and sets `*stop` to the position of the arc
-/// that reached a success, or arcs.size() when none did.
-double Run(const InferenceGraph& graph, const std::vector<ArcId>& arcs,
-           const Completion& k, std::vector<char>* reached, size_t* stop) {
-  reached->assign(graph.num_nodes(), 0);
-  (*reached)[graph.root()] = 1;
-  *stop = arcs.size();
-  double cost = 0.0;
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    const ArcId a = arcs[i];
-    const Arc& arc = graph.arc(a);
-    if (!(*reached)[arc.from]) continue;
-    cost += k.cost[a];
-    if (!k.unblocked[a]) continue;
-    (*reached)[arc.to] = 1;
-    if (graph.node(arc.to).is_success) {
-      *stop = i;
-      break;
-    }
-  }
-  return cost;
+/// c(arcs, K): the satisficing walk of `arcs` with each arc's outcome
+/// and attempt cost read from completion `k`.
+double RunUnder(const InferenceGraph& graph, const std::vector<ArcId>& arcs,
+                const Completion& k, std::vector<char>* reached) {
+  return SatisficingWalk(graph, arcs, /*stop_after=*/1, kNoBudget, reached,
+                         [&k](ArcId a, const Arc&) {
+                           return WalkStep{k.unblocked[a] != 0, k.cost[a]};
+                         })
+      .cost;
 }
 
 using Block = SwapNeighborhood::Scratch::Block;
@@ -268,9 +253,8 @@ double SwapNeighborhood::NeighborCost(size_t j, const Completion& k,
                                       double theta_cost, size_t stop,
                                       Scratch* scratch) const {
   if (!incremental_) {
-    size_t replay_stop = 0;
-    return Run(*graph_, neighbors_[j].strategy.arcs(), k, &scratch->reached,
-               &replay_stop);
+    return RunUnder(*graph_, neighbors_[j].strategy.arcs(), k,
+                    &scratch->reached);
   }
   const Region& r = regions_[j];
   if (stop < r.start || !scratch->ok[r.parent_pos]) {
@@ -380,8 +364,7 @@ std::vector<Completion> DeltaEstimator::Optimistic(const Trace& trace) const {
 double DeltaEstimator::Cost(const Strategy& strategy,
                             const Completion& k) const {
   std::vector<char> reached;
-  size_t stop = 0;
-  return Run(*graph_, strategy.arcs(), k, &reached, &stop);
+  return RunUnder(*graph_, strategy.arcs(), k, &reached);
 }
 
 double DeltaEstimator::UnderEstimate(const Trace& trace,

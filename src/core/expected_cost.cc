@@ -105,7 +105,8 @@ double ExactExpectedCost(const InferenceGraph& graph, const Strategy& strategy,
 
 double EnumeratedExpectedCost(const InferenceGraph& graph,
                               const Strategy& strategy,
-                              const std::vector<double>& probs) {
+                              const std::vector<double>& probs,
+                              const ExecutionOptions& options) {
   size_t n = graph.num_experiments();
   STRATLEARN_CHECK_MSG(n <= 20, "EnumeratedExpectedCost is a test oracle");
   STRATLEARN_CHECK(probs.size() == n);
@@ -117,19 +118,21 @@ double EnumeratedExpectedCost(const InferenceGraph& graph,
       weight *= ((mask >> i) & 1) ? probs[i] : 1.0 - probs[i];
     }
     if (weight == 0.0) continue;
-    expected += weight * qp.Cost(strategy, Context::FromMask(n, mask));
+    expected +=
+        weight * qp.Execute(strategy, Context::FromMask(n, mask), options).cost;
   }
   return expected;
 }
 
 double MonteCarloExpectedCost(const InferenceGraph& graph,
                               const Strategy& strategy, ContextOracle& oracle,
-                              int64_t samples, Rng& rng) {
+                              int64_t samples, Rng& rng,
+                              const ExecutionOptions& options) {
   STRATLEARN_CHECK(samples > 0);
   QueryProcessor qp(&graph);
   double total = 0.0;
   for (int64_t i = 0; i < samples; ++i) {
-    total += qp.Cost(strategy, oracle.Next(rng));
+    total += qp.Execute(strategy, oracle.Next(rng), options).cost;
   }
   return total / static_cast<double>(samples);
 }

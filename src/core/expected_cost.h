@@ -38,16 +38,19 @@ bool IsLeafOnlyExperiments(const InferenceGraph& graph);
 
 /// Expected cost by exhaustive enumeration of all 2^n contexts; exact for
 /// any dependence-free distribution but exponential — test oracle only
-/// (n <= 24 enforced).
+/// (n <= 20 enforced). `options` selects the search, e.g. Section 5.2's
+/// first-k-answers with `stop_after_successes = k`.
 double EnumeratedExpectedCost(const InferenceGraph& graph,
                               const Strategy& strategy,
-                              const std::vector<double>& probs);
+                              const std::vector<double>& probs,
+                              const ExecutionOptions& options = {});
 
 /// Monte-Carlo estimate of C[Theta] over an arbitrary context oracle
-/// (the only option when experiments are dependent).
+/// (the only option when experiments are dependent), under `options`.
 double MonteCarloExpectedCost(const InferenceGraph& graph,
                               const Strategy& strategy, ContextOracle& oracle,
-                              int64_t samples, Rng& rng);
+                              int64_t samples, Rng& rng,
+                              const ExecutionOptions& options = {});
 
 /// Exhaustively searches all leaf orderings (lazy strategies) for the
 /// minimum expected cost. Exponential: requires at most

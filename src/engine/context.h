@@ -45,7 +45,6 @@ class Context {
         resolver_(resolver),
         query_(query) {}
 
-  static Context AllBlocked(size_t n) { return Context(n); }
   static Context AllUnblocked(size_t n) {
     Context c(n);
     for (size_t i = 0; i < n; ++i) c.outcomes_[i] = 1;
@@ -66,19 +65,11 @@ class Context {
     outcomes_[experiment] = unblocked ? 1 : 0;
   }
 
-  /// Negates the outcome of `experiment`; an unresolved outcome is
-  /// negated when it is resolved.
-  void Flip(size_t experiment) {
-    STRATLEARN_CHECK(experiment < outcomes_.size());
-    outcomes_[experiment] ^= 1;
-  }
-
   bool Unblocked(size_t experiment) const {
     STRATLEARN_CHECK(experiment < outcomes_.size());
     uint8_t& outcome = outcomes_[experiment];
-    if (outcome & kUnresolved) [[unlikely]] {
-      outcome = (resolver_->Resolve(query_, experiment) ? 1 : 0) ^
-                (outcome & 1);
+    if (outcome == kUnresolved) [[unlikely]] {
+      outcome = resolver_->Resolve(query_, experiment) ? 1 : 0;
     }
     return outcome != 0;
   }
@@ -103,8 +94,8 @@ class Context {
   }
 
  private:
-  /// Bit 1 marks an unresolved outcome, whose bit 0 then holds a
-  /// pending Flip; a resolved outcome is 0 (blocked) or 1 (unblocked).
+  /// Marks an unresolved outcome; a resolved outcome is 0 (blocked) or 1
+  /// (unblocked).
   static constexpr uint8_t kUnresolved = 2;
 
   mutable std::vector<uint8_t> outcomes_;

@@ -1,18 +1,12 @@
 #include "engine/query_processor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "robust/fault_injector.h"
 #include "util/check.h"
 
 namespace stratlearn {
-
-bool Trace::Attempted(const InferenceGraph& graph, int experiment) const {
-  for (const ArcAttempt& a : attempts) {
-    if (graph.arc(a.arc).experiment == experiment) return true;
-  }
-  return false;
-}
 
 void QueryProcessor::set_observer(obs::Observer* observer) {
   observer_ = observer;
@@ -46,10 +40,7 @@ Trace QueryProcessor::ExecuteObserved(const Strategy& strategy,
   obs::TraceSink* sink = observer_->sink();
   if (sink != nullptr) sink->On(obs::QueryStartEvent{query_index, t0});
 
-  Trace trace =
-      injector_ != nullptr
-          ? ExecuteResilient(strategy, context, options, sink, query_index)
-          : ExecuteImpl(strategy, context, options);
+  Trace trace = Walk(strategy, context, options, sink, query_index);
   int64_t t1 = observer_->NowUs();
 
   if (handles_.queries != nullptr) {
@@ -78,209 +69,164 @@ Trace QueryProcessor::ExecuteObserved(const Strategy& strategy,
   return trace;
 }
 
-Trace QueryProcessor::ExecuteImpl(const Strategy& strategy,
-                                  const Context& context,
-                                  const ExecutionOptions& options) const {
+Trace QueryProcessor::Walk(const Strategy& strategy, const Context& context,
+                           const ExecutionOptions& options,
+                           obs::TraceSink* sink, int64_t query_index) const {
   STRATLEARN_CHECK(context.num_experiments() == graph_->num_experiments());
   Trace trace;
-  std::vector<char> visited(graph_->num_nodes(), 0);
-  visited[graph_->root()] = 1;
-
-  for (ArcId a : strategy.arcs()) {
-    const Arc& arc = graph_->arc(a);
-    if (!visited[arc.from]) continue;  // unreachable: skipped at no cost
+  std::vector<char> reached;
+  // The context's outcome at the arc's nominal cost.
+  auto nominal = [&](ArcId a, const Arc& arc) {
     bool unblocked = arc.experiment < 0 ||
                      context.Unblocked(static_cast<size_t>(arc.experiment));
-    double attempt_cost =
-        arc.cost + (unblocked ? arc.success_cost : arc.failure_cost);
-    trace.cost += attempt_cost;
-    trace.attempts.push_back({a, unblocked, false, attempt_cost});
-    if (!unblocked) continue;
-    visited[arc.to] = 1;
-    if (graph_->node(arc.to).is_success) {
-      ++trace.successes;
-      if (trace.first_success_arc == kInvalidArc) trace.first_success_arc = a;
-      if (trace.successes >= options.stop_after_successes) break;
-    }
-  }
-  trace.success = trace.successes >= options.stop_after_successes;
-  return trace;
-}
-
-Trace QueryProcessor::ExecuteResilient(const Strategy& strategy,
-                                       const Context& context,
-                                       const ExecutionOptions& options,
-                                       obs::TraceSink* sink,
-                                       int64_t query_index) const {
-  STRATLEARN_CHECK(context.num_experiments() == graph_->num_experiments());
-  const robust::ResilienceOptions& res = injector_->resilience();
-  // The breaker clock is the injector's own query counter, independent of
-  // the observer's ordinal, so checkpointed resumption replays cooldowns
-  // exactly even when the observed ordinal restarts.
-  int64_t rq = injector_->BeginQuery();
-
-  Trace trace;
-  std::vector<char> visited(graph_->num_nodes(), 0);
-  visited[graph_->root()] = 1;
-
-  for (ArcId a : strategy.arcs()) {
-    const Arc& arc = graph_->arc(a);
-    if (!visited[arc.from]) continue;
-    if (res.cost_budget > 0.0 && trace.cost >= res.cost_budget) {
+    double cost = arc.cost + (unblocked ? arc.success_cost : arc.failure_cost);
+    trace.attempts.push_back({a, unblocked, false, cost});
+    return WalkStep{unblocked, cost};
+  };
+  WalkResult walk;
+  if (injector_ == nullptr) {
+    walk = SatisficingWalk(*graph_, strategy.arcs(),
+                           options.stop_after_successes, kNoBudget, &reached,
+                           nominal);
+  } else {
+    const double budget = injector_->resilience().cost_budget;
+    // The breaker clock is the injector's own query counter, independent
+    // of the observer's ordinal, so checkpointed resumption replays
+    // cooldowns exactly even when the observed ordinal restarts.
+    const int64_t rq = injector_->BeginQuery();
+    walk = SatisficingWalk(
+        *graph_, strategy.arcs(), options.stop_after_successes,
+        budget > 0.0 ? budget : kNoBudget,
+        &reached, [&](ArcId a, const Arc& arc) {
+          // Deterministic arcs model local computation, not retrievals;
+          // the fault model leaves them alone.
+          if (arc.experiment < 0) return nominal(a, arc);
+          const ArcAttempt at =
+              AttemptWithFaults(a, arc, context, rq, sink, query_index);
+          trace.attempts.push_back(at);
+          return WalkStep{at.unblocked, at.cost};
+        });
+    if (!walk.resolved) {
       // Budget exhausted: the query degrades to "unresolved" rather than
-      // running (or crashing) on. The truncated trace under-states
-      // c(Theta, I), which Delta~ tolerates by construction.
-      trace.resolved = false;
+      // running (or crashing) on.
       if (handles_.degraded != nullptr) handles_.degraded->Increment();
       if (sink != nullptr) {
         sink->On(obs::DegradedEvent{
-            observer_->NowUs(), query_index, trace.cost, res.cost_budget,
+            observer_->NowUs(), query_index, walk.cost, budget,
             static_cast<int64_t>(trace.attempts.size())});
       }
-      break;
     }
+  }
+  trace.cost = walk.cost;
+  trace.successes = walk.successes;
+  trace.success = walk.successes >= options.stop_after_successes;
+  trace.first_success_arc = walk.first_success_arc;
+  trace.resolved = walk.resolved;
+  return trace;
+}
 
-    if (arc.experiment < 0) {
-      // Deterministic arcs model local computation, not retrievals; the
-      // fault model leaves them alone.
-      bool unblocked = true;
-      double attempt_cost = arc.cost + arc.success_cost;
-      trace.cost += attempt_cost;
-      trace.attempts.push_back({a, unblocked, false, attempt_cost});
-      visited[arc.to] = 1;
-      if (graph_->node(arc.to).is_success) {
-        ++trace.successes;
-        if (trace.first_success_arc == kInvalidArc) {
-          trace.first_success_arc = a;
-        }
-        if (trace.successes >= options.stop_after_successes) break;
-      }
-      continue;
+ArcAttempt QueryProcessor::AttemptWithFaults(ArcId a, const Arc& arc,
+                                             const Context& context,
+                                             int64_t rq, obs::TraceSink* sink,
+                                             int64_t query_index) const {
+  const robust::ResilienceOptions& res = injector_->resilience();
+  robust::BreakerDecision breaker = injector_->CheckBreaker(a, rq);
+  if (breaker == robust::BreakerDecision::kOpen) {
+    // Persistently failing retrieval: skip it outright, record it as
+    // blocked at the arc's pessimistic cost while the breaker shields the
+    // run from the failing backend.
+    if (handles_.breaker_skips != nullptr) {
+      handles_.breaker_skips->Increment();
     }
+    return {a, false, true, arc.cost + arc.failure_cost};
+  }
+  if (breaker == robust::BreakerDecision::kHalfOpenProbe && sink != nullptr) {
+    // The cooldown elapsed and this attempt is the single probe; its
+    // outcome below either closes the breaker or re-opens it with
+    // backed-off cooldown.
+    robust::FaultInjectorState::BreakerEntry ledger =
+        injector_->BreakerLedger(a);
+    sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                               arc.experiment, "half_open",
+                               ledger.consecutive_failures,
+                               ledger.open_until});
+  }
 
-    robust::BreakerDecision breaker = injector_->CheckBreaker(a, rq);
-    if (breaker == robust::BreakerDecision::kOpen) {
-      // Persistently failing retrieval: skip it outright, record it as
-      // blocked at the arc's pessimistic cost. Charging failure_cost
-      // keeps PIB's Delta~ a conservative under-estimate while the
-      // breaker shields the run from the failing backend.
-      double attempt_cost = arc.cost + arc.failure_cost;
-      trace.cost += attempt_cost;
-      trace.attempts.push_back({a, false, true, attempt_cost});
-      if (handles_.breaker_skips != nullptr) {
-        handles_.breaker_skips->Increment();
-      }
-      continue;
-    }
-    if (breaker == robust::BreakerDecision::kHalfOpenProbe &&
-        sink != nullptr) {
-      // The cooldown elapsed and this attempt is the single probe; its
-      // outcome below either closes the breaker or re-opens it with
-      // backed-off cooldown.
-      robust::FaultInjectorState::BreakerEntry ledger =
-          injector_->BreakerLedger(a);
-      sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
-                                 arc.experiment, "half_open",
-                                 ledger.consecutive_failures,
-                                 ledger.open_until});
-    }
-
-    bool true_unblocked =
-        context.Unblocked(static_cast<size_t>(arc.experiment));
-    bool observed_unblocked = false;
-    bool infra_failure = false;
-    double attempt_cost = 0.0;
-    int tries = 0;
-    for (;;) {
-      double magnitude = 1.0;
-      robust::FaultKind fault =
-          injector_->SampleFault(arc.experiment, &magnitude);
-      if (fault == robust::FaultKind::kNone ||
-          fault == robust::FaultKind::kCostSpike) {
-        // The attempt completed with a trustworthy result (a cost spike
-        // only inflates the base cost, it does not corrupt the answer).
-        double base = fault == robust::FaultKind::kCostSpike
-                          ? arc.cost * magnitude
-                          : arc.cost;
-        attempt_cost += base + (true_unblocked ? arc.success_cost
-                                               : arc.failure_cost);
-        observed_unblocked = true_unblocked;
-        if (fault == robust::FaultKind::kCostSpike &&
-            handles_.faults != nullptr) {
-          handles_.faults->Increment();
-        }
-        if (injector_->RecordRecovery(a) && sink != nullptr) {
-          robust::FaultInjectorState::BreakerEntry ledger =
-              injector_->BreakerLedger(a);
-          sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
-                                     arc.experiment, "closed",
-                                     ledger.consecutive_failures,
-                                     ledger.open_until});
-        }
-        break;
-      }
-      // kTransient / kCorrupt / kTimeout: the attempt yields nothing a
-      // learner may trust. Its cost is still paid.
+  bool true_unblocked = context.Unblocked(static_cast<size_t>(arc.experiment));
+  double attempt_cost = 0.0;
+  int tries = 0;
+  for (;;) {
+    double magnitude = 1.0;
+    robust::FaultKind fault =
+        injector_->SampleFault(arc.experiment, &magnitude);
+    if (fault == robust::FaultKind::kNone ||
+        fault == robust::FaultKind::kCostSpike) {
+      // The attempt completed with a trustworthy result (a cost spike
+      // only inflates the base cost, it does not corrupt the answer).
+      double base = fault == robust::FaultKind::kCostSpike
+                        ? arc.cost * magnitude
+                        : arc.cost;
       attempt_cost +=
-          fault == robust::FaultKind::kTimeout ? arc.cost * magnitude
-                                               : arc.cost;
-      if (handles_.faults != nullptr) handles_.faults->Increment();
-      if (tries < res.max_retries) {
-        double backoff =
-            std::min(res.backoff_base * std::pow(res.backoff_multiplier,
-                                                 static_cast<double>(tries)),
-                     res.backoff_cap);
-        attempt_cost += backoff;
-        if (handles_.retries != nullptr) handles_.retries->Increment();
-        if (sink != nullptr) {
-          sink->On(obs::RetryEvent{observer_->NowUs(), query_index, a,
-                                   arc.experiment,
-                                   robust::FaultKindName(fault), tries + 1,
-                                   backoff, false});
-        }
-        ++tries;
-        continue;
+          base + (true_unblocked ? arc.success_cost : arc.failure_cost);
+      if (fault == robust::FaultKind::kCostSpike &&
+          handles_.faults != nullptr) {
+        handles_.faults->Increment();
       }
-      // Retries exhausted: record the retrieval as blocked at its
-      // pessimistic outcome cost and feed the circuit breaker.
-      attempt_cost += arc.failure_cost;
-      observed_unblocked = false;
-      infra_failure = true;
-      if (handles_.gave_up != nullptr) handles_.gave_up->Increment();
+      if (injector_->RecordRecovery(a) && sink != nullptr) {
+        robust::FaultInjectorState::BreakerEntry ledger =
+            injector_->BreakerLedger(a);
+        sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                                   arc.experiment, "closed",
+                                   ledger.consecutive_failures,
+                                   ledger.open_until});
+      }
+      return {a, true_unblocked, false, attempt_cost};
+    }
+    // kTransient / kCorrupt / kTimeout: the attempt yields nothing a
+    // learner may trust. Its cost is still paid.
+    attempt_cost += fault == robust::FaultKind::kTimeout
+                        ? arc.cost * magnitude
+                        : arc.cost;
+    if (handles_.faults != nullptr) handles_.faults->Increment();
+    if (tries < res.max_retries) {
+      double backoff =
+          std::min(res.backoff_base * std::pow(res.backoff_multiplier,
+                                               static_cast<double>(tries)),
+                   res.backoff_cap);
+      attempt_cost += backoff;
+      if (handles_.retries != nullptr) handles_.retries->Increment();
       if (sink != nullptr) {
         sink->On(obs::RetryEvent{observer_->NowUs(), query_index, a,
                                  arc.experiment, robust::FaultKindName(fault),
-                                 tries, 0.0, true});
+                                 tries + 1, backoff, false});
       }
-      if (injector_->RecordInfraFailure(a, rq)) {
-        if (handles_.breaker_opens != nullptr) {
-          handles_.breaker_opens->Increment();
-        }
-        if (sink != nullptr) {
-          robust::FaultInjectorState::BreakerEntry ledger =
-              injector_->BreakerLedger(a);
-          sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
-                                     arc.experiment, "open",
-                                     ledger.consecutive_failures,
-                                     ledger.open_until});
-        }
+      ++tries;
+      continue;
+    }
+    // Retries exhausted: record the retrieval as blocked at its
+    // pessimistic outcome cost and feed the circuit breaker.
+    attempt_cost += arc.failure_cost;
+    if (handles_.gave_up != nullptr) handles_.gave_up->Increment();
+    if (sink != nullptr) {
+      sink->On(obs::RetryEvent{observer_->NowUs(), query_index, a,
+                               arc.experiment, robust::FaultKindName(fault),
+                               tries, 0.0, true});
+    }
+    if (injector_->RecordInfraFailure(a, rq)) {
+      if (handles_.breaker_opens != nullptr) {
+        handles_.breaker_opens->Increment();
       }
-      break;
+      if (sink != nullptr) {
+        robust::FaultInjectorState::BreakerEntry ledger =
+            injector_->BreakerLedger(a);
+        sink->On(obs::BreakerEvent{observer_->NowUs(), query_index, a,
+                                   arc.experiment, "open",
+                                   ledger.consecutive_failures,
+                                   ledger.open_until});
+      }
     }
-
-    trace.cost += attempt_cost;
-    trace.attempts.push_back({a, observed_unblocked, infra_failure,
-                              attempt_cost});
-    if (!observed_unblocked) continue;
-    visited[arc.to] = 1;
-    if (graph_->node(arc.to).is_success) {
-      ++trace.successes;
-      if (trace.first_success_arc == kInvalidArc) trace.first_success_arc = a;
-      if (trace.successes >= options.stop_after_successes) break;
-    }
+    return {a, false, true, attempt_cost};
   }
-  trace.success = trace.successes >= options.stop_after_successes;
-  return trace;
 }
 
 double QueryProcessor::Cost(const Strategy& strategy,

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "engine/context.h"
@@ -25,9 +26,10 @@ struct ArcAttempt {
   /// circuit breaker was open, and the attempt was recorded as blocked
   /// with the arc's pessimistic cost. QP^A must not count such attempts
   /// against its Equation 7/8 quotas (they carry no information about
-  /// the experiment's true outcome); Delta~ may keep them — observing
-  /// "blocked at pessimistic cost" only deepens the under-estimate's
-  /// conservatism.
+  /// the experiment's true outcome). Delta~ keeps them and is computed
+  /// from the fault-inflated `Trace::cost`, so under an active fault
+  /// plan Delta~ <= Delta is not guaranteed (ROADMAP 1(a)); a zero-fault
+  /// plan leaves every trace bit-identical to a plain run.
   bool infra_failure = false;
   /// Full cost actually paid for this attempt (base + outcome extra +
   /// any fault surcharges and retry backoff). Lets observers attribute
@@ -47,14 +49,10 @@ struct Trace {
   bool success = false;
   /// The arc whose traversal reached the first success node.
   ArcId first_success_arc = kInvalidArc;
-  /// False when the resilient executor abandoned the query on its cost/
-  /// deadline budget: the trace is a *prefix* of the full execution and
-  /// `cost` under-states the strategy's true c(Theta, I) — still safe to
-  /// feed PIB/PALO, whose Delta~ only needs an under-estimate.
+  /// False when the fault plan's per-query cost budget stopped the walk:
+  /// the trace is a *prefix* of the full execution and `cost`
+  /// under-states the strategy's true c(Theta, I).
   bool resolved = true;
-
-  /// True iff the experiment with this index was attempted.
-  bool Attempted(const InferenceGraph& graph, int experiment) const;
 };
 
 struct ExecutionOptions {
@@ -64,12 +62,73 @@ struct ExecutionOptions {
   int64_t stop_after_successes = 1;
 };
 
-/// Executes strategies over contexts: QP = <G, Theta> applied to I.
+/// One attempt of an arc as the walk sees it: whether it was traversed
+/// and what it cost.
+struct WalkStep {
+  bool unblocked = false;
+  double cost = 0.0;
+};
+
+/// The walk's budget when there is none: NaN compares false with every
+/// cost, +infinity included, so a walk whose cost has overflowed still
+/// runs on.
+inline constexpr double kNoBudget = std::numeric_limits<double>::quiet_NaN();
+
+/// What one satisficing walk found.
+struct WalkResult {
+  double cost = 0.0;
+  int64_t successes = 0;
+  /// The arc whose traversal reached the first success node.
+  ArcId first_success_arc = kInvalidArc;
+  /// False when the budget stopped the walk.
+  bool resolved = true;
+};
+
+/// The satisficing traversal of Section 2.1, written once: arcs are
+/// considered in `arcs` order; an arc whose tail node has not been
+/// reached is skipped at no cost; every other arc is attempted through
+/// `attempt(a, arc)`, which returns a WalkStep and is paid for; a
+/// blocked arc does not make its head reachable; reaching a success node
+/// counts an answer, and the walk stops after `stop_after` of them.
+/// Before attempting an arc it stops, unresolved, once the accrued cost
+/// has reached `budget` (kNoBudget for none). `reached` is the caller's
+/// buffer for the reached nodes, reset here.
 ///
-/// Traversal semantics (Section 2.1): arcs are considered in strategy
-/// order; an arc whose tail node has not been reached is skipped at no
-/// cost; attempting an arc always costs f(arc); a blocked arc does not
-/// make its head reachable; reaching a success node counts an answer.
+/// The attempt is the only variable part: the query processor asks the
+/// context (or the fault injector), the Delta~/Delta^ replay reads a
+/// completion. A caller that keeps a trace records it in `attempt`.
+template <typename Attempt>
+WalkResult SatisficingWalk(const InferenceGraph& graph,
+                           const std::vector<ArcId>& arcs,
+                           int64_t stop_after, double budget,
+                           std::vector<char>* reached, Attempt&& attempt) {
+  reached->assign(graph.num_nodes(), 0);
+  (*reached)[graph.root()] = 1;
+  WalkResult walk;
+  for (ArcId a : arcs) {
+    const Arc& arc = graph.arc(a);
+    if (!(*reached)[arc.from]) continue;  // unreachable: skipped at no cost
+    if (walk.cost >= budget) {
+      walk.resolved = false;
+      break;
+    }
+    const WalkStep step = attempt(a, arc);
+    walk.cost += step.cost;
+    if (!step.unblocked) continue;
+    (*reached)[arc.to] = 1;
+    if (graph.node(arc.to).is_success) {
+      ++walk.successes;
+      if (walk.first_success_arc == kInvalidArc) walk.first_success_arc = a;
+      if (walk.successes >= stop_after) break;
+    }
+  }
+  return walk;
+}
+
+/// Executes strategies over contexts: QP = <G, Theta> applied to I, by
+/// SatisficingWalk. An attempt reads the context's outcome at the arc's
+/// nominal cost f(arc) plus its outcome extra, unless a fault injector is
+/// attached and the arc is an experiment.
 class QueryProcessor {
  public:
   explicit QueryProcessor(const InferenceGraph* graph,
@@ -84,29 +143,25 @@ class QueryProcessor {
   void set_observer(obs::Observer* observer);
   obs::Observer* observer() const { return observer_; }
 
-  /// Attaches (or detaches) a fault injector. When attached, Execute
-  /// runs the resilient path: seeded faults are injected into every
-  /// experiment-arc attempt, failed attempts are retried with capped
-  /// exponential backoff, persistently failing arcs are skipped by a
-  /// circuit breaker at their pessimistic cost, and the per-query cost
-  /// budget degrades runaway queries to "unresolved". Null (the
-  /// default) keeps the paper's fault-free hot loop at one extra
-  /// predicted branch.
+  /// Attaches (or detaches) a fault injector. When attached, seeded
+  /// faults are injected into every experiment-arc attempt, failed
+  /// attempts are retried with capped exponential backoff, persistently
+  /// failing arcs are skipped by a circuit breaker at their pessimistic
+  /// cost, and the per-query cost budget degrades runaway queries to
+  /// "unresolved". Null (the default) keeps the paper's fault-free walk,
+  /// which makes no per-arc injector test.
   void set_fault_injector(robust::FaultInjector* injector);
   robust::FaultInjector* fault_injector() const { return injector_; }
 
   /// Inline dispatch keeps the unobserved path at the same call depth
   /// as an uninstrumented processor: one predicted branch, then the
-  /// hot loop.
+  /// walk.
   Trace Execute(const Strategy& strategy, const Context& context,
                 const ExecutionOptions& options = {}) const {
     if (observer_ != nullptr) [[unlikely]] {
       return ExecuteObserved(strategy, context, options);
     }
-    if (injector_ != nullptr) [[unlikely]] {
-      return ExecuteResilient(strategy, context, options, nullptr, 0);
-    }
-    return ExecuteImpl(strategy, context, options);
+    return Walk(strategy, context, options, nullptr, 0);
   }
 
   /// Convenience: the cost c(Theta, I) alone.
@@ -115,15 +170,20 @@ class QueryProcessor {
   const InferenceGraph& graph() const { return *graph_; }
 
  private:
-  Trace ExecuteImpl(const Strategy& strategy, const Context& context,
-                    const ExecutionOptions& options) const;
   Trace ExecuteObserved(const Strategy& strategy, const Context& context,
                         const ExecutionOptions& options) const;
-  /// The fault-injected path. `sink`/`query_index` carry the observed
-  /// event stream when called from ExecuteObserved (null/0 otherwise).
-  Trace ExecuteResilient(const Strategy& strategy, const Context& context,
-                         const ExecutionOptions& options,
-                         obs::TraceSink* sink, int64_t query_index) const;
+  /// The walk of `strategy` over `context`. `sink`/`query_index` carry
+  /// the observed event stream when called from ExecuteObserved (null/0
+  /// otherwise); only the fault-injected attempts emit to it.
+  Trace Walk(const Strategy& strategy, const Context& context,
+             const ExecutionOptions& options, obs::TraceSink* sink,
+             int64_t query_index) const;
+  /// One attempt of experiment arc `a` through the fault injector at
+  /// resilient query `rq`: the breaker check, the retry and backoff loop
+  /// and the give-up.
+  ArcAttempt AttemptWithFaults(ArcId a, const Arc& arc, const Context& context,
+                               int64_t rq, obs::TraceSink* sink,
+                               int64_t query_index) const;
 
   const InferenceGraph* graph_;
   obs::Observer* observer_ = nullptr;
@@ -137,7 +197,7 @@ class QueryProcessor {
     obs::Counter* successes = nullptr;
     obs::Histogram* query_cost = nullptr;
     obs::Histogram* query_wall_us = nullptr;
-    // robust.* counters; only touched on the resilient path.
+    // robust.* counters; only touched by fault-injected walks.
     obs::Counter* faults = nullptr;
     obs::Counter* retries = nullptr;
     obs::Counter* gave_up = nullptr;

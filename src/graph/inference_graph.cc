@@ -62,16 +62,6 @@ void InferenceGraph::SetOutcomeCosts(ArcId id, double on_success,
   arcs_[id].failure_cost = on_failure;
 }
 
-const Node& InferenceGraph::node(NodeId id) const {
-  STRATLEARN_CHECK(id < nodes_.size());
-  return nodes_[id];
-}
-
-const Arc& InferenceGraph::arc(ArcId id) const {
-  STRATLEARN_CHECK(id < arcs_.size());
-  return arcs_[id];
-}
-
 std::vector<ArcId> InferenceGraph::RetrievalArcs() const {
   std::vector<ArcId> out;
   for (ArcId a = 0; a < arcs_.size(); ++a) {

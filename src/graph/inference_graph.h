@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
 #include "util/status.h"
 
 namespace stratlearn {
@@ -99,8 +100,14 @@ class InferenceGraph {
   NodeId root() const { return 0; }
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_arcs() const { return arcs_.size(); }
-  const Node& node(NodeId id) const;
-  const Arc& arc(ArcId id) const;
+  const Node& node(NodeId id) const {
+    STRATLEARN_CHECK(id < nodes_.size());
+    return nodes_[id];
+  }
+  const Arc& arc(ArcId id) const {
+    STRATLEARN_CHECK(id < arcs_.size());
+    return arcs_[id];
+  }
 
   /// All arcs that are experiments, in experiment-index order.
   const std::vector<ArcId>& experiments() const { return experiments_; }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "apps/kanswers.h"
 #include "apps/naf.h"
 #include "apps/segscan.h"
 #include "core/expected_cost.h"
@@ -146,10 +145,10 @@ TEST(NafTest, BudgetExhaustionIsAnErrorNotAnAnswer) {
 
 TEST(KAnswersTest, StopsAfterK) {
   FigureTwoGraph g = MakeFigureTwo();
-  KAnswersProcessor k2(&g.graph, 2);
+  QueryProcessor qp(&g.graph);
   Context all = Context::AllUnblocked(4);
   Strategy theta = Strategy::DepthFirst(g.graph);
-  Trace t = k2.Execute(theta, all);
+  Trace t = qp.Execute(theta, all, {.stop_after_successes = 2});
   EXPECT_TRUE(t.success);
   EXPECT_EQ(t.successes, 2);
   // D_a (2 arcs) then D_b (3 more arcs): cost 5.
@@ -160,9 +159,12 @@ TEST(KAnswersTest, ExpectedCostGrowsWithK) {
   FigureTwoGraph g = MakeFigureTwo();
   Strategy theta = Strategy::DepthFirst(g.graph);
   std::vector<double> probs = {0.5, 0.5, 0.5, 0.5};
-  double c1 = EnumeratedExpectedCostK(g.graph, theta, probs, 1);
-  double c2 = EnumeratedExpectedCostK(g.graph, theta, probs, 2);
-  double c4 = EnumeratedExpectedCostK(g.graph, theta, probs, 4);
+  double c1 = EnumeratedExpectedCost(g.graph, theta, probs,
+                                     {.stop_after_successes = 1});
+  double c2 = EnumeratedExpectedCost(g.graph, theta, probs,
+                                     {.stop_after_successes = 2});
+  double c4 = EnumeratedExpectedCost(g.graph, theta, probs,
+                                     {.stop_after_successes = 4});
   EXPECT_LT(c1, c2);
   EXPECT_LT(c2, c4);
   // k = 1 matches the satisficing expected cost.
@@ -177,9 +179,10 @@ TEST(KAnswersTest, MonteCarloMatchesEnumeration) {
   std::vector<double> probs = {0.3, 0.6, 0.4, 0.7};
   IndependentOracle oracle(probs);
   Rng rng(3);
-  double exact = EnumeratedExpectedCostK(g.graph, theta, probs, 2);
-  double mc =
-      MonteCarloExpectedCostK(g.graph, theta, oracle, 2, 100000, rng);
+  const ExecutionOptions first_two{.stop_after_successes = 2};
+  double exact = EnumeratedExpectedCost(g.graph, theta, probs, first_two);
+  double mc = MonteCarloExpectedCost(g.graph, theta, oracle, 100000, rng,
+                                     first_two);
   EXPECT_NEAR(mc, exact, 0.05);
 }
 

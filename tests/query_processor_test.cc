@@ -7,6 +7,15 @@
 namespace stratlearn {
 namespace {
 
+/// True iff the experiment with this index was attempted in `trace`.
+bool Attempted(const Trace& trace, const InferenceGraph& graph,
+               int experiment) {
+  for (const ArcAttempt& a : trace.attempts) {
+    if (graph.arc(a.arc).experiment == experiment) return true;
+  }
+  return false;
+}
+
 class QueryProcessorTest : public ::testing::Test {
  protected:
   QueryProcessorTest()
@@ -69,15 +78,15 @@ TEST_F(QueryProcessorTest, TraceRecordsOutcomes) {
   EXPECT_FALSE(t.attempts[1].unblocked);
   EXPECT_EQ(t.attempts[3].arc, ga_.d_g);
   EXPECT_TRUE(t.attempts[3].unblocked);
-  EXPECT_TRUE(t.Attempted(ga_.graph, 0));
-  EXPECT_TRUE(t.Attempted(ga_.graph, 1));
+  EXPECT_TRUE(Attempted(t, ga_.graph, 0));
+  EXPECT_TRUE(Attempted(t, ga_.graph, 1));
 }
 
 TEST_F(QueryProcessorTest, UnattemptedExperimentsNotInTrace) {
   Context both = MakeContext(true, true);
   Trace t = qp_.Execute(theta1_, both);
-  EXPECT_TRUE(t.Attempted(ga_.graph, 0));
-  EXPECT_FALSE(t.Attempted(ga_.graph, 1));  // stopped before D_g
+  EXPECT_TRUE(Attempted(t, ga_.graph, 0));
+  EXPECT_FALSE(Attempted(t, ga_.graph, 1));  // stopped before D_g
 }
 
 TEST_F(QueryProcessorTest, KAnswersKeepsSearching) {
@@ -122,7 +131,7 @@ TEST(QueryProcessorChainTest, BlockedInternalArcSkipsSubtree) {
   Trace t = qp.Execute(theta, ctx);
   EXPECT_TRUE(t.success);
   EXPECT_DOUBLE_EQ(t.cost, 1.0 + 2.0 + 8.0);  // r + e1 + d; e2 skipped
-  EXPECT_FALSE(t.Attempted(g, g.ExperimentIndex(e2)));
+  EXPECT_FALSE(Attempted(t, g, g.ExperimentIndex(e2)));
 
   // e1 unblocked and e2 unblocked: chain succeeds.
   Context ctx2 = Context::AllUnblocked(3);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 
+#include "core/delta_estimator.h"
 #include "core/palo.h"
 #include "core/pib.h"
 #include "engine/adaptive_qp.h"
@@ -15,7 +17,7 @@
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "verify/verify.h"
-#include "workload/faulty_oracle.h"
+#include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
 namespace stratlearn {
@@ -171,33 +173,168 @@ TEST(FaultInjectorTest, BreakerOpensSkipsAndCloses) {
 
 // ---- Resilient execution -------------------------------------------------
 
-TEST(ResilientExecutionTest, ZeroFaultPlanIsBitIdentical) {
-  FigureTwoGraph g = MakeFigureTwo();
-  Strategy theta = Strategy::DepthFirst(g.graph);
-  QueryProcessor plain(&g.graph);
-  QueryProcessor resilient(&g.graph);
-  FaultPlan plan = TransientPlan(0.0);
-  plan.resilience.breaker_threshold = 4;
-  FaultInjector injector(plan);
-  resilient.set_fault_injector(&injector);
+// The satisficing traversal written out by hand, without
+// SatisficingWalk: the reference the one walk is compared with.
+Trace ReferenceExecute(const InferenceGraph* graph_, const Strategy& strategy,
+                       const Context& context,
+                       const ExecutionOptions& options) {
+  STRATLEARN_CHECK(context.num_experiments() == graph_->num_experiments());
+  Trace trace;
+  std::vector<char> visited(graph_->num_nodes(), 0);
+  visited[graph_->root()] = 1;
 
-  for (uint64_t mask = 0; mask < 16; ++mask) {
-    Context ctx = Context::FromMask(4, mask);
-    Trace a = plain.Execute(theta, ctx);
-    Trace b = resilient.Execute(theta, ctx);
-    EXPECT_DOUBLE_EQ(a.cost, b.cost);
-    EXPECT_EQ(a.success, b.success);
-    EXPECT_EQ(a.successes, b.successes);
-    EXPECT_EQ(a.first_success_arc, b.first_success_arc);
-    EXPECT_TRUE(b.resolved);
-    ASSERT_EQ(a.attempts.size(), b.attempts.size());
-    for (size_t i = 0; i < a.attempts.size(); ++i) {
-      EXPECT_EQ(a.attempts[i].arc, b.attempts[i].arc);
-      EXPECT_EQ(a.attempts[i].unblocked, b.attempts[i].unblocked);
-      EXPECT_EQ(a.attempts[i].infra_failure, b.attempts[i].infra_failure);
-      EXPECT_DOUBLE_EQ(a.attempts[i].cost, b.attempts[i].cost);
+  for (ArcId a : strategy.arcs()) {
+    const Arc& arc = graph_->arc(a);
+    if (!visited[arc.from]) continue;  // unreachable: skipped at no cost
+    bool unblocked = arc.experiment < 0 ||
+                     context.Unblocked(static_cast<size_t>(arc.experiment));
+    double attempt_cost =
+        arc.cost + (unblocked ? arc.success_cost : arc.failure_cost);
+    trace.cost += attempt_cost;
+    trace.attempts.push_back({a, unblocked, false, attempt_cost});
+    if (!unblocked) continue;
+    visited[arc.to] = 1;
+    if (graph_->node(arc.to).is_success) {
+      ++trace.successes;
+      if (trace.first_success_arc == kInvalidArc) trace.first_success_arc = a;
+      if (trace.successes >= options.stop_after_successes) break;
     }
   }
+  trace.success = trace.successes >= options.stop_after_successes;
+  return trace;
+}
+
+// Every field equal, doubles bit for bit.
+void ExpectSameTrace(const Trace& want, const Trace& got) {
+  EXPECT_EQ(want.cost, got.cost);
+  EXPECT_EQ(want.successes, got.successes);
+  EXPECT_EQ(want.success, got.success);
+  EXPECT_EQ(want.first_success_arc, got.first_success_arc);
+  EXPECT_EQ(want.resolved, got.resolved);
+  ASSERT_EQ(want.attempts.size(), got.attempts.size());
+  for (size_t i = 0; i < want.attempts.size(); ++i) {
+    EXPECT_EQ(want.attempts[i].arc, got.attempts[i].arc);
+    EXPECT_EQ(want.attempts[i].unblocked, got.attempts[i].unblocked);
+    EXPECT_EQ(want.attempts[i].infra_failure, got.attempts[i].infra_failure);
+    EXPECT_EQ(want.attempts[i].cost, got.attempts[i].cost);
+  }
+}
+
+// A valid strategy in random order: each step takes a random arc whose
+// tail is reached, so sibling subtrees interleave.
+Strategy RandomInterleaved(const InferenceGraph& graph, Rng& rng) {
+  std::vector<ArcId> ready = graph.node(graph.root()).out_arcs;
+  std::vector<ArcId> order;
+  while (!ready.empty()) {
+    size_t i = static_cast<size_t>(rng.NextBounded(ready.size()));
+    ArcId a = ready[i];
+    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(i));
+    order.push_back(a);
+    for (ArcId c : graph.node(graph.arc(a).to).out_arcs) ready.push_back(c);
+  }
+  Result<Strategy> strategy = Strategy::FromArcOrder(graph, order);
+  STRATLEARN_CHECK(strategy.ok());
+  return *strategy;
+}
+
+// Each arc's true outcome under `context` at its nominal attempt cost.
+Completion ExactCompletion(const InferenceGraph& graph,
+                           const Context& context) {
+  Completion k;
+  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
+    const Arc& arc = graph.arc(a);
+    bool unblocked = arc.experiment < 0 ||
+                     context.Unblocked(static_cast<size_t>(arc.experiment));
+    k.unblocked.push_back(unblocked ? 1 : 0);
+    k.cost.push_back(arc.cost +
+                     (unblocked ? arc.success_cost : arc.failure_cost));
+  }
+  return k;
+}
+
+// The one walk against the reference executor on random trees with
+// guarded reductions and outcome-dependent costs, over every context:
+// a plain Execute and one through a zero-fault injector with its breaker
+// armed give the reference trace field for field, Delta~'s replay under
+// the exact completion gives its cost, and a budget reached just before
+// a deterministic arc stops the walk there.
+TEST(ResilientExecutionTest, ZeroFaultPlanIsBitIdentical) {
+  Rng rng(2311);
+  RandomTreeOptions options;
+  options.depth = 3;
+  options.internal_experiment_prob = 0.3;
+  options.max_outcome_cost = 0.75;
+  int trees = 0, budget_cases = 0, guarded = 0;
+  while (trees < 6) {
+    RandomTree tree = MakeRandomTree(rng, options);
+    const InferenceGraph& g = tree.graph;
+    const size_t n = g.num_experiments();
+    if (n < 6 || n > 12) continue;
+    ++trees;
+    for (ArcId a : g.experiments()) {
+      if (!g.node(g.arc(a).to).is_success) ++guarded;
+    }
+    std::vector<ArcId> leaves = g.SuccessArcs();
+    rng.Shuffle(leaves);
+    const std::vector<Strategy> strategies = {
+        Strategy::DepthFirst(g), Strategy::FromLeafOrder(g, leaves),
+        RandomInterleaved(g, rng)};
+
+    QueryProcessor plain(&g);
+    QueryProcessor resilient(&g);
+    FaultPlan plan = TransientPlan(0.0);
+    plan.resilience.breaker_threshold = 4;
+    FaultInjector injector(plan);
+    resilient.set_fault_injector(&injector);
+    DeltaEstimator estimator(&g);
+
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      const Context ctx = Context::FromMask(n, mask);
+      const Completion exact = ExactCompletion(g, ctx);
+      for (const Strategy& theta : strategies) {
+        for (int64_t k : {1, 2}) {
+          const ExecutionOptions run{.stop_after_successes = k};
+          const Trace want = ReferenceExecute(&g, theta, ctx, run);
+          ExpectSameTrace(want, plain.Execute(theta, ctx, run));
+          ExpectSameTrace(want, resilient.Execute(theta, ctx, run));
+          if (k == 1) {
+            EXPECT_EQ(want.cost, estimator.Cost(theta, exact));
+          }
+
+          // The first deterministic arc after the first attempt, with
+          // the budget set to the cost paid before it.
+          size_t stop = 1;
+          while (stop < want.attempts.size() &&
+                 g.arc(want.attempts[stop].arc).experiment >= 0) {
+            ++stop;
+          }
+          if (stop == want.attempts.size()) continue;
+          ++budget_cases;
+          Trace prefix;
+          for (size_t i = 0; i < stop; ++i) {
+            const ArcAttempt& at = want.attempts[i];
+            prefix.cost += at.cost;
+            prefix.attempts.push_back(at);
+            if (at.unblocked && g.node(g.arc(at.arc).to).is_success) {
+              ++prefix.successes;
+              if (prefix.first_success_arc == kInvalidArc) {
+                prefix.first_success_arc = at.arc;
+              }
+            }
+          }
+          prefix.resolved = false;
+          FaultPlan budgeted = plan;
+          budgeted.resilience.cost_budget = prefix.cost;
+          FaultInjector budget_injector(budgeted);
+          QueryProcessor capped(&g);
+          capped.set_fault_injector(&budget_injector);
+          ExpectSameTrace(prefix, capped.Execute(theta, ctx, run));
+        }
+      }
+    }
+  }
+  EXPECT_GT(guarded, 0);
+  EXPECT_GT(budget_cases, 0);
 }
 
 TEST(ResilientExecutionTest, ExhaustedRetriesChargeBackoffAndFailureCost) {
@@ -680,45 +817,6 @@ TEST(CheckpointTest, RoundTripsHalfOpenBreakerAndObsState) {
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   EXPECT_EQ(legacy->injector.breakers.back().open_until, 9);
   EXPECT_EQ(legacy->injector.breakers.back().open_rounds, 0);
-}
-
-// ---- FaultyOracle --------------------------------------------------------
-
-TEST(FaultyOracleTest, CorruptRulesFlipOutcomes) {
-  IndependentOracle inner({0.9, 0.2, 0.8, 0.3});
-  FaultPlan plan;
-  plan.seed = 42;
-  plan.rules.push_back({FaultKind::kCorrupt, 1.0, -1, 1.0});
-  FaultyOracle corrupted(&inner, plan);
-  IndependentOracle control({0.9, 0.2, 0.8, 0.3});
-
-  Rng rng_a(7), rng_b(7);
-  for (int i = 0; i < 50; ++i) {
-    Context truth = control.Next(rng_a);
-    Context lied = corrupted.Next(rng_b);
-    for (size_t e = 0; e < 4; ++e) {
-      EXPECT_EQ(lied.Unblocked(e), !truth.Unblocked(e));
-    }
-  }
-  EXPECT_EQ(corrupted.corruptions(), 50 * 4);
-}
-
-TEST(FaultyOracleTest, ZeroProbabilityIsTransparent) {
-  IndependentOracle inner({0.9, 0.2, 0.8, 0.3});
-  FaultPlan plan;
-  plan.rules.push_back({FaultKind::kCorrupt, 0.0, -1, 1.0});
-  FaultyOracle wrapped(&inner, plan);
-  IndependentOracle control({0.9, 0.2, 0.8, 0.3});
-
-  Rng rng_a(7), rng_b(7);
-  for (int i = 0; i < 50; ++i) {
-    Context a = control.Next(rng_a);
-    Context b = wrapped.Next(rng_b);
-    for (size_t e = 0; e < 4; ++e) {
-      EXPECT_EQ(a.Unblocked(e), b.Unblocked(e));
-    }
-  }
-  EXPECT_EQ(wrapped.corruptions(), 0);
 }
 
 }  // namespace

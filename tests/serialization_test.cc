@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "andor/and_or_serialization.h"
-#include "andor/and_or_upsilon.h"
+#include "andor/and_or_strategy.h"
 #include "core/expected_cost.h"
 #include "engine/strategy.h"
 #include "graph/examples.h"
@@ -186,49 +186,6 @@ TEST(AndOrSerializationTest, GraphRejectsGarbage) {
                                      "node O - 1 root\n"
                                      "node L 0 0 leaf\n")
                    .ok());
-}
-
-TEST(AndOrSerializationTest, StrategyRoundTripAfterLearning) {
-  AndOrGraph g;
-  AndOrNodeId root = g.AddRoot(AndOrKind::kOr, "goal");
-  AndOrNodeId conj = g.AddInternal(root, AndOrKind::kAnd, "rule");
-  g.AddLeaf(conj, "x", 2.0);
-  g.AddLeaf(conj, "y", 1.0);
-  g.AddLeaf(root, "z", 1.0);
-  std::vector<double> probs = {0.8, 0.1, 0.5};
-
-  Result<AndOrUpsilonResult> learned = AndOrUpsilon(g, probs);
-  ASSERT_TRUE(learned.ok());
-  std::string graph_text = SerializeAndOrGraph(g);
-  std::string strategy_text =
-      SerializeAndOrStrategy(g, learned->strategy);
-
-  Result<AndOrGraph> g2 = verify::DeserializeAndOrGraph(graph_text);
-  ASSERT_TRUE(g2.ok());
-  Result<AndOrStrategy> s2 =
-      DeserializeAndOrStrategy(*g2, strategy_text);
-  ASSERT_TRUE(s2.ok()) << s2.status().ToString();
-  EXPECT_EQ(*s2, learned->strategy);
-  EXPECT_TRUE(AlmostEqual(
-      AndOrExactExpectedCost(g, learned->strategy, probs),
-      AndOrExactExpectedCost(*g2, *s2, probs)));
-}
-
-TEST(AndOrSerializationTest, StrategyRejectsInvalid) {
-  AndOrGraph g;
-  AndOrNodeId root = g.AddRoot(AndOrKind::kOr, "goal");
-  g.AddLeaf(root, "x", 1.0);
-  g.AddLeaf(root, "y", 1.0);
-  EXPECT_FALSE(DeserializeAndOrStrategy(g, "nope").ok());
-  EXPECT_FALSE(
-      DeserializeAndOrStrategy(g, "stratlearn-andor-strategy v1 0:1").ok());
-  EXPECT_FALSE(
-      DeserializeAndOrStrategy(g, "stratlearn-andor-strategy v1 0:9,9")
-          .ok());
-  // Valid: default order spelled out.
-  EXPECT_TRUE(
-      DeserializeAndOrStrategy(g, "stratlearn-andor-strategy v1 0:1,2")
-          .ok());
 }
 
 }  // namespace

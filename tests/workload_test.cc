@@ -9,7 +9,6 @@
 #include "datalog/parser.h"
 #include "util/math_util.h"
 #include "workload/datalog_oracle.h"
-#include "workload/faulty_oracle.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -321,50 +320,6 @@ TEST(DatalogOracleTest, LazyContextsMatchContextFor) {
   EXPECT_GE(programs, 50);
   EXPECT_GE(guards, 20);
   EXPECT_GE(existentials, 20);
-}
-
-/// Draws from a DatalogOracle and hands out the eager ContextFor of the
-/// drawn query instead of the lazy context.
-class EagerDatalogOracle : public ContextOracle {
- public:
-  explicit EagerDatalogOracle(DatalogOracle* inner) : inner_(inner) {}
-  Context Next(Rng& rng) override {
-    inner_->Next(rng);
-    return inner_->ContextFor(inner_->last_query_args());
-  }
-  size_t num_experiments() const override { return inner_->num_experiments(); }
-
- private:
-  DatalogOracle* inner_;
-};
-
-TEST(DatalogOracleTest, FaultyOracleFlipsLazyAndEagerContextsAlike) {
-  Rng gen(77);
-  int programs = 0;
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    RandomKb kb(gen);
-    if (!kb.built.ok() || kb.built->graph.num_experiments() < 2) continue;
-    ++programs;
-    QueryWorkload workload = RandomWorkload(gen, &kb.symbols);
-    DatalogOracle lazy_inner(&*kb.built, &kb.db, workload);
-    DatalogOracle eager_source(&*kb.built, &kb.db, workload);
-    EagerDatalogOracle eager_inner(&eager_source);
-    robust::FaultPlan plan;
-    plan.seed = 5 + static_cast<uint64_t>(attempt);
-    plan.rules.push_back({robust::FaultKind::kCorrupt, 0.3, -1, 1.0});
-    plan.rules.push_back({robust::FaultKind::kCorrupt, 0.5, 1, 1.0});
-    FaultyOracle lazy(&lazy_inner, plan);
-    FaultyOracle eager(&eager_inner, plan);
-    Rng a(9), b(9);
-    for (int draw = 0; draw < 300; ++draw) {
-      Context want = eager.Next(b);
-      Context got = lazy.Next(a);
-      ExpectSameOutcomes(got, want, gen);
-    }
-    EXPECT_EQ(lazy.corruptions(), eager.corruptions());
-    EXPECT_GT(lazy.corruptions(), 0);
-  }
-  EXPECT_GE(programs, 10);
 }
 
 TEST(DriftingOracleTest, RevertAtRestoresThePreDriftRegime) {
