@@ -56,52 +56,6 @@ bool Palo::CheckStop(double* worst_certificate, size_t* worst_neighbor,
   return true;
 }
 
-Palo::Checkpoint Palo::GetCheckpoint() const {
-  Checkpoint checkpoint;
-  checkpoint.strategy = strategy();
-  checkpoint.contexts = contexts_;
-  checkpoint.trials = trials_;
-  checkpoint.samples = samples_;
-  checkpoint.moves = moves_;
-  checkpoint.finished = finished_;
-  checkpoint.neighbor_under_sums = under_sums_;
-  checkpoint.neighbor_over_sums = over_sums_;
-  return checkpoint;
-}
-
-Status Palo::RestoreCheckpoint(const Checkpoint& checkpoint) {
-  if (checkpoint.contexts < 0 || checkpoint.trials < 0 ||
-      checkpoint.samples < 0 || checkpoint.samples > checkpoint.contexts ||
-      checkpoint.moves < 0) {
-    return Status::InvalidArgument("inconsistent learner counters");
-  }
-  if (checkpoint.strategy.size() != graph_->num_arcs()) {
-    return Status::InvalidArgument(
-        "checkpointed strategy does not cover the graph's arcs");
-  }
-  if (checkpoint.neighbor_under_sums.size() !=
-      checkpoint.neighbor_over_sums.size()) {
-    return Status::InvalidArgument("estimate ledgers differ in length");
-  }
-  // Built aside, so a rejected checkpoint leaves this learner untouched.
-  SwapNeighborhood hood(*graph_, checkpoint.strategy, AllSiblingSwaps(*graph_));
-  if (hood.size() != checkpoint.neighbor_under_sums.size()) {
-    return Status::InvalidArgument(
-        "checkpoint carries a different neighbourhood size than the "
-        "strategy induces");
-  }
-  hood_ = std::move(hood);
-  under_sums_ = checkpoint.neighbor_under_sums;
-  for (double& sum : under_sums_) sum += 0.0;  // no -0.0, as in Pib
-  over_sums_ = checkpoint.neighbor_over_sums;
-  contexts_ = checkpoint.contexts;
-  trials_ = checkpoint.trials;
-  samples_ = checkpoint.samples;
-  moves_ = checkpoint.moves;
-  finished_ = hood_.size() == 0 || checkpoint.finished;
-  return Status::OK();
-}
-
 bool Palo::Observe(const Trace& trace) {
   if (finished_) return false;
   ++contexts_;

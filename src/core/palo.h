@@ -55,23 +55,6 @@ class Palo {
   int64_t contexts_processed() const { return contexts_; }
   int64_t moves_made() const { return moves_; }
 
-  /// Resumable learner state; both estimate ledgers (under for climbing,
-  /// over for the stop certificate) are indexed by the neighbourhood the
-  /// checkpointed strategy induces, as in Pib::Checkpoint.
-  struct Checkpoint {
-    Strategy strategy;
-    int64_t contexts = 0;
-    int64_t trials = 0;
-    int64_t samples = 0;
-    int64_t moves = 0;
-    bool finished = false;
-    std::vector<double> neighbor_under_sums;
-    std::vector<double> neighbor_over_sums;
-  };
-  Checkpoint GetCheckpoint() const;
-  /// On error the learner keeps its prior state (the candidate
-  /// neighbourhood is built aside and committed only on success).
-  Status RestoreCheckpoint(const Checkpoint& checkpoint);
 
  private:
   /// Sets `*worst_certificate` to the max over neighbours of

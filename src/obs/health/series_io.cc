@@ -75,7 +75,8 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
                        "window line lacks a numeric \"window\" index");
     }
     if (!IntField(value, "start_us", &window.start_us) ||
-        !IntField(value, "end_us", &window.end_us)) {
+        !IntField(value, "end_us", &window.end_us) ||
+        !IntField(value, "certificates", &window.certificates)) {
       return Malformed(line_number, kBadInteger);
     }
     if (const JsonValue* counters = value.Get("counters");

@@ -178,33 +178,19 @@ class PaoQuotaInstance {
   Rng rng_;
 };
 
-/// Instrumentation overhead on the fig1_execute hot path: the same
-/// Figure-1 context stream run with (a) no observer, (b) metrics only,
-/// (c) metrics + a locked null trace sink. Work units are the arc
-/// attempts actually made. The three golden rows must be identical
-/// (instrumentation must not change execution semantics), so the golden
-/// catches a variant whose observation path alters behaviour;
-/// bm_core's BM_ExecuteStrategyObserved prices the telemetry itself.
+/// The fig1_execute hot path with no observer: the Figure-1 context
+/// stream, whose work units are the arc attempts actually made.
+/// obs_test's NullObserverTest checks that attaching metrics or a trace
+/// sink leaves execution unchanged, and bm_core's
+/// BM_ExecuteStrategyObserved prices the telemetry itself.
 class ObsOverheadInstance {
  public:
-  enum class Mode { kOff, kMetrics, kMetricsAndTrace };
-
-  ObsOverheadInstance(uint64_t seed, Mode mode)
+  explicit ObsOverheadInstance(uint64_t seed)
       : fig1_(MakeFigureOne()),
         theta_(Strategy::DepthFirst(fig1_.graph)),
         qp_(&fig1_.graph),
         oracle_({0.2, 0.75}),
-        rng_(seed) {
-    if (mode != Mode::kOff) {
-      obs::TraceSink* sink = nullptr;
-      if (mode == Mode::kMetricsAndTrace) {
-        locked_null_ = std::make_unique<obs::LockingSink>(&null_sink_);
-        sink = locked_null_.get();
-      }
-      observer_ = std::make_unique<obs::Observer>(&registry_, sink);
-      qp_.set_observer(observer_.get());
-    }
-  }
+        rng_(seed) {}
 
   RepResult RunOnce() {
     constexpr int kContexts = 3000;
@@ -229,10 +215,6 @@ class ObsOverheadInstance {
   QueryProcessor qp_;
   IndependentOracle oracle_;
   Rng rng_;
-  obs::MetricsRegistry registry_;
-  obs::NullSink null_sink_;
-  std::unique_ptr<obs::LockingSink> locked_null_;
-  std::unique_ptr<obs::Observer> observer_;
 };
 
 /// End-to-end statistical drift detection: a flat-tree satisficing
@@ -605,7 +587,6 @@ std::string Row(const char* name, Args... args) {
 }  // namespace
 
 std::string RunCanonicalBench() {
-  using Mode = ObsOverheadInstance::Mode;
   std::string rows;
   rows += Row<FigureExecuteInstance>("fig1_execute");
   rows += Row<PibClimbInstance>("pib_climb");
@@ -613,10 +594,7 @@ std::string RunCanonicalBench() {
   rows += Row<AuditOverheadInstance>("audit_overhead");
   rows += Row<DriftDetectInstance>("drift_detect");
   rows += Row<DriftRecoverInstance>("drift_recover");
-  rows += Row<ObsOverheadInstance>("obs_overhead_off", Mode::kOff);
-  rows += Row<ObsOverheadInstance>("obs_overhead_metrics", Mode::kMetrics);
-  rows += Row<ObsOverheadInstance>("obs_overhead_trace",
-                                   Mode::kMetricsAndTrace);
+  rows += Row<ObsOverheadInstance>("obs_overhead_off");
   return rows;
 }
 

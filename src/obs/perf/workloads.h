@@ -19,10 +19,7 @@ namespace stratlearn::obs::perf {
 ///                    stream
 ///   drift_recover  — rebaseline against no reaction and a cold restart,
 ///                    on a transient and a permanent drift
-///   obs_overhead_off / obs_overhead_metrics / obs_overhead_trace
-///                  — the Figure-1 execute loop with no observer, with
-///                    atomic metrics, and with metrics plus a locked
-///                    null trace sink
+///   obs_overhead_off — the Figure-1 execute loop with no observer
 /// Each workload is built once at seed 19920602, runs one warmup
 /// repetition, then five repetitions whose work units and counters are
 /// summed; every repetition continues the instance's RNG stream. The

@@ -26,7 +26,7 @@ enum class Kind {
   kAmount,   // double >= 0
   kArc,      // arc id
   kNode,     // node id
-  kLearner,  // pib, palo or pao
+  kLearner,  // pib or pao
   kWord,     // one token
   kJson,     // the rest of the line: one JSON object
 };
@@ -38,7 +38,6 @@ enum class Section {
   kCore,
   kInjector,
   kPib,
-  kPalo,
   kPao,
   kHealth,
   kSeries,
@@ -109,25 +108,6 @@ void Records(D& d, R& r) {
     f("delta_sum", K::kReal, m.delta_sum);
     f("threshold", K::kReal, m.threshold);
     f("delta_spent", K::kReal, m.delta_spent);
-  });
-
-  r.One(kStrategyKey, S::kPalo, Need::kRequired,
-        [&](auto& f) { f("arc", K::kArc, d.palo.strategy); });
-  r.One("palo.contexts", S::kPalo, Need::kRequired,
-        [&](auto& f) { f("contexts", K::kCount, d.palo.contexts); });
-  r.One("palo.trials", S::kPalo, Need::kRequired,
-        [&](auto& f) { f("trials", K::kCount, d.palo.trials); });
-  r.One("palo.samples", S::kPalo, Need::kRequired,
-        [&](auto& f) { f("samples", K::kCount, d.palo.samples); });
-  r.One("palo.moves", S::kPalo, Need::kRequired,
-        [&](auto& f) { f("moves", K::kCount, d.palo.moves); });
-  r.One("palo.finished", S::kPalo, Need::kOptional,
-        [&](auto& f) { f("finished", K::kFlag, d.palo.finished); });
-  r.One("palo.unders", S::kPalo, Need::kOptional, [&](auto& f) {
-    f("under_sum", K::kReal, d.palo.neighbor_under_sums);
-  });
-  r.One("palo.overs", S::kPalo, Need::kOptional, [&](auto& f) {
-    f("over_sum", K::kReal, d.palo.neighbor_over_sums);
   });
 
   r.One("pao.contexts", S::kPao, Need::kRequired,
@@ -202,7 +182,6 @@ bool HasSection(const CheckpointData& d, Section s) {
   if (const bool* present = PresenceFlag(d, s)) return *present;
   switch (s) {
     case Section::kPib: return d.learner == "pib";
-    case Section::kPalo: return d.learner == "palo";
     case Section::kPao: return d.learner == "pao";
     default: return true;
   }
@@ -326,7 +305,7 @@ class FieldReader {
     if constexpr (std::is_same_v<T, std::string>) {
       bool ok = true;
       if (kind == Kind::kLearner) {
-        ok = token == "pib" || token == "palo" || token == "pao";
+        ok = token == "pib" || token == "pao";
       } else if (kind == Kind::kJson) {
         ok = token.size() >= 2 && token.front() == '{' && token.back() == '}';
       }
@@ -370,7 +349,7 @@ class FieldReader {
     static constexpr const char* kWhat[] = {  // in Kind order
         "an unsigned 64-bit integer", "an integer", "a non-negative integer",
         "an integer >= -1", "0 or 1", "a number", "a number >= 0",
-        "an arc id", "a node id", "pib, palo or pao", "a word",
+        "an arc id", "a node id", "pib or pao", "a word",
         "one JSON object"};
     std::string what = kWhat[static_cast<int>(kind)];
     if (Limit(kind) != std::numeric_limits<uint64_t>::max()) {

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/palo.h"
 #include "core/pib.h"
 #include "engine/adaptive_qp.h"
 #include "graph/inference_graph.h"
@@ -20,9 +19,9 @@ namespace stratlearn::robust {
 /// Everything a learning run needs to resume exactly where it stopped:
 /// which learner, the workload position (query count + RNG state), the
 /// fault injector's state when faults were active, and the learner's own
-/// estimate state. One of pib/palo/qpa is meaningful, per `learner`.
+/// estimate state. One of pib/qpa is meaningful, per `learner`.
 struct CheckpointData {
-  /// "pib", "palo" or "pao".
+  /// "pib" or "pao".
   std::string learner;
   /// The run's workload seed (sanity-checked against --seed on resume).
   uint64_t seed = 0;
@@ -36,7 +35,6 @@ struct CheckpointData {
   FaultInjectorState injector;
 
   Pib::Checkpoint pib;
-  Palo::Checkpoint palo;
   AdaptiveQueryProcessor::Checkpoint qpa;
 
   /// Health-monitor verdict at checkpoint time (learn-pib and the

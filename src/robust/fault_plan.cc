@@ -1,8 +1,8 @@
 #include "robust/fault_plan.h"
 
-#include <fstream>
-#include <sstream>
+#include <cmath>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace stratlearn::robust {
@@ -60,6 +60,11 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
           "fault plan line %d: '%s' expects %s", line_number, key.c_str(),
           expected));
     };
+    // NaN passes every bound check below and +-inf costs poison every
+    // sum downstream, so a plan's real numbers must be finite.
+    auto finite = [](const std::string& token, double* out) {
+      return ParseDouble(token, out) && std::isfinite(*out);
+    };
     if (key == "seed") {
       if (fields.size() != 2 || !ParseInteger(fields[1], &plan.seed)) {
         return bad("one integer");
@@ -70,18 +75,18 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
       }
       if (r.max_retries < 0) return bad("a count >= 0");
     } else if (key == "backoff") {
-      if (fields.size() != 4 || !ParseDouble(fields[1], &r.backoff_base) ||
-          !ParseDouble(fields[2], &r.backoff_multiplier) ||
-          !ParseDouble(fields[3], &r.backoff_cap)) {
-        return bad("'<base> <multiplier> <cap>'");
+      if (fields.size() != 4 || !finite(fields[1], &r.backoff_base) ||
+          !finite(fields[2], &r.backoff_multiplier) ||
+          !finite(fields[3], &r.backoff_cap)) {
+        return bad("'<base> <multiplier> <cap>', each a finite number");
       }
       if (r.backoff_base < 0.0 || r.backoff_multiplier < 1.0 ||
           r.backoff_cap < 0.0) {
         return bad("base >= 0, multiplier >= 1, cap >= 0");
       }
     } else if (key == "budget") {
-      if (fields.size() != 2 || !ParseDouble(fields[1], &r.cost_budget)) {
-        return bad("one number");
+      if (fields.size() != 2 || !finite(fields[1], &r.cost_budget)) {
+        return bad("one finite number");
       }
       if (r.cost_budget < 0.0) return bad("a budget >= 0");
     } else if (key == "breaker") {
@@ -102,10 +107,11 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
     } else if (key == "fault") {
       FaultRule rule;
       if ((fields.size() != 4 && fields.size() != 5) ||
-          !ParseDouble(fields[2], &rule.probability) ||
+          !finite(fields[2], &rule.probability) ||
           !ParseInteger(fields[3], &rule.experiment) ||
-          (fields.size() == 5 && !ParseDouble(fields[4], &rule.magnitude))) {
-        return bad("'<kind> <probability> <experiment|-1> [magnitude]'");
+          (fields.size() == 5 && !finite(fields[4], &rule.magnitude))) {
+        return bad("'<kind> <probability> <experiment|-1> [magnitude]' "
+                   "with finite numbers");
       }
       Result<FaultKind> kind = ParseKind(fields[1]);
       if (!kind.ok()) {
@@ -134,11 +140,9 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
 }
 
 Result<FaultPlan> FaultPlan::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return Parse(*text);
 }
 
 std::string FaultPlan::Serialize() const {

@@ -110,12 +110,18 @@ Result<std::string> DecodeChecksummed(std::string_view contents,
   return payload;
 }
 
-Result<std::string> ReadFileChecksummed(const std::string& path) {
+Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return DecodeChecksummed(buffer.str(), path);
+  return buffer.str();
+}
+
+Result<std::string> ReadFileChecksummed(const std::string& path) {
+  Result<std::string> contents = ReadFile(path);
+  if (!contents.ok()) return contents.status();
+  return DecodeChecksummed(*contents, path);
 }
 
 }  // namespace stratlearn

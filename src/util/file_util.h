@@ -9,6 +9,9 @@
 
 namespace stratlearn {
 
+/// Reads the whole file at `path`; NotFound when it cannot be opened.
+Result<std::string> ReadFile(const std::string& path);
+
 /// Writes `contents` to `path` atomically: the bytes go to a temporary
 /// file in the same directory, which is then renamed over `path`. A
 /// reader (or a process killed mid-write) therefore sees either the old

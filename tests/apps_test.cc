@@ -1,5 +1,8 @@
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
+#include "apps/learn_session.h"
 #include "apps/naf.h"
 #include "apps/segscan.h"
 #include "core/expected_cost.h"
@@ -184,6 +187,43 @@ TEST(KAnswersTest, MonteCarloMatchesEnumeration) {
   double mc = MonteCarloExpectedCost(g.graph, theta, oracle, 100000, rng,
                                      first_two);
   EXPECT_NEAR(mc, exact, 0.05);
+}
+
+// ---- LearnSession -------------------------------------------------------
+
+// A checkpoint that loads and fits the run resumes at its query count; one
+// whose PIB state PIB rejects (more samples than contexts) starts fresh,
+// like any checkpoint that does not fit, instead of failing the run.
+TEST(LearnSessionTest, PibStatePibRejectsStartsFresh) {
+  FigureTwoGraph g = MakeFigureTwo();
+  IndependentOracle oracle({0.9, 0.2, 0.8, 0.3});
+  LearnOptions options;
+  options.queries = 200;
+  options.seed = 7;
+  options.checkpoint = ::testing::TempDir() + "learn_session_test.ckpt";
+  options.resume = true;
+  auto contexts_after_resume = [&](int64_t extra_samples) {
+    Pib donor(&g.graph, Strategy::DepthFirst(g.graph),
+              PibOptions{.delta = options.delta});
+    robust::CheckpointData data;
+    data.learner = "pib";
+    data.seed = options.seed;
+    data.queries_done = 150;
+    data.rng_state = Rng(options.seed).SaveState();
+    data.pib = donor.GetCheckpoint();
+    data.pib.samples += extra_samples;
+    EXPECT_TRUE(robust::WriteCheckpoint(options.checkpoint, data).ok());
+    Result<std::unique_ptr<LearnSession>> session =
+        LearnSession::Open(options, g.graph, "pib");
+    if (!session.ok()) return int64_t{-1};
+    Pib pib(&g.graph, Strategy::DepthFirst(g.graph),
+            PibOptions{.delta = options.delta}, (*session)->observer());
+    EXPECT_TRUE((*session)->RunPib(&pib, oracle).ok());
+    return pib.contexts_processed();
+  };
+  EXPECT_EQ(contexts_after_resume(0), 50);
+  EXPECT_EQ(contexts_after_resume(1), 200);
+  std::remove(options.checkpoint.c_str());
 }
 
 }  // namespace

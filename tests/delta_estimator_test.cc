@@ -7,7 +7,6 @@
 #include <functional>
 #include <string>
 
-#include "core/palo.h"
 #include "core/pib.h"
 #include "core/transformations.h"
 #include "graph/examples.h"
@@ -503,15 +502,6 @@ TEST(IncrementalDeltaTest, RestoredNegativeZeroSumsBecomePositiveZero) {
   for (size_t j = 0; j < pib.num_neighbors(); ++j) {
     EXPECT_FALSE(std::signbit(pib.DeltaSumFor(j))) << "j=" << j;
   }
-  Palo palo(&g.graph, Strategy::DepthFirst(g.graph),
-            PaloOptions{.delta = 0.3, .epsilon = 0.05});
-  Palo::Checkpoint palo_checkpoint = palo.GetCheckpoint();
-  palo_checkpoint.neighbor_under_sums.assign(
-      palo_checkpoint.neighbor_under_sums.size(), -0.0);
-  ASSERT_TRUE(palo.RestoreCheckpoint(palo_checkpoint).ok());
-  for (double sum : palo.GetCheckpoint().neighbor_under_sums) {
-    EXPECT_FALSE(std::signbit(sum));
-  }
 }
 
 // A learner checkpointed mid-epoch and restored into a fresh instance
@@ -519,8 +509,8 @@ TEST(IncrementalDeltaTest, RestoredNegativeZeroSumsBecomePositiveZero) {
 TEST(IncrementalDeltaTest, CheckpointMidEpochResumesExactly) {
   Rng tree_rng(21);
   RandomTree tree = MakeRandomTree(tree_rng);
-  // Only the last retrieval is likely to succeed, so both learners climb
-  // away from depth-first.
+  // Only the last retrieval is likely to succeed, so PIB climbs away
+  // from depth-first.
   std::vector<double> probs(tree.probs.size(), 0.03);
   probs.back() = 0.9;
   IndependentOracle oracle(probs);
@@ -551,32 +541,6 @@ TEST(IncrementalDeltaTest, CheckpointMidEpochResumesExactly) {
   }
   EXPECT_GT(pib_a.moves().size(), 0u);
   EXPECT_EQ(pib_bytes(pib_c), pib_bytes(pib_a));
-
-  auto palo_bytes = [](const Palo& palo) {
-    robust::CheckpointData data;
-    data.learner = "palo";
-    data.palo = palo.GetCheckpoint();
-    return robust::SerializeCheckpoint(data);
-  };
-  const PaloOptions options{.delta = 0.3, .epsilon = 0.05};
-  Palo palo_a(&tree.graph, initial, options);
-  Palo palo_b(&tree.graph, initial, options);
-  rng_a = Rng(6);
-  rng_b = Rng(6);
-  for (int i = 0; i < total; ++i) {
-    palo_a.Observe(qp.Execute(palo_a.strategy(), oracle.Next(rng_a)));
-  }
-  for (int i = 0; i < cut; ++i) {
-    palo_b.Observe(qp.Execute(palo_b.strategy(), oracle.Next(rng_b)));
-  }
-  ASSERT_FALSE(palo_b.Finished());
-  Palo palo_c(&tree.graph, initial, options);
-  ASSERT_TRUE(palo_c.RestoreCheckpoint(palo_b.GetCheckpoint()).ok());
-  for (int i = cut; i < total; ++i) {
-    palo_c.Observe(qp.Execute(palo_c.strategy(), oracle.Next(rng_b)));
-  }
-  EXPECT_GT(palo_a.moves_made(), 0);
-  EXPECT_EQ(palo_bytes(palo_c), palo_bytes(palo_a));
 }
 
 }  // namespace

@@ -574,8 +574,9 @@ TEST(ChromeTraceSinkTest, SkippedEventsAfterADrawnOneWriteNothing) {
 }
 
 TEST(NullObserverTest, ExecutionUnchangedByObservation) {
-  // Observed and unobserved processors must produce identical traces on
-  // identical context streams — instrumentation is read-only.
+  // Unobserved, metrics-only and traced processors must produce
+  // identical traces on identical context streams — instrumentation is
+  // read-only.
   Rng rng_a(5);
   Rng rng_b(5);
   RandomTree tree = MakeRandomTree(rng_a);
@@ -585,19 +586,27 @@ TEST(NullObserverTest, ExecutionUnchangedByObservation) {
 
   obs::MetricsRegistry registry;
   obs::Observer observer(&registry, nullptr);
+  obs::MetricsRegistry traced_registry;
+  obs::NullSink null_sink;
+  obs::LockingSink locked_null(&null_sink);
+  obs::Observer traced_observer(&traced_registry, &locked_null);
   QueryProcessor plain(&tree.graph);
   QueryProcessor observed(&tree.graph, &observer);
+  QueryProcessor traced(&tree.graph, &traced_observer);
   for (int i = 0; i < 200; ++i) {
     Context ctx_a = oracle.Next(rng_a);
     Context ctx_b = oracle.Next(rng_b);
     ASSERT_TRUE(ctx_a == ctx_b);
     Trace ta = plain.Execute(theta, ctx_a);
-    Trace tb = observed.Execute(theta, ctx_b);
-    ASSERT_EQ(ta.cost, tb.cost);
-    ASSERT_EQ(ta.successes, tb.successes);
-    ASSERT_EQ(ta.attempts.size(), tb.attempts.size());
+    for (QueryProcessor* qp : {&observed, &traced}) {
+      Trace tb = qp->Execute(theta, ctx_b);
+      ASSERT_EQ(ta.cost, tb.cost);
+      ASSERT_EQ(ta.successes, tb.successes);
+      ASSERT_EQ(ta.attempts.size(), tb.attempts.size());
+    }
   }
   EXPECT_EQ(registry.GetCounter("qp.queries").value(), 200);
+  EXPECT_EQ(traced_registry.GetCounter("qp.queries").value(), 200);
 }
 
 /// A streambuf that accepts `limit` bytes, then fails every write — a

@@ -3,11 +3,13 @@
 // eviction accounting, and the JSONL serialization's determinism.
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/health/series_io.h"
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -191,6 +193,31 @@ TEST(TimeSeriesTest, SerializeJsonlIsValidAndDeterministic) {
             std::string::npos);
   EXPECT_NE(lines[1].find("\"p_hat\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"rate_per_s\""), std::string::npos);
+}
+
+// LoadTimeSeries reads back every window field the collector counts,
+// the certificate count included, so a resumed run writes its restored
+// windows unchanged into the series and into later checkpoints.
+TEST(TimeSeriesTest, WindowsRoundTripThroughLoadTimeSeries) {
+  MetricsRegistry registry;
+  obs::Counter& c = registry.GetCounter("qp.queries");
+  TimeSeriesCollector collector(&registry, {.interval_us = 100});
+  for (int w = 0; w < 3; ++w) {
+    c.Increment(5);
+    collector.On(Attempt(2, w != 1, 1.25));
+    for (int k = 0; k < w; ++k) collector.On(obs::DecisionCertificateEvent{});
+    collector.AdvanceTo((w + 1) * 100);
+  }
+  std::istringstream in(collector.SerializeJsonl());
+  obs::health::LoadedSeries series;
+  ASSERT_TRUE(obs::health::LoadTimeSeries(in, &series).ok());
+  const std::vector<TimeSeriesWindow> original = collector.Windows();
+  ASSERT_EQ(series.windows.size(), original.size());
+  EXPECT_EQ(series.windows[2].certificates, 2);
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(TimeSeriesCollector::SerializeWindowJson(series.windows[i]),
+              TimeSeriesCollector::SerializeWindowJson(original[i]));
+  }
 }
 
 TEST(TimeSeriesTest, NullRegistryYieldsArcSeriesOnly) {
