@@ -338,11 +338,11 @@ void LearnSession::RestoreSeries() {
                  "detector state starts fresh\n",
                  loaded.ToString().c_str());
   } else if (health_ != nullptr) {
-    // Decide-only replay: drift/alert transitions re-annotate the
-    // restored windows (the sink tee is not assembled yet, so nothing
-    // reaches the trace or audit log) and the recovery hook rebuilds the
-    // controller's transcript and cooldowns.
-    health_->set_event_sink(timeseries_.get());
+    // Decide-only replay: the restored windows keep the drift and alert
+    // entries the checkpoint holds, which the uninterrupted run derived
+    // from its whole history. The monitor has no event sink yet, so the
+    // replay only rebuilds the detector and alert state and, through
+    // the recovery hook, the controller's transcript and cooldowns.
     for (const obs::TimeSeriesWindow& w : timeseries_->Windows()) {
       health_->OnWindow(w);
     }
@@ -354,9 +354,9 @@ int64_t LearnSession::StopAt(int64_t end) const {
   return halt > done_ && halt < end ? halt : end;
 }
 
-obs::Histogram* LearnSession::WallTimer() {
+obs::Histogram* LearnSession::WallTimer(const char* name) {
   // Wall time is meaningless (and nondeterministic) on the fake clock.
-  return fake_clock_ ? nullptr : &registry_.GetHistogram("cli.learn_wall_us");
+  return fake_clock_ ? nullptr : &registry_.GetHistogram(name);
 }
 
 Status LearnSession::RunPib(Pib* pib, ContextOracle& oracle,
@@ -375,7 +375,7 @@ Status LearnSession::RunPib(Pib* pib, ContextOracle& oracle,
     data->pib = pib->GetCheckpoint();
   };
   {
-    obs::ScopedTimer timer(WallTimer());
+    obs::ScopedTimer timer(WallTimer("cli.learn_wall_us"));
     for (int64_t i = done_, stop = StopAt(options_.queries);
          i < stop && status_.ok(); ++i) {
       if (pib->Observe(qp.Execute(pib->strategy(), oracle.Next(rng_))) &&
@@ -413,7 +413,7 @@ Result<PaoResult> LearnSession::RunPao(ContextOracle& oracle) {
     });
   };
   Result<PaoResult> result = [&] {
-    obs::ScopedTimer timer(WallTimer());
+    obs::ScopedTimer timer(WallTimer("cli.learn_wall_us"));
     return Pao::Run(graph_, oracle, rng_, options, observer_.get());
   }();
   const bool halted_here = !result.ok() && halt_armed && done_ == cap;
@@ -491,6 +491,14 @@ Status LearnSession::WriteCheckpoint(const LearnerState& state) {
 }
 
 void LearnSession::Finish(bool print_summary) {
+  if (timeseries_ != nullptr) {
+    // Close the trailing partial window at the last query (fake clock)
+    // or at real end-of-run time, before any output is closed or
+    // written: the health monitor sees that window through the callback,
+    // and its drift, alert and recovery events still reach the trace,
+    // the audit log and the metrics.
+    timeseries_->Finalize(fake_clock_ ? done_ : observer_->NowUs());
+  }
   if (file_sink_ != nullptr) {
     file_sink_->Close();
     if (file_sink_->failed()) {
@@ -527,19 +535,12 @@ void LearnSession::Finish(bool print_summary) {
     WriteOutput(profile_stream_, profiler_->ReportJson() + "\n", "profile",
                 options_.profile_out);
   }
-  if (timeseries_ != nullptr) {
-    // Close the trailing partial window at the last query (fake clock)
-    // or at real end-of-run time, then write the series. The health
-    // monitor (if attached) sees that final window via the callback
-    // before anything below reads its state.
-    timeseries_->Finalize(fake_clock_ ? done_ : observer_->NowUs());
-    if (timeseries_stream_.is_open()) {
-      WriteOutput(
-          timeseries_stream_, timeseries_->SerializeJsonl(), "time series",
-          options_.timeseries_out,
-          StrFormat(" (%lld windows)",
-                    static_cast<long long>(timeseries_->windows_closed())));
-    }
+  if (timeseries_stream_.is_open()) {
+    WriteOutput(
+        timeseries_stream_, timeseries_->SerializeJsonl(), "time series",
+        options_.timeseries_out,
+        StrFormat(" (%lld windows)",
+                  static_cast<long long>(timeseries_->windows_closed())));
   }
   if (health_ != nullptr) {
     std::printf("health: %s (%lld windows, %lld drift series active, "

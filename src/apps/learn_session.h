@@ -94,6 +94,10 @@ class LearnSession {
   /// Whether the run stopped at --halt-after, a scripted crash (exit
   /// code 3 in the CLI); the session has printed the halt to stderr.
   bool halted() const { return halted_; }
+  /// The histogram a wall-clock timer named `name` records into, or
+  /// null on the fake clock, where wall time would make the metrics
+  /// differ between identical runs.
+  obs::Histogram* WallTimer(const char* name);
 
   /// Restores `pib` when resuming, binds the recovery controller, and
   /// runs it to --queries, calling `on_move` (if set) after each climb;
@@ -107,11 +111,12 @@ class LearnSession {
   /// sampler state when resuming, then writes the final checkpoint.
   Result<PaoResult> RunPao(ContextOracle& oracle);
 
-  /// Closes the trace and the audit log, writes the metrics, profile,
-  /// time series, health report and final export, and prints where
-  /// each went (and the metrics summary with `print_summary`). A write
-  /// failure is a warning on stderr: the learner's result is already
-  /// printed, and losing telemetry must not fail the run.
+  /// Closes the last time-series window, then the trace and the audit
+  /// log; writes the metrics, profile, time series, health report and
+  /// final export, and prints where each went (and the metrics summary
+  /// with `print_summary`). A write failure is a warning on stderr: the
+  /// learner's result is already printed, and losing telemetry must not
+  /// fail the run.
   void Finish(bool print_summary = true);
 
  private:
@@ -127,7 +132,6 @@ class LearnSession {
   Status Resumable(const Result<robust::CheckpointData>& checkpoint) const;
   /// The first query --halt-after stops before `end` at, or `end`.
   int64_t StopAt(int64_t end) const;
-  obs::Histogram* WallTimer();
 
   /// After query `done`: tick the telemetry clock, then write the
   /// periodic checkpoint when one is due.

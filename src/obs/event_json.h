@@ -1,7 +1,9 @@
 #ifndef STRATLEARN_OBS_EVENT_JSON_H_
 #define STRATLEARN_OBS_EVENT_JSON_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -15,17 +17,22 @@
 namespace stratlearn::obs {
 
 /// JSON glue driven by each event type's field list (events.h): the
-/// JSONL writer and TraceReader, the Chrome trace args and the audit
-/// certificate record all go through these, so the keys, their order
-/// and the value encodings are spelled once per type.
+/// JSONL writer and TraceReader, the Chrome trace args, the audit
+/// certificate record, the time-series windows' drift and alert entries
+/// and the health report's events all go through these, so the keys,
+/// their order and the value encodings are spelled once per type.
+
+/// The skip list of a record that carries the timestamp as its own key
+/// (Chrome's "ts") or not at all.
+inline constexpr std::string_view kSkipTime[] = {"t_us"};
 
 /// Writes every field of `e` into the open object as key/value pairs,
-/// in field-list order, leaving out the field named `skip` (Chrome
-/// carries `t_us` as its own "ts").
+/// in field-list order, leaving out the fields named in `skip`.
 template <typename E>
-void WriteEventFields(JsonWriter& w, const E& e, std::string_view skip = {}) {
+void WriteEventFields(JsonWriter& w, const E& e,
+                      std::span<const std::string_view> skip = {}) {
   E::Fields(e, [&](std::string_view key, const auto& value) {
-    if (key == skip) return;
+    if (std::ranges::find(skip, key) != skip.end()) return;
     using T = std::decay_t<decltype(value)>;
     w.Key(key);
     if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {

@@ -62,7 +62,7 @@ struct QueryEndEvent {
 /// One arc traversal attempt inside a query. `cost` is the full price of
 /// this attempt — the arc's base cost plus its outcome-dependent extra —
 /// so per-arc cost attribution can be rebuilt from the event stream
-/// alone (the StrategyProfiler and trace_report rely on this).
+/// alone (the StrategyProfiler and `stratlearn_cli trace` rely on this).
 struct ArcAttemptEvent {
   int64_t query_index = 0;
   int64_t t_us = 0;

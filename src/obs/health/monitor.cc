@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/event_json.h"
 #include "obs/json_writer.h"
 #include "util/string_util.h"
 
@@ -10,7 +11,7 @@ namespace stratlearn::obs::health {
 namespace {
 
 /// Fixed significant digits for the text report, matching the other
-/// report tools (stats_report, explain).
+/// reports (`series`, explain).
 std::string Num(double v) { return FormatDouble(v, 6); }
 
 }  // namespace
@@ -171,13 +172,7 @@ std::string HealthMonitor::RenderJson() const {
   for (const DriftEvent& e : drift_log_) {
     w.BeginObject();
     w.Key("window").Value(e.window);
-    w.Key("detector").Value(e.detector);
-    w.Key("state").Value(e.state);
-    w.Key("arc").Value(e.arc);
-    w.Key("counter").Value(e.counter);
-    w.Key("statistic").Value(e.statistic);
-    w.Key("reference").Value(e.reference);
-    w.Key("threshold").Value(e.threshold);
+    WriteEventFields(w, e, kWindowDriftSkip);
     w.EndObject();
   }
   w.EndArray();
@@ -208,13 +203,7 @@ std::string HealthMonitor::RenderJson() const {
   for (const AlertEvent& e : alert_log_) {
     w.BeginObject();
     w.Key("window").Value(e.window);
-    w.Key("rule").Value(e.rule);
-    w.Key("state").Value(e.state);
-    w.Key("severity").Value(e.severity);
-    w.Key("metric").Value(e.metric);
-    w.Key("value").Value(e.value);
-    w.Key("threshold").Value(e.threshold);
-    w.Key("for_windows").Value(e.for_windows);
+    WriteEventFields(w, e, kWindowAlertSkip);
     w.EndObject();
   }
   w.EndArray();

@@ -2,7 +2,9 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "obs/event_json.h"
 #include "obs/json_reader.h"
 #include "util/string_util.h"
 
@@ -35,6 +37,23 @@ bool IntField(const JsonValue& object, const std::string& key, T* out) {
     return false;
   }
   *out = static_cast<T>(value);
+  return true;
+}
+
+/// Reads the event entries of array `key` through their field list;
+/// the fields a window record leaves out keep their defaults. False
+/// when an entry is not an object.
+template <typename E>
+bool ReadEntries(const JsonValue& window, const std::string& key,
+                 std::vector<E>* out) {
+  const JsonValue* entries = window.Get(key);
+  if (entries == nullptr || entries->kind != JsonValue::Kind::kArray) {
+    return true;
+  }
+  for (const JsonValue& entry : entries->array) {
+    if (entry.kind != JsonValue::Kind::kObject) return false;
+    ReadEventFields(entry, &out->emplace_back());
+  }
   return true;
 }
 
@@ -128,6 +147,10 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
         stats.cost = NumberOr(a.Get("cost"), 0.0);
         window.arcs.push_back(std::move(stats));
       }
+    }
+    if (!ReadEntries(value, "drift", &window.drift) ||
+        !ReadEntries(value, "alerts", &window.alerts)) {
+      return Malformed(line_number, "drift or alert entry is not an object");
     }
     out->windows.push_back(std::move(window));
   }

@@ -12,7 +12,8 @@ namespace stratlearn::obs::health {
 
 /// A "stratlearn-timeseries-v1" file parsed back into the in-memory
 /// window representation, so the offline `health` pipeline feeds the
-/// same HealthMonitor code path as a live run. The serializer writes
+/// same HealthMonitor code path as a live run, `series` renders it and a
+/// resumed run restores its checkpointed windows. The serializer writes
 /// doubles at round-trip precision, which is what makes the offline
 /// detector decisions bit-identical to the online ones.
 struct LoadedSeries {
@@ -23,10 +24,11 @@ struct LoadedSeries {
   std::vector<TimeSeriesWindow> windows;
 };
 
-/// Parses a series stream. InvalidArgument (with a line number) on a
-/// missing/unknown schema header or a malformed window line. Drift and
-/// alert annotations embedded in the file are ignored: the monitor
-/// re-derives every decision from the data.
+/// Parses a series stream, the only reader of series lines.
+/// InvalidArgument (with a line number) on a missing/unknown schema
+/// header or a malformed window line. Each window's drift and alert
+/// entries are read back through their field lists; the monitor itself
+/// re-derives every decision from the data and never reads them.
 Status LoadTimeSeries(std::istream& in, LoadedSeries* out);
 
 }  // namespace stratlearn::obs::health

@@ -178,45 +178,6 @@ class PaoQuotaInstance {
   Rng rng_;
 };
 
-/// The fig1_execute hot path with no observer: the Figure-1 context
-/// stream, whose work units are the arc attempts actually made.
-/// obs_test's NullObserverTest checks that attaching metrics or a trace
-/// sink leaves execution unchanged, and bm_core's
-/// BM_ExecuteStrategyObserved prices the telemetry itself.
-class ObsOverheadInstance {
- public:
-  explicit ObsOverheadInstance(uint64_t seed)
-      : fig1_(MakeFigureOne()),
-        theta_(Strategy::DepthFirst(fig1_.graph)),
-        qp_(&fig1_.graph),
-        oracle_({0.2, 0.75}),
-        rng_(seed) {}
-
-  RepResult RunOnce() {
-    constexpr int kContexts = 3000;
-    int64_t attempts = 0;
-    int64_t successes = 0;
-    for (int i = 0; i < kContexts; ++i) {
-      Trace trace = qp_.Execute(theta_, oracle_.Next(rng_));
-      attempts += static_cast<int64_t>(trace.attempts.size());
-      successes += trace.successes;
-    }
-    RepResult result;
-    result.work_units = static_cast<double>(attempts);
-    result.counters = {{"contexts", kContexts},
-                       {"arc_attempts", attempts},
-                       {"successes", successes}};
-    return result;
-  }
-
- private:
-  FigureOneGraph fig1_;
-  Strategy theta_;
-  QueryProcessor qp_;
-  IndependentOracle oracle_;
-  Rng rng_;
-};
-
 /// End-to-end statistical drift detection: a flat-tree satisficing
 /// search driven by a DriftingOracle whose first experiment steps from
 /// p = 0.8 to p = 0.2 mid-run, with the full health pipeline attached
@@ -594,7 +555,6 @@ std::string RunCanonicalBench() {
   rows += Row<AuditOverheadInstance>("audit_overhead");
   rows += Row<DriftDetectInstance>("drift_detect");
   rows += Row<DriftRecoverInstance>("drift_recover");
-  rows += Row<ObsOverheadInstance>("obs_overhead_off");
   return rows;
 }
 

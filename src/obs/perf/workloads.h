@@ -19,7 +19,6 @@ namespace stratlearn::obs::perf {
 ///                    stream
 ///   drift_recover  — rebaseline against no reaction and a cold restart,
 ///                    on a transient and a permanent drift
-///   obs_overhead_off — the Figure-1 execute loop with no observer
 /// Each workload is built once at seed 19920602, runs one warmup
 /// repetition, then five repetitions whose work units and counters are
 /// summed; every repetition continues the instance's RNG stream. The

@@ -66,7 +66,7 @@ struct ProfilerOptions {
 ///
 /// It is itself a TraceSink, so it can ride the same Observer as a file
 /// sink via TeeSink (online profiling), or be fed from a recorded JSONL
-/// trace via TraceReader (offline, tools/trace_report) — both paths
+/// trace via TraceReader (offline, `stratlearn_cli trace`) — both paths
 /// produce identical reports because no report carries a timestamp.
 class StrategyProfiler final : public TraceSink {
  public:

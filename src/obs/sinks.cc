@@ -177,7 +177,7 @@ void ChromeTraceSink::On(const Event& event) {
           w.Key("pid").Value(int64_t{1});
           w.Key("tid").Value(int64_t{1});
           w.Key("args").BeginObject();
-          WriteEventFields(w, e, /*skip=*/"t_us");
+          WriteEventFields(w, e, kSkipTime);
           w.EndObject();
           w.EndObject();
         }

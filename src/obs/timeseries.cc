@@ -3,6 +3,7 @@
 #include <utility>
 #include <variant>
 
+#include "obs/event_json.h"
 #include "obs/json_writer.h"
 #include "util/check.h"
 
@@ -282,13 +283,7 @@ std::string TimeSeriesCollector::SerializeWindowJson(
       w.Key("drift").BeginArray();
       for (const DriftEvent& e : window.drift) {
         w.BeginObject();
-        w.Key("detector").Value(e.detector);
-        w.Key("state").Value(e.state);
-        w.Key("arc").Value(e.arc);
-        w.Key("counter").Value(e.counter);
-        w.Key("statistic").Value(e.statistic);
-        w.Key("reference").Value(e.reference);
-        w.Key("threshold").Value(e.threshold);
+        WriteEventFields(w, e, kWindowDriftSkip);
         w.EndObject();
       }
       w.EndArray();
@@ -297,13 +292,7 @@ std::string TimeSeriesCollector::SerializeWindowJson(
       w.Key("alerts").BeginArray();
       for (const AlertEvent& e : window.alerts) {
         w.BeginObject();
-        w.Key("rule").Value(e.rule);
-        w.Key("state").Value(e.state);
-        w.Key("severity").Value(e.severity);
-        w.Key("metric").Value(e.metric);
-        w.Key("value").Value(e.value);
-        w.Key("threshold").Value(e.threshold);
-        w.Key("for_windows").Value(e.for_windows);
+        WriteEventFields(w, e, kWindowAlertSkip);
         w.EndObject();
       }
       w.EndArray();

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -56,6 +57,13 @@ struct ArcWindowStats {
     return attempts == 0 ? 0.0 : cost / static_cast<double>(attempts);
   }
 };
+
+/// The DriftEvent and AlertEvent fields a window's `drift` and `alerts`
+/// entries (and the health report's events) leave out: the window says
+/// where they belong, and `t_us` is the emitter's clock.
+inline constexpr std::string_view kWindowDriftSkip[] = {
+    "t_us", "window", "window_start_us", "window_end_us"};
+inline constexpr std::string_view kWindowAlertSkip[] = {"t_us", "window"};
 
 /// One closed window: the registry's cumulative state at close plus the
 /// per-interval deltas against the previous boundary.

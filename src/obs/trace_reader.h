@@ -13,11 +13,11 @@ namespace stratlearn::obs {
 /// Replays a JSONL trace (as written by JsonlSink) into any TraceSink,
 /// so offline tools aggregate recorded runs through exactly the same
 /// code path as live ones — feed a StrategyProfiler to rebuild the
-/// attribution report from a file (tools/trace_report does this).
+/// attribution report from a file (`stratlearn_cli trace` does this).
 ///
 /// Each line must be one JSON object (parsed with the shared
-/// obs::ParseJson, the same reader the audit, time-series and
-/// stats_report readers use). Its "type" picks the event and the type's field list
+/// obs::ParseJson, the same reader the audit and time-series readers
+/// use). Its "type" picks the event and the type's field list
 /// (events.h) reads it: a field that is absent, of the wrong kind or an
 /// out-of-range integer keeps the member's default, and unknown keys
 /// are ignored. Events whose "type" is unknown are counted and skipped,

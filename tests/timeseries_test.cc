@@ -208,6 +208,18 @@ TEST(TimeSeriesTest, WindowsRoundTripThroughLoadTimeSeries) {
     for (int k = 0; k < w; ++k) collector.On(obs::DecisionCertificateEvent{});
     collector.AdvanceTo((w + 1) * 100);
   }
+  // Health entries attach to a closed window, as the monitor's are.
+  collector.On(obs::DriftEvent{.t_us = 9, .detector = "rate",
+                               .state = "detected", .counter = "qp.queries",
+                               .statistic = 0.1, .reference = 1.0 / 3.0,
+                               .threshold = 2.5, .window = 1,
+                               .window_start_us = 100,
+                               .window_end_us = 200});
+  collector.On(obs::AlertEvent{.t_us = 9, .rule = "flow", .state = "firing",
+                               .severity = "warning",
+                               .metric = "counter_delta:qp.queries",
+                               .value = 5, .threshold = 1, .window = 1,
+                               .for_windows = 2});
   std::istringstream in(collector.SerializeJsonl());
   obs::health::LoadedSeries series;
   ASSERT_TRUE(obs::health::LoadTimeSeries(in, &series).ok());
@@ -218,6 +230,25 @@ TEST(TimeSeriesTest, WindowsRoundTripThroughLoadTimeSeries) {
     EXPECT_EQ(TimeSeriesCollector::SerializeWindowJson(series.windows[i]),
               TimeSeriesCollector::SerializeWindowJson(original[i]));
   }
+  ASSERT_EQ(series.windows[1].drift.size(), 1u);
+  const obs::DriftEvent& drift = series.windows[1].drift[0];
+  EXPECT_EQ(drift.counter, "qp.queries");
+  EXPECT_EQ(drift.arc, -1);
+  EXPECT_EQ(drift.reference, 1.0 / 3.0);
+  ASSERT_EQ(series.windows[1].alerts.size(), 1u);
+  EXPECT_EQ(series.windows[1].alerts[0].metric, "counter_delta:qp.queries");
+  EXPECT_EQ(series.windows[1].alerts[0].for_windows, 2);
+  EXPECT_TRUE(series.windows[0].drift.empty());
+}
+
+TEST(TimeSeriesTest, LoadTimeSeriesRejectsNonObjectHealthEntry) {
+  std::istringstream in(
+      "{\"schema\":\"stratlearn-timeseries-v1\",\"interval_us\":100}\n"
+      "{\"window\":0,\"drift\":[1]}\n");
+  obs::health::LoadedSeries series;
+  Status loaded = obs::health::LoadTimeSeries(in, &series);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.message().find("line 2"), std::string::npos);
 }
 
 TEST(TimeSeriesTest, NullRegistryYieldsArcSeriesOnly) {

@@ -10,10 +10,120 @@
 #include "obs/health/series_io.h"
 #include "robust/recovery/controller.h"
 #include "util/status.h"
+#include "util/string_util.h"
 #include "verify/diagnostics.h"
 #include "verify/verify.h"
 
 namespace stratlearn::tools {
+
+namespace {
+
+/// Fixed significant digits, so one file always renders the same text.
+std::string Num(double v) { return FormatDouble(v, 6); }
+
+void RenderWindow(const obs::TimeSeriesWindow& w, std::string* out) {
+  *out += StrFormat("window %lld [%lld, %lld)\n",
+                    static_cast<long long>(w.index),
+                    static_cast<long long>(w.start_us),
+                    static_cast<long long>(w.end_us));
+  if (!w.cumulative.counters.empty()) {
+    *out += "  counters:\n";
+    for (const auto& [name, total] : w.cumulative.counters) {
+      const int64_t delta = w.counter_deltas.at(name);
+      *out += StrFormat(
+          "    %-28s total=%-10s delta=%-8s rate_per_s=%s\n", name.c_str(),
+          Num(static_cast<double>(total)).c_str(),
+          Num(static_cast<double>(delta)).c_str(),
+          Num(w.Rate(delta)).c_str());
+    }
+  }
+  if (!w.cumulative.gauges.empty()) {
+    *out += "  gauges:\n";
+    for (const auto& [name, value] : w.cumulative.gauges) {
+      *out += StrFormat("    %-28s %s\n", name.c_str(), Num(value).c_str());
+    }
+  }
+  if (!w.histogram_deltas.empty()) {
+    *out += "  histograms:\n";
+    for (const auto& [name, h] : w.histogram_deltas) {
+      *out += StrFormat("    %-28s count+=%-8s sum+=%-12s mean=%s\n",
+                        name.c_str(),
+                        Num(static_cast<double>(h.count)).c_str(),
+                        Num(h.sum).c_str(), Num(h.Mean()).c_str());
+    }
+  }
+  if (!w.arcs.empty()) {
+    *out += "  arcs:\n";
+    for (const obs::ArcWindowStats& a : w.arcs) {
+      *out += StrFormat(
+          "    arc %-4lld attempts=%-7s unblocked=%-7s p_hat=%-10s "
+          "mean_cost=%s\n",
+          static_cast<long long>(a.arc),
+          Num(static_cast<double>(a.attempts)).c_str(),
+          Num(static_cast<double>(a.unblocked)).c_str(),
+          Num(a.PHat()).c_str(), Num(a.MeanCost()).c_str());
+    }
+  }
+  if (!w.drift.empty()) {
+    *out += "  drift:\n";
+    for (const obs::DriftEvent& d : w.drift) {
+      std::string series = d.detector == "rate"
+                               ? d.counter
+                               : StrFormat("arc %lld",
+                                           static_cast<long long>(d.arc));
+      *out += StrFormat(
+          "    %-10s %-24s %-9s statistic=%-12s reference=%-12s "
+          "threshold=%s\n",
+          d.detector.c_str(), series.c_str(), d.state.c_str(),
+          Num(d.statistic).c_str(), Num(d.reference).c_str(),
+          Num(d.threshold).c_str());
+    }
+  }
+  if (!w.alerts.empty()) {
+    *out += "  alerts:\n";
+    for (const obs::AlertEvent& a : w.alerts) {
+      *out += StrFormat(
+          "    %-24s %-9s severity=%-8s %s value=%-12s threshold=%s\n",
+          a.rule.c_str(), a.state.c_str(), a.severity.c_str(),
+          a.metric.c_str(), Num(a.value).c_str(), Num(a.threshold).c_str());
+    }
+  }
+}
+
+}  // namespace
+
+int RunSeriesReport(const std::string& series_path) {
+  std::ifstream in(series_path);
+  if (!in) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", series_path.c_str());
+    return 1;
+  }
+  obs::health::LoadedSeries series;
+  Status loaded = obs::health::LoadTimeSeries(in, &series);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", series_path.c_str(),
+                 loaded.ToString().c_str());
+    return 2;
+  }
+  std::string out = StrFormat(
+      "interval_us=%lld windows_retained=%zu windows_closed=%lld "
+      "windows_evicted=%lld\n",
+      static_cast<long long>(series.interval_us), series.windows.size(),
+      static_cast<long long>(series.windows_closed),
+      static_cast<long long>(series.windows_evicted));
+  if (series.windows_evicted > 0) {
+    out += StrFormat(
+        "note: the %lld oldest windows were evicted from the ring and are "
+        "not in this report\n",
+        static_cast<long long>(series.windows_evicted));
+  }
+  for (const obs::TimeSeriesWindow& w : series.windows) {
+    out += "\n";
+    RenderWindow(w, &out);
+  }
+  std::fputs(out.c_str(), stdout);
+  return 0;
+}
 
 int RunOfflineHealth(const std::string& series_path,
                      const std::string& alerts_path,

@@ -28,6 +28,14 @@ int RunOfflineHealth(const std::string& series_path,
                      const std::string& report_out,
                      const std::string& recovery_path, const char* usage);
 
+/// Renders a "stratlearn-timeseries-v1" file, read by
+/// obs::health::LoadTimeSeries, as per-window text tables on stdout: a
+/// pure function of the file's content, which the report never names,
+/// so two byte-identical series render byte-identically. Backs
+/// `stratlearn_cli series`. Exit contract: 0 report written, 1 cannot
+/// open the file, 2 malformed series.
+int RunSeriesReport(const std::string& series_path);
+
 }  // namespace stratlearn::tools
 
 #endif  // STRATLEARN_TOOLS_OFFLINE_HEALTH_H_

@@ -50,6 +50,27 @@
 //       per-learner delta-budget ledger, the regret curve and the run
 //       summary. Exit code: 0 clean, 1 findings (overspent ledger,
 //       non-conservative certificate), 2 usage/malformed input.
+//   series <series.jsonl>
+//       Render a "stratlearn-timeseries-v1" file (--timeseries-out) as
+//       per-window text tables: counter totals, deltas and rates,
+//       gauges, histogram activity, the windowed per-arc p^ and mean
+//       cost, and the drift and alert entries the health monitor
+//       attached. The text depends only on the file's content. Exit
+//       code: 0 report, 1 unreadable file, 2 usage error or malformed
+//       series.
+//   trace <trace.jsonl> [--format=text|json] [--delta=D]
+//       Replay a JSONL trace (--trace-out=*.jsonl) through the strategy
+//       profiler and print the per-arc attribution report the live run
+//       builds: p^ with its Equation-1 (Hoeffding) half-width at --delta,
+//       mean and cumulative cost, the climb history. Exit code: 0
+//       report, 2 usage, unreadable or malformed trace, or a trace with
+//       no replayable event (V-T001).
+//   trace-diff <baseline.jsonl> <candidate.jsonl>
+//       The cost-regression gate: compare two traces arc by arc. An arc
+//       regresses when the candidate's mean traversal cost exceeds the
+//       baseline's by more than 10% (and 1e-9), with at least 10
+//       attempts in each run. Exit code: 0 no regression, 1 regression,
+//       2 as for trace.
 //   verify <files...> [--project=DIR] [--format=text|json|sarif]
 //          [--profile=FILE] [--suppressions=FILE] [--suppress-out=FILE]
 //          [--Werror]
@@ -124,7 +145,7 @@
 //                           timeseries v1" JSONL: per-window counter
 //                           deltas/rates, histogram activity, per-arc
 //                           p-hat / mean cost) at end of run; render it
-//                           with tools/stats_report
+//                           with `stratlearn_cli series`
 //   --timeseries-every=N    window length in clock units (same defaults
 //                           as --export-every)
 //   --obs-clock=MODE        'steady' (default) stamps windows with real
@@ -206,7 +227,9 @@
 #include "datalog/parser.h"
 #include "graph/serialization.h"
 #include "obs/perf/workloads.h"
+#include "obs/profiler.h"
 #include "obs/timer.h"
+#include "obs/trace_reader.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
 #include "verify/diagnostics.h"
@@ -590,8 +613,7 @@ int CmdEval(const CliOptions& options) {
       LearnSession::Open(options, loaded.built.graph, "");
   if (!session_or.ok()) return FailStatus(session_or.status());
   LearnSession& session = **session_or;
-  obs::Histogram& phase_us =
-      session.registry().GetHistogram("cli.eval_phase_us");
+  obs::Histogram* phase_us = session.WallTimer("cli.eval_phase_us");
   obs::Counter& evaluated =
       session.registry().GetCounter("cli.strategies_evaluated");
 
@@ -610,14 +632,14 @@ int CmdEval(const CliOptions& options) {
     label = "given:";
   }
   {
-    obs::ScopedTimer timer(&phase_us);
+    obs::ScopedTimer timer(phase_us);
     PrintStrategyReport(loaded, label, strategy, truth);
     evaluated.Increment();
   }
 
   std::vector<double> smith = SmithFactCountEstimates(loaded.built, loaded.db);
   {
-    obs::ScopedTimer timer(&phase_us);
+    obs::ScopedTimer timer(phase_us);
     Result<UpsilonResult> smith_strategy =
         UpsilonAot(loaded.built.graph, smith);
     if (smith_strategy.ok()) {
@@ -626,7 +648,7 @@ int CmdEval(const CliOptions& options) {
     }
   }
   {
-    obs::ScopedTimer timer(&phase_us);
+    obs::ScopedTimer timer(phase_us);
     Result<UpsilonResult> optimal = UpsilonAot(loaded.built.graph, truth);
     if (!optimal.ok()) return Fail(optimal.status().ToString());
     PrintStrategyReport(loaded, "optimal:", optimal->strategy, truth);
@@ -784,18 +806,119 @@ int CmdAudit(const CliOptions& options) {
   return tools::RunOfflineAudit(options.positional[0], options.format);
 }
 
+int CmdSeries(const CliOptions& options) {
+  if (options.positional.size() != 1 || options.format != "text") {
+    std::fprintf(stderr, "usage: stratlearn_cli series <series.jsonl>\n");
+    return 2;
+  }
+  return tools::RunSeriesReport(options.positional[0]);
+}
+
+/// Replays each JSONL trace of `paths` into a profiler of its own, for
+/// `trace` and `trace-diff`. The events replayed and skipped per file go
+/// to stderr, so stdout stays a pure report. Returns 0, or 2 with the
+/// error printed for a file that cannot be read or parsed or that holds
+/// no replayable event (V-T001): a report over it is vacuous, and an
+/// empty baseline would gate nothing.
+int ReplayTraces(const std::vector<std::string>& paths, double delta,
+                 std::vector<obs::StrategyProfiler>* profilers) {
+  auto fail = [](const Status& status) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 2;
+  };
+  verify::DiagnosticSink sink;
+  for (const std::string& path : paths) {
+    obs::TraceReader reader(
+        &profilers->emplace_back(obs::ProfilerOptions{.delta = delta}));
+    std::ifstream in(path);
+    if (!in) return fail(Status::NotFound("cannot open '" + path + "'"));
+    Status replayed = reader.ReplayStream(in);
+    if (!replayed.ok()) {
+      return fail(Status::InvalidArgument(path + ": " + replayed.message()));
+    }
+    std::fprintf(stderr, "%s: %lld events replayed, %lld skipped\n",
+                 path.c_str(), static_cast<long long>(reader.events()),
+                 static_cast<long long>(reader.skipped()));
+    if (reader.events() == 0) {
+      sink.set_file(path);
+      sink.Error("V-T001", "",
+                 reader.skipped() > 0
+                     ? StrFormat("trace has no replayable events (%lld "
+                                 "lines skipped); a report over it is "
+                                 "vacuous",
+                                 static_cast<long long>(reader.skipped()))
+                     : "trace is empty; a report over it is vacuous",
+                 "record the trace with `stratlearn_cli "
+                 "--trace-out=*.jsonl`, or check the path");
+    }
+  }
+  if (!sink.HasBlocking()) return 0;
+  std::fprintf(stderr, "%s", sink.RenderText().c_str());
+  return 2;
+}
+
+int CmdTrace(const CliOptions& options) {
+  if (options.positional.size() != 1 ||
+      (options.format != "text" && options.format != "json")) {
+    std::fprintf(stderr,
+                 "usage: stratlearn_cli trace <trace.jsonl> "
+                 "[--format=text|json] [--delta=D]\n");
+    return 2;
+  }
+  if (!(options.delta > 0.0 && options.delta < 1.0)) {
+    // The p^ half-widths are Hoeffding deviations at this confidence.
+    std::fprintf(stderr, "error: --delta must lie in (0, 1)\n");
+    return 2;
+  }
+  std::vector<obs::StrategyProfiler> profiler;
+  if (int rc = ReplayTraces(options.positional, options.delta, &profiler);
+      rc != 0) {
+    return rc;
+  }
+  std::printf("%s", options.format == "json"
+                        ? (profiler[0].ReportJson() + "\n").c_str()
+                        : profiler[0].ReportText().c_str());
+  return 0;
+}
+
+int CmdTraceDiff(const CliOptions& options) {
+  if (options.positional.size() != 2 || options.format != "text") {
+    std::fprintf(stderr,
+                 "usage: stratlearn_cli trace-diff <baseline.jsonl> "
+                 "<candidate.jsonl>\n");
+    return 2;
+  }
+  std::vector<obs::StrategyProfiler> runs;
+  if (int rc = ReplayTraces(options.positional, options.delta, &runs);
+      rc != 0) {
+    return rc;
+  }
+  obs::ProfileDiff diff =
+      DiffProfiles(runs[0], runs[1], obs::ProfileDiffOptions{});
+  std::printf("%s", diff.ReportText().c_str());
+  return diff.has_regression ? 1 : 0;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(
         stderr,
         "usage: stratlearn_cli "
         "<query|dot|learn-pib|learn-pao|eval|explain|bench|health|audit|"
-        "verify> ...\n");
+        "series|trace|trace-diff|verify> ...\n");
     return 1;
   }
   std::string command = argv[1];
   Result<CliOptions> parsed = ParseArgs(argc, argv);
-  if (!parsed.ok()) return Fail(parsed.status().message());
+  if (!parsed.ok()) {
+    Fail(parsed.status().message());
+    // The offline reports' exit code 1 means findings (firing alerts,
+    // audit findings, a regression, an unreadable series).
+    const bool report = command == "health" || command == "audit" ||
+                        command == "series" || command == "trace" ||
+                        command == "trace-diff";
+    return report ? 2 : 1;
+  }
   const CliOptions& options = *parsed;
   if (command == "query") return CmdQuery(options);
   if (command == "dot") return CmdDot(options);
@@ -806,6 +929,9 @@ int Main(int argc, char** argv) {
   if (command == "bench") return CmdBench(argc);
   if (command == "health") return CmdHealth(options);
   if (command == "audit") return CmdAudit(options);
+  if (command == "series") return CmdSeries(options);
+  if (command == "trace") return CmdTrace(options);
+  if (command == "trace-diff") return CmdTraceDiff(options);
   if (command == "verify") return CmdVerify(options);
   return Fail("unknown command '" + command + "'");
 }
