@@ -1,9 +1,8 @@
 #ifndef STRATLEARN_OBS_EVENT_JSON_H_
 #define STRATLEARN_OBS_EVENT_JSON_H_
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -22,17 +21,21 @@ namespace stratlearn::obs {
 /// and the health report's events all go through these, so the keys,
 /// their order and the value encodings are spelled once per type.
 
-/// The skip list of a record that carries the timestamp as its own key
-/// (Chrome's "ts") or not at all.
-inline constexpr std::string_view kSkipTime[] = {"t_us"};
+/// Skip lists for WriteEventFields: none, and the one of a record that
+/// carries the timestamp as its own key (Chrome's "ts") or not at all.
+inline constexpr std::array<std::string_view, 0> kSkipNone{};
+inline constexpr std::array<std::string_view, 1> kSkipTime{"t_us"};
 
 /// Writes every field of `e` into the open object as key/value pairs,
-/// in field-list order, leaving out the fields named in `skip`.
-template <typename E>
-void WriteEventFields(JsonWriter& w, const E& e,
-                      std::span<const std::string_view> skip = {}) {
+/// in field-list order, leaving out the fields named in `Skip`. The list
+/// is a template argument, so every check folds away at compile time:
+/// a call that skips nothing costs what writing every field costs.
+template <const auto& Skip = kSkipNone, typename E>
+void WriteEventFields(JsonWriter& w, const E& e) {
   E::Fields(e, [&](std::string_view key, const auto& value) {
-    if (std::ranges::find(skip, key) != skip.end()) return;
+    for (std::string_view skipped : Skip) {
+      if (key == skipped) return;
+    }
     using T = std::decay_t<decltype(value)>;
     w.Key(key);
     if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {

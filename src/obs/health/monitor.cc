@@ -172,7 +172,7 @@ std::string HealthMonitor::RenderJson() const {
   for (const DriftEvent& e : drift_log_) {
     w.BeginObject();
     w.Key("window").Value(e.window);
-    WriteEventFields(w, e, kWindowDriftSkip);
+    WriteEventFields<kWindowDriftSkip>(w, e);
     w.EndObject();
   }
   w.EndArray();
@@ -203,7 +203,7 @@ std::string HealthMonitor::RenderJson() const {
   for (const AlertEvent& e : alert_log_) {
     w.BeginObject();
     w.Key("window").Value(e.window);
-    WriteEventFields(w, e, kWindowAlertSkip);
+    WriteEventFields<kWindowAlertSkip>(w, e);
     w.EndObject();
   }
   w.EndArray();

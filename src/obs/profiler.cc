@@ -187,7 +187,7 @@ std::string StrategyProfiler::ReportJson() const {
   w.Key("climbs").BeginArray();
   for (const ClimbMoveEvent& c : climbs_) {
     w.BeginObject();
-    WriteEventFields(w, c, kSkipTime);
+    WriteEventFields<kSkipTime>(w, c);
     w.EndObject();
   }
   w.EndArray();
@@ -217,7 +217,7 @@ std::string StrategyProfiler::ReportJson() const {
   w.Key("palo_stops").BeginArray();
   for (const PaloStopEvent& s : palo_stops_) {
     w.BeginObject();
-    WriteEventFields(w, s, kSkipTime);
+    WriteEventFields<kSkipTime>(w, s);
     w.EndObject();
   }
   w.EndArray();

@@ -177,7 +177,7 @@ void ChromeTraceSink::On(const Event& event) {
           w.Key("pid").Value(int64_t{1});
           w.Key("tid").Value(int64_t{1});
           w.Key("args").BeginObject();
-          WriteEventFields(w, e, kSkipTime);
+          WriteEventFields<kSkipTime>(w, e);
           w.EndObject();
           w.EndObject();
         }

@@ -283,7 +283,7 @@ std::string TimeSeriesCollector::SerializeWindowJson(
       w.Key("drift").BeginArray();
       for (const DriftEvent& e : window.drift) {
         w.BeginObject();
-        WriteEventFields(w, e, kWindowDriftSkip);
+        WriteEventFields<kWindowDriftSkip>(w, e);
         w.EndObject();
       }
       w.EndArray();
@@ -292,7 +292,7 @@ std::string TimeSeriesCollector::SerializeWindowJson(
       w.Key("alerts").BeginArray();
       for (const AlertEvent& e : window.alerts) {
         w.BeginObject();
-        WriteEventFields(w, e, kWindowAlertSkip);
+        WriteEventFields<kWindowAlertSkip>(w, e);
         w.EndObject();
       }
       w.EndArray();

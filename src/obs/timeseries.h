@@ -1,6 +1,7 @@
 #ifndef STRATLEARN_OBS_TIMESERIES_H_
 #define STRATLEARN_OBS_TIMESERIES_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -61,9 +62,10 @@ struct ArcWindowStats {
 /// The DriftEvent and AlertEvent fields a window's `drift` and `alerts`
 /// entries (and the health report's events) leave out: the window says
 /// where they belong, and `t_us` is the emitter's clock.
-inline constexpr std::string_view kWindowDriftSkip[] = {
+inline constexpr std::array<std::string_view, 4> kWindowDriftSkip{
     "t_us", "window", "window_start_us", "window_end_us"};
-inline constexpr std::string_view kWindowAlertSkip[] = {"t_us", "window"};
+inline constexpr std::array<std::string_view, 2> kWindowAlertSkip{"t_us",
+                                                                  "window"};
 
 /// One closed window: the registry's cumulative state at close plus the
 /// per-interval deltas against the previous boundary.
