@@ -92,8 +92,9 @@
 //       file; --suppress-out writes one capturing the current findings.
 //       --format=sarif emits a deterministic SARIF 2.1.0 log for CI
 //       annotation uploads. Exit code: 0 clean, 1 warnings, 2 errors
-//       (--Werror promotes warnings). See README "Static verification"
-//       for the diagnostic-code table.
+//       (--Werror promotes warnings), a usage error or an input that
+//       cannot be read. See README "Static verification" for the
+//       diagnostic-code table.
 //
 // Options: --delta=D --epsilon=E --queries=N --theorem3 --seed=S
 //          --learner=pib|pao --strategy-out=FILE --metrics-out=FILE
@@ -732,43 +733,49 @@ int CmdBench(int argc) {
 }
 
 int CmdVerify(const CliOptions& options) {
+  // Exit 1 means warnings, so a usage error or an input that cannot be
+  // read exits 2.
+  auto fail = [](const std::string& message) {
+    Fail(message);
+    return 2;
+  };
   if (options.positional.empty() && options.project.empty()) {
-    return Fail(
+    return fail(
         "usage: stratlearn_cli verify <files...> [--project=DIR] "
         "[--format=text|json|sarif] [--profile=FILE] "
         "[--suppressions=FILE] [--suppress-out=FILE] [--Werror]");
   }
   if (options.format != "text" && options.format != "json" &&
       options.format != "sarif") {
-    return Fail("--format must be 'text', 'json' or 'sarif'");
+    return fail("--format must be 'text', 'json' or 'sarif'");
   }
   verify::DiagnosticSink sink;
   verify::ArtifactVerifier verifier(&sink);
   if (!options.profile.empty()) {
     Result<std::string> text = ReadFile(options.profile);
-    if (!text.ok()) return Fail(text.status().ToString());
+    if (!text.ok()) return fail(text.status().ToString());
     sink.set_file(options.profile);
     verifier.set_profile(verify::ParseArcProbProfile(*text, &sink));
   }
   if (!options.project.empty()) {
     Status walked =
         verify::VerifyProject(&verifier, options.project, &sink);
-    if (!walked.ok()) return Fail(walked.ToString());
+    if (!walked.ok()) return fail(walked.ToString());
   }
   for (const std::string& path : options.positional) {
     Status added = verifier.AddFile(path);
-    if (!added.ok()) return Fail(added.ToString());
+    if (!added.ok()) return fail(added.ToString());
   }
   if (!options.suppress_out.empty()) {
     // Baseline what the run found *before* any suppressions apply, so
     // regenerating a baseline does not need the old one removed first.
     std::ofstream out(options.suppress_out);
-    if (!out) return Fail("cannot open '" + options.suppress_out + "'");
+    if (!out) return fail("cannot open '" + options.suppress_out + "'");
     out << verify::RenderSuppressionBaseline(sink);
   }
   if (!options.suppressions.empty()) {
     Result<std::string> text = ReadFile(options.suppressions);
-    if (!text.ok()) return Fail(text.status().ToString());
+    if (!text.ok()) return fail(text.status().ToString());
     verify::SuppressionSet set =
         verify::ParseSuppressions(*text, options.suppressions, &sink);
     verify::ApplySuppressions(set, options.suppressions, &sink);
@@ -913,10 +920,11 @@ int Main(int argc, char** argv) {
   if (!parsed.ok()) {
     Fail(parsed.status().message());
     // The offline reports' exit code 1 means findings (firing alerts,
-    // audit findings, a regression, an unreadable series).
+    // audit findings, a regression, an unreadable series), and verify's
+    // means warnings.
     const bool report = command == "health" || command == "audit" ||
                         command == "series" || command == "trace" ||
-                        command == "trace-diff";
+                        command == "trace-diff" || command == "verify";
     return report ? 2 : 1;
   }
   const CliOptions& options = *parsed;
