@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <ostream>
 #include <streambuf>
 #include <variant>
@@ -16,6 +17,7 @@
 #include "core/pib.h"
 #include "core/transformations.h"
 #include "core/upsilon.h"
+#include "engine/adaptive_qp.h"
 #include "engine/query_processor.h"
 #include "obs/audit/audit_log.h"
 #include "obs/observer.h"
@@ -123,6 +125,29 @@ void BM_ExecuteStrategyProfiled(benchmark::State& state) {
       static_cast<double>(profiler.arcs().size());
 }
 BENCHMARK(BM_ExecuteStrategyProfiled)->Arg(3)->Arg(5)->Arg(7);
+
+// QP^A's step per context: pick the target with the largest remaining
+// quota, execute its aiming strategy and count the samples (items =
+// contexts). The quotas are never met, so the target moves on as each
+// experiment is sampled. No depth 7: its E + 1 aiming strategies would
+// take megabytes, for a graph no PAO run could sample.
+void BM_AdaptiveProcess(benchmark::State& state) {
+  RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
+  AdaptiveQueryProcessor qpa(
+      &tree.graph,
+      std::vector<int64_t>(tree.graph.num_experiments(),
+                           std::numeric_limits<int64_t>::max()),
+      AdaptiveQueryProcessor::QuotaMode::kReachAttempts);
+  IndependentOracle oracle(tree.probs);
+  Rng rng(7);
+  Context ctx = oracle.Next(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qpa.Process(ctx));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["arcs"] = static_cast<double>(tree.graph.num_arcs());
+}
+BENCHMARK(BM_AdaptiveProcess)->Arg(3)->Arg(5);
 
 void BM_LeafOnlyExpectedCost(benchmark::State& state) {
   RandomTree tree = MakeTree(static_cast<int>(state.range(0)));

@@ -5,6 +5,26 @@
 
 namespace stratlearn {
 
+namespace {
+
+/// The strategy aimed at experiment arc `target`: its root path
+/// Pi(target), then `target`, then the rest of `depth_first` in order.
+Strategy AimingStrategy(const InferenceGraph& graph, ArcId target,
+                        const Strategy& depth_first) {
+  std::vector<ArcId> order = graph.Pi(target);
+  order.push_back(target);
+  std::vector<char> included(graph.num_arcs(), 0);
+  for (ArcId a : order) included[a] = 1;
+  for (ArcId a : depth_first.arcs()) {
+    if (!included[a]) order.push_back(a);
+  }
+  Result<Strategy> strategy = Strategy::FromArcOrder(graph, std::move(order));
+  STRATLEARN_CHECK_MSG(strategy.ok(), "aiming strategy must be valid");
+  return *std::move(strategy);
+}
+
+}  // namespace
+
 AdaptiveQueryProcessor::AdaptiveQueryProcessor(const InferenceGraph* graph,
                                                std::vector<int64_t> quotas,
                                                QuotaMode mode,
@@ -16,6 +36,12 @@ AdaptiveQueryProcessor::AdaptiveQueryProcessor(const InferenceGraph* graph,
       mode_(mode),
       counters_(graph->num_experiments()) {
   STRATLEARN_CHECK(remaining_.size() == graph_->num_experiments());
+  const Strategy depth_first = Strategy::DepthFirst(*graph_);
+  aiming_.reserve(graph_->num_experiments() + 1);
+  aiming_.push_back(depth_first);
+  for (ArcId target : graph_->experiments()) {
+    aiming_.push_back(AimingStrategy(*graph_, target, depth_first));
+  }
   set_observer(observer);
 }
 
@@ -47,60 +73,39 @@ int AdaptiveQueryProcessor::PickTarget() const {
   return best;
 }
 
-Strategy AdaptiveQueryProcessor::AimingStrategy(int target_experiment) const {
-  if (target_experiment < 0) return Strategy::DepthFirst(*graph_);
-  ArcId target_arc = graph_->experiments()[target_experiment];
-  std::vector<ArcId> order = graph_->Pi(target_arc);
-  order.push_back(target_arc);
-  std::vector<char> included(graph_->num_arcs(), 0);
-  for (ArcId a : order) included[a] = 1;
-  Strategy depth_first = Strategy::DepthFirst(*graph_);
-  for (ArcId a : depth_first.arcs()) {
-    if (!included[a]) order.push_back(a);
-  }
-  Result<Strategy> strategy = Strategy::FromArcOrder(*graph_, std::move(order));
-  STRATLEARN_CHECK_MSG(strategy.ok(), "aiming strategy must be valid");
-  return *std::move(strategy);
-}
-
 AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
     const Context& context) {
   ++contexts_processed_;
   StepResult result;
   result.aimed_experiment = PickTarget();
-  Strategy strategy = AimingStrategy(result.aimed_experiment);
   // Quota-transition detection for the audit layer: which experiments
   // still owed samples before this context ran.
-  std::vector<int64_t> remaining_before;
   bool audit = observer_ != nullptr && observer_->audit_enabled() &&
                audit_delta_ > 0.0 && audit_delta_ < 1.0;
-  if (audit) remaining_before = remaining_;
-  result.trace = processor_.Execute(strategy, context);
+  if (audit) remaining_before_ = remaining_;
+  result.trace = processor_.Execute(
+      aiming_[static_cast<size_t>(result.aimed_experiment + 1)], context);
 
   // Every attempted experiment yields a sample (and, having been reached,
   // an attempted reach as well). Attempts flagged as infrastructure
   // failures (retries exhausted, breaker open) are pessimistic
   // placeholders, not draws from the experiment's true distribution, so
   // they must not reduce the Equation 7/8 quotas.
-  std::vector<char> attempted(graph_->num_experiments(), 0);
   for (const ArcAttempt& at : result.trace.attempts) {
     int e = graph_->arc(at.arc).experiment;
     if (e < 0 || at.infra_failure) continue;
-    attempted[e] = 1;
+    if (e == result.aimed_experiment) result.reached = true;
     counters_[e].RecordAttempt(at.unblocked);
     --remaining_[e];
   }
-  if (result.aimed_experiment >= 0) {
-    result.reached = attempted[result.aimed_experiment] != 0;
-    if (!result.reached) {
-      // Aimed but blocked en route: Definition 1's attempted reach.
-      counters_[result.aimed_experiment].RecordBlockedAim();
-      if (mode_ == QuotaMode::kReachAttempts) {
-        --remaining_[result.aimed_experiment];
-      }
-      if (handles_.blocked_aims != nullptr) {
-        handles_.blocked_aims->Increment();
-      }
+  if (result.aimed_experiment >= 0 && !result.reached) {
+    // Aimed but blocked en route: Definition 1's attempted reach.
+    counters_[result.aimed_experiment].RecordBlockedAim();
+    if (mode_ == QuotaMode::kReachAttempts) {
+      --remaining_[result.aimed_experiment];
+    }
+    if (handles_.blocked_aims != nullptr) {
+      handles_.blocked_aims->Increment();
     }
   }
   if (observer_ != nullptr) {
@@ -129,7 +134,7 @@ AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
         int64_t n = static_cast<int64_t>(remaining_.size());
         double delta_step = audit_delta_ / (2.0 * static_cast<double>(n));
         for (size_t e = 0; e < remaining_.size(); ++e) {
-          if (remaining_before[e] <= 0 || remaining_[e] > 0) continue;
+          if (remaining_before_[e] <= 0 || remaining_[e] > 0) continue;
           const ExperimentCounter& c = counters_[e];
           int64_t samples = mode_ == QuotaMode::kReachAttempts
                                 ? c.reach_attempts()

@@ -18,7 +18,8 @@ namespace stratlearn {
 /// experiment's root path first, then answers the query normally with the
 /// remaining arcs in default order. Each context still gets answered;
 /// sampling is a side effect, as the paper's unobtrusiveness goal
-/// requires.
+/// requires. An aiming strategy depends only on its target, so the
+/// constructor plans all E + 1 of them once and Process only picks one.
 class AdaptiveQueryProcessor {
  public:
   /// Which events count against the quotas.
@@ -128,16 +129,18 @@ class AdaptiveQueryProcessor {
   /// -1 when all quotas are met.
   int PickTarget() const;
 
-  /// Strategy that visits `target`'s root path first, then the rest of
-  /// the graph depth-first.
-  Strategy AimingStrategy(int target_experiment) const;
-
   const InferenceGraph* graph_;
   QueryProcessor processor_;
+  /// aiming_[e + 1] is the strategy aimed at experiment e; aiming_[0],
+  /// for target -1, is the depth-first strategy.
+  std::vector<Strategy> aiming_;
   std::vector<int64_t> initial_quotas_;
   std::vector<int64_t> remaining_;
   QuotaMode mode_;
   std::vector<ExperimentCounter> counters_;
+  /// The quotas before the current context (audit only), kept across
+  /// contexts so the copy reuses its buffer.
+  std::vector<int64_t> remaining_before_;
   int64_t contexts_processed_ = 0;
   /// Audit mode (set_audit_params): configured delta/epsilon and the
   /// running delta spend of emitted quota certificates.

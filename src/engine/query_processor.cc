@@ -74,6 +74,8 @@ Trace QueryProcessor::Walk(const Strategy& strategy, const Context& context,
                            obs::TraceSink* sink, int64_t query_index) const {
   STRATLEARN_CHECK(context.num_experiments() == graph_->num_experiments());
   Trace trace;
+  // At most one attempt per arc: one allocation instead of regrowth.
+  trace.attempts.reserve(strategy.size());
   std::vector<char> reached;
   // The context's outcome at the arc's nominal cost.
   auto nominal = [&](ArcId a, const Arc& arc) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "graph/examples.h"
+#include "robust/fault_injector.h"
+#include "robust/fault_plan.h"
+#include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
 namespace stratlearn {
@@ -135,6 +142,145 @@ TEST(AdaptiveQpTest, EveryContextStillGetsAnswered) {
     if (has_answer) ++successes;
   }
   EXPECT_GT(successes, 50);
+}
+
+// Section 4.1's aiming strategy, built the way the paper states it:
+// the target's root path Pi(e), then e, then the rest of the
+// depth-first strategy in its order; the depth-first strategy itself
+// for target -1.
+Strategy ReferenceAimingStrategy(const InferenceGraph& g, int target) {
+  const Strategy depth_first = Strategy::DepthFirst(g);
+  if (target < 0) return depth_first;
+  const ArcId e = g.experiments()[static_cast<size_t>(target)];
+  std::vector<ArcId> order = g.Pi(e);
+  order.push_back(e);
+  for (ArcId a : depth_first.arcs()) {
+    if (std::find(order.begin(), order.end(), a) == order.end()) {
+      order.push_back(a);
+    }
+  }
+  Result<Strategy> strategy = Strategy::FromArcOrder(g, std::move(order));
+  EXPECT_TRUE(strategy.ok()) << strategy.status().ToString();
+  if (!strategy.ok()) return depth_first;
+  return *std::move(strategy);
+}
+
+void AssertSameTrace(const Trace& want, const Trace& got) {
+  ASSERT_EQ(want.attempts.size(), got.attempts.size());
+  for (size_t i = 0; i < want.attempts.size(); ++i) {
+    ASSERT_EQ(want.attempts[i].arc, got.attempts[i].arc) << "attempt " << i;
+    ASSERT_EQ(want.attempts[i].unblocked, got.attempts[i].unblocked);
+    ASSERT_EQ(want.attempts[i].infra_failure, got.attempts[i].infra_failure);
+    ASSERT_EQ(want.attempts[i].cost, got.attempts[i].cost);
+  }
+  ASSERT_EQ(want.cost, got.cost);
+  ASSERT_EQ(want.successes, got.successes);
+  ASSERT_EQ(want.success, got.success);
+  ASSERT_EQ(want.first_success_arc, got.first_success_arc);
+  ASSERT_EQ(want.resolved, got.resolved);
+}
+
+// Process against a reference QP^A that builds its aiming strategy per
+// context and runs it through QueryProcessor::Execute: on 20 random trees
+// with early leaves and guarded reductions, 2 000 contexts each, every
+// context's target, trace, counters and remaining quotas match. The
+// reference keeps its own quota accounting: the target is the first
+// experiment with the largest positive remaining quota; every attempt
+// that is not an infrastructure failure is a sample; an aim that did not
+// arrive is a blocked aim, which Theorem 3 mode charges. Under `plan`,
+// each side has its own injector of the same seed.
+void ExpectProcessMatchesReference(const robust::FaultPlan* plan) {
+  using QuotaMode = AdaptiveQueryProcessor::QuotaMode;
+  Rng rng(2026);
+  RandomTreeOptions options;
+  options.early_leaf_prob = 0.25;
+  options.internal_experiment_prob = 0.3;
+  options.max_outcome_cost = 0.5;
+  int64_t aimed = 0, depth_first = 0, blocked_aims = 0, faulted = 0;
+  for (int graph = 0; graph < 20; ++graph) {
+    options.depth = 2 + graph % 3;
+    const RandomTree tree = MakeRandomTree(rng, options);
+    const InferenceGraph& g = tree.graph;
+    const size_t n = g.num_experiments();
+    const QuotaMode mode =
+        graph % 2 == 0 ? QuotaMode::kAttempts : QuotaMode::kReachAttempts;
+    std::vector<int64_t> remaining(n);
+    for (int64_t& q : remaining) q = rng.NextInt(0, 40);
+    std::vector<ExperimentCounter> counters(n);
+
+    AdaptiveQueryProcessor qpa(&g, remaining, mode);
+    QueryProcessor qp(&g);
+    std::optional<robust::FaultInjector> qpa_faults, qp_faults;
+    if (plan != nullptr) {
+      qpa.set_fault_injector(&qpa_faults.emplace(*plan));
+      qp.set_fault_injector(&qp_faults.emplace(*plan));
+    }
+    IndependentOracle oracle(tree.probs);
+    for (int i = 0; i < 2000; ++i) {
+      const std::string where =
+          "graph " + std::to_string(graph) + ", context " + std::to_string(i);
+      const Context context = oracle.Next(rng);
+      int target = -1;
+      int64_t target_remaining = 0;
+      for (size_t e = 0; e < n; ++e) {
+        if (remaining[e] > target_remaining) {
+          target = static_cast<int>(e);
+          target_remaining = remaining[e];
+        }
+      }
+      const Trace want =
+          qp.Execute(ReferenceAimingStrategy(g, target), context);
+      const AdaptiveQueryProcessor::StepResult step = qpa.Process(context);
+      ASSERT_EQ(step.aimed_experiment, target) << where;
+      ASSERT_NO_FATAL_FAILURE(AssertSameTrace(want, step.trace)) << where;
+
+      bool reached = false;
+      for (const ArcAttempt& at : want.attempts) {
+        const Arc& arc = g.arc(at.arc);
+        if (at.cost != arc.cost + (at.unblocked ? arc.success_cost
+                                                : arc.failure_cost)) {
+          ++faulted;
+        }
+        const int e = arc.experiment;
+        if (e < 0 || at.infra_failure) continue;
+        if (e == target) reached = true;
+        counters[e].RecordAttempt(at.unblocked);
+        --remaining[e];
+      }
+      if (target >= 0 && !reached) {
+        ++blocked_aims;
+        counters[target].RecordBlockedAim();
+        if (mode == QuotaMode::kReachAttempts) --remaining[target];
+      }
+      (target < 0 ? depth_first : aimed) += 1;
+      ASSERT_EQ(step.reached, reached) << where;
+      ASSERT_EQ(qpa.remaining(), remaining) << where;
+      for (size_t e = 0; e < n; ++e) {
+        const ExperimentCounter& got = qpa.counters()[e];
+        ASSERT_EQ(got.attempts(), counters[e].attempts()) << where;
+        ASSERT_EQ(got.successes(), counters[e].successes()) << where;
+        ASSERT_EQ(got.reach_attempts(), counters[e].reach_attempts())
+            << where;
+      }
+    }
+  }
+  // Both kinds of plan ran, aims were blocked en route, and the fault
+  // plan (only) charged attempts more than their nominal cost.
+  EXPECT_GT(aimed, 0);
+  EXPECT_GT(depth_first, 0);
+  EXPECT_GT(blocked_aims, 0);
+  EXPECT_EQ(faulted > 0, plan != nullptr) << faulted;
+}
+
+TEST(AdaptiveQpTest, ProcessMatchesPerContextAimingStrategy) {
+  ExpectProcessMatchesReference(nullptr);
+}
+
+TEST(AdaptiveQpTest, ProcessMatchesPerContextAimingStrategyUnderFaults) {
+  Result<robust::FaultPlan> plan = robust::FaultPlan::Load(
+      std::string(STRATLEARN_TESTDATA) + "/faults_transient.plan");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExpectProcessMatchesReference(&*plan);
 }
 
 }  // namespace
