@@ -129,8 +129,8 @@ BENCHMARK(BM_ExecuteStrategyProfiled)->Arg(3)->Arg(5)->Arg(7);
 // QP^A's step per context: pick the target with the largest remaining
 // quota, execute its aiming strategy and count the samples (items =
 // contexts). The quotas are never met, so the target moves on as each
-// experiment is sampled. No depth 7: its E + 1 aiming strategies would
-// take megabytes, for a graph no PAO run could sample.
+// experiment is sampled. No depth 7: its 679 arcs would need a table of
+// about a megabyte, and no PAO run uses a graph that size.
 void BM_AdaptiveProcess(benchmark::State& state) {
   RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
   AdaptiveQueryProcessor qpa(

@@ -19,7 +19,8 @@ namespace stratlearn {
 /// remaining arcs in default order. Each context still gets answered;
 /// sampling is a side effect, as the paper's unobtrusiveness goal
 /// requires. An aiming strategy depends only on its target, so the
-/// constructor plans all E + 1 of them once and Process only picks one.
+/// constructor plans one per experiment, plus the depth-first strategy
+/// for when every quota is met, and Process only picks one.
 class AdaptiveQueryProcessor {
  public:
   /// Which events count against the quotas.

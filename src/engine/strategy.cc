@@ -9,8 +9,7 @@ namespace {
 using Rule = StrategyFinding::Rule;
 
 /// Every rule `arcs` breaks as a strategy of `graph`, in one pass that
-/// allocates only its two flag arrays when it finds nothing: PAO checks
-/// one aiming strategy per context.
+/// allocates only its two flag arrays when it finds nothing.
 std::vector<StrategyFinding> CheckArcOrder(const InferenceGraph& graph,
                                            const std::vector<ArcId>& arcs) {
   std::vector<StrategyFinding> findings;

@@ -188,15 +188,19 @@ void AssertSameTrace(const Trace& want, const Trace& got) {
 // experiment with the largest positive remaining quota; every attempt
 // that is not an infrastructure failure is a sample; an aim that did not
 // arrive is a blocked aim, which Theorem 3 mode charges. Under `plan`,
-// each side has its own injector of the same seed.
-void ExpectProcessMatchesReference(const robust::FaultPlan* plan) {
+// each side has its own injector of the same seed. `faulted` receives
+// the number of attempts charged other than their nominal cost, and
+// `infra_failures` the number that were infrastructure failures.
+void ExpectProcessMatchesReference(const robust::FaultPlan* plan,
+                                   int64_t* faulted,
+                                   int64_t* infra_failures) {
   using QuotaMode = AdaptiveQueryProcessor::QuotaMode;
   Rng rng(2026);
   RandomTreeOptions options;
   options.early_leaf_prob = 0.25;
   options.internal_experiment_prob = 0.3;
   options.max_outcome_cost = 0.5;
-  int64_t aimed = 0, depth_first = 0, blocked_aims = 0, faulted = 0;
+  int64_t aimed = 0, depth_first = 0, blocked_aims = 0;
   for (int graph = 0; graph < 20; ++graph) {
     options.depth = 2 + graph % 3;
     const RandomTree tree = MakeRandomTree(rng, options);
@@ -205,7 +209,7 @@ void ExpectProcessMatchesReference(const robust::FaultPlan* plan) {
     const QuotaMode mode =
         graph % 2 == 0 ? QuotaMode::kAttempts : QuotaMode::kReachAttempts;
     std::vector<int64_t> remaining(n);
-    for (int64_t& q : remaining) q = rng.NextInt(0, 40);
+    for (int64_t& q : remaining) q = rng.NextInt(0, 150);
     std::vector<ExperimentCounter> counters(n);
 
     AdaptiveQueryProcessor qpa(&g, remaining, mode);
@@ -239,8 +243,9 @@ void ExpectProcessMatchesReference(const robust::FaultPlan* plan) {
         const Arc& arc = g.arc(at.arc);
         if (at.cost != arc.cost + (at.unblocked ? arc.success_cost
                                                 : arc.failure_cost)) {
-          ++faulted;
+          ++*faulted;
         }
+        if (at.infra_failure) ++*infra_failures;
         const int e = arc.experiment;
         if (e < 0 || at.infra_failure) continue;
         if (e == target) reached = true;
@@ -264,23 +269,41 @@ void ExpectProcessMatchesReference(const robust::FaultPlan* plan) {
       }
     }
   }
-  // Both kinds of plan ran, aims were blocked en route, and the fault
-  // plan (only) charged attempts more than their nominal cost.
+  // Both kinds of aiming strategy ran, and aims were blocked en route.
   EXPECT_GT(aimed, 0);
   EXPECT_GT(depth_first, 0);
   EXPECT_GT(blocked_aims, 0);
-  EXPECT_EQ(faulted > 0, plan != nullptr) << faulted;
 }
 
 TEST(AdaptiveQpTest, ProcessMatchesPerContextAimingStrategy) {
-  ExpectProcessMatchesReference(nullptr);
+  int64_t faulted = 0, infra_failures = 0;
+  ExpectProcessMatchesReference(nullptr, &faulted, &infra_failures);
+  EXPECT_EQ(faulted, 0);
 }
 
 TEST(AdaptiveQpTest, ProcessMatchesPerContextAimingStrategyUnderFaults) {
   Result<robust::FaultPlan> plan = robust::FaultPlan::Load(
       std::string(STRATLEARN_TESTDATA) + "/faults_transient.plan");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ExpectProcessMatchesReference(&*plan);
+  int64_t faulted = 0, infra_failures = 0;
+  ExpectProcessMatchesReference(&*plan, &faulted, &infra_failures);
+  EXPECT_GT(faulted, 0);
+}
+
+// faults_transient.plan almost never exhausts its retries. This plan
+// does, and has a cost budget, so infrastructure failures, breaker skips
+// and unresolved traces reach the quota accounting too.
+TEST(AdaptiveQpTest, ProcessMatchesPerContextAimingStrategyUnderInfraFailures) {
+  robust::FaultPlan plan;
+  plan.seed = 11;
+  plan.resilience.max_retries = 1;
+  plan.resilience.cost_budget = 12.0;
+  plan.resilience.breaker_threshold = 3;
+  plan.resilience.breaker_cooldown = 8;
+  plan.rules = {{robust::FaultKind::kTransient, 0.4, -1, 1.0}};
+  int64_t faulted = 0, infra_failures = 0;
+  ExpectProcessMatchesReference(&plan, &faulted, &infra_failures);
+  EXPECT_GT(infra_failures, 0);
 }
 
 }  // namespace
