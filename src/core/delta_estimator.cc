@@ -17,7 +17,7 @@ ArcId ArcAbove(const InferenceGraph& graph, ArcId a) {
 /// and attempt cost read from completion `k`.
 double RunUnder(const InferenceGraph& graph, const std::vector<ArcId>& arcs,
                 const Completion& k, std::vector<char>* reached) {
-  return SatisficingWalk(graph, arcs, /*stop_after=*/1, kNoBudget, reached,
+  return SatisficingWalk(graph, arcs, /*stop_after=*/1, reached,
                          [&k](ArcId a, const Arc&) {
                            return WalkStep{k.unblocked[a] != 0, k.cost[a]};
                          })

@@ -182,14 +182,13 @@ class SwapNeighborhood {
 /// which are written before the run and restored after it. Per context
 /// that is O(|trace|) for J, one run of Theta and one block table, and
 /// O(region) per neighbour whose region the run entered; the others add
-/// trace.cost - c(Theta, J), which is +0.0 unless faults inflated or the
-/// cost budget truncated the trace, or it ran past its first success,
-/// and is then added to each of them. Delta^ costs O(S * A) plus
-/// O(region) per neighbour and completion (S success arcs). The
-/// single-neighbour forms replay Theta' under a completion built from
-/// scratch, as the neighbourhood forms do for a strategy without a
-/// region plan; they are the reference the incremental path is tested
-/// against.
+/// trace.cost - c(Theta, J), which is +0.0 unless faults inflated the
+/// trace or it ran past its first success, and is then added to each of
+/// them. Delta^ costs O(S * A) plus O(region) per neighbour and
+/// completion (S success arcs). The single-neighbour forms replay Theta'
+/// under a completion built from scratch, as the neighbourhood forms do
+/// for a strategy without a region plan; they are the reference the
+/// incremental path is tested against.
 ///
 /// Floating point: the identity regroups the replay's left-to-right sum.
 /// With integer arc costs (every Datalog-built graph) every partial sum

@@ -24,7 +24,6 @@ void QueryProcessor::set_observer(obs::Observer* observer) {
   handles_.gave_up = &r->GetCounter("robust.gave_up");
   handles_.breaker_opens = &r->GetCounter("robust.breaker_opens");
   handles_.breaker_skips = &r->GetCounter("robust.breaker_skips");
-  handles_.degraded = &r->GetCounter("robust.degraded");
 }
 
 void QueryProcessor::set_fault_injector(robust::FaultInjector* injector) {
@@ -88,18 +87,15 @@ Trace QueryProcessor::Walk(const Strategy& strategy, const Context& context,
   WalkResult walk;
   if (injector_ == nullptr) {
     walk = SatisficingWalk(*graph_, strategy.arcs(),
-                           options.stop_after_successes, kNoBudget, &reached,
-                           nominal);
+                           options.stop_after_successes, &reached, nominal);
   } else {
-    const double budget = injector_->resilience().cost_budget;
     // The breaker clock is the injector's own query counter, independent
     // of the observer's ordinal, so checkpointed resumption replays
     // cooldowns exactly even when the observed ordinal restarts.
     const int64_t rq = injector_->BeginQuery();
     walk = SatisficingWalk(
-        *graph_, strategy.arcs(), options.stop_after_successes,
-        budget > 0.0 ? budget : kNoBudget,
-        &reached, [&](ArcId a, const Arc& arc) {
+        *graph_, strategy.arcs(), options.stop_after_successes, &reached,
+        [&](ArcId a, const Arc& arc) {
           // Deterministic arcs model local computation, not retrievals;
           // the fault model leaves them alone.
           if (arc.experiment < 0) return nominal(a, arc);
@@ -108,22 +104,11 @@ Trace QueryProcessor::Walk(const Strategy& strategy, const Context& context,
           trace.attempts.push_back(at);
           return WalkStep{at.unblocked, at.cost};
         });
-    if (!walk.resolved) {
-      // Budget exhausted: the query degrades to "unresolved" rather than
-      // running (or crashing) on.
-      if (handles_.degraded != nullptr) handles_.degraded->Increment();
-      if (sink != nullptr) {
-        sink->On(obs::DegradedEvent{
-            observer_->NowUs(), query_index, walk.cost, budget,
-            static_cast<int64_t>(trace.attempts.size())});
-      }
-    }
   }
   trace.cost = walk.cost;
   trace.successes = walk.successes;
   trace.success = walk.successes >= options.stop_after_successes;
   trace.first_success_arc = walk.first_success_arc;
-  trace.resolved = walk.resolved;
   return trace;
 }
 

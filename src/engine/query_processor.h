@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "engine/context.h"
@@ -49,9 +48,9 @@ struct Trace {
   bool success = false;
   /// The arc whose traversal reached the first success node.
   ArcId first_success_arc = kInvalidArc;
-  /// False when the fault plan's per-query cost budget stopped the walk:
-  /// the trace is a *prefix* of the full execution and `cost`
-  /// under-states the strategy's true c(Theta, I).
+  /// Always true: every walk runs to its stop rule. Kept only because
+  /// the learnbench driver reads it; it goes with the next change to
+  /// that benchmark.
   bool resolved = true;
 };
 
@@ -69,19 +68,12 @@ struct WalkStep {
   double cost = 0.0;
 };
 
-/// The walk's budget when there is none: NaN compares false with every
-/// cost, +infinity included, so a walk whose cost has overflowed still
-/// runs on.
-inline constexpr double kNoBudget = std::numeric_limits<double>::quiet_NaN();
-
 /// What one satisficing walk found.
 struct WalkResult {
   double cost = 0.0;
   int64_t successes = 0;
   /// The arc whose traversal reached the first success node.
   ArcId first_success_arc = kInvalidArc;
-  /// False when the budget stopped the walk.
-  bool resolved = true;
 };
 
 /// The satisficing traversal of Section 2.1, written once: arcs are
@@ -90,9 +82,7 @@ struct WalkResult {
 /// `attempt(a, arc)`, which returns a WalkStep and is paid for; a
 /// blocked arc does not make its head reachable; reaching a success node
 /// counts an answer, and the walk stops after `stop_after` of them.
-/// Before attempting an arc it stops, unresolved, once the accrued cost
-/// has reached `budget` (kNoBudget for none). `reached` is the caller's
-/// buffer for the reached nodes, reset here.
+/// `reached` is the caller's buffer for the reached nodes, reset here.
 ///
 /// The attempt is the only variable part: the query processor asks the
 /// context (or the fault injector), the Delta~/Delta^ replay reads a
@@ -100,18 +90,14 @@ struct WalkResult {
 template <typename Attempt>
 WalkResult SatisficingWalk(const InferenceGraph& graph,
                            const std::vector<ArcId>& arcs,
-                           int64_t stop_after, double budget,
-                           std::vector<char>* reached, Attempt&& attempt) {
+                           int64_t stop_after, std::vector<char>* reached,
+                           Attempt&& attempt) {
   reached->assign(graph.num_nodes(), 0);
   (*reached)[graph.root()] = 1;
   WalkResult walk;
   for (ArcId a : arcs) {
     const Arc& arc = graph.arc(a);
     if (!(*reached)[arc.from]) continue;  // unreachable: skipped at no cost
-    if (walk.cost >= budget) {
-      walk.resolved = false;
-      break;
-    }
     const WalkStep step = attempt(a, arc);
     walk.cost += step.cost;
     if (!step.unblocked) continue;
@@ -145,11 +131,10 @@ class QueryProcessor {
 
   /// Attaches (or detaches) a fault injector. When attached, seeded
   /// faults are injected into every experiment-arc attempt, failed
-  /// attempts are retried with capped exponential backoff, persistently
-  /// failing arcs are skipped by a circuit breaker at their pessimistic
-  /// cost, and the per-query cost budget degrades runaway queries to
-  /// "unresolved". Null (the default) keeps the paper's fault-free walk,
-  /// which makes no per-arc injector test.
+  /// attempts are retried with capped exponential backoff, and
+  /// persistently failing arcs are skipped by a circuit breaker at their
+  /// pessimistic cost. Null (the default) keeps the paper's fault-free
+  /// walk, which makes no per-arc injector test.
   void set_fault_injector(robust::FaultInjector* injector);
   robust::FaultInjector* fault_injector() const { return injector_; }
 
@@ -203,7 +188,6 @@ class QueryProcessor {
     obs::Counter* gave_up = nullptr;
     obs::Counter* breaker_opens = nullptr;
     obs::Counter* breaker_skips = nullptr;
-    obs::Counter* degraded = nullptr;
   };
   Handles handles_;
   /// Query ordinal for span events (Execute stays const for callers).

@@ -220,40 +220,15 @@ struct BreakerEvent {
   }
 };
 
-/// A query exceeded its cost/deadline budget and was abandoned as
-/// "unresolved" instead of crashing or running away (the trace's cost is
-/// the truncated cost actually paid, an under-estimate of the full
-/// c(Theta, I) — so Delta~ stays a valid under-estimate).
-struct DegradedEvent {
-  int64_t t_us = 0;
-  int64_t query_index = 0;
-  double cost = 0.0;    // cost accrued when the budget tripped
-  double budget = 0.0;  // the configured per-query budget
-  int64_t attempts = 0; // arc attempts completed before degrading
-
-  static constexpr const char* kType = "degraded";
-  template <typename Self, typename F>
-  static void Fields(Self& e, F&& f) {
-    f("t_us", e.t_us);
-    f("query_index", e.query_index);
-    f("cost", e.cost);
-    f("budget", e.budget);
-    f("attempts", e.attempts);
-  }
-};
-
-/// A statistical drift detector changed state for one monitored
-/// series. "detected": the windowed statistic moved past the detector's
+/// The drift detector changed state for one arc's series.
+/// "detected": the windowed statistic moved past the detector's
 /// threshold relative to its reference; "cleared": a later window
-/// passed the same test again. Exactly one of `arc` (>= 0) or
-/// `counter` (non-empty) identifies the series, depending on the
-/// detector family.
+/// passed the same test again.
 struct DriftEvent {
   int64_t t_us = 0;
-  std::string detector;  // "p_hat" | "mean_cost" | "rate"
+  std::string detector;  // "p_hat"
   std::string state;     // "detected" | "cleared"
-  int64_t arc = -1;      // -1 for counter-rate detectors
-  std::string counter;   // empty for per-arc detectors
+  int64_t arc = -1;
   double statistic = 0.0;  // the windowed value that was tested
   double reference = 0.0;  // the reference it was tested against
   double threshold = 0.0;  // breach margin the test required
@@ -268,7 +243,6 @@ struct DriftEvent {
     f("detector", e.detector);
     f("state", e.state);
     f("arc", e.arc);
-    f("counter", e.counter);
     f("statistic", e.statistic);
     f("reference", e.reference);
     f("threshold", e.threshold);
@@ -427,9 +401,8 @@ struct DecisionCertificateEvent {
 using Event =
     std::variant<QueryStartEvent, QueryEndEvent, ArcAttemptEvent,
                  ClimbMoveEvent, SequentialTestEvent, QuotaProgressEvent,
-                 RetryEvent, BreakerEvent, DegradedEvent, DriftEvent,
-                 AlertEvent, RecoveryEvent, PaloStopEvent,
-                 DecisionCertificateEvent>;
+                 RetryEvent, BreakerEvent, DriftEvent, AlertEvent,
+                 RecoveryEvent, PaloStopEvent, DecisionCertificateEvent>;
 
 }  // namespace stratlearn::obs
 

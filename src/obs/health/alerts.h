@@ -19,9 +19,9 @@ namespace stratlearn::obs::health {
 /// offline replays of a serialized series reach identical decisions.
 
 /// What a rule watches. Spelled `kind:name` in the config file
-/// ("counter_rate:robust.degraded", "arc_p_hat:3", ...); the bare word
+/// ("counter_rate:robust.gave_up", "arc_p_hat:3", ...); the bare word
 /// "drift_active" selects the number of currently active drift
-/// detections, letting a rule page on the detector family itself.
+/// detections, letting a rule page on the detector itself.
 struct MetricSelector {
   enum class Kind {
     kInvalid,

@@ -1,6 +1,5 @@
 #include "obs/health/drift.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -10,13 +9,14 @@ namespace stratlearn::obs::health {
 
 namespace {
 
-DriftEvent MakeEvent(const TimeSeriesWindow& window,
-                     const std::string& detector, bool detected,
-                     double statistic, double reference, double threshold) {
+DriftEvent MakeEvent(const TimeSeriesWindow& window, uint32_t arc,
+                     bool detected, double statistic, double reference,
+                     double threshold) {
   DriftEvent e;
   e.t_us = window.end_us;
-  e.detector = detector;
+  e.detector = "p_hat";
   e.state = detected ? "detected" : "cleared";
+  e.arc = static_cast<int64_t>(arc);
   e.statistic = statistic;
   e.reference = reference;
   e.threshold = threshold;
@@ -34,8 +34,6 @@ DriftDetector::DriftDetector(DriftOptions options)
 std::vector<DriftEvent> DriftDetector::Observe(
     const TimeSeriesWindow& window) {
   std::vector<DriftEvent> events;
-
-  // ---- Hoeffding two-window test on per-arc p̂ ------------------------
   for (const ArcWindowStats& arc : window.arcs) {
     PHatState& state = p_hat_[arc.arc];
     int64_t ref_attempts = 0;
@@ -55,20 +53,16 @@ std::vector<DriftEvent> DriftDetector::Observe(
       if (breach && !state.active) {
         state.active = true;
         ++state.detections;
-        DriftEvent e = MakeEvent(window, "p_hat", /*detected=*/true,
-                                 arc.PHat(), p_ref, threshold);
-        e.arc = static_cast<int64_t>(arc.arc);
-        events.push_back(std::move(e));
+        events.push_back(MakeEvent(window, arc.arc, /*detected=*/true,
+                                   arc.PHat(), p_ref, threshold));
         // Re-baseline: the post-change regime becomes the reference, so
         // the detector clears once the series is stable again instead
         // of alarming forever against the stale mean.
         state.reference.clear();
       } else if (!breach && state.active) {
         state.active = false;
-        DriftEvent e = MakeEvent(window, "p_hat", /*detected=*/false,
-                                 arc.PHat(), p_ref, threshold);
-        e.arc = static_cast<int64_t>(arc.arc);
-        events.push_back(std::move(e));
+        events.push_back(MakeEvent(window, arc.arc, /*detected=*/false,
+                                   arc.PHat(), p_ref, threshold));
       }
     }
     state.reference.push_back(arc);
@@ -76,91 +70,12 @@ std::vector<DriftEvent> DriftDetector::Observe(
       state.reference.pop_front();
     }
   }
-
-  // ---- Page–Hinkley on per-arc windowed mean cost ---------------------
-  for (const ArcWindowStats& arc : window.arcs) {
-    CostState& state = cost_[arc.arc];
-    double x = arc.MeanCost();
-    ++state.observed;
-    state.mean_sum += x;
-    double running_mean = state.mean_sum / static_cast<double>(state.observed);
-    state.m += x - running_mean - options_.ph_delta;
-    state.m_min = std::min(state.m_min, state.m);
-    bool alarm = state.m - state.m_min > options_.ph_lambda;
-    if (alarm) {
-      if (!state.active) {
-        state.active = true;
-        ++state.detections;
-        DriftEvent e = MakeEvent(window, "mean_cost", /*detected=*/true, x,
-                                 running_mean, options_.ph_lambda);
-        e.arc = static_cast<int64_t>(arc.arc);
-        events.push_back(std::move(e));
-      }
-      // Reset the accumulator either way: one alarm per excursion.
-      state.observed = 0;
-      state.mean_sum = 0.0;
-      state.m = 0.0;
-      state.m_min = 0.0;
-    } else if (state.active) {
-      state.active = false;
-      DriftEvent e = MakeEvent(window, "mean_cost", /*detected=*/false, x,
-                               running_mean, options_.ph_lambda);
-      e.arc = static_cast<int64_t>(arc.arc);
-      events.push_back(std::move(e));
-    }
-  }
-
-  // ---- Spike test on watched counter deltas ---------------------------
-  for (const std::string& counter : options_.watched_counters) {
-    auto it = window.counter_deltas.find(counter);
-    if (it == window.counter_deltas.end()) continue;
-    int64_t delta = it->second;
-    RateState& state = rate_[counter];
-    if (state.history.size() >= options_.rate_min_history) {
-      int64_t history_sum = 0;
-      for (int64_t h : state.history) history_sum += h;
-      double baseline = static_cast<double>(history_sum) /
-                        static_cast<double>(state.history.size());
-      double threshold = std::max(options_.rate_factor * baseline,
-                                  static_cast<double>(options_.rate_min_delta));
-      bool breach = static_cast<double>(delta) > threshold &&
-                    delta >= options_.rate_min_delta;
-      if (breach && !state.active) {
-        state.active = true;
-        ++state.detections;
-        DriftEvent e = MakeEvent(window, "rate", /*detected=*/true,
-                                 static_cast<double>(delta), baseline,
-                                 threshold);
-        e.counter = counter;
-        events.push_back(std::move(e));
-      } else if (!breach && state.active) {
-        state.active = false;
-        DriftEvent e = MakeEvent(window, "rate", /*detected=*/false,
-                                 static_cast<double>(delta), baseline,
-                                 threshold);
-        e.counter = counter;
-        events.push_back(std::move(e));
-      }
-      if (breach) continue;  // keep spikes out of their own baseline
-    }
-    state.history.push_back(delta);
-    while (state.history.size() > options_.rate_windows) {
-      state.history.pop_front();
-    }
-  }
-
   return events;
 }
 
 int64_t DriftDetector::ActiveCount() const {
   int64_t active = 0;
   for (const auto& [arc, state] : p_hat_) {
-    if (state.active) ++active;
-  }
-  for (const auto& [arc, state] : cost_) {
-    if (state.active) ++active;
-  }
-  for (const auto& [counter, state] : rate_) {
     if (state.active) ++active;
   }
   return active;
@@ -172,22 +87,6 @@ std::vector<DriftDetector::SeriesSummary> DriftDetector::Summaries() const {
     SeriesSummary s;
     s.detector = "p_hat";
     s.arc = static_cast<int64_t>(arc);
-    s.active = state.active;
-    s.detections = state.detections;
-    out.push_back(std::move(s));
-  }
-  for (const auto& [arc, state] : cost_) {
-    SeriesSummary s;
-    s.detector = "mean_cost";
-    s.arc = static_cast<int64_t>(arc);
-    s.active = state.active;
-    s.detections = state.detections;
-    out.push_back(std::move(s));
-  }
-  for (const auto& [counter, state] : rate_) {
-    SeriesSummary s;
-    s.detector = "rate";
-    s.counter = counter;
     s.active = state.active;
     s.detections = state.detections;
     out.push_back(std::move(s));

@@ -12,21 +12,17 @@
 namespace stratlearn::obs::health {
 
 /// Statistical change detection over the windowed series the
-/// TimeSeriesCollector produces. Three detector families, one per
-/// failure mode the learner's stationarity assumption can break in:
-///
-///  - "p_hat": a Hoeffding two-sample change test per arc. The trailing
-///    reference windows are pooled into one estimate p̂_ref; the current
-///    window's p̂ breaches when |p̂_cur − p̂_ref| exceeds the sum of the
-///    two Equation-1 deviations at confidence delta/2 each — i.e. the
-///    gap is larger than sampling noise can explain at the configured
-///    confidence, the same bound (stats/chernoff) the learner's own
-///    sequential tests are built on.
-///  - "mean_cost": a Page–Hinkley cumulative test per arc on the
-///    windowed mean attempt cost, catching slow upward ramps a
-///    two-window test would never see against its moving reference.
-///  - "rate": a spike test on watched counter deltas (breaker trips,
-///    degraded queries, injected faults) against the trailing mean.
+/// TimeSeriesCollector produces: a Hoeffding two-sample change test per
+/// arc ("p_hat"). The trailing reference windows are pooled into one
+/// estimate p̂_ref; the current window's p̂ breaches when
+/// |p̂_cur − p̂_ref| exceeds the sum of the two Equation-1 deviations at
+/// confidence delta/2 each — i.e. the gap is larger than sampling noise
+/// can explain at the configured confidence, the same bound
+/// (stats/chernoff) the learner's own sequential tests are built on.
+/// p̂ is the one quantity a context drift moves: on a fixed-cost graph an
+/// arc's mean attempt cost and the fault counters stay put, and the
+/// alert selectors `arc_mean_cost:`, `counter_delta:` and `counter_rate:`
+/// watch them instead.
 ///
 /// Every state change is reported as a DriftEvent ("detected" /
 /// "cleared"); the detector is deterministic — a pure function of the
@@ -41,48 +37,29 @@ struct DriftOptions {
   /// Trailing windows pooled into the p̂ reference (reset on
   /// detection, so the post-change regime becomes the new baseline).
   size_t reference_windows = 8;
-  /// Page–Hinkley drift allowance: mean-cost deviations below this
-  /// magnitude never accumulate.
-  double ph_delta = 0.05;
-  /// Page–Hinkley alarm threshold on the accumulated statistic.
-  double ph_lambda = 10.0;
-  /// Trailing windows forming the rate baseline, and how many must be
-  /// seen before the spike test arms.
-  size_t rate_windows = 8;
-  size_t rate_min_history = 3;
-  /// A delta is a spike when it exceeds `rate_factor` times the
-  /// baseline mean AND the absolute floor `rate_min_delta` (so a 0→1
-  /// blip on a quiet counter cannot page).
-  double rate_factor = 4.0;
-  int64_t rate_min_delta = 8;
-  /// Counters the rate detector watches.
-  std::vector<std::string> watched_counters = {
-      "robust.faults", "robust.breaker_opens", "robust.degraded"};
 };
 
 class DriftDetector {
  public:
   /// Per-series summary, exposed for the health report.
   struct SeriesSummary {
-    std::string detector;  // "p_hat" | "mean_cost" | "rate"
+    std::string detector;  // "p_hat"
     int64_t arc = -1;
-    std::string counter;
     bool active = false;
     int64_t detections = 0;
   };
 
   explicit DriftDetector(DriftOptions options);
 
-  /// Feeds one closed window through every detector family; returns
-  /// the state transitions (usually empty). Windows must arrive in
-  /// series order.
+  /// Feeds one closed window through the detector; returns the state
+  /// transitions (usually empty). Windows must arrive in series order.
   std::vector<DriftEvent> Observe(const TimeSeriesWindow& window);
 
   /// Number of series currently in the "detected" state.
   int64_t ActiveCount() const;
 
   /// Deterministic summary of every series the detector has state for
-  /// (p_hat series first, then mean_cost, then rate; ascending ids).
+  /// (ascending arc ids).
   std::vector<SeriesSummary> Summaries() const;
 
  private:
@@ -91,24 +68,9 @@ class DriftDetector {
     bool active = false;
     int64_t detections = 0;
   };
-  struct CostState {
-    int64_t observed = 0;    // windows folded into the running mean
-    double mean_sum = 0.0;   // sum of observed window means
-    double m = 0.0;          // Page–Hinkley accumulator
-    double m_min = 0.0;      // running minimum of the accumulator
-    bool active = false;
-    int64_t detections = 0;
-  };
-  struct RateState {
-    std::deque<int64_t> history;
-    bool active = false;
-    int64_t detections = 0;
-  };
 
   DriftOptions options_;
   std::map<uint32_t, PHatState> p_hat_;
-  std::map<uint32_t, CostState> cost_;
-  std::map<std::string, RateState> rate_;
 };
 
 }  // namespace stratlearn::obs::health

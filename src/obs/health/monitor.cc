@@ -23,7 +23,6 @@ HealthMonitor::HealthMonitor(AlertRuleSet rules, HealthOptions options,
       alerts_(std::move(rules), registry) {}
 
 void HealthMonitor::OnWindow(const TimeSeriesWindow& window) {
-  ++windows_seen_;
   last_window_ = window.index;
   std::vector<DriftEvent> drift_events = drift_.Observe(window);
   for (const DriftEvent& e : drift_events) {
@@ -56,7 +55,7 @@ std::string HealthMonitor::RenderText() const {
                               : "healthy");
   out += StrFormat(
       "windows_seen=%lld last_window=%lld drift_active=%lld\n",
-      static_cast<long long>(windows_seen_),
+      static_cast<long long>(windows_seen()),
       static_cast<long long>(last_window_),
       static_cast<long long>(drift_.ActiveCount()));
   const std::vector<AlertRule>& rules = alerts_.rules().rules;
@@ -87,10 +86,8 @@ std::string HealthMonitor::RenderText() const {
   if (!summaries.empty()) {
     out += "drift:\n";
     for (const DriftDetector::SeriesSummary& s : summaries) {
-      std::string series = s.arc >= 0
-                               ? StrFormat("arc %lld",
-                                           static_cast<long long>(s.arc))
-                               : s.counter;
+      std::string series =
+          StrFormat("arc %lld", static_cast<long long>(s.arc));
       out += StrFormat("  %-10s %-24s %s detections=%lld\n",
                        s.detector.c_str(), series.c_str(),
                        s.active ? "active" : "quiet",
@@ -111,16 +108,13 @@ std::string HealthMonitor::RenderText() const {
            drift_log_[di].window <= alert_log_[ai].window);
       if (take_drift) {
         const DriftEvent& e = drift_log_[di++];
-        std::string series =
-            e.arc >= 0
-                ? StrFormat("arc=%lld", static_cast<long long>(e.arc))
-                : StrFormat("counter=%s", e.counter.c_str());
         out += StrFormat(
-            "  window %-5lld drift %-10s %s %s statistic=%s reference=%s "
-            "threshold=%s\n",
+            "  window %-5lld drift %-10s arc=%lld %s statistic=%s "
+            "reference=%s threshold=%s\n",
             static_cast<long long>(e.window), e.detector.c_str(),
-            series.c_str(), e.state.c_str(), Num(e.statistic).c_str(),
-            Num(e.reference).c_str(), Num(e.threshold).c_str());
+            static_cast<long long>(e.arc), e.state.c_str(),
+            Num(e.statistic).c_str(), Num(e.reference).c_str(),
+            Num(e.threshold).c_str());
       } else {
         const AlertEvent& e = alert_log_[ai++];
         out += StrFormat(
@@ -153,7 +147,7 @@ std::string HealthMonitor::RenderJson() const {
   w.BeginObject();
   w.Key("schema").Value("stratlearn-health-v1");
   w.Key("healthy").Value(!alerts_.AnyFiring());
-  w.Key("windows_seen").Value(windows_seen_);
+  w.Key("windows_seen").Value(windows_seen());
   w.Key("last_window").Value(last_window_);
   w.Key("drift").BeginObject();
   w.Key("active").Value(drift_.ActiveCount());
@@ -162,7 +156,6 @@ std::string HealthMonitor::RenderJson() const {
     w.BeginObject();
     w.Key("detector").Value(s.detector);
     w.Key("arc").Value(s.arc);
-    w.Key("counter").Value(s.counter);
     w.Key("active").Value(s.active);
     w.Key("detections").Value(s.detections);
     w.EndObject();

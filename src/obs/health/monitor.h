@@ -74,7 +74,11 @@ class HealthMonitor {
   bool AnyFiring() const { return alerts_.AnyFiring(); }
   int64_t FiringCount() const { return alerts_.FiringCount(); }
   int64_t drift_active() const { return drift_.ActiveCount(); }
-  int64_t windows_seen() const { return windows_seen_; }
+  /// Windows in the series up to the last one fed, counted from the
+  /// window's own index: a window's index survives ring eviction, so a
+  /// resumed run and an offline replay of an evicted series report the
+  /// same count as the live run.
+  int64_t windows_seen() const { return last_window_ + 1; }
 
   /// Deterministic renderings of the current health state: rule table,
   /// drift-series table, and the full transition transcript.
@@ -94,7 +98,6 @@ class HealthMonitor {
   AlertEngine alerts_;
   TraceSink* events_ = nullptr;
   RecoveryHook recovery_;
-  int64_t windows_seen_ = 0;
   int64_t last_window_ = -1;
   std::vector<DriftEvent> drift_log_;
   std::vector<AlertEvent> alert_log_;

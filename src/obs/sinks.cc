@@ -31,8 +31,6 @@ constexpr ChromeInstant kChromeInstant<RetryEvent>{"robust", "t"};
 template <>
 constexpr ChromeInstant kChromeInstant<BreakerEvent>{"robust", "g"};
 template <>
-constexpr ChromeInstant kChromeInstant<DegradedEvent>{"robust", "g"};
-template <>
 constexpr ChromeInstant kChromeInstant<DriftEvent>{"health", "g"};
 template <>
 constexpr ChromeInstant kChromeInstant<AlertEvent>{"health", "g"};

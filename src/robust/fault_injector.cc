@@ -27,9 +27,7 @@ FaultKind FaultInjector::SampleFault(int experiment, double* magnitude) {
 
 int64_t FaultInjector::BackoffCooldown(int open_rounds) const {
   int64_t cooldown = plan_.resilience.breaker_cooldown;
-  int64_t cap = plan_.resilience.breaker_cooldown_cap > 0
-                    ? plan_.resilience.breaker_cooldown_cap
-                    : cooldown * 8;
+  const int64_t cap = cooldown * 8;
   for (int i = 0; i < open_rounds; ++i) {
     if (cooldown >= cap) return cap;
     cooldown *= 2;

@@ -80,7 +80,7 @@ class FaultInjector {
   /// `query`. Returns true when this transition *opened* (or re-opened
   /// after a failed probe) the breaker (caller emits the "open" trace
   /// event). A failed half-open probe doubles the cooldown each round,
-  /// capped at ResilienceOptions::breaker_cooldown_cap.
+  /// capped at 8x the base cooldown.
   bool RecordInfraFailure(ArcId arc, int64_t query);
 
   /// Records a fault-free physical attempt of `arc`. Returns true when

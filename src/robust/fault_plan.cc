@@ -84,25 +84,14 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
           r.backoff_cap < 0.0) {
         return bad("base >= 0, multiplier >= 1, cap >= 0");
       }
-    } else if (key == "budget") {
-      if (fields.size() != 2 || !finite(fields[1], &r.cost_budget)) {
-        return bad("one finite number");
-      }
-      if (r.cost_budget < 0.0) return bad("a budget >= 0");
     } else if (key == "breaker") {
-      if ((fields.size() != 3 && fields.size() != 4) ||
+      if (fields.size() != 3 ||
           !ParseInteger(fields[1], &r.breaker_threshold) ||
-          !ParseInteger(fields[2], &r.breaker_cooldown) ||
-          (fields.size() == 4 &&
-           !ParseInteger(fields[3], &r.breaker_cooldown_cap))) {
-        return bad("'<threshold> <cooldown> [cooldown_cap]'");
+          !ParseInteger(fields[2], &r.breaker_cooldown)) {
+        return bad("'<threshold> <cooldown>'");
       }
-      if (r.breaker_threshold < 0 || r.breaker_cooldown < 1 ||
-          r.breaker_cooldown_cap < 0 ||
-          (r.breaker_cooldown_cap > 0 &&
-           r.breaker_cooldown_cap < r.breaker_cooldown)) {
-        return bad("threshold >= 0, cooldown >= 1 and an optional "
-                   "backoff cap >= cooldown (0 = 8x cooldown)");
+      if (r.breaker_threshold < 0 || r.breaker_cooldown < 1) {
+        return bad("threshold >= 0 and cooldown >= 1");
       }
     } else if (key == "fault") {
       FaultRule rule;
@@ -147,17 +136,15 @@ Result<FaultPlan> FaultPlan::Load(const std::string& path) {
 
 std::string FaultPlan::Serialize() const {
   std::string out(kHeader);
-  out += StrFormat("\nseed %llu\nretries %d\nbackoff %s %s %s\nbudget %s\n"
-                   "breaker %d %lld %lld\n",
+  out += StrFormat("\nseed %llu\nretries %d\nbackoff %s %s %s\n"
+                   "breaker %d %lld\n",
                    static_cast<unsigned long long>(seed),
                    resilience.max_retries,
                    FormatDouble(resilience.backoff_base, 17).c_str(),
                    FormatDouble(resilience.backoff_multiplier, 17).c_str(),
                    FormatDouble(resilience.backoff_cap, 17).c_str(),
-                   FormatDouble(resilience.cost_budget, 17).c_str(),
                    resilience.breaker_threshold,
-                   static_cast<long long>(resilience.breaker_cooldown),
-                   static_cast<long long>(resilience.breaker_cooldown_cap));
+                   static_cast<long long>(resilience.breaker_cooldown));
   for (const FaultRule& rule : rules) {
     out += StrFormat("fault %s %s %d %s\n", FaultKindName(rule.kind),
                      FormatDouble(rule.probability, 17).c_str(),

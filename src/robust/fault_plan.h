@@ -57,18 +57,14 @@ struct ResilienceOptions {
   double backoff_base = 0.25;
   double backoff_multiplier = 2.0;
   double backoff_cap = 2.0;
-  /// Per-query cost budget; when the accrued cost reaches it, the query
-  /// degrades to "unresolved" instead of running on. 0 disables.
-  double cost_budget = 0.0;
   /// A retrieval arc whose retries are exhausted this many times in a
   /// row has its circuit breaker opened: the arc is skipped (pessimistic
   /// cost charged) for `breaker_cooldown` resilient queries, then given
-  /// one half-open probe attempt. 0 disables the breaker.
+  /// one half-open probe attempt. A failed probe re-opens the breaker
+  /// with its cooldown doubled each round, capped at 8x
+  /// `breaker_cooldown`. 0 disables the breaker.
   int breaker_threshold = 0;
   int64_t breaker_cooldown = 32;
-  /// A failed half-open probe re-opens the breaker with its cooldown
-  /// doubled each round, capped here. 0 means 8x `breaker_cooldown`.
-  int64_t breaker_cooldown_cap = 0;
 };
 
 /// A deterministic, seeded fault-injection plan: the rules plus the
@@ -79,9 +75,7 @@ struct ResilienceOptions {
 ///   seed 42
 ///   retries 3
 ///   backoff 0.25 2.0 2.0        # base multiplier cap
-///   budget 0                    # per-query cost budget; 0 = unlimited
-///   breaker 8 32 256            # threshold cooldown [cooldown-cap];
-///                               # threshold 0 = off, cap 0 = 8x cooldown
+///   breaker 8 32                # threshold cooldown; threshold 0 = off
 ///   fault transient 0.05 -1     # kind probability experiment [magnitude]
 ///   fault timeout 0.01 2 4.0
 struct FaultPlan {

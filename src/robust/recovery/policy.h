@@ -11,8 +11,8 @@ namespace stratlearn::robust {
 
 /// One trigger -> action mapping from a "stratlearn-recovery v1" policy
 /// file. Triggers name health-monitor transitions:
-///   drift:p_hat | drift:mean_cost | drift:rate | drift:any
-///       a drift detector entered "detected" in the closed window
+///   drift:p_hat | drift:any
+///       the p̂ drift detector entered "detected" in the closed window
 ///   alert:<rule-id> | alert:any
 ///       an alert rule entered "firing" in the closed window
 /// The one action is "rebaseline": PIB drops its Delta~ sums and starts

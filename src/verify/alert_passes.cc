@@ -162,8 +162,8 @@ AlertRuleSet ParseAlertRules(std::string_view text, DiagnosticSink* sink) {
   if (set.rules.empty() && sink->num_errors() == errors_before) {
     sink->Warning("V-AL005", "",
                   "rule set is empty: the alert engine will never fire",
-                  "add at least one rule line, e.g. 'rule degraded "
-                  "counter_delta:robust.degraded > 0'");
+                  "add at least one rule line, e.g. 'rule gave_up "
+                  "counter_delta:robust.gave_up > 0'");
   }
   return set;
 }

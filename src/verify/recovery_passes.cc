@@ -22,10 +22,7 @@ using robust::RecoveryPolicy;
 using robust::RecoveryRule;
 
 bool IsKnownTrigger(const std::string& trigger) {
-  if (trigger == "drift:p_hat" || trigger == "drift:mean_cost" ||
-      trigger == "drift:rate" || trigger == "drift:any") {
-    return true;
-  }
+  if (trigger == "drift:p_hat" || trigger == "drift:any") return true;
   return StartsWith(trigger, "alert:") && trigger.size() > 6;
 }
 
@@ -74,8 +71,8 @@ RecoveryPolicy ParseRecoveryPolicy(std::string_view text,
     if (!IsKnownTrigger(rule.trigger)) {
       sink->Error("V-RC002", location,
                   StrFormat("unknown trigger '%s'", rule.trigger.c_str()),
-                  "triggers: drift:p_hat, drift:mean_cost, drift:rate, "
-                  "drift:any, alert:<rule-id>, alert:any");
+                  "triggers: drift:p_hat, drift:any, alert:<rule-id>, "
+                  "alert:any");
       line_ok = false;
     }
     if (!IsKnownRecoveryAction(rule.action)) {

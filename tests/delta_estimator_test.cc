@@ -370,12 +370,11 @@ TEST(SwapNeighborhoodTest, StrategyShapePicksThePath) {
 }
 
 // Injected faults (transient, timeout, cost spike, an open breaker)
-// inflate trace.cost above c(Theta, J), the cost budget truncates traces,
-// and stop_after_successes = 2 runs past the first success. Each makes
-// trace.cost - c(Theta, J) nonzero, which every neighbour outside the
-// entered regions adds; PIB's sums must still be the replay's, bit for
-// bit.
-TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
+// inflate trace.cost above c(Theta, J), and stop_after_successes = 2
+// runs past the first success. Each makes trace.cost - c(Theta, J)
+// nonzero, which every neighbour outside the entered regions adds; PIB's
+// sums must still be the replay's, bit for bit.
+TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndFirstKAnswers) {
   FigureTwoGraph fig = MakeFigureTwo();
   Rng tree_rng(23);
   InferenceGraph mixed = MakeMixedTree(tree_rng, /*integer=*/true);
@@ -385,7 +384,6 @@ TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
   plan.rules.push_back({robust::FaultKind::kTimeout, 0.15, -1, 2.0});
   plan.rules.push_back({robust::FaultKind::kCostSpike, 0.2, -1, 2.5});
   plan.resilience.max_retries = 1;
-  plan.resilience.cost_budget = 6.0;
   plan.resilience.breaker_threshold = 2;
   plan.resilience.breaker_cooldown = 4;
   struct Case {
@@ -412,7 +410,7 @@ TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
     Pib pib(&g, c.initial, PibOptions{.delta = 0.3});
     DeltaEstimator estimator(&g);
     std::vector<double> reference(pib.num_neighbors(), 0.0);
-    int truncated = 0, inflated = 0, infra = 0, opened = 0, past_first = 0;
+    int inflated = 0, infra = 0, opened = 0, past_first = 0;
     Rng rng(11);
     for (int i = 0; i < 3000; ++i) {
       SwapNeighborhood hood(g, pib.strategy(), AllSiblingSwaps(g));
@@ -420,7 +418,6 @@ TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
       Trace trace =
           qp.Execute(pib.strategy(), oracle.Next(rng),
                      {.stop_after_successes = c.stop_after_successes});
-      truncated += trace.resolved ? 0 : 1;
       inflated += trace.cost != estimator.Cost(pib.strategy(),
                                                estimator.Pessimistic(trace));
       infra += std::any_of(trace.attempts.begin(), trace.attempts.end(),
@@ -445,7 +442,6 @@ TEST(IncrementalDeltaTest, PibSumsMatchReplayUnderFaultsAndTruncation) {
     }
     EXPECT_GT(inflated, 0);
     if (c.faults) {
-      EXPECT_GT(truncated, 0);
       EXPECT_GT(infra, 0);
       EXPECT_GT(opened, 0);
     } else {

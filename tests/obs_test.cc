@@ -667,7 +667,6 @@ TEST(SinkFailureTest, RobustnessEventsSerializeAsJsonl) {
   sink.On(obs::RetryEvent{100, 7, 3, 0, "transient", 1, 0.25, false});
   sink.On(obs::RetryEvent{110, 7, 3, 0, "timeout", 3, 0.0, true});
   sink.On(obs::BreakerEvent{120, 7, 3, 0, "open", 8, 40});
-  sink.On(obs::DegradedEvent{130, 9, 12.5, 10.0, 6});
   sink.Flush();
   std::string text = out.str();
   for (const std::string& line : Split(text, '\n')) {
@@ -678,7 +677,6 @@ TEST(SinkFailureTest, RobustnessEventsSerializeAsJsonl) {
   EXPECT_NE(text.find("\"gave_up\":true"), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"breaker\""), std::string::npos);
   EXPECT_NE(text.find("\"state\":\"open\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"degraded\""), std::string::npos);
 }
 
 TEST(SinkDropTest, JsonlSinkCountsEventsDroppedAfterClose) {
@@ -739,9 +737,8 @@ std::vector<obs::Event> SampleEvents() {
       obs::QuotaProgressEvent{16, -5, -6, true, 17, 1000000000000000},
       obs::RetryEvent{17, -7, 8, -9, "time\"out", 3, 0.1 + 0.2, true},
       obs::BreakerEvent{18, -10, 11, -12, "half\\open", 13, -14},
-      obs::DegradedEvent{19, -15, 1.0 / 3.0, 1e300, 16},
-      obs::DriftEvent{20, "p_hat", "de\ntected", -17, "qp.\"q\"", 0.1 + 0.2,
-                      -1.0 / 3.0, 2.5, 18, 19, 20},
+      obs::DriftEvent{20, "p_hat", "de\ntected", -17, 0.1 + 0.2, -1.0 / 3.0,
+                      2.5, 18, 19, 20},
       obs::AlertEvent{21, "rule\\1", "firing", "critical", "m\n", -0.0,
                       1.0 / 3.0, 22, 23},
       obs::RecoveryEvent{22, "r\"1", "alert:any", "rebaseline", "applied",

@@ -92,15 +92,16 @@ struct PibFixture {
 TEST(MatchesTriggerTest, DriftTriggersMatchDetectorAndStateOnly) {
   RecoveryRule rule = Rule("drift:p_hat", "rebaseline");
   EXPECT_TRUE(MatchesTrigger(rule, Detected("p_hat", 2, 0)));
-  EXPECT_FALSE(MatchesTrigger(rule, Detected("mean_cost", 2, 0)));
+  EXPECT_FALSE(MatchesTrigger(Rule("drift:sparkle", "rebaseline"),
+                              Detected("p_hat", 2, 0)));
 
   obs::DriftEvent cleared = Detected("p_hat", 2, 0);
   cleared.state = "cleared";
   EXPECT_FALSE(MatchesTrigger(rule, cleared));
 
   RecoveryRule any = Rule("drift:any", "rebaseline");
-  EXPECT_TRUE(MatchesTrigger(any, Detected("mean_cost", 2, 0)));
-  EXPECT_TRUE(MatchesTrigger(any, Detected("rate", -1, 0)));
+  EXPECT_TRUE(MatchesTrigger(any, Detected("p_hat", 2, 0)));
+  EXPECT_FALSE(MatchesTrigger(any, cleared));
 }
 
 TEST(MatchesTriggerTest, AlertTriggersMatchRuleAndStateOnly) {

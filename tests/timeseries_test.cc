@@ -209,8 +209,8 @@ TEST(TimeSeriesTest, WindowsRoundTripThroughLoadTimeSeries) {
     collector.AdvanceTo((w + 1) * 100);
   }
   // Health entries attach to a closed window, as the monitor's are.
-  collector.On(obs::DriftEvent{.t_us = 9, .detector = "rate",
-                               .state = "detected", .counter = "qp.queries",
+  collector.On(obs::DriftEvent{.t_us = 9, .detector = "p_hat",
+                               .state = "detected", .arc = 2,
                                .statistic = 0.1, .reference = 1.0 / 3.0,
                                .threshold = 2.5, .window = 1,
                                .window_start_us = 100,
@@ -232,8 +232,8 @@ TEST(TimeSeriesTest, WindowsRoundTripThroughLoadTimeSeries) {
   }
   ASSERT_EQ(series.windows[1].drift.size(), 1u);
   const obs::DriftEvent& drift = series.windows[1].drift[0];
-  EXPECT_EQ(drift.counter, "qp.queries");
-  EXPECT_EQ(drift.arc, -1);
+  EXPECT_EQ(drift.detector, "p_hat");
+  EXPECT_EQ(drift.arc, 2);
   EXPECT_EQ(drift.reference, 1.0 / 3.0);
   ASSERT_EQ(series.windows[1].alerts.size(), 1u);
   EXPECT_EQ(series.windows[1].alerts[0].metric, "counter_delta:qp.queries");

@@ -509,6 +509,22 @@ TEST(RecoveryPolicyPass, UnknownTriggerIsRC002) {
   EXPECT_TRUE(policy.rules.empty());  // malformed rules are dropped
 }
 
+// The Page-Hinkley mean-cost and counter-rate detectors are gone, and
+// so are their triggers.
+TEST(RecoveryPolicyPass, DeletedDetectorTriggersAreRC002) {
+  for (const char* trigger : {"drift:mean_cost", "drift:rate"}) {
+    DiagnosticSink sink;
+    robust::RecoveryPolicy policy = ParseRecoveryPolicy(
+        std::string("stratlearn-recovery v1\non ") + trigger +
+            " rebaseline\n",
+        &sink);
+    EXPECT_TRUE(sink.HasBlocking()) << trigger;
+    EXPECT_NE(sink.RenderText().find("V-RC002"), std::string::npos)
+        << trigger;
+    EXPECT_TRUE(policy.rules.empty()) << trigger;
+  }
+}
+
 TEST(RecoveryPolicyPass, BadActionsAndRangesAreRC003) {
   DiagnosticSink sink;
   ParseRecoveryPolicy(
@@ -516,7 +532,7 @@ TEST(RecoveryPolicyPass, BadActionsAndRangesAreRC003) {
       "on drift:p_hat reboot\n"
       "on drift:any rollback\n"
       "on alert:any restart_scoped\n"
-      "on drift:rate quarantine\n"
+      "on drift:p_hat quarantine\n"
       "on drift:any rebaseline cooldown=-1\n",
       &sink);
   EXPECT_EQ(sink.num_errors(), 5u);
@@ -529,7 +545,7 @@ TEST(RecoveryPolicyPass, DuplicateRuleIdIsRC004) {
   robust::RecoveryPolicy policy = ParseRecoveryPolicy(
       "stratlearn-recovery v1\n"
       "on drift:p_hat rebaseline id=react\n"
-      "on drift:rate rebaseline id=react\n",
+      "on drift:any rebaseline id=react\n",
       &sink);
   EXPECT_TRUE(sink.HasBlocking());
   EXPECT_NE(sink.RenderText().find("V-RC004"), std::string::npos);

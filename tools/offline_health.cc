@@ -67,10 +67,8 @@ void RenderWindow(const obs::TimeSeriesWindow& w, std::string* out) {
   if (!w.drift.empty()) {
     *out += "  drift:\n";
     for (const obs::DriftEvent& d : w.drift) {
-      std::string series = d.detector == "rate"
-                               ? d.counter
-                               : StrFormat("arc %lld",
-                                           static_cast<long long>(d.arc));
+      std::string series =
+          StrFormat("arc %lld", static_cast<long long>(d.arc));
       *out += StrFormat(
           "    %-10s %-24s %-9s statistic=%-12s reference=%-12s "
           "threshold=%s\n",

@@ -33,15 +33,17 @@
 //   health <series.jsonl> --alerts=RULES [--format=text|json]
 //          [--health-out=FILE] [--recovery=POLICY]
 //       Replay a serialized "stratlearn-timeseries-v1" file through the
-//       statistical health monitor: the drift detectors (Hoeffding
-//       two-window p^ test, Page-Hinkley mean-cost test, counter-delta
-//       rate anomalies) and the declarative alert rules from a
-//       "stratlearn-alerts v1" file. Prints the health report (text or
+//       statistical health monitor: the drift detector (Hoeffding
+//       two-window p^ test per arc) and the declarative alert rules from
+//       a "stratlearn-alerts v1" file. Prints the health report (text or
 //       "stratlearn-health-v1" JSON). Because the series is serialized
 //       at round-trip precision, the offline replay reaches decisions
-//       byte-identical to the live run's. Exit code: 0 healthy, 1
-//       alerts firing, 2 usage error (bad flags, unreadable inputs,
-//       alert rules with verify errors).
+//       byte-identical to the live run's; when the series ring evicted
+//       windows, it cannot recount the p^ detections and alert
+//       transitions inside them (README "Fault tolerance &
+//       checkpointing"). Exit code: 0 healthy, 1 alerts firing,
+//       2 usage error (bad flags, unreadable inputs, alert rules with
+//       verify errors).
 //   audit <audit.jsonl> [--format=text|json]
 //       Render a "stratlearn-audit v1" decision-audit file (written by
 //       learn-pib/learn-pao --audit-out) as a deterministic convergence
@@ -108,7 +110,7 @@
 // Fault tolerance & checkpointing:
 //   --fault-plan=FILE       load a "stratlearn-faultplan v1" file and run
 //                           retrievals on the resilient path (retries,
-//                           circuit breaker, cost budget; see README
+//                           backoff, circuit breaker; see README
 //                           "Fault tolerance & checkpointing")
 //   --checkpoint=FILE       crash-safe learner checkpoint (CRC-32
 //                           checksummed, written atomically); the final
@@ -305,7 +307,9 @@ int CheckLearnerConfig(const CliOptions& options,
 }
 
 /// Every numeric flag is read strictly: a value that is not one whole
-/// number of the flag's type fails with a message naming the flag.
+/// number of the flag's type fails with a message naming the flag. An
+/// argument that starts with "--" and matches no flag fails too, instead
+/// of being read as a file name.
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
   std::string error;
@@ -378,6 +382,8 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       options.suppress_out = arg.substr(15);
     } else if (StartsWith(arg, "--max-contexts=")) {
       ok = ParseFlagValue(arg, &options.max_contexts, &error);
+    } else if (StartsWith(arg, "--")) {
+      return Status::InvalidArgument("unknown flag '" + arg + "'");
     } else {
       options.positional.push_back(arg);
     }
