@@ -1,9 +1,11 @@
-// Micro-benchmarks for the Datalog substrate: parsing, fact lookup,
-// matching, SLD proof search, and one context drawn and executed.
+// Micro-benchmarks for the Datalog substrate: parsing, loading, fact
+// lookup, matching, SLD proof search, and one context drawn and
+// executed.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
@@ -27,6 +29,46 @@ void BM_ParseProgram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ParseProgram)->Arg(100)->Arg(1000);
+
+// The rules of learnbench's pao_bigdb shape: ten unary relations r0..r9
+// nested under q.
+constexpr char kNestedRules[] =
+    "q(X) :- n0(X). n0(X) :- r0(X). n0(X) :- r1(X), r2(X)."
+    "q(X) :- n1(X). n1(X) :- r3(X), r4(X). n1(X) :- r5(X)."
+    "q(X) :- n2(X). n2(X) :- r6(X). n2(X) :- r7(X), r8(X)."
+    "q(X) :- r9(X).";
+
+// Loads a program of pao_bigdb's shape, from text into a fresh symbol
+// table, database and rule base: kNestedRules, then for each relation
+// rK, one fact rK(uN) for about half of the range(0) constants uN, one
+// per line. Items are facts.
+void BM_LoadProgram(benchmark::State& state) {
+  std::string program = kNestedRules;
+  Rng facts_rng(11);
+  int64_t facts = 0;
+  for (int r = 0; r < 10; ++r) {
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      if (facts_rng.NextBernoulli(0.5)) {
+        program += StrFormat("r%d(u%lld).\n", r, static_cast<long long>(i));
+        ++facts;
+      }
+    }
+  }
+  for (auto _ : state) {
+    SymbolTable symbols;
+    Parser parser(&symbols);
+    Database db;
+    RuleBase rules;
+    Status loaded = parser.LoadProgram(program, &db, &rules);
+    benchmark::DoNotOptimize(loaded);
+    benchmark::DoNotOptimize(db.TotalFacts());
+  }
+  state.SetItemsProcessed(state.iterations() * facts);
+}
+BENCHMARK(BM_LoadProgram)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DatabaseContains(benchmark::State& state) {
   SymbolTable symbols;
@@ -97,12 +139,7 @@ void BM_DatalogOracleNext(benchmark::State& state) {
   Parser parser(&symbols);
   Database db;
   RuleBase rules;
-  (void)parser.LoadProgram(
-      "q(X) :- n0(X). n0(X) :- r0(X). n0(X) :- r1(X), r2(X)."
-      "q(X) :- n1(X). n1(X) :- r3(X), r4(X). n1(X) :- r5(X)."
-      "q(X) :- n2(X). n2(X) :- r6(X). n2(X) :- r7(X), r8(X)."
-      "q(X) :- r9(X).",
-      &db, &rules);
+  (void)parser.LoadProgram(kNestedRules, &db, &rules);
   Rng facts_rng(11);
   QueryWorkload workload;
   for (int64_t i = 0; i < state.range(0); ++i) {

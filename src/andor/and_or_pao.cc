@@ -63,6 +63,13 @@ Result<AndOrPaoResult> AndOrPao::Run(const AndOrGraph& graph,
   std::vector<int64_t> remaining = result.quotas;
   std::vector<ExperimentCounter> counters(graph.num_experiments());
   AndOrProcessor processor(&graph);
+  // An aiming strategy depends only on its target, so each is planned
+  // once.
+  std::vector<AndOrStrategy> aiming;
+  aiming.reserve(graph.num_experiments());
+  for (AndOrNodeId leaf : graph.experiments()) {
+    aiming.push_back(AimingStrategy(graph, leaf));
+  }
 
   auto pick_target = [&]() {
     int best = -1;
@@ -86,8 +93,7 @@ Result<AndOrPaoResult> AndOrPao::Run(const AndOrGraph& graph,
           static_cast<long long>(options.max_contexts)));
     }
     ++result.contexts_used;
-    AndOrStrategy strategy =
-        AimingStrategy(graph, graph.experiments()[static_cast<size_t>(target)]);
+    const AndOrStrategy& strategy = aiming[static_cast<size_t>(target)];
     AndOrTrace trace = processor.Execute(strategy, oracle.Next(rng));
     bool target_attempted = false;
     for (const AndOrAttempt& attempt : trace.attempts) {

@@ -1,6 +1,8 @@
 #include "datalog/parser.h"
 
 #include <cctype>
+#include <utility>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -79,7 +81,7 @@ Result<Term> Parser::ParseTerm(Cursor& c) {
   return is_var ? Term::Variable(id) : Term::Constant(id);
 }
 
-Result<Atom> Parser::ParseAtomAt(Cursor& c) {
+Status Parser::ParseAtomAt(Cursor& c, Atom* atom) {
   SkipSpace(c);
   if (c.pos >= c.text.size() || !IsIdentStart(c.text[c.pos]) ||
       std::isupper(static_cast<unsigned char>(c.text[c.pos]))) {
@@ -87,20 +89,18 @@ Result<Atom> Parser::ParseAtomAt(Cursor& c) {
   }
   size_t start = c.pos;
   while (c.pos < c.text.size() && IsIdentChar(c.text[c.pos])) ++c.pos;
-  SymbolId pred = symbols_->Intern(c.text.substr(start, c.pos - start));
-
-  Atom atom;
-  atom.predicate = pred;
-  if (!Consume(c, '(')) return atom;  // propositional atom
-  if (Consume(c, ')')) return atom;   // empty argument list
+  atom->predicate = symbols_->Intern(c.text.substr(start, c.pos - start));
+  atom->args.clear();
+  if (!Consume(c, '(')) return Status::OK();  // propositional atom
+  if (Consume(c, ')')) return Status::OK();   // empty argument list
   for (;;) {
     Result<Term> term = ParseTerm(c);
     if (!term.ok()) return term.status();
-    atom.args.push_back(*term);
+    atom->args.push_back(*term);
     if (Consume(c, ')')) break;
     if (!Consume(c, ',')) return ErrorAt(c, "expected ',' or ')'");
   }
-  return atom;
+  return Status::OK();
 }
 
 bool Parser::ConsumeNegation(Cursor& c) {
@@ -128,11 +128,10 @@ bool Parser::ConsumeNegation(Cursor& c) {
   return false;
 }
 
-Result<Clause> Parser::ParseClauseAt(Cursor& c) {
-  Result<Atom> head = ParseAtomAt(c);
-  if (!head.ok()) return head.status();
-  Clause clause;
-  clause.head = *head;
+Status Parser::ParseClauseAt(Cursor& c, Clause* clause) {
+  STRATLEARN_RETURN_IF_ERROR(ParseAtomAt(c, &clause->head));
+  clause->body.clear();
+  clause->negated.clear();
 
   SkipSpace(c);
   if (c.pos + 1 < c.text.size() && c.text[c.pos] == ':' &&
@@ -140,16 +139,14 @@ Result<Clause> Parser::ParseClauseAt(Cursor& c) {
     c.pos += 2;
     for (;;) {
       bool negated = ConsumeNegation(c);
-      Result<Atom> body_atom = ParseAtomAt(c);
-      if (!body_atom.ok()) return body_atom.status();
-      clause.body.push_back(*body_atom);
-      clause.negated.push_back(negated ? 1 : 0);
+      STRATLEARN_RETURN_IF_ERROR(ParseAtomAt(c, &clause->body.emplace_back()));
+      clause->negated.push_back(negated ? 1 : 0);
       SkipSpace(c);
       if (!Consume(c, ',')) break;
     }
   }
   if (!Consume(c, '.')) return ErrorAt(c, "expected '.' at end of clause");
-  return clause;
+  return Status::OK();
 }
 
 Result<Program> Parser::ParseProgram(std::string_view text) {
@@ -159,13 +156,13 @@ Result<Program> Parser::ParseProgram(std::string_view text) {
     SkipSpace(c);
     if (c.pos >= c.text.size()) break;
     int line = c.line;
-    Result<Clause> clause = ParseClauseAt(c);
-    if (!clause.ok()) return clause.status();
-    if (clause->IsFact()) {
-      program.facts.push_back(std::move(*clause));
+    Clause clause;
+    STRATLEARN_RETURN_IF_ERROR(ParseClauseAt(c, &clause));
+    if (clause.IsFact()) {
+      program.facts.push_back(std::move(clause));
       program.fact_lines.push_back(line);
     } else {
-      program.rules.push_back(std::move(*clause));
+      program.rules.push_back(std::move(clause));
       program.rule_lines.push_back(line);
     }
   }
@@ -174,8 +171,8 @@ Result<Program> Parser::ParseProgram(std::string_view text) {
 
 Result<Atom> Parser::ParseAtom(std::string_view text) {
   Cursor c{text, 0, 1};
-  Result<Atom> atom = ParseAtomAt(c);
-  if (!atom.ok()) return atom;
+  Atom atom;
+  STRATLEARN_RETURN_IF_ERROR(ParseAtomAt(c, &atom));
   SkipSpace(c);
   Consume(c, '.');  // trailing period is optional for queries
   SkipSpace(c);
@@ -187,25 +184,38 @@ Result<Atom> Parser::ParseAtom(std::string_view text) {
 
 Status Parser::LoadProgram(std::string_view text, Database* db,
                            RuleBase* rules) {
-  Result<Program> program = ParseProgram(text);
-  if (!program.ok()) return program.status();
-  for (size_t i = 0; i < program->facts.size(); ++i) {
-    const Clause& fact = program->facts[i];
-    if (!fact.head.IsGround()) {
-      return Status::InvalidArgument(StrFormat(
-          "line %d: fact '%s' is not ground", program->fact_lines[i],
-          fact.head.ToString(*symbols_).c_str()));
+  Cursor c{text, 0, 1};
+  Clause clause;
+  FactTuple tuple;
+  // The first fact error; parsing goes on, since a later syntax error
+  // outranks it, but no later fact is inserted.
+  Status fact_error;
+  std::vector<std::pair<Clause, int>> held_rules;
+  for (;;) {
+    SkipSpace(c);
+    if (c.pos >= c.text.size()) break;
+    int line = c.line;
+    STRATLEARN_RETURN_IF_ERROR(ParseClauseAt(c, &clause));
+    if (!clause.IsFact()) {
+      held_rules.emplace_back(clause, line);
+    } else if (fact_error.ok() && !clause.head.IsGround()) {
+      fact_error = Status::InvalidArgument(
+          StrFormat("line %d: fact '%s' is not ground", line,
+                    clause.head.ToString(*symbols_).c_str()));
+    } else if (fact_error.ok()) {
+      tuple.clear();
+      for (const Term& t : clause.head.args) tuple.push_back(t.symbol);
+      fact_error = db->Insert(clause.head.predicate, tuple);
     }
-    STRATLEARN_RETURN_IF_ERROR(db->Insert(fact.head));
   }
-  for (size_t i = 0; i < program->rules.size(); ++i) {
-    Clause& rule = program->rules[i];
+  STRATLEARN_RETURN_IF_ERROR(fact_error);
+  for (auto& [rule, line] : held_rules) {
     if (rule.HasNegation()) {
       return Status::Unimplemented(StrFormat(
           "line %d: rule '%s' uses negation as failure, which the "
           "executable engines do not evaluate inside rule bodies "
           "(see apps/naf.h); `stratlearn_cli verify` can still check it",
-          program->rule_lines[i], rule.ToString(*symbols_).c_str()));
+          line, rule.ToString(*symbols_).c_str()));
     }
     STRATLEARN_RETURN_IF_ERROR(rules->AddRule(std::move(rule)));
   }

@@ -49,7 +49,14 @@ class Parser {
   /// Parses a single atom, e.g. a query "instructor(manolis)".
   Result<Atom> ParseAtom(std::string_view text);
 
-  /// Loads a program's facts into `db` and rules into `rules`.
+  /// Loads a program's facts into `db` and rules into `rules`. Each
+  /// ground fact goes into its relation as soon as it is parsed; the
+  /// rules are added once the whole text has parsed. Errors rank as a
+  /// syntax error anywhere, then the first fact that is not ground or
+  /// whose arity differs from earlier facts of its predicate (no later
+  /// fact is inserted), then the first rule that uses negation or is
+  /// not range restricted. After a failure, the contents of `db` and
+  /// `rules` are unspecified.
   Status LoadProgram(std::string_view text, Database* db, RuleBase* rules);
 
  private:
@@ -63,8 +70,11 @@ class Parser {
   bool Consume(Cursor& c, char ch);
   bool ConsumeNegation(Cursor& c);
   Result<Term> ParseTerm(Cursor& c);
-  Result<Atom> ParseAtomAt(Cursor& c);
-  Result<Clause> ParseClauseAt(Cursor& c);
+  /// Parse into `*atom` / `*clause`, overwriting it and keeping its
+  /// argument storage, so parsing fact after fact into one Clause
+  /// allocates only when a fact has more arguments than any before.
+  Status ParseAtomAt(Cursor& c, Atom* atom);
+  Status ParseClauseAt(Cursor& c, Clause* clause);
   Status ErrorAt(const Cursor& c, const std::string& what);
 
   SymbolTable* symbols_;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace stratlearn {
@@ -16,7 +15,9 @@ inline constexpr SymbolId kInvalidSymbol = 0xffffffffu;
 
 /// Bidirectional string <-> SymbolId interning table. All Datalog
 /// structures store SymbolIds; the table is needed only to print them or
-/// to parse text. Not thread-safe.
+/// to parse text. Ids are dense, in first-intern order. Each name is
+/// stored once; an open-addressing table of (hash, id) slots over the
+/// names answers lookups, so a hit builds no string. Not thread-safe.
 class SymbolTable {
  public:
   SymbolTable() = default;
@@ -35,8 +36,23 @@ class SymbolTable {
   size_t size() const { return names_.size(); }
 
  private:
+  struct Slot {
+    uint32_t hash = 0;
+    /// The name's id, or kInvalidSymbol for a free slot.
+    SymbolId id = kInvalidSymbol;
+  };
+
+  static uint32_t Hash(std::string_view name);
+
+  /// The slot holding `name`, or else the free slot where it would go.
+  /// Requires a non-empty slot table.
+  size_t Find(std::string_view name, uint32_t hash) const;
+
+  void Rehash(size_t capacity);
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  /// A power of two at most half full.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace stratlearn

@@ -107,11 +107,14 @@ Context DatalogOracle::Next(Rng& rng) {
 }
 
 std::vector<double> DatalogOracle::TrueMarginalProbs() const {
+  // Experiment-major, so one relation's probe table stays in cache; each
+  // experiment still adds its queries' shares in query order.
   std::vector<double> probs(probes_.size(), 0.0);
-  for (size_t q = 0; q < workload_.entries.size(); ++q) {
-    double share = workload_.entries[q].weight / sampler_.total();
-    for (size_t i = 0; i < probs.size(); ++i) {
-      if (Resolve(q, i)) probs[i] += share;
+  for (size_t i = 0; i < probs.size(); ++i) {
+    for (size_t q = 0; q < workload_.entries.size(); ++q) {
+      if (Resolve(q, i)) {
+        probs[i] += workload_.entries[q].weight / sampler_.total();
+      }
     }
   }
   // Accumulated floating-point error can push a certain event a hair

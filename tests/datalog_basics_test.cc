@@ -1,3 +1,6 @@
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "datalog/atom.h"
@@ -39,6 +42,61 @@ TEST(SymbolTableTest, ManySymbols) {
   }
   EXPECT_EQ(t.size(), 1000u);
   EXPECT_EQ(t.Name(t.Lookup("sym500")), "sym500");
+}
+
+TEST(SymbolTableTest, IdsAreDenseThroughGrowth) {
+  SymbolTable t;
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(t.Intern("name" + std::to_string(i)), static_cast<SymbolId>(i));
+  }
+  EXPECT_EQ(t.size(), static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    std::string name = "name" + std::to_string(i);
+    ASSERT_EQ(t.Intern(name), static_cast<SymbolId>(i));
+    ASSERT_EQ(t.Lookup(name), static_cast<SymbolId>(i));
+    ASSERT_EQ(t.Name(static_cast<SymbolId>(i)), name);
+  }
+  EXPECT_EQ(t.size(), static_cast<size_t>(n));
+  EXPECT_EQ(t.Lookup("name200000"), kInvalidSymbol);
+  EXPECT_EQ(t.Lookup(""), kInvalidSymbol);
+}
+
+TEST(SymbolTableTest, EmptyNameRoundTrips) {
+  SymbolTable t;
+  EXPECT_EQ(t.Lookup(""), kInvalidSymbol);
+  SymbolId p = t.Intern("p");
+  SymbolId empty = t.Intern("");  // p('') interns the empty name
+  EXPECT_NE(empty, p);
+  EXPECT_EQ(t.Name(empty), "");
+  EXPECT_EQ(t.Lookup(""), empty);
+  EXPECT_EQ(t.Intern(""), empty);
+}
+
+TEST(SymbolTableTest, CopiesAreIndependent) {
+  SymbolTable a;
+  a.Intern("x");
+  SymbolTable b = a;
+  EXPECT_EQ(a.Intern("only_a"), 1u);
+  EXPECT_EQ(b.Lookup("only_a"), kInvalidSymbol);
+  EXPECT_EQ(b.Intern("only_b"), 1u);
+  EXPECT_EQ(a.Lookup("only_b"), kInvalidSymbol);
+  EXPECT_EQ(a.Name(1), "only_a");
+  EXPECT_EQ(b.Name(1), "only_b");
+  EXPECT_EQ(a.Lookup("x"), 0u);
+  EXPECT_EQ(b.Lookup("x"), 0u);
+}
+
+TEST(SymbolTableTest, NearNamesGetDistinctIds) {
+  SymbolTable t;
+  const char* names[] = {"u1", "u12", "u123", "u", "u2", "u13", "v1",
+                         "U1", "u1 ", "u\xff", "u\x01"};
+  for (size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(t.Intern(names[i]), static_cast<SymbolId>(i)) << names[i];
+  }
+  for (size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(t.Lookup(names[i]), static_cast<SymbolId>(i)) << names[i];
+  }
 }
 
 TEST(TermTest, KindsAndEquality) {

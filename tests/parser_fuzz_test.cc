@@ -2,9 +2,10 @@
 // mutations of the checked-in programs, graphs, AND/OR trees,
 // strategies and JSON streams must never crash, hang or leak (the suite
 // runs under ASan/UBSan in CI) — a damaged input may only yield
-// diagnostics. Seeded record-level edits of the graph, AND/OR and
-// strategy fixtures also check that each loader and its verify pass
-// agree. The seeds are fixed so a failure is reproducible from the
+// diagnostics. The Datalog loader must also load every mutant as its
+// parse-then-insert reference does. Seeded record-level edits of the
+// graph, AND/OR and strategy fixtures also check that each loader and
+// its verify pass agree. The seeds are fixed so a failure is reproducible from the
 // iteration number alone.
 
 #include <algorithm>
@@ -102,31 +103,104 @@ std::string Mutate(const std::string& text, Rng& rng) {
   return mutated;
 }
 
+/// The loader's reference: the whole program parsed first, then each
+/// fact checked for groundness and inserted, then each rule added, in
+/// order. LoadProgram streams facts instead and must agree with it.
+Status ReferenceLoad(std::string_view text, SymbolTable* symbols,
+                     Database* db, RuleBase* rules) {
+  Parser parser(symbols);
+  Result<Program> program = parser.ParseProgram(text);
+  if (!program.ok()) return program.status();
+  for (size_t i = 0; i < program->facts.size(); ++i) {
+    const Clause& fact = program->facts[i];
+    if (!fact.head.IsGround()) {
+      return Status::InvalidArgument(StrFormat(
+          "line %d: fact '%s' is not ground", program->fact_lines[i],
+          fact.head.ToString(*symbols).c_str()));
+    }
+    STRATLEARN_RETURN_IF_ERROR(db->Insert(fact.head));
+  }
+  for (size_t i = 0; i < program->rules.size(); ++i) {
+    const Clause& rule = program->rules[i];
+    if (rule.HasNegation()) {
+      return Status::Unimplemented(StrFormat(
+          "line %d: rule '%s' uses negation as failure, which the "
+          "executable engines do not evaluate inside rule bodies "
+          "(see apps/naf.h); `stratlearn_cli verify` can still check it",
+          program->rule_lines[i], rule.ToString(*symbols).c_str()));
+    }
+    STRATLEARN_RETURN_IF_ERROR(rules->AddRule(rule));
+  }
+  return Status::OK();
+}
+
+void ExpectSameSymbols(const SymbolTable& a, const SymbolTable& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (SymbolId id = 0; id < a.size(); ++id) {
+    ASSERT_EQ(a.Name(id), b.Name(id)) << "symbol " << id;
+  }
+}
+
+void ExpectSameRelations(const Database& a, const Database& b) {
+  std::vector<SymbolId> predicates = a.Predicates();
+  std::vector<SymbolId> other = b.Predicates();
+  std::sort(predicates.begin(), predicates.end());
+  std::sort(other.begin(), other.end());
+  ASSERT_EQ(predicates, other);
+  for (SymbolId predicate : predicates) {
+    const TupleSet& x = *a.Facts(predicate);
+    const TupleSet& y = *b.Facts(predicate);
+    ASSERT_EQ(x.arity(), y.arity()) << "predicate " << predicate;
+    ASSERT_EQ(x.size(), y.size()) << "predicate " << predicate;
+    for (size_t t = 0; t < x.size(); ++t) {
+      ASSERT_TRUE(std::equal(x[t].begin(), x[t].end(), y[t].begin()))
+          << "predicate " << predicate << " row " << t;
+    }
+  }
+}
+
+// Every mutant loads exactly as the reference loads it: the same
+// status (so the same error wins), the same symbol ids, and on success
+// the same relations, row by row, and the same rules.
 TEST(ParserFuzzTest, MutatedProgramsNeverCrash) {
   std::vector<std::string> corpus = SeedCorpus();
   Rng rng(20260806);
-  int parsed_ok = 0;
+  int loaded_ok = 0;
+  int refused_after_parse = 0;
   for (int iteration = 0; iteration < 1000; ++iteration) {
     const std::string& base = corpus[iteration % corpus.size()];
     std::string input = Mutate(base, rng);
     SCOPED_TRACE("iteration " + std::to_string(iteration));
 
     SymbolTable symbols;
-    Parser parser(&symbols);
-    Result<Program> program = parser.ParseProgram(input);
-    if (!program.ok()) continue;
-    ++parsed_ok;
-    // A structurally valid mutant must also survive the load path
-    // (facts into the database, rules into the rule base).
-    SymbolTable load_symbols;
-    Parser loader(&load_symbols);
+    Parser loader(&symbols);
     Database db;
     RuleBase rules;
-    (void)loader.LoadProgram(input, &db, &rules);
+    Status loaded = loader.LoadProgram(input, &db, &rules);
+
+    SymbolTable reference_symbols;
+    Database reference_db;
+    RuleBase reference_rules;
+    Status reference = ReferenceLoad(input, &reference_symbols,
+                                     &reference_db, &reference_rules);
+    ASSERT_EQ(loaded.code(), reference.code()) << loaded.ToString();
+    ASSERT_EQ(loaded.message(), reference.message());
+    ExpectSameSymbols(symbols, reference_symbols);
+    if (!loaded.ok()) {
+      if (loaded.message().rfind("parse error", 0) != 0) {
+        ++refused_after_parse;
+      }
+      continue;
+    }
+    ++loaded_ok;
+    ExpectSameRelations(db, reference_db);
+    EXPECT_EQ(rules.AllRules(), reference_rules.AllRules());
   }
-  // Small mutations leave many programs valid; if nothing ever parses,
-  // the harness is mutating garbage (or the corpus failed to load).
-  EXPECT_GT(parsed_ok, 0);
+  // Small mutations leave many programs loadable and refuse others for
+  // a fact or a rule; if either never happens, the harness is mutating
+  // garbage (or the corpus failed to load).
+  EXPECT_GT(loaded_ok, 0);
+  EXPECT_GT(refused_after_parse, 0);
 }
 
 TEST(ParserFuzzTest, HostileInputsYieldDiagnosticsOnly) {

@@ -132,6 +132,40 @@ TEST_F(ParserTest, LoadProgramFillsDatabaseAndRules) {
   EXPECT_EQ(rules.size(), 1u);
 }
 
+// LoadProgram inserts facts as it parses, yet reports errors in the
+// order of a whole parse first, then the facts, then the rules.
+TEST_F(ParserTest, LoadProgramErrorPrecedence) {
+  struct Case {
+    const char* program;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      // A syntax error after a non-ground fact.
+      {"p(a).\np(X).\nq(b).\nbroken(", StatusCode::kInvalidArgument,
+       "parse error at line 4: expected term"},
+      // A syntax error after an arity mismatch.
+      {"p(a).\np(a, b).\nq(", StatusCode::kInvalidArgument,
+       "parse error at line 3: expected term"},
+      // A negated rule before a non-ground fact.
+      {"r(X) :- s(X), not t(X).\ns(a).\np(X).",
+       StatusCode::kInvalidArgument, "line 3: fact 'p(X)' is not ground"},
+      // An arity mismatch before a rule that is not range restricted.
+      {"p(a).\np(a, b).\nr(X) :- s(Y).", StatusCode::kFailedPrecondition,
+       "arity mismatch for predicate 0: have 1, got 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.program);
+    SymbolTable symbols;
+    Parser parser(&symbols);
+    Database db;
+    RuleBase rules;
+    Status s = parser.LoadProgram(c.program, &db, &rules);
+    EXPECT_EQ(s.code(), c.code) << s.ToString();
+    EXPECT_EQ(s.message(), c.message);
+  }
+}
+
 TEST_F(ParserTest, EmptyArgumentList) {
   Result<Program> p = parser_.ParseProgram("p().");
   ASSERT_TRUE(p.ok()) << p.status().ToString();

@@ -1,21 +1,23 @@
-// The learners' per-context paths make no heap allocation beyond their
-// output. Pib::Observe between moves makes none: the estimator's
-// completion and scratch buffers are sized once per graph, and a
-// neighbourhood is rebuilt only when the learner moves.
-// AdaptiveQueryProcessor::Process makes exactly the ones Execute of its
-// aiming strategy makes (the trace and the walk's reached set): the
-// aiming strategies are planned once, in its constructor. This binary
-// replaces the global operator new to count allocations, so it holds no
-// other test.
+// The learners' per-context paths, and the Datalog loader per fact,
+// make no heap allocation beyond their output. Pib::Observe between
+// moves makes none: the estimator's completion and scratch buffers are
+// sized once per graph, and a neighbourhood is rebuilt only when the
+// learner moves. AdaptiveQueryProcessor::Process makes exactly the ones
+// Execute of its aiming strategy makes (the trace and the walk's
+// reached set): the aiming strategies are planned once, in its
+// constructor. This binary replaces the global operator new to count
+// allocations, so it holds no other test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/pib.h"
+#include "datalog/parser.h"
 #include "engine/adaptive_qp.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
@@ -129,6 +131,31 @@ TEST(AdaptiveAllocationTest, ProcessAllocatesOnlyWhatExecuteDoes) {
       ASSERT_EQ(processed, executed) << "depth " << depth << ", context " << i;
     }
   }
+}
+
+// Parser::LoadProgram streams each ground fact into its relation
+// through one reused clause and tuple, so loading allocates only when a
+// relation, the symbol table or a name outgrows its storage:
+// logarithmically many times in the number of facts, not once per fact.
+TEST(LoadAllocationTest, LoadProgramAllocatesNothingPerFact) {
+  std::string program = "q(X) :- r0(X), r1(X).\n";
+  const int relations = 10;
+  const int constants = 2000;
+  for (int r = 0; r < relations; ++r) {
+    for (int u = 0; u < constants; ++u) {
+      program += "r" + std::to_string(r) + "(u" + std::to_string(u) + ").\n";
+    }
+  }
+  SymbolTable symbols;
+  Parser parser(&symbols);
+  Database db;
+  RuleBase rules;
+  const long long before = allocations;
+  ASSERT_TRUE(parser.LoadProgram(program, &db, &rules).ok());
+  const long long loaded = allocations - before;
+  ASSERT_EQ(db.TotalFacts(), relations * constants);
+  // One allocation per fact would make 20 000; growth makes about 300.
+  EXPECT_LT(loaded, relations * constants / 10);
 }
 
 }  // namespace
