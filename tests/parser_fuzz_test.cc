@@ -5,8 +5,8 @@
 // diagnostics. The Datalog loader must also load every mutant as its
 // parse-then-insert reference does. Seeded record-level edits of the
 // graph, AND/OR and strategy fixtures also check that each loader and
-// its verify pass agree. The seeds are fixed so a failure is reproducible from the
-// iteration number alone.
+// its verify pass agree. The seeds are fixed so a failure is
+// reproducible from the iteration number alone.
 
 #include <algorithm>
 #include <filesystem>
